@@ -45,7 +45,6 @@ def main() -> None:
     parser.add_argument("--resolution", type=int, default=40, help="sampling grid side")
     parser.add_argument("--delta", type=float, default=0.05, help="target noise level")
     parser.add_argument("--seed", type=int, default=20240613, help="noise seed")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,9 +69,7 @@ def main() -> None:
         for method in ("lsm", "glsm"):
             for mat, label in ((lam, "clean"), (noisy, "noisy")):
                 t0 = time.perf_counter()
-                imap = inv.indicator_map(
-                    scene, mat, method, wave, params, threads=args.threads
-                )
+                imap = inv.indicator_map(scene, mat, method, wave, params)
                 dt = time.perf_counter() - t0
                 summarize(imap, scene, wave, f"{method}/{label}")
                 inv.save_indicator_map(imap, out / f"map_{method}_{label}.csv")

@@ -7,7 +7,7 @@ invert    compute an indicator map from previously written matrices
 map       forward followed by invert
 check     run the property suite against the scenario and report pass/fail
 
-Common flags: --scenario <path>, --out <dir>, --seed <u64>, --threads <n>,
+Common flags: --scenario <path>, --out <dir>, --seed <u64>,
 --method lsm|glsm, --mode local|interacting.
 
 Exit codes: 0 success; 2 validation/argument failures; 3 numerical
@@ -389,7 +389,6 @@ def run_invert(
     out_dir,
     matrices_dir=None,
     method: str | None = None,
-    threads: int | None = None,
 ) -> dict:
     """Compute the indicator map from written matrices; write CSV and PGM."""
     out = Path(out_dir)
@@ -400,12 +399,6 @@ def run_invert(
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")
     noisy = fw.load_matrix(noisy_path)
     scene = scenario.scene
-    expect = scene.grid.count * len(scene.channels)
-    if noisy.size != expect or noisy.channels != scene.channels:
-        raise ValidationError(
-            f"{noisy_path}: matrix ({noisy.size}, channels {noisy.channels}) does not "
-            f"match the scenario grid ({expect}, channels {scene.channels})"
-        )
     method = method or scenario.method
     wave = solve_dispersion(scenario.params, scenario.omega)
 
@@ -419,7 +412,6 @@ def run_invert(
         delta=scenario.inversion_delta,
         alpha_policy=scenario.alpha_policy,
         fixed_alpha=scenario.fixed_alpha,
-        threads=threads,
     )
     t_map = time.perf_counter() - t0
 
@@ -664,7 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="noise seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument(
             "--method", choices=("lsm", "glsm"), default=None, help="indicator override"
         )
@@ -686,16 +677,12 @@ def main(argv=None) -> int:
             print(f"forward: {meta['matrix_size']}x{meta['matrix_size']} matrix, "
                   f"delta = {meta['achieved_delta']:.6g}")
         elif args.command == "invert":
-            meta = run_invert(
-                scenario, args.out, method=args.method, threads=args.threads
-            )
+            meta = run_invert(scenario, args.out, method=args.method)
             print(f"invert: {meta['method']} map, raw max {meta['raw_max']:.6g}, "
                   f"{meta['degenerate_points']} degenerate point(s)")
         elif args.command == "map":
             run_forward(scenario, args.out, seed=args.seed, mode=args.mode)
-            meta = run_invert(
-                scenario, args.out, method=args.method, threads=args.threads
-            )
+            meta = run_invert(scenario, args.out, method=args.method)
             print(f"map: {meta['method']} map written, raw max {meta['raw_max']:.6g}")
         elif args.command == "check":
             results = run_check(scenario, args.out)

@@ -26,6 +26,7 @@ reciprocal data component (force e_i with u_i, fluid injection with p).
 
 from __future__ import annotations
 
+import cmath
 import io
 import logging
 from dataclasses import dataclass, replace
@@ -289,22 +290,21 @@ def interacting_jump_solve(
     local closure for a single patch, or when all patch pairs are farther
     apart than cutoff / min(Im k) (set cutoff=None to force the solve).
     """
-    psi = traces.as_vector()
-    rhs = _interface_rhs(patches, psi.reshape(-1, 5))
     M = _interaction_matrix(patches, wave, params, cutoff)
     if M is None:
         return local_jump_solve(traces, patches, wave)
-    a = _coupled_solve(M, rhs.ravel())
-    return JumpState.from_vector(a)
+    rhs = _interface_rhs(patches, traces.as_vector().reshape(-1, 5))
+    return JumpState.from_vector(_coupled_solve(M, rhs.ravel()))
 
 
 def _interface_rhs(patches, psi_cells: np.ndarray) -> np.ndarray:
+    """E psi per cell; psi_cells is (nc, 5) or (nc, 5, n_columns)."""
     out = np.empty_like(psi_cells)
     start = 0
     for patch in patches:
         _, E = _contact_blocks(patch, 1.0)  # E is frequency-independent
         stop = start + patch.cell_count
-        out[start:stop] = psi_cells[start:stop] @ E.T
+        out[start:stop] = np.einsum("ij,cj...->ci...", E, psi_cells[start:stop])
         start = stop
     return out
 
@@ -361,6 +361,7 @@ def _interaction_matrix(patches, wave, params, cutoff):
 
 
 def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LU solve of the coupled interface system (1- or 2-d rhs), residual-checked."""
     try:
         lu, piv = scipy.linalg.lu_factor(M)
         a = scipy.linalg.lu_solve((lu, piv), rhs)
@@ -559,25 +560,16 @@ def assemble_lambda(
         n = R.shape[0]
         data = np.zeros((n, n), dtype=np.complex128)
     else:
-        if mode == "local":
-            T = _local_transfer(scene.patches, wave.omega)
-            A = np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
-        else:
-            psi = S.reshape(nc, 5, -1)
-            rhs = np.empty_like(psi)
-            start = 0
-            for patch in scene.patches:
-                _, E = _contact_blocks(patch, wave.omega)
-                stop = start + patch.cell_count
-                rhs[start:stop] = np.einsum("ij,cjk->cik", E, psi[start:stop])
-                start = stop
-            rhs = rhs.reshape(5 * nc, -1)
+        psi = S.reshape(nc, 5, -1)
+        M = None
+        if mode == "interacting":
             M = _interaction_matrix(scene.patches, wave, params, cutoff)
-            if M is None:
-                T = _local_transfer(scene.patches, wave.omega)
-                A = np.einsum("cij,cjk->cik", T, psi).reshape(5 * nc, -1)
-            else:
-                A = _coupled_solve_matrix(M, rhs)
+        if M is None:
+            T = _local_transfer(scene.patches, wave.omega)
+            A = np.einsum("cij,cjk->cik", T, psi).reshape(5 * nc, -1)
+        else:
+            rhs = _interface_rhs(scene.patches, psi).reshape(5 * nc, -1)
+            A = _coupled_solve(M, rhs)
         data = R @ A
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
@@ -591,26 +583,6 @@ def assemble_lambda(
         kind="clean",
         mode=mode,
     )
-
-
-def _coupled_solve_matrix(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        lu, piv = scipy.linalg.lu_factor(M)
-        A = scipy.linalg.lu_solve((lu, piv), rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ConditioningError(
-            f"coupled interface system is singular: {exc}",
-            condition_number=float(np.linalg.cond(M)),
-        ) from None
-    scale = np.linalg.norm(rhs)
-    if scale > 0.0:
-        res = np.linalg.norm(M @ A - rhs) / scale
-        if not np.isfinite(res) or res > 1e-8:
-            raise ConditioningError(
-                f"coupled interface solve residual {res:.3e}",
-                condition_number=float(np.linalg.cond(M)),
-            )
-    return A
 
 
 def inject_noise(
@@ -802,7 +774,15 @@ def load_matrix(path) -> ScatteringMatrix:
                 header[key.strip()] = val.strip()
             else:
                 re_s, _, im_s = line.partition(",")
-                values.append(complex(float(re_s), float(im_s)))
+                try:
+                    value = complex(float(re_s), float(im_s))
+                except ValueError:
+                    raise CompatibilityError(
+                        f"{path}: unparsable matrix entry {line!r}"
+                    ) from None
+                if not cmath.isfinite(value):
+                    raise CompatibilityError(f"{path}: non-finite matrix entry {line!r}")
+                values.append(value)
     try:
         n_points = int(header["n_points"])
         channels = tuple(header["channels"].split(","))

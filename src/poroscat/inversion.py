@@ -18,18 +18,18 @@ two indicators:
   alpha = eta / (||L|| + delta).  Its indicator is
   1/sqrt(g^H L# g + delta ||g||^2).
 
-Per-point work shares one SVD (and, under a fixed-alpha policy, one
-Cholesky factorization) across all right-hand sides, which are assembled
-into a single matrix rather than solved one by one.
+All right-hand sides share one SVD of L, and the penalized variant one
+joint diagonalization of its normal-equation pencil (GlsmPencil), which
+serves every right-hand side and every alpha.  A map evaluates its
+sampling points in blocks, one block after another; the per-point
+indicators are the same evaluator on a one-point block.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,9 +45,10 @@ from .scene import SamplingGrid, Scene, channel_indices
 
 logger = logging.getLogger(__name__)
 
+_BLOCK = 64  # sampling points per trial_pattern_block call in indicator_map
+
 __all__ = [
     "TrialPattern",
-    "RegularizationConfig",
     "IndicatorMap",
     "PointIndicator",
     "MorozovResult",
@@ -92,30 +93,6 @@ def _jump_amplitude(normal: np.ndarray, iota: int) -> np.ndarray:
     return b
 
 
-def radiated_pattern(
-    x0,
-    kernel_normal,
-    b,
-    grid_points,
-    wave: WaveState,
-    params: MaterialParams,
-    channels: Sequence[str],
-) -> np.ndarray:
-    """Pattern of a point density b at x0 (kernel normal held fixed).
-
-    The pattern is linear in b; trial_pattern composes this with the
-    normal-dependent amplitude b(n, iota).
-    """
-    pts = np.asarray(grid_points, dtype=float)
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    cidx = channel_indices(channels)
-    K = _trace_matrix(
-        pts, np.broadcast_to(x0, pts.shape), np.asarray(kernel_normal, float),
-        wave, params,
-    )  # (N, 5, 4): traces at x0 of sources at each grid point
-    return np.einsum("nrc,r->nc", K[..., cidx], np.asarray(b, np.complex128)).ravel()
-
-
 def trial_pattern(
     x0,
     normal,
@@ -131,14 +108,12 @@ def trial_pattern(
     fluid monopole (independent of the normal).  Coincidence of x0 with a
     grid point raises SingularityError.
     """
+    x0 = np.asarray(x0, dtype=float).reshape(3)
     normal = np.asarray(normal, dtype=float).reshape(3)
-    vec = radiated_pattern(
-        x0, normal, _jump_amplitude(normal, iota), grid_points, wave, params, channels
+    block = trial_pattern_block(
+        x0[None, :], [(normal, iota)], grid_points, wave, params, channels
     )
-    return TrialPattern(
-        point=np.asarray(x0, float).reshape(3), normal=normal, iota=int(iota),
-        vector=vec,
-    )
+    return TrialPattern(point=x0, normal=normal, iota=int(iota), vector=block[:, 0])
 
 
 def trial_pattern_block(
@@ -213,26 +188,25 @@ def lambda_sharp(matrix) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def clamp_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
-    """Project a nearly-PSD Hermitian matrix onto the PSD cone.
-
-    Eigenvalues below clamp_rel * ||matrix||_2 (including small negatives
-    from roundoff) are set to zero.
-    """
+def _psd_function(matrix, fn, clamp_rel: float) -> np.ndarray:
+    """V fn(D) V^H over the eigenpairs of the Hermitian part, eigenvalues
+    below clamp_rel * ||matrix||_2 (small negatives from roundoff too) set
+    to zero."""
     H = _as_array(matrix)
     vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     scale = float(np.abs(vals).max(initial=0.0))
     vals = np.where(vals < clamp_rel * scale, 0.0, vals)
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * fn(vals)) @ vecs.conj().T
+
+
+def clamp_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
+    """Project a nearly-PSD Hermitian matrix onto the PSD cone."""
+    return _psd_function(matrix, lambda vals: vals, clamp_rel)
 
 
 def sqrt_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
     """Hermitian square root with negative-eigenvalue clamping."""
-    H = _as_array(matrix)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    scale = float(np.abs(vals).max(initial=0.0))
-    vals = np.where(vals < clamp_rel * scale, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _psd_function(matrix, np.sqrt, clamp_rel)
 
 
 class SvdOperator:
@@ -252,14 +226,6 @@ class SvdOperator:
     def project(self, rhs: np.ndarray) -> np.ndarray:
         """Coefficients beta = U^H rhs."""
         return self.U.conj().T @ rhs
-
-    def residual_floor_sq(self, rhs: np.ndarray, beta=None) -> np.ndarray:
-        """||rhs - U beta||^2: the part of rhs outside the column space."""
-        if beta is None:
-            beta = self.project(rhs)
-        full = np.sum(np.abs(rhs) ** 2, axis=0)
-        inside = np.sum(np.abs(beta) ** 2, axis=0)
-        return np.maximum(full - inside, 0.0)
 
 
 def _operator(matrix) -> SvdOperator:
@@ -292,8 +258,16 @@ def _discrepancy_gap(op: SvdOperator, beta_sq, floor_sq, delta, eta):
     return float(num @ beta_sq + floor_sq)
 
 
-def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
-    """Discrepancy-principle weight: ||L g - rhs|| = delta ||g||.
+def _projection(op: SvdOperator, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|U^H rhs|^2 and ||rhs - U U^H rhs||^2 (the part of rhs outside the
+    column space), per column of rhs."""
+    beta_sq = np.abs(op.project(rhs)) ** 2
+    full = np.sum(np.abs(rhs) ** 2, axis=0)
+    return beta_sq, np.maximum(full - np.sum(beta_sq, axis=0), 0.0)
+
+
+def _morozov_root(op: SvdOperator, beta_sq, floor_sq, delta, bracket) -> MorozovResult:
+    """Discrepancy weight of one column from its projection (nonzero L).
 
     The gap is strictly increasing in eta, so a bracketed root is found
     by a guarded Brent search on log(eta).  Without a sign change the
@@ -301,29 +275,30 @@ def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
     """
     if not delta > 0.0:
         raise DomainError(f"delta must be strictly positive, got {delta!r}")
+    lo, hi = (1e-14 * op.norm2**2, 1e8 * op.norm2**2) if bracket is None else bracket
+    if not (0.0 < lo < hi):
+        raise DomainError(f"bracket endpoints must be positive and ordered, got {bracket!r}")
+    f = lambda x: _discrepancy_gap(op, beta_sq, floor_sq, delta, math.exp(x))
+    if f(math.log(lo)) >= 0.0:
+        return MorozovResult(eta=lo, bracketed=False)
+    if f(math.log(hi)) <= 0.0:
+        return MorozovResult(eta=hi, bracketed=False)
+    x = brentq(f, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200)
+    return MorozovResult(eta=float(math.exp(x)), bracketed=True)
+
+
+def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
+    """Discrepancy-principle weight: ||L g - rhs|| = delta ||g||.
+
+    A zero operator gives eta = inf with bracketed=False.
+    """
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.size == 0 or not np.any(rhs):
         raise DomainError("right-hand side is empty or identically zero")
     op = _operator(matrix)
     if op.norm2 == 0.0:
         return MorozovResult(eta=float("inf"), bracketed=False)
-    beta = op.project(rhs)
-    beta_sq = np.abs(beta) ** 2
-    floor_sq = op.residual_floor_sq(rhs, beta)
-    if bracket is None:
-        bracket = (1e-14 * op.norm2**2, 1e8 * op.norm2**2)
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise DomainError(f"bracket endpoints must be positive and ordered, got {bracket!r}")
-
-    f = lambda x: _discrepancy_gap(op, beta_sq, floor_sq, delta, math.exp(x))
-    flo, fhi = f(math.log(lo)), f(math.log(hi))
-    if flo >= 0.0:
-        return MorozovResult(eta=lo, bracketed=False)
-    if fhi <= 0.0:
-        return MorozovResult(eta=hi, bracketed=False)
-    x = brentq(f, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200)
-    return MorozovResult(eta=float(math.exp(x)), bracketed=True)
+    return _morozov_root(op, *_projection(op, rhs), delta, bracket)
 
 
 def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
@@ -403,25 +378,8 @@ class GlsmPencil:
         return 1.0 / math.sqrt(energy) if energy > 0.0 else float("nan")
 
 
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Noise level, discrepancy bracket and penalty-rule inputs."""
-
-    delta: float
-    bracket: tuple[float, float] | None = None
-    lam_norm: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be >= 0, got {self.delta!r}")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not (0.0 < lo < hi):
-                raise DomainError(f"bracket must be positive and ordered, got {self.bracket!r}")
-
-
 # ---------------------------------------------------------------------------
-# per-point indicators
+# block evaluator and per-point indicators
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PointIndicator:
@@ -432,6 +390,79 @@ class PointIndicator:
     degenerate: bool = False
 
 
+def _eval_block(
+    points,
+    cands: Sequence[tuple[np.ndarray, int]],
+    op: SvdOperator,
+    delta: float,
+    grid_points,
+    wave: WaveState,
+    params: MaterialParams,
+    channels: Sequence[str],
+    bracket=None,
+    pencil: GlsmPencil | None = None,
+    fixed_alpha: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indicator values of a block of sampling points.
+
+    Without a pencil: 1/||g||, g the Tikhonov solution at the discrepancy
+    weight.  With one: the penalized indicator, alpha ``fixed_alpha`` if
+    given, else from each candidate's discrepancy weight.  Each point
+    takes the candidate of least ||g|| (ties go to the first).  Returns
+    (value, ||g||, candidate index) per point; NaN, 0 and -1 where no
+    candidate is usable or the point coincides with a sensing point.
+    """
+    pts = np.asarray(points, dtype=float)
+    gpts = np.asarray(grid_points, dtype=float)
+    nb, ncand = pts.shape[0], len(cands)
+    vals = np.full(nb, np.nan)
+    g_norms = np.zeros(nb)
+    argmin = np.full(nb, -1, dtype=int)
+    # the trial kernels are singular at r = 0, as in greens._geometry
+    w = gpts[None, :, :] - pts[:, None, :]
+    live = np.flatnonzero(np.all(np.sum(w * w, axis=-1) > 0.0, axis=1))
+    if live.size == 0 or op.norm2 == 0.0:
+        return vals, g_norms, argmin
+    Phi = trial_pattern_block(pts[live], cands, gpts, wave, params, channels)
+    if fixed_alpha is None:
+        beta_sq, floors = _projection(op, Phi)
+    else:
+        G = pencil.solve(Phi, fixed_alpha)
+        fixed_norms = np.linalg.norm(G, axis=0)
+        energies = (
+            np.real(np.einsum("ij,ij->j", G.conj(), pencil.sharp @ G))
+            + pencil.delta * fixed_norms**2
+        )
+        fixed_vals = 1.0 / np.sqrt(np.where(energies > 0.0, energies, np.nan))
+    for b, p in enumerate(live):
+        best = None
+        for ci in range(ncand):
+            col = b * ncand + ci
+            g = None
+            if fixed_alpha is not None:
+                gn = float(fixed_norms[col])
+            else:
+                eta = _morozov_root(op, beta_sq[:, col], floors[col], delta, bracket).eta
+                if pencil is None:
+                    gn = math.sqrt(float(((op.s / (op.s**2 + eta)) ** 2) @ beta_sq[:, col]))
+                else:
+                    g = pencil.solve(Phi[:, col], alpha_from_eta(eta, op.norm2, delta))
+                    gn = float(np.linalg.norm(g))
+            if 0.0 < gn < math.inf and (best is None or gn < best[0]):
+                best = (gn, ci, col, g)
+        if best is None:
+            continue
+        gn, ci, col, g = best
+        g_norms[p], argmin[p] = gn, ci
+        if pencil is None:
+            vals[p] = 1.0 / gn
+        elif g is None:
+            vals[p] = fixed_vals[col]
+        else:
+            vals[p] = pencil.indicator(g)
+    return vals, g_norms, argmin
+
+
 def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
     out = []
     for normal, iota in candidates:
@@ -439,6 +470,20 @@ def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
     if not out:
         raise DomainError("candidate list is empty")
     return out
+
+
+def _indicator_at(x0, candidates, op, *setting) -> PointIndicator:
+    """_eval_block on the one-point block x0, as a PointIndicator."""
+    cands = _candidate_list(candidates)
+    (value,), (gn,), (ci,) = _eval_block(
+        np.asarray(x0, dtype=float).reshape(1, 3), cands, op, *setting
+    )
+    found = bool(np.isfinite(value))
+    return PointIndicator(
+        value=float(value), g_norm=float(gn),
+        normal_index=int(ci) % _normals_count(cands) if found else -1,
+        iota=cands[ci][1] if found else -1, degenerate=not found,
+    )
 
 
 def lsm_indicator_at(
@@ -458,26 +503,9 @@ def lsm_indicator_at(
     the Tikhonov solve; the candidate of minimal ||g|| wins (ties go to
     the first in order).
     """
-    cands = _candidate_list(candidates)
-    op = _operator(matrix)
-    best = None
-    for ci, (normal, iota) in enumerate(cands):
-        phi = trial_pattern(x0, normal, iota, grid_points, wave, params, channels).vector
-        eta = morozov_eta(op, phi, delta, bracket).eta
-        if not np.isfinite(eta):
-            continue
-        g = tikhonov_solve(op, phi, eta)
-        gn = float(np.linalg.norm(g))
-        if best is None or gn < best[0]:
-            best = (gn, ci)
-    if best is None or best[0] == 0.0:
-        return PointIndicator(
-            value=float("nan"), g_norm=0.0, normal_index=-1, iota=-1, degenerate=True
-        )
-    gn, ci = best
-    return PointIndicator(
-        value=1.0 / gn, g_norm=gn, normal_index=ci % _normals_count(cands),
-        iota=cands[ci][1],
+    return _indicator_at(
+        x0, candidates, _operator(matrix), delta, grid_points, wave, params, channels,
+        bracket,
     )
 
 
@@ -505,38 +533,10 @@ def glsm_indicator_at(
     The indicator of the winning solution is
     1/sqrt(g^H L# g + delta ||g||^2).
     """
-    cands = _candidate_list(candidates)
     op = _operator(matrix)
-    pencil = GlsmPencil(op.matrix, sharp, delta)
-    best = None
-    for ci, (normal, iota) in enumerate(cands):
-        phi = trial_pattern(x0, normal, iota, grid_points, wave, params, channels).vector
-        if fixed_alpha is None:
-            eta = morozov_eta(op, phi, delta, bracket).eta
-            if not np.isfinite(eta):
-                continue
-            alpha = alpha_from_eta(eta, op.norm2, delta)
-        else:
-            alpha = fixed_alpha
-        g = pencil.solve(phi, alpha)
-        if not np.all(np.isfinite(g)):
-            continue
-        gn = float(np.linalg.norm(g))
-        if best is None or gn < best[0]:
-            best = (gn, ci, g)
-    if best is None or best[0] == 0.0:
-        return PointIndicator(
-            value=float("nan"), g_norm=0.0, normal_index=-1, iota=-1, degenerate=True
-        )
-    gn, ci, g = best
-    value = pencil.indicator(g)
-    if not np.isfinite(value):
-        return PointIndicator(
-            value=float("nan"), g_norm=gn, normal_index=-1, iota=-1, degenerate=True
-        )
-    return PointIndicator(
-        value=value, g_norm=gn,
-        normal_index=ci % _normals_count(cands), iota=cands[ci][1],
+    return _indicator_at(
+        x0, candidates, op, delta, grid_points, wave, params, channels, bracket,
+        GlsmPencil(op.matrix, sharp, delta), fixed_alpha,
     )
 
 
@@ -551,12 +551,26 @@ class IndicatorMap:
     omega: float
     delta: float
     grid: SamplingGrid
-    raw: np.ndarray           # (npts,)
-    normalized: np.ndarray    # (npts,) raw / max over finite entries
-    argmin_normal: np.ndarray  # (npts,) int, -1 where degenerate
-    argmin_iota: np.ndarray    # (npts,) int, -1 where degenerate
-    raw_max: float
-    degenerate_count: int
+    raw: np.ndarray           # (npts,), NaN where degenerate
+    argmin_normal: np.ndarray  # (npts,) int, -1 where no candidate won
+    argmin_iota: np.ndarray    # (npts,) int, -1 where no candidate won
+
+    @property
+    def raw_max(self) -> float:
+        finite = self.raw[np.isfinite(self.raw)]
+        return float(finite.max()) if finite.size else float("nan")
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """raw / raw_max; all NaN unless raw_max > 0."""
+        raw_max = self.raw_max
+        if not raw_max > 0.0:
+            return np.full(self.raw.shape, np.nan)
+        return np.where(np.isfinite(self.raw), self.raw / raw_max, np.nan)
+
+    @property
+    def degenerate_count(self) -> int:
+        return int((~np.isfinite(self.raw)).sum())
 
     @property
     def degenerate(self) -> bool:
@@ -584,37 +598,37 @@ def indicator_map(
     delta: float | None = None,
     alpha_policy: str = "per-candidate",
     fixed_alpha: float | None = None,
-    threads: int | None = None,
     bracket=None,
 ) -> IndicatorMap:
     """Evaluate an indicator over the scene's sampling grid.
 
-    One SVD of the data operator is shared by every right-hand side; the
-    penalized method under alpha_policy="fixed" also shares a single
-    Cholesky factorization (alpha from the Morozov weights at the grid
-    center unless fixed_alpha is given — a documented approximation of
-    the per-candidate rule).  Per-point failures are recorded as NaN
-    values, never aborts.
+    Blocks of sampling points are evaluated one after another, all
+    sharing one SVD of the data operator and, for the penalized method,
+    one GlsmPencil.  Under alpha_policy="fixed" every candidate uses one
+    alpha: fixed_alpha, or else the one from the median Morozov weight of
+    the candidates at the grid center (a documented approximation of the
+    per-candidate rule).  Per-point failures, sampling points that
+    coincide with sensing points included, are recorded as NaN values,
+    never aborts.
     """
     if method not in ("lsm", "glsm"):
         raise DomainError(f"method must be lsm|glsm, got {method!r}")
     if alpha_policy not in ("per-candidate", "fixed"):
         raise DomainError(f"alpha_policy must be per-candidate|fixed, got {alpha_policy!r}")
-    if isinstance(matrix, ScatteringMatrix):
-        expect = scene.grid.count * len(scene.channels)
-        if matrix.size != expect:
-            raise CompatibilityError(
-                f"operator size {matrix.size} does not match scene ({expect})"
-            )
+    if isinstance(matrix, ScatteringMatrix) and (
+        matrix.n_points != scene.grid.count or matrix.channels != scene.channels
+    ):
+        raise CompatibilityError(
+            f"matrix ({matrix.n_points} points, channels {matrix.channels}) does not "
+            f"match the scene ({scene.grid.count} points, channels {scene.channels})"
+        )
     op = _operator(matrix)
     delta = _derive_delta(matrix, delta, op)
     pts = scene.sampling.points()
     cands = scene.sampling.candidates()
-    gpts = scene.grid.points
-    channels = scene.channels
-    npts, ncand = pts.shape[0], len(cands)
+    gpts, channels = scene.grid.points, scene.channels
 
-    sharp = None
+    pencil = None
     if method == "glsm":
         if wave.gamma.imag > 1e-6 * abs(wave.gamma):
             warnings.warn(
@@ -625,139 +639,44 @@ def indicator_map(
                 stacklevel=2,
             )
         pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
-        sharp = pencil.sharp
-        if alpha_policy == "fixed" and fixed_alpha is None:
-            center = pts[npts // 2]
-            etas = []
-            for normal, iota in cands:
-                phi = trial_pattern(center, normal, iota, gpts, wave, params, channels).vector
-                res = morozov_eta(op, phi, delta, bracket)
-                if np.isfinite(res.eta):
-                    etas.append(res.eta)
-            if not etas:
-                raise NumericalError("could not derive a fixed alpha at the grid center")
-            fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
-            logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
-    raw = np.full(npts, np.nan)
-    arg_n = np.full(npts, -1, dtype=int)
-    arg_i = np.full(npts, -1, dtype=int)
-    n_normals = scene.sampling.normals.shape[0]
+    if pencil is None or alpha_policy == "per-candidate":
+        fixed_alpha = None
+    elif fixed_alpha is None:
+        if op.norm2 == 0.0:
+            raise NumericalError("could not derive a fixed alpha at the grid center")
+        center = trial_pattern_block(
+            pts[len(pts) // 2][None, :], cands, gpts, wave, params, channels
+        )
+        etas = [morozov_eta(op, phi, delta, bracket).eta for phi in center.T]
+        fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
+        logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
 
-    def eval_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        bpts = pts[block]
-        Phi = trial_pattern_block(bpts, cands, gpts, wave, params, channels)
-        nb = bpts.shape[0]
-        vals = np.full(nb, np.nan)
-        an = np.full(nb, -1, dtype=int)
-        ai = np.full(nb, -1, dtype=int)
-        beta = op.project(Phi)
-        beta_sq = np.abs(beta) ** 2
-        floors = op.residual_floor_sq(Phi, beta)
-        if method == "glsm" and alpha_policy == "fixed":
-            G = pencil.solve(Phi, fixed_alpha)
-            g_norms = np.linalg.norm(G, axis=0)
-            energies = np.real(np.einsum("ij,ij->j", G.conj(), sharp @ G)) + delta * g_norms**2
-        for b in range(nb):
-            best = None
-            for ci in range(ncand):
-                col = b * ncand + ci
-                if not np.any(beta_sq[:, col]) and floors[col] == 0.0:
-                    continue
-                g = None
-                if method == "lsm":
-                    res = _morozov_from_projection(
-                        op, beta_sq[:, col], floors[col], delta, bracket
-                    )
-                    if res is None:
-                        continue
-                    gn = res[1]
-                elif alpha_policy == "fixed":
-                    gn = float(g_norms[col])
-                else:
-                    res = _morozov_from_projection(
-                        op, beta_sq[:, col], floors[col], delta, bracket
-                    )
-                    if res is None:
-                        continue
-                    alpha = alpha_from_eta(res[0], op.norm2, delta)
-                    g = pencil.solve(Phi[:, col], alpha)
-                    if not np.all(np.isfinite(g)):
-                        continue
-                    gn = float(np.linalg.norm(g))
-                if gn == 0.0:
-                    continue
-                if best is None or gn < best[0]:
-                    best = (gn, ci, col, g)
-            if best is None:
-                continue
-            gmin, ci, col, g = best
-            if method == "lsm":
-                vals[b] = 1.0 / gmin
-            elif alpha_policy == "fixed":
-                en = float(energies[col])
-                vals[b] = 1.0 / math.sqrt(en) if en > 0.0 else np.nan
-            else:
-                en = float(np.real(g.conj() @ (sharp @ g)) + delta * gmin**2)
-                vals[b] = 1.0 / math.sqrt(en) if en > 0.0 else np.nan
-            an[b] = ci % n_normals
-            ai[b] = cands[ci][1]
-        return vals, an, ai
+    blocks = [
+        _eval_block(
+            pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
+            bracket, pencil, fixed_alpha,
+        )
+        for s in range(0, len(pts), _BLOCK)
+    ]
+    raw = np.concatenate([vals for vals, _, _ in blocks])
+    argmin = np.concatenate([arg for _, _, arg in blocks])
+    iotas = np.array([iota for _, iota in cands])
+    found = argmin >= 0
+    arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
+    arg_i = np.where(found, iotas[argmin], -1)
 
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    blocks = [np.arange(s, min(s + 64, npts)) for s in range(0, npts, 64)]
-    if workers == 1 or len(blocks) == 1:
-        results = [eval_block(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_block, blocks))
-    for block, (vals, an, ai) in zip(blocks, results):
-        raw[block] = vals
-        arg_n[block] = an
-        arg_i[block] = ai
-
-    finite = np.isfinite(raw)
-    raw_max = float(raw[finite].max()) if finite.any() else float("nan")
-    if finite.any() and raw_max > 0.0:
-        normalized = np.where(finite, raw / raw_max, np.nan)
-    else:
-        normalized = np.full(npts, np.nan)
-    degenerate_count = int(npts - finite.sum())
-    if degenerate_count:
-        logger.warning("indicator map has %d degenerate point(s)", degenerate_count)
-    return IndicatorMap(
+    imap = IndicatorMap(
         method=method,
         omega=wave.omega,
         delta=delta,
         grid=scene.sampling,
         raw=raw,
-        normalized=normalized,
         argmin_normal=arg_n,
         argmin_iota=arg_i,
-        raw_max=raw_max,
-        degenerate_count=degenerate_count,
     )
-
-
-def _morozov_from_projection(op, beta_sq, floor_sq, delta, bracket):
-    """(eta, ||g||) from precomputed projection data; None when hopeless."""
-    if op.norm2 == 0.0:
-        return None
-    if bracket is None:
-        bracket = (1e-14 * op.norm2**2, 1e8 * op.norm2**2)
-    lo, hi = bracket
-    f = lambda x: _discrepancy_gap(op, beta_sq, floor_sq, delta, math.exp(x))
-    flo, fhi = f(math.log(lo)), f(math.log(hi))
-    if flo >= 0.0:
-        eta = lo
-    elif fhi <= 0.0:
-        eta = hi
-    else:
-        eta = math.exp(brentq(f, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200))
-    s2 = op.s**2
-    g_sq = float(((op.s / (s2 + eta)) ** 2) @ beta_sq)
-    if g_sq == 0.0:
-        return None
-    return eta, math.sqrt(g_sq)
+    if imap.degenerate:
+        logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)
+    return imap
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +704,11 @@ def save_indicator_map(imap: IndicatorMap, path) -> None:
         fh.write(f"# iotas = {','.join(str(i) for i in g.iotas)}\n")
         fh.write(f"# plane_z = {_fmt(g.plane_z)}\n")
         pts = g.points()
+        normalized = imap.normalized
         for i in range(pts.shape[0]):
             fh.write(
                 f"{_fmt(pts[i,0])},{_fmt(pts[i,1])},{_fmt(imap.raw[i])},"
-                f"{_fmt(imap.normalized[i])},{imap.argmin_normal[i]},{imap.argmin_iota[i]}\n"
+                f"{_fmt(normalized[i])},{imap.argmin_normal[i]},{imap.argmin_iota[i]}\n"
             )
 
 
@@ -810,9 +730,7 @@ def load_indicator_map(path) -> IndicatorMap:
                 header[key.strip()] = val.strip()
             else:
                 parts = line.split(",")
-                rows.append(
-                    (float(parts[2]), float(parts[3]), int(parts[4]), int(parts[5]))
-                )
+                rows.append((float(parts[2]), int(parts[4]), int(parts[5])))
     region = tuple(float(v) for v in header["region"].split(","))
     resolution = tuple(int(v) for v in header["resolution"].split(","))
     grid = build_sampling_grid(
@@ -822,18 +740,12 @@ def load_indicator_map(path) -> IndicatorMap:
         tuple(int(i) for i in header["iotas"].split(",")),
         plane_z=float(header.get("plane_z", "0")),
     )
-    raw = np.array([r[0] for r in rows])
-    normalized = np.array([r[1] for r in rows])
-    finite = np.isfinite(raw)
     return IndicatorMap(
         method=header["method"],
         omega=float(header["omega"]),
         delta=float(header["delta"]),
         grid=grid,
-        raw=raw,
-        normalized=normalized,
-        argmin_normal=np.array([r[2] for r in rows], dtype=int),
-        argmin_iota=np.array([r[3] for r in rows], dtype=int),
-        raw_max=float(raw[finite].max()) if finite.any() else float("nan"),
-        degenerate_count=int((~finite).sum()),
+        raw=np.array([r[0] for r in rows]),
+        argmin_normal=np.array([r[1] for r in rows], dtype=int),
+        argmin_iota=np.array([r[2] for r in rows], dtype=int),
     )

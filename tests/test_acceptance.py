@@ -34,7 +34,7 @@ def desk(params, wave):
     def build_map(sc, mat, method):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return inv.indicator_map(sc, mat, method, wave, params, threads=2)
+            return inv.indicator_map(sc, mat, method, wave, params)
 
     maps = {
         ("lsm", "clean"): build_map(scene, lam, "lsm"),
@@ -222,7 +222,7 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     scenario = cli.load_scenario(path)
     for sub in ("a", "b"):
         cli.run_forward(scenario, tmp_path / sub)
-        cli.run_invert(scenario, tmp_path / sub, threads=2)
+        cli.run_invert(scenario, tmp_path / sub)
     identical = all(
         (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         for name in ("lambda.csv", "lambda_noisy.csv", "map_lsm.csv", "map_lsm.pgm")

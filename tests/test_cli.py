@@ -7,7 +7,7 @@ import pytest
 from poroscat import cli
 from poroscat import forward as fw
 from poroscat import inversion as inv
-from poroscat.errors import ValidationError
+from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.presets import desk_scale_scenario
 
 
@@ -128,7 +128,7 @@ class TestRunInvert:
     def test_maps_written_with_pgm_dimensions(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         cli.run_forward(sc, tmp_path / "out")
-        meta = cli.run_invert(sc, tmp_path / "out", threads=1)
+        meta = cli.run_invert(sc, tmp_path / "out")
         assert meta["method"] == "lsm"
         pgm = (tmp_path / "out/map_lsm.pgm").read_text().splitlines()
         assert pgm[0] == "P2"
@@ -145,7 +145,7 @@ class TestRunInvert:
         path.write_text(json.dumps(doc))
         sc = cli.load_scenario(path)
         cli.run_forward(sc, tmp_path / "out")
-        cli.run_invert(sc, tmp_path / "out", threads=1)
+        cli.run_invert(sc, tmp_path / "out")
         rows = [
             l
             for l in (tmp_path / "out/map_lsm.csv").read_text().splitlines()
@@ -163,13 +163,13 @@ class TestRunInvert:
         path2.write_text(json.dumps(doc))
         other = cli.load_scenario(path2)
         with pytest.raises(ValidationError, match="does not"):
-            cli.run_invert(other, tmp_path / "out", threads=1)
+            cli.run_invert(other, tmp_path / "out")
 
     def test_map_pipeline_deterministic(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         for sub in ("a", "b"):
             cli.run_forward(sc, tmp_path / sub)
-            cli.run_invert(sc, tmp_path / sub, threads=2)
+            cli.run_invert(sc, tmp_path / sub)
         for name in ("map_lsm.csv", "map_lsm.pgm"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -238,12 +238,52 @@ class TestMainEntry:
         rc = cli.main(
             [
                 "map", "--scenario", str(scenario_path), "--out", str(tmp_path / "o"),
-                "--threads", "1", "--method", "lsm",
+                "--method", "lsm",
             ]
         )
         assert rc == 0
         assert (tmp_path / "o" / "map_lsm.csv").exists()
         assert (tmp_path / "o" / "map_lsm.pgm").exists()
+
+    @pytest.mark.parametrize("method", ["lsm", "glsm"])
+    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+    def test_sampling_point_on_sensing_point_gives_nan(
+        self, tmp_path, tiny_scenario_doc, method
+    ):
+        # two corners of this region are the end points of the first well
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["scene"]["sampling"]["region"] = [-3.2, 2.8, -3.0, 3.0]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = cli.main(
+            ["map", "--scenario", str(path), "--out", str(out), "--method", method]
+        )
+        assert rc == 0
+        scene = cli.load_scenario(path).scene
+        on_sensor = np.array(
+            [(scene.grid.points == p).all(axis=1).any() for p in scene.sampling.points()]
+        )
+        assert on_sensor.sum() == 2
+        imap = inv.load_indicator_map(out / f"map_{method}.csv")
+        assert np.isnan(imap.raw[on_sensor]).all()
+        assert np.isfinite(imap.raw[~on_sensor]).all()
+        assert imap.degenerate_count == 2
+
+    @pytest.mark.parametrize("entry", ["nan,0", "1.0,abc"])
+    def test_bad_matrix_entry_rejected(self, tmp_path, scenario_path, entry, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        path = out / "lambda_noisy.csv"
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first + 5] = entry
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CompatibilityError, match="matrix entry"):
+            fw.load_matrix(path)
+        rc = cli.main(["invert", "--scenario", str(scenario_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "matrix entry" in capsys.readouterr().err
 
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
