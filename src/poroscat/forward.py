@@ -11,6 +11,14 @@ the composition of three discrete operators:
     radiation operator R  : jump densities -> (u, p) data on the grid,
                             midpoint quadrature with cell areas.
 
+One builder each makes S and R for any points and channels, and one
+transfer function applies T to a block of trace columns.  The per-source
+functions (incident_traces, local_jump_solve, interacting_jump_solve,
+radiate) are one-point, one-column uses of them, and assemble_lambda is
+their whole-grid use, so both run the same guards: the S builder rejects
+a source on a patch, the R builder flags points in a patch's
+near-singular zone.
+
 Two interface closures are provided.  The local (Born-type) closure
 zeroes the scattered traces in the contact conditions, making T block
 diagonal and the whole operator an exact triple product R @ T @ S.  The
@@ -138,6 +146,28 @@ class TraceState:
         return cls(traction=m[:, 0:3], flow=m[:, 3], pressure=m[:, 4])
 
 
+def _trace_block(patches, points, cidx, wave, params) -> np.ndarray:
+    """(5*nc, C*N) operator S: unit sources of the channels cidx at the N
+    points to the cell traces.  A source on a patch is rejected."""
+    for pi, patch in enumerate(patches):
+        on = np.flatnonzero(patch.distance_to(points) < 1e-12)
+        if on.size:
+            raise SingularityError(f"source point {points[on[0]]} lies on patch {pi}")
+    cells = _collect_cells(patches)
+    N, C, nc = points.shape[0], len(cidx), cells.count
+    K = _trace_matrix(
+        points[None, :, :], cells.centers[:, None, :], cells.normals[:, None, :],
+        wave, params,
+    )  # (nc, N, 5, 4)
+    return K[..., cidx].transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
+
+
+def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
+    """(5*nc, C*N) operator: grid excitations to cell traces."""
+    cidx = channel_indices(scene.channels)
+    return _trace_block(scene.patches, scene.grid.points, cidx, wave, params)
+
+
 def incident_traces(
     y,
     source_type,
@@ -151,7 +181,7 @@ def incident_traces(
     source_type is one of "fx", "fy", "fz", "fluid" (or the index 0..3).
     The result is linear in amplitude (applied as a final scaling).
     """
-    y = np.asarray(y, dtype=float).reshape(3)
+    y = np.asarray(y, dtype=float).reshape(1, 3)
     if isinstance(source_type, str):
         src = _SOURCE_NAMES.get(source_type)
         if src is None:
@@ -160,22 +190,8 @@ def incident_traces(
         src = int(source_type)
         if not 0 <= src <= 3:
             raise DomainError(f"source type index must be 0..3, got {src}")
-    cells = _collect_cells(patches)
-    for pi, patch in enumerate(patches):
-        if patch.distance_to(y[None, :])[0] < 1e-12:
-            raise SingularityError(f"source point lies on patch {pi}")
-    K = _trace_matrix(
-        y[None, :], cells.centers, cells.normals, wave, params
-    )  # (nc, 5, 4)
-    col = K[:, :, src]
-    if amplitude == 0.0:
-        col = np.zeros_like(col)
-        return TraceState(traction=col[:, 0:3], flow=col[:, 3], pressure=col[:, 4])
-    return TraceState(
-        traction=amplitude * col[:, 0:3],
-        flow=amplitude * col[:, 3],
-        pressure=amplitude * col[:, 4],
-    )
+    col = _trace_block(patches, y, [src], wave, params)[:, 0]
+    return TraceState.from_vector(amplitude * col)
 
 
 # ---------------------------------------------------------------------------
@@ -204,57 +220,72 @@ class JumpState:
 
 
 def _contact_blocks(
-    patch: FracturePatch, omega: float
+    patches: Sequence[FracturePatch], patch_index: np.ndarray, omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell interface matrices (D, E) of one patch.
+    """Per-cell interface matrices (D, E), each (nc, 5, 5), gathered by patch.
 
     D maps the jump unknowns a = ([[u]], [[p]], -[[q]]) to the closure
     left-hand side; E maps the trace vector (t, q, p) to the right-hand
     side, so that the local transfer is T = D^-1 E.  For the
     high-permeability model the flow condition is replaced by [[p]] = 0.
     """
-    c = patch.contact
-    K = c.stiffness_matrix(patch.e1, patch.e2, patch.normal)
-    n = patch.normal
-    if c.k_n == 0:
-        raise DegenerateContactError("k_n is zero")
-    if c.beta_f == 0:
-        raise DegenerateContactError("beta_f is zero")
-    at = c.alpha_f_tilde
+    D = np.zeros((len(patches), 5, 5), dtype=np.complex128)
+    E = np.zeros_like(D)
+    for i, patch in enumerate(patches):
+        c, n = patch.contact, patch.normal
+        K = c.stiffness_matrix(patch.e1, patch.e2, n)
+        if c.k_n == 0:
+            raise DegenerateContactError("k_n is zero")
+        if c.beta_f == 0:
+            raise DegenerateContactError("beta_f is zero")
+        D[i, 0:3, 0:3] = K
+        D[i, 3, 4] = c.k_n * c.beta_f / (c.Pi * c.alpha_f)
+        E[i, 0:3, 0:3] = np.eye(3)
+        E[i, 0:3, 4] = c.alpha_f_tilde * n
+        E[i, 3, 0:3] = c.beta_f * n
+        E[i, 3, 4] = 1.0
+        if c.model == HIGH_PERMEABILITY:
+            D[i, 4, 3] = 1.0  # [[p]] = 0
+        else:
+            if c.kappa_f == 0:
+                raise DegenerateContactError("kappa_f is zero")
+            D[i, 4, 3] = c.kappa_f / (1j * omega * c.Pi)
+            E[i, 4, 3] = 1.0
+    return D[patch_index], E[patch_index]
 
-    D = np.zeros((5, 5), dtype=np.complex128)
-    E = np.zeros((5, 5), dtype=np.complex128)
-    D[0:3, 0:3] = K
-    D[3, 4] = c.k_n * c.beta_f / (c.Pi * c.alpha_f)
-    E[0:3, 0:3] = np.eye(3)
-    E[0:3, 4] = at * n
-    E[3, 0:3] = c.beta_f * n
-    E[3, 4] = 1.0
-    if c.model == HIGH_PERMEABILITY:
-        D[4, 3] = 1.0  # [[p]] = 0
-    else:
-        if c.kappa_f == 0:
-            raise DegenerateContactError("kappa_f is zero")
-        D[4, 3] = c.kappa_f / (1j * omega * c.Pi)
-        E[4, 3] = 1.0
-    return D, E
+
+def _transfer(patches, psi: np.ndarray, omega: float, coupling=None) -> np.ndarray:
+    """Interface transfer T: a (5*nc, k) trace block to its jump block.
+
+    coupling is None for the local closure, or (wave, params, cutoff) for
+    the interacting one, which reduces to the local closure when
+    _patches_interact says the patches do not couple.
+    """
+    cells = _collect_cells(patches)
+    nc = cells.count
+    if psi.shape[0] != 5 * nc:
+        raise CompatibilityError(
+            f"trace block has {psi.shape[0] // 5} cells, patches have {nc}"
+        )
+    D, E = _contact_blocks(patches, cells.patch_index, omega)
+    blocks = psi.reshape(nc, 5, psi.shape[1])
+    if coupling is not None:
+        wave, params, cutoff = coupling
+        if _patches_interact(patches, wave, cutoff):
+            rhs = np.einsum("cij,cjk->cik", E, blocks).reshape(psi.shape)
+            return _coupled_solve(_interaction_matrix(cells, D, E, wave, params), rhs)
+    try:
+        T = np.linalg.solve(D, E)
+    except np.linalg.LinAlgError:
+        raise DegenerateContactError("interface stiffness matrix K is singular") from None
+    return np.einsum("cij,cjk->cik", T, blocks).reshape(psi.shape)
 
 
 def _local_transfer(patches, omega: float) -> np.ndarray:
-    """Block-diagonal local transfer blocks, one 5x5 block per cell."""
-    blocks = []
-    for patch in patches:
-        D, E = _contact_blocks(patch, omega)
-        try:
-            T = np.linalg.solve(D, E)
-        except np.linalg.LinAlgError:
-            raise DegenerateContactError(
-                "interface stiffness matrix K is singular"
-            ) from None
-        blocks.extend([T] * patch.cell_count)
-    if not blocks:
-        return np.zeros((0, 5, 5), dtype=np.complex128)
-    return np.stack(blocks)
+    """Block-diagonal local transfer blocks, one 5x5 block per cell: the
+    local closure applied to unit traces."""
+    nc = sum(p.cell_count for p in patches)
+    return _transfer(patches, np.tile(np.eye(5), (nc, 1)), omega).reshape(nc, 5, 5)
 
 
 def local_jump_solve(
@@ -266,14 +297,8 @@ def local_jump_solve(
         [[p]]  = (i omega Pi / kappa_f) q     (0 for high permeability)
         -[[q]] = (Pi alpha_f / (k_n beta_f)) (p + beta_f t.n)
     """
-    T = _local_transfer(patches, wave.omega)
-    psi = traces.as_vector().reshape(-1, 5)
-    if T.shape[0] != psi.shape[0]:
-        raise CompatibilityError(
-            f"trace state has {psi.shape[0]} cells, patches have {T.shape[0]}"
-        )
-    a = np.einsum("cij,cj->ci", T, psi)
-    return JumpState.from_vector(a.ravel())
+    a = _transfer(patches, traces.as_vector()[:, None], wave.omega)
+    return JumpState.from_vector(a[:, 0])
 
 
 def interacting_jump_solve(
@@ -290,74 +315,57 @@ def interacting_jump_solve(
     local closure for a single patch, or when all patch pairs are farther
     apart than cutoff / min(Im k) (set cutoff=None to force the solve).
     """
-    M = _interaction_matrix(patches, wave, params, cutoff)
-    if M is None:
-        return local_jump_solve(traces, patches, wave)
-    rhs = _interface_rhs(patches, traces.as_vector().reshape(-1, 5))
-    return JumpState.from_vector(_coupled_solve(M, rhs.ravel()))
+    coupling = (wave, params, cutoff)
+    a = _transfer(patches, traces.as_vector()[:, None], wave.omega, coupling)
+    return JumpState.from_vector(a[:, 0])
 
 
-def _interface_rhs(patches, psi_cells: np.ndarray) -> np.ndarray:
-    """E psi per cell; psi_cells is (nc, 5) or (nc, 5, n_columns)."""
-    out = np.empty_like(psi_cells)
-    start = 0
-    for patch in patches:
-        _, E = _contact_blocks(patch, 1.0)  # E is frequency-independent
-        stop = start + patch.cell_count
-        out[start:stop] = np.einsum("ij,cj...->ci...", E, psi_cells[start:stop])
-        start = stop
-    return out
-
-
-def _interaction_matrix(patches, wave, params, cutoff):
-    """Dense coupled-system matrix, or None when the local closure applies."""
+def _patches_interact(patches, wave, cutoff) -> bool:
+    """Whether two or more patches lie within cutoff / min(Im k) of each
+    other (always, for cutoff None or a lossless background)."""
     if len(patches) <= 1:
-        return None
-    if cutoff is not None:
-        min_im = wave.min_decay_rate()
-        if min_im > 0.0:
-            reach = cutoff / min_im
-            far = True
-            for i in range(len(patches)):
-                ci, _ = patches[i].cells()
-                for j in range(i + 1, len(patches)):
-                    if patches[j].distance_to(ci).min() <= reach:
-                        far = False
-                        break
-                if not far:
-                    break
-            if far:
-                return None
-    cells = _collect_cells(patches)
+        return False
+    if cutoff is None:
+        return True
+    min_im = wave.min_decay_rate()
+    if min_im <= 0.0:
+        return True
+    reach = cutoff / min_im
+    return any(
+        q.distance_to(p.cells()[0]).min() <= reach
+        for i, p in enumerate(patches)
+        for q in patches[i + 1:]
+    )
+
+
+# off-patch cell pairs per dislocation-kernel call.  At 432 bytes per pair
+# the largest kernel temporary stays under numpy's 256 KiB threshold for
+# computing expressions in place on temporaries, which rounds complex
+# products differently; M then matches a cell-by-cell build to the last
+# bits, and the kernel's memory stays well below that of the LU.
+_PAIR_CHUNK = 512
+
+
+def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
+    """Dense (5*nc, 5*nc) matrix of the coupled interface system.
+
+    Block (i, i) is D of cell i.  Block (i, j) of an off-patch pair is
+    -area_j E_i B_ij, B_ij the traces at cell i of the dislocation at
+    cell j; pairs on one patch, the self-cell included, are excluded.
+    """
     nc = cells.count
-    M = np.zeros((5 * nc, 5 * nc), dtype=np.complex128)
-    omega = wave.omega
-    start = 0
-    for patch in patches:
-        D, _ = _contact_blocks(patch, omega)
-        for c in range(patch.cell_count):
-            i = start + c
-            M[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = D
-        start += patch.cell_count
-    # inter-patch couplings: traces at cell i of the dislocation at cell j
-    for i in range(nc):
-        pi = cells.patch_index[i]
-        others = np.nonzero(cells.patch_index != pi)[0]
-        if others.size == 0:
-            continue
+    M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
+    diag = np.arange(nc)
+    M[diag, :, diag, :] = D
+    rows, cols = np.nonzero(cells.patch_index[:, None] != cells.patch_index[None, :])
+    for s in range(0, rows.size, _PAIR_CHUNK):
+        i, j = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
         B = _dislocation_trace_matrix(
-            cells.centers[others],
-            cells.normals[others],
-            cells.centers[i][None, :],
-            cells.normals[i][None, :],
-            wave,
-            params,
-        )  # (n_other, 5, 5)
-        _, E = _contact_blocks(patches[pi], omega)
-        coup = np.einsum("rk,oks->ors", E, B) * cells.areas[others][:, None, None]
-        for o, j in enumerate(others):
-            M[5 * i : 5 * i + 5, 5 * j : 5 * j + 5] -= coup[o]
-    return M
+            cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
+            wave, params,
+        )  # (pairs, 5, 5)
+        M[i, :, j, :] = -np.einsum("prk,pks->prs", E[i], B) * cells.areas[j, None, None]
+    return M.reshape(5 * nc, 5 * nc)
 
 
 def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -392,22 +400,39 @@ class RadiatedField:
     near_singular: np.ndarray  # (npts,) bool
 
 
-def _radiation_kernel(cell_centers, cell_normals, points, wave, params):
-    """(npts, nc, 4, 5) kernel of the representation integral.
+def _radiation_block(patches, points, cidx, wave, params):
+    """(C*N, 5*nc) operator R: cell jump densities to the data of the
+    channels cidx at the N points, with the points' near-singular flags.
 
-    Entry [p, c] maps the jump vector at cell c to the (u, p) data at
-    point p: the reciprocal evaluation of the trace kernel, with the
-    source placed at the observation point and the trace (and normal)
-    taken at the cell.
+    Entry [(p, c), cell] is the reciprocal evaluation of the trace kernel
+    (source at point p, trace and normal at the cell) times the cell
+    area.  Points closer to a patch than half its cell diagonal are
+    flagged near-singular.
     """
+    near = np.zeros(points.shape[0], dtype=bool)
+    for patch in patches:
+        n1, n2 = patch.subdivisions
+        h1, h2 = patch.half_lengths
+        diag = np.hypot(2.0 * h1 / n1, 2.0 * h2 / n2)
+        near |= patch.distance_to(points) < 0.5 * diag
+    if near.any():
+        logger.warning(
+            "%d observation point(s) within the near-singular zone", int(near.sum())
+        )
+    cells = _collect_cells(patches)
+    N, C, nc = points.shape[0], len(cidx), cells.count
     K = _trace_matrix(
-        points[:, None, :],
-        cell_centers[None, :, :],
-        cell_normals[None, :, :],
-        wave,
-        params,
-    )  # (npts, nc, 5, 4)
-    return np.swapaxes(K, -1, -2)
+        points[:, None, :], cells.centers[None, :, :], cells.normals[None, :, :],
+        wave, params,
+    )  # (N, nc, 5, 4)
+    Sig = np.swapaxes(K, -1, -2)[:, :, cidx, :] * cells.areas[None, :, None, None]
+    return Sig.transpose(0, 2, 1, 3).reshape(C * N, 5 * nc), near
+
+
+def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
+    """(C*N, 5*nc) operator: cell jump densities to grid data."""
+    cidx = channel_indices(scene.channels)
+    return _radiation_block(scene.patches, scene.grid.points, cidx, wave, params)[0]
 
 
 def radiate(
@@ -424,32 +449,13 @@ def radiate(
     flagged near-singular in the returned metadata.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = _collect_cells(patches)
-    if cells.count == 0:
-        return RadiatedField(
-            values=np.zeros((points.shape[0], 4), dtype=np.complex128),
-            near_singular=np.zeros(points.shape[0], dtype=bool),
-        )
-    a = jumps.as_vector().reshape(-1, 5)
-    if a.shape[0] != cells.count:
+    R, near = _radiation_block(patches, points, [0, 1, 2, 3], wave, params)
+    a = jumps.as_vector()
+    if a.size != R.shape[1]:
         raise CompatibilityError(
-            f"jump state has {a.shape[0]} cells, patches have {cells.count}"
+            f"jump state has {a.size // 5} cells, patches have {R.shape[1] // 5}"
         )
-    Sig = _radiation_kernel(cells.centers, cells.normals, points, wave, params)
-    values = np.einsum("pcrs,cs,c->pr", Sig, a, cells.areas)
-
-    near = np.zeros(points.shape[0], dtype=bool)
-    for patch in patches:
-        n1, n2 = patch.subdivisions
-        h1, h2 = patch.half_lengths
-        diag = np.hypot(2.0 * h1 / n1, 2.0 * h2 / n2)
-        near |= patch.distance_to(points) < 0.5 * diag
-    if near.any():
-        logger.warning(
-            "radiate: %d observation point(s) within the near-singular zone",
-            int(near.sum()),
-        )
-    return RadiatedField(values=values, near_singular=near)
+    return RadiatedField(values=(R @ a).reshape(-1, 4), near_singular=near)
 
 
 # ---------------------------------------------------------------------------
@@ -499,35 +505,6 @@ class ScatteringMatrix:
         return index // c, self.channels[index % c]
 
 
-def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
-    """(5*nc, C*N) operator: grid excitations to cell traces."""
-    cells = _collect_cells(scene.patches)
-    cidx = channel_indices(scene.channels)
-    pts = scene.grid.points
-    N, C, nc = pts.shape[0], len(cidx), cells.count
-    if nc == 0:
-        return np.zeros((0, C * N), dtype=np.complex128)
-    K = _trace_matrix(
-        pts[None, :, :], cells.centers[:, None, :], cells.normals[:, None, :],
-        wave, params,
-    )  # (nc, N, 5, 4)
-    K = K[..., cidx]  # (nc, N, 5, C)
-    return K.transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
-
-
-def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
-    """(C*N, 5*nc) operator: cell jump densities to grid data."""
-    cells = _collect_cells(scene.patches)
-    cidx = channel_indices(scene.channels)
-    pts = scene.grid.points
-    N, C, nc = pts.shape[0], len(cidx), cells.count
-    if nc == 0:
-        return np.zeros((C * N, 0), dtype=np.complex128)
-    Sig = _radiation_kernel(cells.centers, cells.normals, pts, wave, params)
-    Sig = Sig[:, :, cidx, :] * cells.areas[None, :, None, None]  # (N, nc, C, 5)
-    return Sig.transpose(0, 2, 1, 3).reshape(C * N, 5 * nc)
-
-
 def _require_active_channels(scene: Scene) -> None:
     cidx = channel_indices(scene.channels)
     mask = scene.grid.active[:, cidx]
@@ -555,25 +532,11 @@ def assemble_lambda(
     _require_active_channels(scene)
     S = _trace_operator(scene, wave, params)
     R = _radiation_operator(scene, wave, params)
-    nc = S.shape[0] // 5
-    if nc == 0:
-        n = R.shape[0]
-        data = np.zeros((n, n), dtype=np.complex128)
-    else:
-        psi = S.reshape(nc, 5, -1)
-        M = None
-        if mode == "interacting":
-            M = _interaction_matrix(scene.patches, wave, params, cutoff)
-        if M is None:
-            T = _local_transfer(scene.patches, wave.omega)
-            A = np.einsum("cij,cjk->cik", T, psi).reshape(5 * nc, -1)
-        else:
-            rhs = _interface_rhs(scene.patches, psi).reshape(5 * nc, -1)
-            A = _coupled_solve(M, rhs)
-        data = R @ A
+    coupling = (wave, params, cutoff) if mode == "interacting" else None
+    data = R @ _transfer(scene.patches, S, wave.omega, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
-        data.shape[0], data.shape[1], mode, nc,
+        data.shape[0], data.shape[1], mode, S.shape[0] // 5,
     )
     return ScatteringMatrix(
         data=data,
@@ -758,21 +721,32 @@ def save_matrix(matrix: ScatteringMatrix, path) -> None:
         fh.write(serialize_matrix(matrix))
 
 
+def _non_negative(cast):
+    """cast, refusing negative and non-finite results with ValueError."""
+    def checked(text: str):
+        value = cast(text)
+        if not 0 <= value < float("inf"):
+            raise ValueError(text)
+        return value
+    return checked
+
+
 def load_matrix(path) -> ScatteringMatrix:
     header: dict[str, str] = {}
     values: list[complex] = []
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().strip()
-        if first != f"# {_FORMAT_TAG}":
-            raise CompatibilityError(f"{path}: not a {_FORMAT_TAG} file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                header[key.strip()] = val.strip()
-            else:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            first = fh.readline().strip()
+            if first != f"# {_FORMAT_TAG}":
+                raise CompatibilityError(f"{path}: not a {_FORMAT_TAG} file")
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line[1:].partition("=")
+                    header[key.strip()] = val.strip()
+                    continue
                 re_s, _, im_s = line.partition(",")
                 try:
                     value = complex(float(re_s), float(im_s))
@@ -783,32 +757,36 @@ def load_matrix(path) -> ScatteringMatrix:
                 if not cmath.isfinite(value):
                     raise CompatibilityError(f"{path}: non-finite matrix entry {line!r}")
                 values.append(value)
-    try:
-        n_points = int(header["n_points"])
-        channels = tuple(header["channels"].split(","))
-        omega = float(header["omega"])
-        kind = header["kind"]
-        mode = header["mode"]
-    except KeyError as exc:
-        raise CompatibilityError(f"{path}: missing header field {exc.args[0]!r}") from None
+    except UnicodeDecodeError:
+        raise CompatibilityError(f"{path}: not an ASCII text file") from None
+
+    def field(key, cast=str, optional=False):
+        if optional and header.get(key, "none") == "none":
+            return None
+        if key not in header:
+            raise CompatibilityError(f"{path}: missing header field {key!r}")
+        try:
+            return cast(header[key])
+        except ValueError:
+            raise CompatibilityError(
+                f"{path}: bad header value {key} = {header[key]!r}"
+            ) from None
+
+    n_points = field("n_points", _non_negative(int))
+    channels = tuple(field("channels").split(","))
     n = n_points * len(channels)
     if len(values) != n * n:
         raise CompatibilityError(
             f"{path}: expected {n*n} entries, found {len(values)}"
         )
-
-    def _opt(key, cast):
-        v = header.get(key, "none")
-        return None if v == "none" else cast(v)
-
     return ScatteringMatrix(
         data=np.array(values, dtype=np.complex128).reshape(n, n),
         channels=channels,
         n_points=n_points,
-        omega=omega,
-        kind=kind,
-        mode=mode,
-        epsilon=_opt("epsilon", float),
-        seed=_opt("seed", int),
-        delta=_opt("delta", float),
+        omega=field("omega", _non_negative(float)),
+        kind=field("kind"),
+        mode=field("mode"),
+        epsilon=field("epsilon", _non_negative(float), optional=True),
+        seed=field("seed", int, optional=True),
+        delta=field("delta", _non_negative(float), optional=True),
     )

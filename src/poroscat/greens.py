@@ -296,8 +296,16 @@ def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarr
     columns the 4 source types at y."""
     r, d = _geometry(y, xi)
     n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
-    st = _Stacks(wave, r, 3)
-    co = _coeffs(wave, params)
+    return _trace_rows(_Stacks(wave, r, 3), _coeffs(wave, params), r, d, n)[0]
+
+
+def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):
+    """Trace-kernel rows from radial stacks of order >= 3 already built.
+
+    Returns the (..., 5, 4) kernel together with n.(third derivative of
+    Phi) and the Hessian of Psi, which the dislocation kernel
+    differentiates once more.
+    """
     nd = np.sum(n * d, axis=-1)
 
     gs0, gs1 = st.gs[..., 0], st.gs[..., 1]
@@ -348,7 +356,7 @@ def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarr
     out[..., 3, 3] = qf
     out[..., 4, 0:3] = ps
     out[..., 4, 3] = pf
-    return out
+    return out, S2P, HPsi
 
 
 @dataclass(frozen=True)
@@ -410,67 +418,29 @@ def _dislocation_trace_matrix(
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
     st = _Stacks(wave, r, 4)
     co = _coeffs(wave, params)
+    # field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)]: the
+    # trace kernel read with rows and columns swapped
+    K, S2P, HPsi = _trace_rows(st, co, r, d, n)
+    F = np.swapaxes(K, -1, -2)
     nd = np.sum(n * d, axis=-1)
 
     gs1, gs2 = st.gs[..., 1], st.gs[..., 2]
     Psi1, Psi2 = st.Psi[..., 1], st.Psi[..., 2]
     Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
     Dv2 = st.A1 * st.k1sq * st.g1[..., 2] + st.A2 * st.k2sq * st.g2[..., 2]
-    X0 = st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0]
     X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
-    Pf0 = co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0]
     Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
     Pf2 = co.cf1 * st.g1[..., 2] + co.cf2 * st.g2[..., 2]
+    Y = Pf1 + co.rho_f_w2 * co.cP * Psi1
 
     dd = d[..., :, None] * d[..., None, :]
-    S2P = _s2(st.Phi, r, d, n)
     S2Psi = _s2(st.Psi, r, d, n)
-    HPsi = _hess(st.Psi, r, d)
-    HPhi = _hess(st.Phi, r, d)
-    nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
     nF4 = _nf4(st.Phi, r, d, n)
 
     def hess_pattern(f1, f2):
         # d/dw_m of f1(r) d_i, given f2 = f1'
         a = (f2 - f1 / r)[..., None, None]
         return a * dd + (f1 / r)[..., None, None] * _EYE3  # [..., i, m]
-
-    # --- field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)] --------
-    ps = co.cP * Psi1[..., None] * d
-    pf = Pf0
-    nU = co.cU * (
-        np.einsum("...k,...kj->...j", n, HPhi)
-        + (co.ks2 * st.gs[..., 0])[..., None] * n
-    )
-    qs = (co.cP * nHPsi - co.rho_f_w2 * nU) / co.gamma_w2
-    Y = Pf1 + co.rho_f_w2 * co.cP * Psi1
-    qf = Y * nd / co.gamma_w2
-    n_d = n[..., :, None] * d[..., None, :]
-    Ts = (
-        co.lam * co.cU * Dv1[..., None, None] * n_d
-        + co.mu
-        * co.cU
-        * (
-            2.0 * S2P
-            + co.ks2
-            * gs1[..., None, None]
-            * (nd[..., None, None] * _EYE3 + d[..., :, None] * n[..., None, :])
-        )
-        - co.alpha * co.cP * Psi1[..., None, None] * n_d
-    )
-    tf = (
-        co.cP * co.lam * X0[..., None] * n
-        - 2.0 * co.mu * co.cP * nHPsi
-        - co.alpha * pf[..., None] * n
-    )
-
-    F = np.empty(r.shape + (4, 5), dtype=np.complex128)
-    F[..., :3, :3] = np.swapaxes(Ts, -1, -2)  # u_i <- a_uj couples through Ts[j, i]
-    F[..., :3, 3] = qs
-    F[..., :3, 4] = ps
-    F[..., 3, :3] = tf
-    F[..., 3, 3] = qf
-    F[..., 3, 4] = pf
 
     # --- gradients of the field kernel with respect to w = y - z ----------
     # dTs[..., j, i, m] = d Ts[j, i] / d w_m

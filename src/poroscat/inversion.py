@@ -390,6 +390,13 @@ class PointIndicator:
     degenerate: bool = False
 
 
+def _off_sensors(points: np.ndarray, grid_points: np.ndarray) -> np.ndarray:
+    """Mask of the points that coincide with no sensing point; the trial
+    kernels are singular at r = 0, as in greens._geometry."""
+    w = grid_points[None, :, :] - points[:, None, :]
+    return np.all(np.sum(w * w, axis=-1) > 0.0, axis=1)
+
+
 def _eval_block(
     points,
     cands: Sequence[tuple[np.ndarray, int]],
@@ -418,9 +425,7 @@ def _eval_block(
     vals = np.full(nb, np.nan)
     g_norms = np.zeros(nb)
     argmin = np.full(nb, -1, dtype=int)
-    # the trial kernels are singular at r = 0, as in greens._geometry
-    w = gpts[None, :, :] - pts[:, None, :]
-    live = np.flatnonzero(np.all(np.sum(w * w, axis=-1) > 0.0, axis=1))
+    live = np.flatnonzero(_off_sensors(pts, gpts))
     if live.size == 0 or op.norm2 == 0.0:
         return vals, g_norms, argmin
     Phi = trial_pattern_block(pts[live], cands, gpts, wave, params, channels)
@@ -606,7 +611,8 @@ def indicator_map(
     sharing one SVD of the data operator and, for the penalized method,
     one GlsmPencil.  Under alpha_policy="fixed" every candidate uses one
     alpha: fixed_alpha, or else the one from the median Morozov weight of
-    the candidates at the grid center (a documented approximation of the
+    the candidates at the grid center, or at the sampling point nearest it
+    that is not a sensing point (a documented approximation of the
     per-candidate rule).  Per-point failures, sampling points that
     coincide with sensing points included, are recorded as NaN values,
     never aborts.
@@ -642,11 +648,12 @@ def indicator_map(
     if pencil is None or alpha_policy == "per-candidate":
         fixed_alpha = None
     elif fixed_alpha is None:
-        if op.norm2 == 0.0:
-            raise NumericalError("could not derive a fixed alpha at the grid center")
-        center = trial_pattern_block(
-            pts[len(pts) // 2][None, :], cands, gpts, wave, params, channels
-        )
+        # the sampling point nearest the grid center that is not a sensing point
+        order = np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable")
+        k = next((k for k in order if _off_sensors(pts[k:k + 1], gpts)[0]), None)
+        if op.norm2 == 0.0 or k is None:
+            raise NumericalError("could not derive a fixed alpha near the grid center")
+        center = trial_pattern_block(pts[k:k + 1], cands, gpts, wave, params, channels)
         etas = [morozov_eta(op, phi, delta, bracket).eta for phi in center.T]
         fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
         logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)

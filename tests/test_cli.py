@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poroscat import cli
 from poroscat import forward as fw
@@ -285,6 +287,43 @@ class TestMainEntry:
         assert rc == cli.EXIT_VALIDATION
         assert "matrix entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_points", "twelve"), ("omega", "x"), ("seed", "1.5")]
+    )
+    def test_bad_header_value_rejected(self, tmp_path, scenario_path, key, value, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        path = out / "lambda_noisy.csv"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"# {key} ="))
+        lines[i] = f"# {key} = {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CompatibilityError, match="bad header value"):
+            fw.load_matrix(path)
+        rc = cli.main(["invert", "--scenario", str(scenario_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "bad header value" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+    def test_fixed_alpha_with_center_on_sensing_point(self, tmp_path, tiny_scenario_doc):
+        # centre the sampling region on the third sensing point
+        x, y, _ = cli.parse_scenario(tiny_scenario_doc).scene.grid.points[2]
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["scene"]["sampling"]["region"] = [x - 2.0, x + 2.0, y - 2.0, y + 2.0]
+        doc["inversion"]["alpha_policy"] = "fixed"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        scene = cli.load_scenario(path).scene
+        pts = scene.sampling.points()
+        on_sensor = np.array([(scene.grid.points == p).all(axis=1).any() for p in pts])
+        assert np.flatnonzero(on_sensor).tolist() == [len(pts) // 2]
+        out = tmp_path / "o"
+        rc = cli.main(["map", "--scenario", str(path), "--out", str(out), "--method", "glsm"])
+        assert rc == 0
+        imap = inv.load_indicator_map(out / "map_glsm.csv")
+        assert np.isnan(imap.raw[on_sensor]).all()
+        assert np.isfinite(imap.raw[~on_sensor]).all()
+
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         cli.run_forward(sc, tmp_path / "a", seed=1)
@@ -292,3 +331,47 @@ class TestMainEntry:
         a = fw.load_matrix(tmp_path / "a/lambda_noisy.csv")
         b = fw.load_matrix(tmp_path / "b/lambda_noisy.csv")
         assert not np.array_equal(a.data, b.data)
+
+
+@pytest.fixture(scope="module")
+def forward_lines(tmp_path_factory, tiny_scenario_doc):
+    """Scenario path and the lines of its lambda_noisy.csv, written once."""
+    out = tmp_path_factory.mktemp("forward")
+    path = out / "scenario.json"
+    path.write_text(json.dumps(tiny_scenario_doc))
+    assert cli.main(["forward", "--scenario", str(path), "--out", str(out)]) == 0
+    return path, (out / "lambda_noisy.csv").read_text(encoding="ascii").splitlines()
+
+
+_HEADER_LINES = 9  # the format tag and eight "key = value" lines
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("header"),
+        st.integers(1, _HEADER_LINES - 1),
+        st.one_of(
+            st.sampled_from(["", "-1", "0", "nan", "inf", "1e400", "1.5", "fx,fy", "noisy"]),
+            st.text(max_size=8),
+        ),
+    ),
+    st.tuples(st.just("entry"), st.integers(0, 2**16), st.text(max_size=12)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**20), st.just("")),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mutation=_MUTATIONS)
+def test_mutated_matrix_file_gives_exit_code(forward_lines, tmp_path_factory, mutation):
+    path, lines = forward_lines
+    kind, where, text = mutation
+    lines = list(lines)
+    if kind == "header":
+        lines[where] = f"{lines[where].partition('=')[0]}= {text}"
+    elif kind == "entry":
+        lines[_HEADER_LINES + where % (len(lines) - _HEADER_LINES)] = text
+    body = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        body = body[: where % len(body)]
+    out = tmp_path_factory.mktemp("invert")
+    (out / "lambda_noisy.csv").write_text(body, encoding="utf-8")
+    rc = cli.main(["invert", "--scenario", str(path), "--out", str(out)])
+    assert rc in (0, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from poroscat import forward as fw
 from poroscat.errors import CompatibilityError, DegenerateContactError, DomainError
-from poroscat.greens import green_tensor, trace_kernel
+from poroscat.greens import _dislocation_trace_matrix, green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
 from poroscat.scene import (
     ContactParams,
@@ -14,6 +14,7 @@ from poroscat.scene import (
     build_fracture_patch,
     build_sampling_grid,
     build_sensing_grid,
+    channel_indices,
 )
 
 
@@ -41,6 +42,37 @@ def small_scene(params):
     )
     sampling = build_sampling_grid((-2, 2, -2, 2), (4, 4), 4, (0, 1))
     return Scene(grid=grid, patches=patches, sampling=sampling, channels="in-plane")
+
+
+@pytest.fixture(scope="module")
+def three_patch_scene(small_scene):
+    third = build_fracture_patch(
+        center=[0.8, -1.6, 0.0], strike_rad=0.75 * np.pi, half_lengths=(0.7, 0.4),
+        subdivisions=(3, 2), contact=contact(k=2.0, model=HIGH_PERMEABILITY),
+    )
+    return Scene(
+        grid=small_scene.grid, patches=small_scene.patches + (third,),
+        sampling=small_scene.sampling, channels="full",
+    )
+
+
+def interaction_matrix_per_row(patches, wave, params):
+    """Reference: the coupled-system matrix built one collocation cell at a time."""
+    cells = fw._collect_cells(patches)
+    D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
+    nc = cells.count
+    M = np.zeros((5 * nc, 5 * nc), dtype=complex)
+    for i in range(nc):
+        M[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = D[i]
+        others = np.nonzero(cells.patch_index != cells.patch_index[i])[0]
+        B = _dislocation_trace_matrix(
+            cells.centers[others], cells.normals[others],
+            cells.centers[i][None, :], cells.normals[i][None, :], wave, params,
+        )
+        coup = np.einsum("rk,oks->ors", E[i], B) * cells.areas[others][:, None, None]
+        for o, j in enumerate(others):
+            M[5 * i : 5 * i + 5, 5 * j : 5 * j + 5] = -coup[o]
+    return M
 
 
 class TestIncidentTraces:
@@ -225,15 +257,29 @@ class TestInteractingJumpSolve:
         nc = sum(p.cell_count for p in small_scene.patches)
         psi = rng.normal(size=5 * nc) + 1j * rng.normal(size=5 * nc)
         traces = fw.TraceState.from_vector(psi)
-        M = fw._interaction_matrix(small_scene.patches, wave, params, None)
-        rhs = fw._interface_rhs(
-            small_scene.patches, psi.reshape(-1, 5)
-        ).ravel()
+        cells = fw._collect_cells(small_scene.patches)
+        D, E = fw._contact_blocks(small_scene.patches, cells.patch_index, wave.omega)
+        M = fw._interaction_matrix(cells, D, E, wave, params)
+        rhs = np.einsum("cij,cj->ci", E, psi.reshape(-1, 5)).ravel()
         a = fw.interacting_jump_solve(
             traces, small_scene.patches, wave, params, cutoff=None
         ).as_vector()
         res = np.linalg.norm(M @ a - rhs) / np.linalg.norm(rhs)
         assert res < 1e-10
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    def test_one_pass_matches_per_row_reference(
+        self, scene_name, chunk, request, monkeypatch, wave, params
+    ):
+        if chunk is not None:  # pair chunks that split cell rows
+            monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
+        patches = request.getfixturevalue(scene_name).patches
+        cells = fw._collect_cells(patches)
+        D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
+        M = fw._interaction_matrix(cells, D, E, wave, params)
+        ref = interaction_matrix_per_row(patches, wave, params)
+        assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_nearby_patches_actually_couple(self, small_scene, wave, params):
         tr = fw.incident_traces(
@@ -313,6 +359,42 @@ class TestAssembleLambda:
         nc = S.shape[0] // 5
         prod = R @ np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
         assert np.linalg.norm(lam.data - prod) <= 1e-12 * np.linalg.norm(prod)
+
+    @pytest.mark.parametrize("mode", ["local", "interacting"])
+    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    def test_columns_match_per_source_path(self, scene_name, mode, request, wave, params):
+        # column (j, c) is radiate(jump_solve(incident_traces(y_j, c)))
+        scene = request.getfixturevalue(scene_name)
+        lam = fw.assemble_lambda(scene, wave, params, mode=mode, cutoff=None)
+        cidx = channel_indices(scene.channels)
+        pts = scene.grid.points
+        for j, y in enumerate(pts):
+            for c, src in enumerate(cidx):
+                tr = fw.incident_traces(y, int(src), scene.patches, wave, params)
+                if mode == "local":
+                    jumps = fw.local_jump_solve(tr, scene.patches, wave)
+                else:
+                    jumps = fw.interacting_jump_solve(
+                        tr, scene.patches, wave, params, cutoff=None
+                    )
+                field = fw.radiate(jumps, scene.patches, pts, wave, params).values
+                col = lam.data[:, lam.index_of(j, scene.channels[c])]
+                err = np.linalg.norm(field[:, cidx].ravel() - col)
+                assert err <= 1e-12 * np.linalg.norm(col)
+
+    def test_grid_guards_run_in_assembly(self, small_scene, wave, params, caplog):
+        patch = small_scene.patches[0]
+
+        def scene(offset, **kw):
+            well = [patch.center + offset * patch.normal, patch.center + 2.0 * patch.normal]
+            grid = build_sensing_grid([well], 3)
+            return Scene(grid=grid, patches=small_scene.patches,
+                         sampling=small_scene.sampling, channels="in-plane", **kw)
+
+        with pytest.raises(fw.SingularityError, match="lies on patch 0"):
+            fw.assemble_lambda(scene(0.0, min_clearance=-1.0), wave, params)
+        fw.assemble_lambda(scene(0.05), wave, params)
+        assert "1 observation point(s) within the near-singular zone" in caplog.text
 
     def test_h_well_matrix_shape_and_indexing(self, wave, params):
         wells = [
