@@ -423,6 +423,9 @@ def run_invert(
         "raw_max": imap.raw_max,
         "degenerate_points": imap.degenerate_count,
         "trial_triplets": scene.sampling.trial_count,
+        "morozov_roots": imap.morozov.roots,
+        "morozov_unbracketed_low": imap.morozov.unbracketed_low,
+        "morozov_unbracketed_high": imap.morozov.unbracketed_high,
         "timings_s": {"map": t_map},
     }
     _dump_json(meta, out / "invert_meta.json")

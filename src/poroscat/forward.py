@@ -12,7 +12,9 @@ the composition of three discrete operators:
                             midpoint quadrature with cell areas.
 
 One builder each makes S and R for any points and channels, and one
-transfer function applies T to a block of trace columns.  The per-source
+transfer function applies T to a block of trace columns.  R is S's trace
+kernel read transposed and weighted by the cell areas, so the R builder
+takes the kernel block the S builder evaluated.  The per-source
 functions (incident_traces, local_jump_solve, interacting_jump_solve,
 radiate) are one-point, one-column uses of them, and assemble_lambda is
 their whole-grid use, so both run the same guards: the S builder rejects
@@ -146,6 +148,17 @@ class TraceState:
         return cls(traction=m[:, 0:3], flow=m[:, 3], pressure=m[:, 4])
 
 
+def _kernel_block(cells: _Cells, points, cidx, wave, params) -> np.ndarray:
+    """(5*nc, C*N) trace kernel: unit sources of the channels cidx at the N
+    points to the traces at the cells."""
+    N, C, nc = points.shape[0], len(cidx), cells.count
+    K = _trace_matrix(
+        points[None, :, :], cells.centers[:, None, :], cells.normals[:, None, :],
+        wave, params,
+    )  # (nc, N, 5, 4)
+    return K[..., cidx].transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
+
+
 def _trace_block(patches, points, cidx, wave, params) -> np.ndarray:
     """(5*nc, C*N) operator S: unit sources of the channels cidx at the N
     points to the cell traces.  A source on a patch is rejected."""
@@ -153,13 +166,7 @@ def _trace_block(patches, points, cidx, wave, params) -> np.ndarray:
         on = np.flatnonzero(patch.distance_to(points) < 1e-12)
         if on.size:
             raise SingularityError(f"source point {points[on[0]]} lies on patch {pi}")
-    cells = _collect_cells(patches)
-    N, C, nc = points.shape[0], len(cidx), cells.count
-    K = _trace_matrix(
-        points[None, :, :], cells.centers[:, None, :], cells.normals[:, None, :],
-        wave, params,
-    )  # (nc, N, 5, 4)
-    return K[..., cidx].transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
+    return _kernel_block(_collect_cells(patches), points, cidx, wave, params)
 
 
 def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
@@ -400,14 +407,15 @@ class RadiatedField:
     near_singular: np.ndarray  # (npts,) bool
 
 
-def _radiation_block(patches, points, cidx, wave, params):
-    """(C*N, 5*nc) operator R: cell jump densities to the data of the
-    channels cidx at the N points, with the points' near-singular flags.
+def _radiation_block(patches, points, kernel: np.ndarray):
+    """(C*N, 5*nc) operator R: cell jump densities to the data of some
+    channels at the N points, with the points' near-singular flags.
 
-    Entry [(p, c), cell] is the reciprocal evaluation of the trace kernel
-    (source at point p, trace and normal at the cell) times the cell
-    area.  Points closer to a patch than half its cell diagonal are
-    flagged near-singular.
+    ``kernel`` is the (5*nc, C*N) _kernel_block of the same points and
+    channels: entry [(p, c), cell] of R is the reciprocal evaluation of
+    the trace kernel (source at point p, trace and normal at the cell),
+    kernel[cell, (p, c)], times the cell area.  Points closer to a patch
+    than half its cell diagonal are flagged near-singular.
     """
     near = np.zeros(points.shape[0], dtype=bool)
     for patch in patches:
@@ -419,20 +427,15 @@ def _radiation_block(patches, points, cidx, wave, params):
         logger.warning(
             "%d observation point(s) within the near-singular zone", int(near.sum())
         )
-    cells = _collect_cells(patches)
-    N, C, nc = points.shape[0], len(cidx), cells.count
-    K = _trace_matrix(
-        points[:, None, :], cells.centers[None, :, :], cells.normals[None, :, :],
-        wave, params,
-    )  # (N, nc, 5, 4)
-    Sig = np.swapaxes(K, -1, -2)[:, :, cidx, :] * cells.areas[None, :, None, None]
-    return Sig.transpose(0, 2, 1, 3).reshape(C * N, 5 * nc), near
+    areas = np.repeat(_collect_cells(patches).areas, 5)
+    return np.ascontiguousarray((areas[:, None] * kernel).T), near
 
 
 def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
     """(C*N, 5*nc) operator: cell jump densities to grid data."""
-    cidx = channel_indices(scene.channels)
-    return _radiation_block(scene.patches, scene.grid.points, cidx, wave, params)[0]
+    return _radiation_block(
+        scene.patches, scene.grid.points, _trace_operator(scene, wave, params)
+    )[0]
 
 
 def radiate(
@@ -449,7 +452,8 @@ def radiate(
     flagged near-singular in the returned metadata.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    R, near = _radiation_block(patches, points, [0, 1, 2, 3], wave, params)
+    kernel = _kernel_block(_collect_cells(patches), points, [0, 1, 2, 3], wave, params)
+    R, near = _radiation_block(patches, points, kernel)
     a = jumps.as_vector()
     if a.size != R.shape[1]:
         raise CompatibilityError(
@@ -531,7 +535,7 @@ def assemble_lambda(
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
     _require_active_channels(scene)
     S = _trace_operator(scene, wave, params)
-    R = _radiation_operator(scene, wave, params)
+    R, _ = _radiation_block(scene.patches, scene.grid.points, S)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
     data = R @ _transfer(scene.patches, S, wave.omega, coupling)
     logger.info(

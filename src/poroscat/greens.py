@@ -294,9 +294,18 @@ def green_tensor(y, xi, wave: WaveState, params: MaterialParams) -> GreenTensor:
 def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarray:
     """Batched 5x4 trace kernel: rows (t1,t2,t3,q,p) at xi with normal n,
     columns the 4 source types at y."""
+    return _trace_matrices(y, xi, [n], wave, params)[0]
+
+
+def _trace_matrices(y, xi, normals, wave: WaveState, params: MaterialParams) -> list:
+    """_trace_matrix for each normal in ``normals``, on one geometry and
+    one set of radial stacks."""
     r, d = _geometry(y, xi)
-    n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
-    return _trace_rows(_Stacks(wave, r, 3), _coeffs(wave, params), r, d, n)[0]
+    st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
+    return [
+        _trace_rows(st, co, r, d, np.broadcast_to(np.asarray(n, dtype=float), d.shape))[0]
+        for n in normals
+    ]
 
 
 def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):

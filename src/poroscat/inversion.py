@@ -5,13 +5,20 @@ Phi(x0, n, iota): the near-field pattern a vanishing dislocation at x0
 would produce on the sensing grid.  For iota = 1 the trial density is a
 displacement-jump dipole along the trial normal n; for iota = 0 it is a
 unit fluid monopole (a -[[q]] point density), which is independent of n.
+The dipole pattern is bilinear in n, so a block of sampling points needs
+one kernel evaluation per coordinate axis its normals use.
 
 Two regularized solutions of the scattering equation L g = Phi back the
 two indicators:
 
 * Tikhonov / discrepancy-principle (the sampling indicator 1/||g||):
   g minimizes ||L g - Phi||^2 + eta ||g||^2, with eta chosen so that
-  ||L g - Phi|| = delta ||g||, found by a monotone root search.
+  ||L g - Phi|| = delta ||g||.  The gap ||L g - Phi||^2 - delta^2 ||g||^2
+  is increasing in eta; its roots are bracketed from a table of the gap
+  at one node per decade of eta and refined by a safeguarded Newton
+  iteration in log(eta) with a bisection fallback (Engl, Hanke &
+  Neubauer, Regularization of Inverse Problems, 4.3), for all columns at
+  once.
 * The penalized variant built on the positive self-adjoint combination
   L# = |Re L| + |Im L| (Hermitian |.| via eigendecomposition), whose
   minimizer solves (L^H L + alpha (L# + delta I)) g = L^H Phi with
@@ -21,7 +28,9 @@ two indicators:
 All right-hand sides share one SVD of L, and the penalized variant one
 joint diagonalization of its normal-equation pencil (GlsmPencil), which
 serves every right-hand side and every alpha.  A map evaluates its
-sampling points in blocks, one block after another; the per-point
+sampling points in blocks, one block after another, and each block as
+arrays over all of its (point, candidate) columns: one root solve, one
+filtered product, one argmin over the candidates.  The per-point
 indicators are the same evaluator on a one-point block.
 """
 
@@ -35,11 +44,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
 from .forward import ScatteringMatrix
-from .greens import _trace_matrix
+from .greens import _trace_matrices
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, channel_indices
 
@@ -52,6 +60,7 @@ __all__ = [
     "IndicatorMap",
     "PointIndicator",
     "MorozovResult",
+    "MorozovCounts",
     "SvdOperator",
     "trial_pattern",
     "trial_pattern_block",
@@ -80,17 +89,6 @@ class TrialPattern:
     normal: np.ndarray
     iota: int
     vector: np.ndarray  # length = n_points * n_channels, point-major
-
-
-def _jump_amplitude(normal: np.ndarray, iota: int) -> np.ndarray:
-    b = np.zeros(5, dtype=np.complex128)
-    if iota == 1:
-        b[0:3] = normal
-    elif iota == 0:
-        b[4] = 1.0  # unit -[[q]] monopole
-    else:
-        raise DomainError(f"iota must be 0 or 1, got {iota!r}")
-    return b
 
 
 def trial_pattern(
@@ -127,33 +125,34 @@ def trial_pattern_block(
     """Patterns for a block of sampling points and all candidates at once.
 
     Returns (n_rows, n_points_block * n_candidates) with candidate index
-    fastest; fluid-monopole candidates share one kernel evaluation.
+    fastest.  The dipole pattern sum_k n_k K[k](n) of the kernel rows K
+    is bilinear in the normal, sum_jk n_j n_k K[k](e_j), and the monopole
+    pattern is the pressure row, which no normal changes.  So the kernel
+    is evaluated once per axis e_j that the candidates' normals use (once
+    in all for monopoles alone), on radial stacks shared by the block.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
     cidx = channel_indices(channels)
     nb, N, C = pts.shape[0], gpts.shape[0], len(cidx)
     ncand = len(candidates)
-    out = np.empty((N * C, nb * ncand), dtype=np.complex128)
-
-    fluid_col: dict[int, np.ndarray] = {}
-    for ci, (normal, iota) in enumerate(candidates):
-        if iota == 0 and 0 in fluid_col:
-            cols = fluid_col[0]
-        else:
-            K = _trace_matrix(
-                gpts[None, :, :],
-                pts[:, None, :],
-                np.broadcast_to(np.asarray(normal, float), (nb, 1, 3)),
-                wave,
-                params,
-            )  # (nb, N, 5, 4)
-            b = _jump_amplitude(np.asarray(normal, float), iota)
-            cols = np.einsum("pnrc,r->pnc", K[..., cidx], b).reshape(nb, N * C).T
-            if iota == 0:
-                fluid_col[0] = cols
-        out[:, ci::ncand] = cols
-    return out
+    normals = np.array([np.asarray(n, float).reshape(3) for n, _ in candidates]).reshape(-1, 3)
+    bad = [iota for _, iota in candidates if iota not in (0, 1)]
+    if bad:
+        raise DomainError(f"iota must be 0 or 1, got {bad[0]!r}")
+    dip = np.array([iota == 1 for _, iota in candidates], dtype=bool)
+    axes = np.flatnonzero(np.any(normals[dip] != 0.0, axis=0))
+    if axes.size == 0:
+        axes = np.array([0])
+    # coefficient of candidate q on (axis e_j, kernel row k)
+    coef = np.zeros((ncand, axes.size, 5))
+    coef[dip, :, 0:3] = normals[dip][:, axes, None] * normals[dip][:, None, :]
+    coef[~dip, 0, 4] = 1.0  # unit -[[q]] monopole
+    K = np.stack(
+        _trace_matrices(gpts[None, :, :], pts[:, None, :], np.eye(3)[axes], wave, params)
+    )[..., cidx]  # (n_axes, nb, N, 5, C)
+    K = K.transpose(2, 4, 1, 0, 3).reshape(N * C * nb, axes.size * 5)
+    return (K @ coef.reshape(ncand, -1).T).reshape(N * C, nb * ncand)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +250,17 @@ class MorozovResult(NamedTuple):
     bracketed: bool
 
 
-def _discrepancy_gap(op: SvdOperator, beta_sq, floor_sq, delta, eta):
-    """||L g - rhs||^2 - delta^2 ||g||^2 at the Tikhonov solution g(eta)."""
-    s2 = op.s**2
-    num = (eta**2 - delta**2 * s2) / (s2 + eta) ** 2
-    return float(num @ beta_sq + floor_sq)
+class MorozovCounts(NamedTuple):
+    """Discrepancy roots solved for a map, and how many were not bracketed."""
+
+    roots: int = 0
+    unbracketed_low: int = 0   # gap >= 0 at the low end: eta = low end
+    unbracketed_high: int = 0  # gap <= 0 at the high end: eta = high end
+
+
+_XTOL = 5e-15  # absolute and relative tolerances of the roots in log(eta)
+_RTOL = 4.0 * np.finfo(float).eps
+_MAX_STEPS = 200  # at least every second step halves the bracket
 
 
 def _projection(op: SvdOperator, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,25 +271,109 @@ def _projection(op: SvdOperator, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return beta_sq, np.maximum(full - np.sum(beta_sq, axis=0), 0.0)
 
 
-def _morozov_root(op: SvdOperator, beta_sq, floor_sq, delta, bracket) -> MorozovResult:
-    """Discrepancy weight of one column from its projection (nonzero L).
+def _bracket(op: SvdOperator, delta: float, bracket=None) -> tuple[float, float]:
+    """The eta interval of the root search, [1e-14, 1e8] * ||L||^2 unless
+    given.  The gap's terms square eta and delta * ||L||, so the bracket
+    ends and delta * ||L|| are checked to keep their squares in double
+    range."""
+    scale = op.norm2 * op.norm2
+    if bracket is None:
+        lo, hi = 1e-14 * scale, 1e8 * scale
+        if not (lo * lo > 0.0 and math.isfinite(hi * hi)):
+            raise DomainError(
+                f"operator norm ||L|| = {op.norm2:.6g} is out of range: the squares of "
+                f"the discrepancy bracket [1e-14, 1e8] * ||L||^2 = [{lo:.3g}, {hi:.3g}] "
+                "must be finite and nonzero"
+            )
+    else:
+        lo, hi = bracket
+        if not (0.0 < lo < hi and lo * lo > 0.0 and math.isfinite(hi * hi)):
+            raise DomainError(
+                f"bracket endpoints must be positive and ordered, with finite nonzero "
+                f"squares, got {bracket!r}"
+            )
+    if not (delta > 0.0 and math.isfinite(delta * delta * max(1.0, scale))):
+        raise DomainError(
+            f"delta = {delta!r} is out of range for ||L|| = {op.norm2:.6g}: "
+            "delta^2 and delta^2 ||L||^2 must be finite and positive"
+        )
+    return float(lo), float(hi)
 
-    The gap is strictly increasing in eta, so a bracketed root is found
-    by a guarded Brent search on log(eta).  Without a sign change the
-    nearer bracket endpoint is returned with bracketed=False.
+
+def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta, bracket=None):
+    """Discrepancy weights of all columns of a projection (nonzero L).
+
+    The gap is increasing in eta.  Its table at log-spaced nodes at most
+    a decade apart brackets each root, which a Newton iteration in log(eta)
+    then refines.  Returns (eta, side): side -1 where the gap is already
+    >= 0 at the low end of the bracket, +1 where it is still <= 0 at the
+    high end (eta is then that end), 0 where the root is bracketed.
     """
-    if not delta > 0.0:
-        raise DomainError(f"delta must be strictly positive, got {delta!r}")
-    lo, hi = (1e-14 * op.norm2**2, 1e8 * op.norm2**2) if bracket is None else bracket
-    if not (0.0 < lo < hi):
-        raise DomainError(f"bracket endpoints must be positive and ordered, got {bracket!r}")
-    f = lambda x: _discrepancy_gap(op, beta_sq, floor_sq, delta, math.exp(x))
-    if f(math.log(lo)) >= 0.0:
-        return MorozovResult(eta=lo, bracketed=False)
-    if f(math.log(hi)) <= 0.0:
-        return MorozovResult(eta=hi, bracketed=False)
-    x = brentq(f, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200)
-    return MorozovResult(eta=float(math.exp(x)), bracketed=True)
+    lo, hi = _bracket(op, delta, bracket)
+    s2, d2 = op.s**2, delta * delta
+    x_nodes = np.linspace(
+        math.log(lo), math.log(hi), max(2, math.ceil(math.log10(hi / lo)) + 1)
+    )
+    nodes = np.exp(x_nodes)[:, None]
+    # the gap ||L g - rhs||^2 - delta^2 ||g||^2 at the Tikhonov solution g(eta)
+    table = ((nodes * nodes - d2 * s2) / (s2 + nodes) ** 2) @ beta_sq + floor_sq
+    side = np.where(table[0] >= 0.0, -1, np.where(table[-1] <= 0.0, 1, 0))
+    eta = np.where(side < 0, lo, hi)
+    cols = np.flatnonzero(side == 0)
+    if cols.size:
+        x = _newton_log_eta(s2, d2, beta_sq[:, cols], floor_sq[cols], x_nodes, table[:, cols])
+        eta[cols] = np.exp(x)
+    return eta, side
+
+
+def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
+    """Roots in x = log(eta) of columns whose gap table changes sign.
+
+    gap = sum_i (eta^2 - delta^2 s_i^2) / (s_i^2 + eta)^2 |beta_i|^2 + floor
+    and d gap / d eta = sum_i 2 s_i^2 (eta + delta^2) / (s_i^2 + eta)^3
+    |beta_i|^2.  Safeguarded Newton (rtsafe): each column keeps a bracket
+    [a, b] with gap(a) < 0 < gap(b), starts from the secant through its
+    bracketing nodes, and bisects where the Newton step would leave the
+    bracket or fails to halve the step before last.  Only unconverged
+    columns are evaluated.
+    """
+    m = table.shape[1]
+    k = np.argmax(table > 0.0, axis=0)  # first node with a positive gap
+    a, b = x_nodes[k - 1], x_nodes[k]
+    ga, gb = table[k - 1, np.arange(m)], table[k, np.arange(m)]
+    x = a - ga * (b - a) / (gb - ga)
+    dx = dx_old = b - a
+    s2c = s2[:, None]
+    out = np.empty(m)
+    # columns still iterating; x, a, b, dx, dx_old, beta_sq, floor_sq hold theirs
+    cols = np.arange(m)
+    for _ in range(_MAX_STEPS):
+        eta = np.exp(x)
+        q = 1.0 / (s2c + eta)
+        q2 = q * q
+        g = np.einsum("ij,ij->j", (eta * eta - d2 * s2c) * q2, beta_sq) + floor_sq
+        q2 *= q * s2c
+        dg = 2.0 * eta * (eta + d2) * np.einsum("ij,ij->j", q2, beta_sq)
+        below = g < 0.0
+        a, b = np.where(below, x, a), np.where(below, b, x)
+        step = g / dg
+        tol = _XTOL + _RTOL * np.abs(x)
+        done = (g == 0.0) | (np.abs(step) <= tol)
+        newton = x - step
+        bisect = ~done & (
+            ~((newton > a) & (newton < b)) | (np.abs(2.0 * g) > np.abs(dx_old * dg))
+        )
+        dx, dx_old = np.where(bisect, 0.5 * (b - a), step), dx
+        x = np.where(g == 0.0, x, np.where(bisect, a + dx, newton))
+        done |= np.abs(dx) <= tol
+        out[cols[done]] = x[done]
+        go = ~done
+        cols, x, a, b, dx, dx_old = cols[go], x[go], a[go], b[go], dx[go], dx_old[go]
+        beta_sq, floor_sq = beta_sq[:, go], floor_sq[go]
+        if cols.size == 0:
+            break
+    out[cols] = x
+    return out
 
 
 def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
@@ -298,7 +387,8 @@ def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
     op = _operator(matrix)
     if op.norm2 == 0.0:
         return MorozovResult(eta=float("inf"), bracketed=False)
-    return _morozov_root(op, *_projection(op, rhs), delta, bracket)
+    (eta,), (side,) = _morozov_roots(op, *_projection(op, rhs.reshape(-1, 1)), delta, bracket)
+    return MorozovResult(eta=float(eta), bracketed=bool(side == 0))
 
 
 def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
@@ -362,20 +452,26 @@ class GlsmPencil:
         self.V = V
         self.W = V.conj().T @ LH
 
-    def solve(self, rhs: np.ndarray, alpha: float) -> np.ndarray:
-        if not alpha > 0.0:
+    def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
+        """g = V ((W rhs) / (d + alpha)); alpha is one weight, or one per
+        column of a 2-d rhs."""
+        alpha = np.asarray(alpha, dtype=float)
+        if not np.all(alpha > 0.0):
             raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
         z = self.W @ rhs
-        filt = (self.d + alpha)[:, None] if z.ndim == 2 else self.d + alpha
+        filt = self.d[:, None] + alpha if z.ndim == 2 else self.d + alpha
         return self.V @ (z / filt)
 
-    def indicator(self, g: np.ndarray) -> float:
-        """1/sqrt(g^H L# g + delta ||g||^2); NaN for a vanishing energy."""
-        energy = float(
-            np.real(g.conj() @ (self.sharp @ g))
-            + self.delta * np.linalg.norm(g) ** 2
+    def indicator(self, g: np.ndarray):
+        """1/sqrt(g^H L# g + delta ||g||^2), per column of a 2-d g; NaN
+        for a vanishing energy."""
+        G = g.reshape(g.shape[0], -1)
+        energy = (
+            np.real(np.einsum("ij,ij->j", G.conj(), self.sharp @ G))
+            + self.delta * np.linalg.norm(G, axis=0) ** 2
         )
-        return 1.0 / math.sqrt(energy) if energy > 0.0 else float("nan")
+        value = 1.0 / np.sqrt(np.where(energy > 0.0, energy, np.nan))
+        return value if g.ndim == 2 else float(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +505,16 @@ def _eval_block(
     bracket=None,
     pencil: GlsmPencil | None = None,
     fixed_alpha: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Indicator values of a block of sampling points.
 
     Without a pencil: 1/||g||, g the Tikhonov solution at the discrepancy
     weight.  With one: the penalized indicator, alpha ``fixed_alpha`` if
     given, else from each candidate's discrepancy weight.  Each point
     takes the candidate of least ||g|| (ties go to the first).  Returns
-    (value, ||g||, candidate index) per point; NaN, 0 and -1 where no
-    candidate is usable or the point coincides with a sensing point.
+    (value, ||g||, candidate index) per point, NaN, 0 and -1 where no
+    candidate is usable or the point coincides with a sensing point, and
+    the root sides (see _morozov_roots) of the columns solved.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
@@ -425,47 +522,29 @@ def _eval_block(
     vals = np.full(nb, np.nan)
     g_norms = np.zeros(nb)
     argmin = np.full(nb, -1, dtype=int)
+    sides = np.zeros(0, dtype=int)
     live = np.flatnonzero(_off_sensors(pts, gpts))
     if live.size == 0 or op.norm2 == 0.0:
-        return vals, g_norms, argmin
+        return vals, g_norms, argmin, sides
     Phi = trial_pattern_block(pts[live], cands, gpts, wave, params, channels)
     if fixed_alpha is None:
         beta_sq, floors = _projection(op, Phi)
+        etas, sides = _morozov_roots(op, beta_sq, floors, delta, bracket)
+    if pencil is None:
+        filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
+        norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
     else:
-        G = pencil.solve(Phi, fixed_alpha)
-        fixed_norms = np.linalg.norm(G, axis=0)
-        energies = (
-            np.real(np.einsum("ij,ij->j", G.conj(), pencil.sharp @ G))
-            + pencil.delta * fixed_norms**2
-        )
-        fixed_vals = 1.0 / np.sqrt(np.where(energies > 0.0, energies, np.nan))
-    for b, p in enumerate(live):
-        best = None
-        for ci in range(ncand):
-            col = b * ncand + ci
-            g = None
-            if fixed_alpha is not None:
-                gn = float(fixed_norms[col])
-            else:
-                eta = _morozov_root(op, beta_sq[:, col], floors[col], delta, bracket).eta
-                if pencil is None:
-                    gn = math.sqrt(float(((op.s / (op.s**2 + eta)) ** 2) @ beta_sq[:, col]))
-                else:
-                    g = pencil.solve(Phi[:, col], alpha_from_eta(eta, op.norm2, delta))
-                    gn = float(np.linalg.norm(g))
-            if 0.0 < gn < math.inf and (best is None or gn < best[0]):
-                best = (gn, ci, col, g)
-        if best is None:
-            continue
-        gn, ci, col, g = best
-        g_norms[p], argmin[p] = gn, ci
-        if pencil is None:
-            vals[p] = 1.0 / gn
-        elif g is None:
-            vals[p] = fixed_vals[col]
-        else:
-            vals[p] = pencil.indicator(g)
-    return vals, g_norms, argmin
+        alpha = alpha_from_eta(etas, op.norm2, delta) if fixed_alpha is None else fixed_alpha
+        G = pencil.solve(Phi, alpha)
+        norms = np.linalg.norm(G, axis=0)
+    norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
+    best = np.argmin(norms.reshape(live.size, ncand), axis=1)
+    cols = np.arange(live.size) * ncand + best
+    found = np.isfinite(norms[cols])
+    p, cols = live[found], cols[found]
+    g_norms[p], argmin[p] = norms[cols], best[found]
+    vals[p] = 1.0 / norms[cols] if pencil is None else pencil.indicator(G[:, cols])
+    return vals, g_norms, argmin, sides
 
 
 def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
@@ -480,7 +559,7 @@ def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
 def _indicator_at(x0, candidates, op, *setting) -> PointIndicator:
     """_eval_block on the one-point block x0, as a PointIndicator."""
     cands = _candidate_list(candidates)
-    (value,), (gn,), (ci,) = _eval_block(
+    (value,), (gn,), (ci,), _ = _eval_block(
         np.asarray(x0, dtype=float).reshape(1, 3), cands, op, *setting
     )
     found = bool(np.isfinite(value))
@@ -539,6 +618,8 @@ def glsm_indicator_at(
     1/sqrt(g^H L# g + delta ||g||^2).
     """
     op = _operator(matrix)
+    if op.norm2 > 0.0:
+        _bracket(op, delta, bracket)  # an operator out of range would fail the pencil
     return _indicator_at(
         x0, candidates, op, delta, grid_points, wave, params, channels, bracket,
         GlsmPencil(op.matrix, sharp, delta), fixed_alpha,
@@ -559,6 +640,8 @@ class IndicatorMap:
     raw: np.ndarray           # (npts,), NaN where degenerate
     argmin_normal: np.ndarray  # (npts,) int, -1 where no candidate won
     argmin_iota: np.ndarray    # (npts,) int, -1 where no candidate won
+    # roots solved for the map; the map file does not store them
+    morozov: MorozovCounts = MorozovCounts()
 
     @property
     def raw_max(self) -> float:
@@ -630,10 +713,13 @@ def indicator_map(
         )
     op = _operator(matrix)
     delta = _derive_delta(matrix, delta, op)
+    if op.norm2 > 0.0:
+        bracket = _bracket(op, delta, bracket)
     pts = scene.sampling.points()
     cands = scene.sampling.candidates()
     gpts, channels = scene.grid.points, scene.channels
 
+    sides = np.zeros(0, dtype=int)
     pencil = None
     if method == "glsm":
         if wave.gamma.imag > 1e-6 * abs(wave.gamma):
@@ -654,7 +740,7 @@ def indicator_map(
         if op.norm2 == 0.0 or k is None:
             raise NumericalError("could not derive a fixed alpha near the grid center")
         center = trial_pattern_block(pts[k:k + 1], cands, gpts, wave, params, channels)
-        etas = [morozov_eta(op, phi, delta, bracket).eta for phi in center.T]
+        etas, sides = _morozov_roots(op, *_projection(op, center), delta, bracket)
         fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
         logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
 
@@ -665,8 +751,9 @@ def indicator_map(
         )
         for s in range(0, len(pts), _BLOCK)
     ]
-    raw = np.concatenate([vals for vals, _, _ in blocks])
-    argmin = np.concatenate([arg for _, _, arg in blocks])
+    raw = np.concatenate([vals for vals, _, _, _ in blocks])
+    argmin = np.concatenate([arg for _, _, arg, _ in blocks])
+    sides = np.concatenate([sides] + [side for _, _, _, side in blocks])
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0
     arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
@@ -680,6 +767,11 @@ def indicator_map(
         raw=raw,
         argmin_normal=arg_n,
         argmin_iota=arg_i,
+        morozov=MorozovCounts(
+            roots=sides.size,
+            unbracketed_low=int((sides < 0).sum()),
+            unbracketed_high=int((sides > 0).sum()),
+        ),
     )
     if imap.degenerate:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from poroscat import cli
 from poroscat import forward as fw
+from poroscat import greens
 from poroscat import inversion as inv
 from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.presets import desk_scale_scenario
@@ -324,6 +325,25 @@ class TestMainEntry:
         assert np.isnan(imap.raw[on_sensor]).all()
         assert np.isfinite(imap.raw[~on_sensor]).all()
 
+    @pytest.mark.parametrize("method", ["lsm", "glsm"])
+    @pytest.mark.parametrize("region", [None, [-3.2, 2.8, -3.0, 3.0]])
+    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+    def test_root_counters_in_meta(self, tmp_path, tiny_scenario_doc, method, region):
+        # the second region puts two sampling points on sensing points
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        if region is not None:
+            doc["scene"]["sampling"]["region"] = region
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["map", "--scenario", str(path), "--out", str(out), "--method", method]) == 0
+        meta = json.loads((out / "invert_meta.json").read_text())
+        sampling = cli.load_scenario(path).scene.sampling
+        live = sampling.point_count - (2 if region else 0)
+        assert meta["morozov_roots"] == live * len(sampling.candidates())
+        low, high = meta["morozov_unbracketed_low"], meta["morozov_unbracketed_high"]
+        assert 0 <= low and 0 <= high and low + high <= meta["morozov_roots"]
+
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         cli.run_forward(sc, tmp_path / "a", seed=1)
@@ -344,34 +364,106 @@ def forward_lines(tmp_path_factory, tiny_scenario_doc):
 
 
 _HEADER_LINES = 9  # the format tag and eight "key = value" lines
+# finite values whose squares leave double range
+_EXTREME_ENTRIES = ["1e300,1e300", "1.7e308,0", "1e-310,0"]
 _MUTATIONS = st.one_of(
     st.tuples(
         st.just("header"),
         st.integers(1, _HEADER_LINES - 1),
         st.one_of(
-            st.sampled_from(["", "-1", "0", "nan", "inf", "1e400", "1.5", "fx,fy", "noisy"]),
+            st.sampled_from(
+                ["", "-1", "0", "nan", "inf", "1e400", "1e300", "1.5", "fx,fy", "noisy"]
+            ),
             st.text(max_size=8),
         ),
     ),
-    st.tuples(st.just("entry"), st.integers(0, 2**16), st.text(max_size=12)),
+    st.tuples(
+        st.just("entry"),
+        st.integers(0, 2**16),
+        st.one_of(st.sampled_from(_EXTREME_ENTRIES), st.text(max_size=12)),
+    ),
+    st.tuples(st.just("fill"), st.just(0), st.sampled_from(_EXTREME_ENTRIES)),
     st.tuples(st.just("truncate"), st.integers(0, 2**20), st.just("")),
 )
 
 
-@settings(max_examples=20, deadline=None)
-@given(mutation=_MUTATIONS)
-def test_mutated_matrix_file_gives_exit_code(forward_lines, tmp_path_factory, mutation):
-    path, lines = forward_lines
+def _mutated(lines, mutation) -> str:
+    """lambda_noisy.csv text with one header value or entry replaced, every
+    entry replaced (fill), or cut short (truncate)."""
     kind, where, text = mutation
     lines = list(lines)
     if kind == "header":
         lines[where] = f"{lines[where].partition('=')[0]}= {text}"
     elif kind == "entry":
         lines[_HEADER_LINES + where % (len(lines) - _HEADER_LINES)] = text
+    elif kind == "fill":
+        lines[_HEADER_LINES:] = [text] * (len(lines) - _HEADER_LINES)
     body = "\n".join(lines) + "\n"
     if kind == "truncate":
         body = body[: where % len(body)]
+    return body
+
+
+@settings(max_examples=20, deadline=None)
+@given(mutation=_MUTATIONS)
+def test_mutated_matrix_file_gives_exit_code(forward_lines, tmp_path_factory, mutation):
+    path, lines = forward_lines
     out = tmp_path_factory.mktemp("invert")
-    (out / "lambda_noisy.csv").write_text(body, encoding="utf-8")
+    (out / "lambda_noisy.csv").write_text(_mutated(lines, mutation), encoding="utf-8")
     rc = cli.main(["invert", "--scenario", str(path), "--out", str(out)])
     assert rc in (0, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)
+
+
+@pytest.mark.parametrize("method", ["lsm", "glsm"])
+@pytest.mark.parametrize(
+    "mutation, cause",
+    [
+        (("header", 8, "1e300"), "delta = 1e+300 is out of range"),
+        (("entry", 5, "1e300,1e300"), "operator norm"),
+        (("entry", 5, "1.7e308,0"), "operator norm"),
+        (("fill", 0, "1e-310,0"), "operator norm"),
+    ],
+    ids=["delta-1e300", "entry-1e300", "entry-1.7e308", "all-1e-310"],
+)
+@pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+def test_extreme_matrix_file_gives_typed_error(
+    forward_lines, tmp_path, capsys, mutation, cause, method
+):
+    path, lines = forward_lines
+    assert lines[8].startswith("# delta =")
+    (tmp_path / "lambda_noisy.csv").write_text(_mutated(lines, mutation), encoding="ascii")
+    rc = cli.main(["invert", "--scenario", str(path), "--out", str(tmp_path), "--method", method])
+    assert rc == cli.EXIT_VALIDATION
+    assert cause in capsys.readouterr().err
+
+
+def test_replayed_call_shapes(tiny_scenario_doc):
+    """The public calls a per-layer benchmark replay makes, in its shapes."""
+    sc = cli.parse_scenario(tiny_scenario_doc)
+    scene, params = sc.scene, sc.params
+    wave = cli.solve_dispersion(params, sc.omega)
+    for owner, names in (
+        (cli, ["load_scenario", "run_forward", "run_invert", "write_pgm", "solve_dispersion",
+               "build_sensing_grid", "build_fracture_patch", "build_sampling_grid"]),
+        (fw, ["assemble_lambda", "inject_noise", "save_matrix", "load_matrix"]),
+        (inv, ["indicator_map", "save_indicator_map"]),
+    ):
+        assert all(callable(getattr(owner, name)) for name in names)
+    lam = fw.assemble_lambda(scene, wave, params, mode="local", cutoff=None)
+    noisy = fw.inject_noise(lam, target_delta=0.05, seed=1)
+    op = inv.SvdOperator(noisy)
+    sharp = inv.lambda_sharp(op.matrix)
+    inv.GlsmPencil(op.matrix, sharp, noisy.delta)
+    pts, cands = scene.sampling.points(), scene.sampling.candidates()
+    gpts, channels = scene.grid.points, scene.channels
+    normal, iota = cands[0]
+    pattern = inv.trial_pattern(pts[12], normal, iota, gpts, wave, params, channels)
+    assert pattern.vector.shape == (len(gpts) * len(channels),)
+    Phi = inv.trial_pattern_block(pts[:8], cands, gpts, wave, params, channels)
+    assert Phi.shape == (len(gpts) * len(channels), 8 * len(cands))
+    assert all(isinstance(inv.morozov_eta(op, phi, noisy.delta).bracketed, bool) for phi in Phi.T)
+    greens.trace_kernel(gpts[0], pts[7], scene.sampling.normals[0], wave, params)
+    src, trc = scene.patches[0], scene.patches[1]
+    greens.dislocation_trace_kernel(
+        src.cells()[0][0], src.normal, trc.cells()[0][1], trc.normal, wave, params
+    )

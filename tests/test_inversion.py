@@ -1,17 +1,19 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from poroscat import forward as fw
 from poroscat import inversion as inv
 from poroscat.errors import DomainError
-from poroscat.greens import green_tensor
+from poroscat.greens import _trace_matrix, green_tensor
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scene
-from poroscat.scene import Scene, build_sampling_grid, build_sensing_grid
+from poroscat.scene import Scene, build_sampling_grid, build_sensing_grid, channel_indices
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,40 @@ def lam(scene, wave, params):
 
 def random_operator(rng, n=8):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def brentq_eta(op, beta_sq, floor_sq, delta):
+    """Reference discrepancy root of one column: a Brent search on log(eta)
+    over the default bracket.  Returns (eta, side) as _morozov_roots does."""
+    lo, hi = 1e-14 * op.norm2**2, 1e8 * op.norm2**2
+    s2 = op.s**2
+
+    def gap(x):
+        eta = math.exp(x)
+        return float((eta**2 - delta**2 * s2) / (s2 + eta) ** 2 @ beta_sq + floor_sq)
+
+    if gap(math.log(lo)) >= 0.0:
+        return lo, -1
+    if gap(math.log(hi)) <= 0.0:
+        return hi, 1
+    return math.exp(brentq(gap, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200)), 0
+
+
+def per_normal_patterns(points, cands, grid_points, wave, params, channels):
+    """Reference trial_pattern_block: one kernel evaluation per candidate,
+    contracted with the candidate's jump amplitude."""
+    cidx = channel_indices(channels)
+    nb, ncand = len(points), len(cands)
+    out = np.empty((len(grid_points) * len(cidx), nb * ncand), dtype=complex)
+    for q, (normal, iota) in enumerate(cands):
+        K = _trace_matrix(grid_points[None], points[:, None], normal, wave, params)
+        amp = np.zeros(5)
+        if iota == 1:
+            amp[0:3] = normal
+        else:
+            amp[4] = 1.0
+        out[:, q::ncand] = np.einsum("pnrc,r->pnc", K[..., cidx], amp).reshape(nb, -1).T
+    return out
 
 
 class TestTrialPattern:
@@ -64,6 +100,20 @@ class TestTrialPattern:
         R = fw._radiation_operator(scene, wave, params)
         cols = R[:, 5 * cell : 5 * cell + 3] @ n / areas[cell]
         np.testing.assert_allclose(tp.vector, cols, rtol=1e-12)
+
+    @pytest.mark.parametrize("fan", ["in-plane", "oblique", "monopole-only"])
+    def test_normal_basis_matches_per_normal_kernel(self, scene, wave, params, fan):
+        cands = scene.sampling.candidates()
+        if fan == "oblique":
+            n = np.array([0.3, -0.5, 0.8])
+            cands = [(n / np.linalg.norm(n), 1), (np.array([0.0, 0.0, 1.0]), 1)] + cands
+        elif fan == "monopole-only":
+            cands = [(n, iota) for n, iota in cands if iota == 0]
+        pts = scene.sampling.points()[:7]
+        args = (pts, cands, scene.grid.points, wave, params, scene.channels)
+        np.testing.assert_allclose(
+            inv.trial_pattern_block(*args), per_normal_patterns(*args), rtol=1e-13
+        )
 
     def test_block_matches_single(self, scene, wave, params):
         pts = scene.sampling.points()[:3]
@@ -179,6 +229,23 @@ class TestMorozov:
         with pytest.raises(DomainError):
             inv.morozov_eta(np.eye(3, dtype=complex), np.zeros(3), 0.1)
 
+    def test_unbracketed_ends_returned(self):
+        # columns: gap > 0 for every eta (rhs outside the column space),
+        # a bracketed root, and gap < 0 for every eta (delta above the
+        # bracket's reach)
+        A = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        op = inv.SvdOperator(A)
+        rhs = np.array([[0.0, 1.0], [0.0, 0.5], [1.0, 0.0]], dtype=complex)
+        lo, hi = 1e-14, 1e8
+        eta, side = inv._morozov_roots(op, *inv._projection(op, rhs), 0.1)
+        assert side.tolist() == [-1, 0] and eta[0] == lo
+        eta, side = inv._morozov_roots(op, *inv._projection(op, rhs[:, 1:]), 1e9)
+        assert side.tolist() == [1] and eta[0] == hi
+        low = inv.morozov_eta(A, rhs[:, 0], 0.1)
+        high = inv.morozov_eta(A, rhs[:, 1], 1e9)
+        assert (low.eta, low.bracketed) == (lo, False)
+        assert (high.eta, high.bracketed) == (hi, False)
+
     def test_unbracketed_flagged(self):
         # a right-hand side orthogonal to the column space keeps the
         # residual above delta*||g|| for every eta
@@ -186,6 +253,39 @@ class TestMorozov:
         phi = np.array([0.0, 0.0, 1.0])
         res = inv.morozov_eta(A, phi, 1e-6)
         assert not res.bracketed
+
+
+@pytest.fixture(scope="module")
+def desk_columns(params, wave):
+    """Projections of every (point, candidate) column of the desk-scale
+    maps, on the clean operator and on the noisy one."""
+    scene = desk_scale_scene()
+    lam = fw.assemble_lambda(scene, wave, params, mode="local")
+    noisy = fw.inject_noise(lam, target_delta=0.05, seed=20240613)
+    pts, cands = scene.sampling.points(), scene.sampling.candidates()
+    Phi = np.hstack([
+        inv.trial_pattern_block(
+            pts[s:s + 64], cands, scene.grid.points, wave, params, scene.channels
+        )
+        for s in range(0, len(pts), 64)
+    ])
+    out = {}
+    for name, mat in (("clean", lam), ("noisy", noisy)):
+        op = inv.SvdOperator(mat)
+        out[name] = (op, inv._derive_delta(mat, None, op), *inv._projection(op, Phi))
+    return out
+
+
+@pytest.mark.parametrize("data", ["clean", "noisy"])
+def test_vectorized_root_matches_brentq(desk_columns, data):
+    op, delta, beta_sq, floors = desk_columns[data]
+    eta, side = inv._morozov_roots(op, beta_sq, floors, delta)
+    ref = np.array([
+        brentq_eta(op, beta_sq[:, j], floors[j], delta) for j in range(beta_sq.shape[1])
+    ])
+    assert eta.size == 25600
+    np.testing.assert_array_equal(side, ref[:, 1])
+    np.testing.assert_allclose(eta, ref[:, 0], rtol=1e-10)
 
 
 class TestGlsm:
