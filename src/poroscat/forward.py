@@ -50,6 +50,7 @@ from .errors import (
     ConditioningError,
     DegenerateContactError,
     DomainError,
+    NumericalError,
     SingularityError,
 )
 from .greens import _trace_matrix, _dislocation_trace_matrix
@@ -538,6 +539,11 @@ def assemble_lambda(
     R, _ = _radiation_block(scene.patches, scene.grid.points, S)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
     data = R @ _transfer(scene.patches, S, wave.omega, coupling)
+    if not np.isfinite(data).all():
+        raise NumericalError(
+            "the scattering matrix has non-finite entries: the kernels left double "
+            "range for this scene, material and frequency"
+        )
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
         data.shape[0], data.shape[1], mode, S.shape[0] // 5,
@@ -572,6 +578,8 @@ def inject_noise(
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     if target_delta is not None and target_delta < 0.0:
         raise DomainError(f"target_delta must be >= 0, got {target_delta}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     n = matrix.size
     eps = 1.0 if epsilon is None else epsilon
     if eps == 0.0 or (target_delta is not None and target_delta == 0.0):
@@ -583,7 +591,12 @@ def inject_noise(
     noise = rng.uniform(-eps, eps, (n, n)) + 1j * rng.uniform(-eps, eps, (n, n))
     NL = noise @ matrix.data
     if target_delta is not None:
-        scale = target_delta / np.linalg.norm(NL, 2)
+        norm = np.linalg.norm(NL, 2)
+        if norm == 0.0:
+            raise DomainError(
+                f"target_delta = {target_delta!r} is unreachable: the operator is zero"
+            )
+        scale = target_delta / norm
         noise *= scale
         NL *= scale
         eps *= scale

@@ -30,11 +30,20 @@ Derivatives up to fourth order are produced analytically from the radial
 helpers plus direction-cosine tensor algebra (never finite differences);
 fourth order is required by the inter-patch coupling kernel, which takes
 traces of an already differentiated dislocation field.
+
+Trial patterns read the traction rows along their own normal, n.t(n).
+That is a quadratic form n_j n_k M_jk with a symmetric, normal-free M per
+source column, built from the same radial combinations as the trace rows
+(_radials); _pattern_kernel evaluates M once for every normal of a block,
+together with the pressure row, which no normal changes.  biot_residual
+checks the point-source tensor against the governing system by finite
+differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +55,7 @@ __all__ = [
     "TraceKernel",
     "helmholtz_kernel",
     "green_tensor",
+    "biot_residual",
     "trace_kernel",
     "dislocation_trace_kernel",
 ]
@@ -180,10 +190,19 @@ def _hess(f: np.ndarray, r: np.ndarray, d: np.ndarray) -> np.ndarray:
     return a * dd + b * _EYE3
 
 
-def _s2(f, r, d, n):
-    """n_k (third Cartesian derivative)_kij of a radial scalar; symmetric in ij."""
+def _s2_radial(f, r):
+    """Radial coefficients (P, Q) of the third Cartesian derivative of a
+    radial scalar: n_k f_,kij = P (n.d) d_i d_j + Q (n_i d_j + d_i n_j
+    + (n.d) delta_ij)."""
     P = f[..., 3] - 3.0 * f[..., 2] / r + 3.0 * f[..., 1] / r**2
     Q = f[..., 2] / r - f[..., 1] / r**2
+    return P, Q
+
+
+def _s2(f, r, d, n, PQ=None):
+    """n_k (third Cartesian derivative)_kij of a radial scalar; symmetric in
+    ij.  ``PQ`` passes _s2_radial(f, r) when it is already formed."""
+    P, Q = _s2_radial(f, r) if PQ is None else PQ
     nd = np.sum(n * d, axis=-1)
     dd = d[..., :, None] * d[..., None, :]
     ndsym = n[..., :, None] * d[..., None, :] + d[..., :, None] * n[..., None, :]
@@ -288,27 +307,83 @@ def green_tensor(y, xi, wave: WaveState, params: MaterialParams) -> GreenTensor:
     return GreenTensor(matrix=_green_matrix(y, xi, wave, params))
 
 
+def biot_residual(y, xi, col: int, wave: WaveState, params: MaterialParams, h=1e-3) -> float:
+    """Relative residual of the governing system for source column ``col``
+    of the point-source tensor at xi, from 5-point central differences of
+    the closed-form tensor (an independent check of its derivation)."""
+    y = np.asarray(y, dtype=float).reshape(3)
+    xi = np.asarray(xi, dtype=float).reshape(3)
+    gamma, omega = wave.gamma, wave.omega
+    m = params.rho - params.rho_f**2 / gamma
+    beta = params.alpha - params.rho_f / gamma
+    lam, mu = params.lam, params.mu
+
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    step = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None, None] * h * _EYE3  # [s, k, :]
+    # the field at xi, at xi + o_s h e_k, and at xi + o_s h e_k + o_t h e_j
+    line = xi + step
+    cross = line[:, :, None, None, :] + step[None, None]
+    pts = np.concatenate([xi[None], line.reshape(-1, 3), cross.reshape(-1, 3)])
+    F = _green_matrix(y, pts, wave, params)[:, :, col]
+    u0, p0 = F[0, :3], F[0, 3]
+    F_line, F_cross = F[1:16].reshape(5, 3, 4), F[16:].reshape(5, 3, 5, 3, 4)
+
+    lap_u = np.einsum("s,ski->i", c2, F_line[..., :3])
+    lap_p = np.einsum("s,sk->", c2, F_line[..., 3])
+    J = np.einsum("s,ski->ki", c1, F_line[..., :3])  # J[k, i] = d u_i / d xi_k
+    grad_p = c1 @ F_line[..., 3]
+    # grad(div u): central differences of the divergence along each axis
+    graddiv = c1 @ np.einsum("t,sktjj->sk", c1, F_cross[..., :3])
+
+    L1 = (lam + mu) * graddiv + mu * lap_u - beta * grad_p + omega**2 * m * u0
+    L2 = lap_p / (gamma * omega**2) + p0 / params.M + beta * np.trace(J)
+    s1 = (
+        abs(omega**2 * m) * np.linalg.norm(u0)
+        + abs(beta) * np.linalg.norm(grad_p)
+        + abs(mu) * np.linalg.norm(lap_u)
+    )
+    s2 = abs(p0 / params.M) + abs(lap_p / (gamma * omega**2)) + abs(beta * np.trace(J))
+    return float(max(np.linalg.norm(L1) / s1, abs(L2) / s2))
+
+
 # ---------------------------------------------------------------------------
 # trace kernel (traction / relative flow / pressure rows)
 # ---------------------------------------------------------------------------
 def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarray:
     """Batched 5x4 trace kernel: rows (t1,t2,t3,q,p) at xi with normal n,
     columns the 4 source types at y."""
-    return _trace_matrices(y, xi, [n], wave, params)[0]
-
-
-def _trace_matrices(y, xi, normals, wave: WaveState, params: MaterialParams) -> list:
-    """_trace_matrix for each normal in ``normals``, on one geometry and
-    one set of radial stacks."""
     r, d = _geometry(y, xi)
     st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
-    return [
-        _trace_rows(st, co, r, d, np.broadcast_to(np.asarray(n, dtype=float), d.shape))[0]
-        for n in normals
-    ]
+    n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
+    return _trace_rows(st, co, _radials(st, co, r), r, d, n)[0]
 
 
-def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):
+class _Radials(NamedTuple):
+    """Radial combinations of the trace rows, from stacks of order >= 3."""
+
+    PQ: tuple       # _s2_radial of Phi
+    Dv1: np.ndarray  # the divergence of the U^s columns is cU * Dv1 * d_j
+    Psi1: np.ndarray
+    Psi2: np.ndarray
+    X0: np.ndarray   # k_p1^2 G_p1 - k_p2^2 G_p2
+    pf: np.ndarray   # p^f, the pressure of a unit fluid injection
+    gs1: np.ndarray
+
+
+def _radials(st: _Stacks, co: _Coeffs, r) -> _Radials:
+    return _Radials(
+        PQ=_s2_radial(st.Phi, r),
+        Dv1=st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1],
+        Psi1=st.Psi[..., 1],
+        Psi2=st.Psi[..., 2],
+        X0=st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0],
+        pf=co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0],
+        gs1=st.gs[..., 1],
+    )
+
+
+def _trace_rows(st: _Stacks, co: _Coeffs, rad: _Radials, r, d, n):
     """Trace-kernel rows from radial stacks of order >= 3 already built.
 
     Returns the (..., 5, 4) kernel together with n.(third derivative of
@@ -316,18 +391,13 @@ def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):
     differentiates once more.
     """
     nd = np.sum(n * d, axis=-1)
+    gs0, gs1, Psi1, Dv1, pf = st.gs[..., 0], rad.gs1, rad.Psi1, rad.Dv1, rad.pf
 
-    gs0, gs1 = st.gs[..., 0], st.gs[..., 1]
-    Psi1 = st.Psi[..., 1]
-    # divergence of the U^s columns reduces to cU * Dv1 * d_j
-    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
-
-    S2P = _s2(st.Phi, r, d, n)
+    S2P = _s2(st.Phi, r, d, n, rad.PQ)
     HPsi = _hess(st.Psi, r, d)
     nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
 
     ps = co.cP * Psi1[..., None] * d
-    pf = co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0]
 
     n_d = n[..., :, None] * d[..., None, :]
     Ts = (
@@ -343,9 +413,8 @@ def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):
         - co.alpha * co.cP * Psi1[..., None, None] * n_d
     )
 
-    X0 = st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0]
     tf = (
-        co.cP * co.lam * X0[..., None] * n
+        co.cP * co.lam * rad.X0[..., None] * n
         - 2.0 * co.mu * co.cP * nHPsi
         - co.alpha * pf[..., None] * n
     )
@@ -366,6 +435,48 @@ def _trace_rows(st: _Stacks, co: _Coeffs, r, d, n):
     out[..., 4, 0:3] = ps
     out[..., 4, 3] = pf
     return out, S2P, HPsi
+
+
+def _pattern_kernel(y, xi, pairs, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """Normal-free trial-pattern kernel: sources at y, trial point xi.
+
+    The traction rows t(n) of the trace kernel contracted with their own
+    normal, n.t(n) = n_j n_k M_jk, form a quadratic form in n with a
+    symmetric, normal-free M per source column:
+
+        force column i:  M_jk = a1 d_i delta_jk + a2 d_i d_j d_k
+                                + (b/2) (d_j delta_ik + d_k delta_ij)
+        fluid column:    M_jk = c1 delta_jk + c2 d_j d_k
+
+    with a1, a2, b, c1, c2 the radial combinations of the trace rows
+    (_radials).  Returns (..., len(pairs) + 1, 4): M_jk for each (j, k)
+    in ``pairs``, then the pressure row, columns the 4 source types at y.
+    """
+    r, d = _geometry(y, xi)
+    st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
+    rad = _radials(st, co, r)
+    P, Q = rad.PQ
+    mu_u = co.mu * co.cU
+    a1 = co.lam * co.cU * rad.Dv1 - co.alpha * co.cP * rad.Psi1 + 2.0 * mu_u * Q
+    a2 = 2.0 * mu_u * P
+    half_b = mu_u * (2.0 * Q + co.ks2 * rad.gs1)
+    Psi1_r = rad.Psi1 / r
+    c1 = co.cP * co.lam * rad.X0 - co.alpha * rad.pf - 2.0 * co.mu * co.cP * Psi1_r
+    c2 = -2.0 * co.mu * co.cP * (rad.Psi2 - Psi1_r)
+
+    j, k = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    diag = j == k
+    dj, dk = d[..., j], d[..., k]
+    djk = dj * dk
+    out = np.empty(r.shape + (j.size + 1, 4), dtype=np.complex128)
+    out[..., :-1, :3] = (
+        (a1[..., None] * diag + a2[..., None] * djk)[..., None] * d[..., None, :]
+        + half_b[..., None, None] * (dj[..., None] * _EYE3[k] + dk[..., None] * _EYE3[j])
+    )
+    out[..., :-1, 3] = c1[..., None] * diag + c2[..., None] * djk
+    out[..., -1, :3] = co.cP * rad.Psi1[..., None] * d
+    out[..., -1, 3] = rad.pf
+    return out
 
 
 @dataclass(frozen=True)
@@ -427,15 +538,15 @@ def _dislocation_trace_matrix(
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
     st = _Stacks(wave, r, 4)
     co = _coeffs(wave, params)
+    rad = _radials(st, co, r)
     # field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)]: the
     # trace kernel read with rows and columns swapped
-    K, S2P, HPsi = _trace_rows(st, co, r, d, n)
+    K, S2P, HPsi = _trace_rows(st, co, rad, r, d, n)
     F = np.swapaxes(K, -1, -2)
     nd = np.sum(n * d, axis=-1)
 
-    gs1, gs2 = st.gs[..., 1], st.gs[..., 2]
-    Psi1, Psi2 = st.Psi[..., 1], st.Psi[..., 2]
-    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
+    gs1, gs2 = rad.gs1, st.gs[..., 2]
+    Psi1, Psi2, Dv1 = rad.Psi1, rad.Psi2, rad.Dv1
     Dv2 = st.A1 * st.k1sq * st.g1[..., 2] + st.A2 * st.k2sq * st.g2[..., 2]
     X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
     Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]

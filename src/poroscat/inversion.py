@@ -5,8 +5,11 @@ Phi(x0, n, iota): the near-field pattern a vanishing dislocation at x0
 would produce on the sensing grid.  For iota = 1 the trial density is a
 displacement-jump dipole along the trial normal n; for iota = 0 it is a
 unit fluid monopole (a -[[q]] point density), which is independent of n.
-The dipole pattern is bilinear in n, so a block of sampling points needs
-one kernel evaluation per coordinate axis its normals use.
+The dipole pattern n.t(n) is a quadratic form n_j n_k M_jk of a
+normal-free kernel M (greens._pattern_kernel), so a block of sampling
+points needs one kernel evaluation for all of its normals.  Candidates
+with equal patterns (every monopole, any repeated dipole normal) share
+one distinct trial column.
 
 Two regularized solutions of the scattering equation L g = Phi back the
 two indicators:
@@ -27,17 +30,20 @@ two indicators:
 
 All right-hand sides share one SVD of L, and the penalized variant one
 joint diagonalization of its normal-equation pencil (GlsmPencil), which
-serves every right-hand side and every alpha.  A map evaluates its
-sampling points in blocks, one block after another, and each block as
-arrays over all of its (point, candidate) columns: one root solve, one
-filtered product, one argmin over the candidates.  The per-point
-indicators are the same evaluator on a one-point block.
+serves every right-hand side and every alpha; one fixed alpha for a whole
+map is one solution operator V diag(1/(d + alpha)) W, built once.  A map
+evaluates its sampling points in blocks, one block after another, and
+each block as arrays over its distinct trial columns: one pattern kernel
+evaluation, one root solve, one filtered product, then one argmin over
+all (point, candidate) columns.  The per-point indicators are the same
+evaluator on a one-point block.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -47,7 +53,7 @@ import scipy.linalg
 
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
 from .forward import ScatteringMatrix
-from .greens import _trace_matrices
+from .greens import _pattern_kernel
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, channel_indices
 
@@ -61,6 +67,7 @@ __all__ = [
     "PointIndicator",
     "MorozovResult",
     "MorozovCounts",
+    "MapTimings",
     "SvdOperator",
     "trial_pattern",
     "trial_pattern_block",
@@ -125,11 +132,13 @@ def trial_pattern_block(
     """Patterns for a block of sampling points and all candidates at once.
 
     Returns (n_rows, n_points_block * n_candidates) with candidate index
-    fastest.  The dipole pattern sum_k n_k K[k](n) of the kernel rows K
-    is bilinear in the normal, sum_jk n_j n_k K[k](e_j), and the monopole
-    pattern is the pressure row, which no normal changes.  So the kernel
-    is evaluated once per axis e_j that the candidates' normals use (once
-    in all for monopoles alone), on radial stacks shared by the block.
+    fastest.  The dipole pattern n.t(n) of the traction rows t is the
+    quadratic form n_j n_k M_jk of a normal-free kernel M
+    (greens._pattern_kernel), and the monopole pattern is the pressure
+    row, which no normal changes.  So one kernel evaluation serves the
+    block, on the (j, k) pairs the candidates' normals use (3 for an
+    in-plane fan), and one matrix product contracts it with n_j n_k
+    (twice that off the diagonal).
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
@@ -141,18 +150,18 @@ def trial_pattern_block(
     if bad:
         raise DomainError(f"iota must be 0 or 1, got {bad[0]!r}")
     dip = np.array([iota == 1 for _, iota in candidates], dtype=bool)
-    axes = np.flatnonzero(np.any(normals[dip] != 0.0, axis=0))
-    if axes.size == 0:
-        axes = np.array([0])
-    # coefficient of candidate q on (axis e_j, kernel row k)
-    coef = np.zeros((ncand, axes.size, 5))
-    coef[dip, :, 0:3] = normals[dip][:, axes, None] * normals[dip][:, None, :]
-    coef[~dip, 0, 4] = 1.0  # unit -[[q]] monopole
-    K = np.stack(
-        _trace_matrices(gpts[None, :, :], pts[:, None, :], np.eye(3)[axes], wave, params)
-    )[..., cidx]  # (n_axes, nb, N, 5, C)
-    K = K.transpose(2, 4, 1, 0, 3).reshape(N * C * nb, axes.size * 5)
-    return (K @ coef.reshape(ncand, -1).T).reshape(N * C, nb * ncand)
+    j, k = np.triu_indices(3)
+    weight = normals[:, j] * normals[:, k] * np.where(j == k, 1.0, 2.0)
+    used = np.any(weight[dip] != 0.0, axis=0)
+    # coefficient of candidate q on (pair (j, k) ..., pressure row)
+    coef = np.zeros((ncand, used.sum() + 1))
+    coef[dip, :-1] = weight[dip][:, used]
+    coef[~dip, -1] = 1.0  # unit -[[q]] monopole
+    K = _pattern_kernel(
+        gpts[None, :, :], pts[:, None, :], np.column_stack([j[used], k[used]]), wave, params
+    )[..., cidx]  # (nb, N, n_pairs + 1, C)
+    K = K.transpose(1, 3, 0, 2).reshape(N * C * nb, coef.shape[1])
+    return (K @ coef.T).reshape(N * C, nb * ncand)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +471,13 @@ class GlsmPencil:
         filt = self.d[:, None] + alpha if z.ndim == 2 else self.d + alpha
         return self.V @ (z / filt)
 
+    def operator(self, alpha: float) -> np.ndarray:
+        """The solution operator V diag(1/(d + alpha)) W of one weight alpha:
+        solve(rhs, alpha) as one product."""
+        if not alpha > 0.0:
+            raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
+        return (self.V / (self.d + alpha)) @ self.W
+
     def indicator(self, g: np.ndarray):
         """1/sqrt(g^H L# g + delta ||g||^2), per column of a 2-d g; NaN
         for a vanishing energy."""
@@ -493,6 +509,38 @@ def _off_sensors(points: np.ndarray, grid_points: np.ndarray) -> np.ndarray:
     return np.all(np.sum(w * w, axis=-1) > 0.0, axis=1)
 
 
+class MapTimings(NamedTuple):
+    """Seconds a map spent in each stage, summed over its blocks."""
+
+    patterns: float = 0.0
+    roots: float = 0.0
+    solve: float = 0.0
+
+
+def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
+    """The distinct trial columns of a candidate list, and the index of
+    each candidate's column.  Every monopole has the same pattern, and so
+    has any repeated dipole normal: columns are keyed on (iota, n if
+    iota == 1)."""
+    index: dict[tuple, int] = {}
+    cols, inverse = [], []
+    for normal, iota in cands:
+        key = (iota, *normal) if iota == 1 else (iota,)
+        if key not in index:
+            index[key] = len(cols)
+            cols.append((normal, iota))
+        inverse.append(index[key])
+    return cols, np.array(inverse, dtype=int)
+
+
+class _Block(NamedTuple):
+    vals: np.ndarray
+    g_norms: np.ndarray
+    argmin: np.ndarray
+    sides: np.ndarray
+    timings: MapTimings
+
+
 def _eval_block(
     points,
     cands: Sequence[tuple[np.ndarray, int]],
@@ -504,17 +552,21 @@ def _eval_block(
     channels: Sequence[str],
     bracket=None,
     pencil: GlsmPencil | None = None,
-    fixed_alpha: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    fixed: np.ndarray | None = None,
+) -> _Block:
     """Indicator values of a block of sampling points.
 
     Without a pencil: 1/||g||, g the Tikhonov solution at the discrepancy
-    weight.  With one: the penalized indicator, alpha ``fixed_alpha`` if
-    given, else from each candidate's discrepancy weight.  Each point
-    takes the candidate of least ||g|| (ties go to the first).  Returns
-    (value, ||g||, candidate index) per point, NaN, 0 and -1 where no
-    candidate is usable or the point coincides with a sensing point, and
-    the root sides (see _morozov_roots) of the columns solved.
+    weight.  With one: the penalized indicator, g = fixed @ Phi if the
+    fixed-alpha operator ``fixed`` (GlsmPencil.operator) is given, else
+    alpha from each candidate's discrepancy weight.  Patterns, roots and
+    solves run on the distinct trial columns (_distinct); the norms and
+    the root sides are then spread back over all (point, candidate)
+    columns.  Each point takes the candidate of least ||g|| (ties go to
+    the first).  Returns (value, ||g||, candidate index) per point, NaN, 0
+    and -1 where no candidate is usable or the point coincides with a
+    sensing point, the root sides (see _morozov_roots) of the
+    (point, candidate) columns and the stage timings.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
@@ -525,26 +577,36 @@ def _eval_block(
     sides = np.zeros(0, dtype=int)
     live = np.flatnonzero(_off_sensors(pts, gpts))
     if live.size == 0 or op.norm2 == 0.0:
-        return vals, g_norms, argmin, sides
-    Phi = trial_pattern_block(pts[live], cands, gpts, wave, params, channels)
-    if fixed_alpha is None:
+        return _Block(vals, g_norms, argmin, sides, MapTimings())
+    cols, inverse = _distinct(cands)
+    # the distinct column of each (point, candidate) column
+    spread = (np.arange(live.size)[:, None] * len(cols) + inverse).ravel()
+    t0 = time.perf_counter()
+    Phi = trial_pattern_block(pts[live], cols, gpts, wave, params, channels)
+    t1 = time.perf_counter()
+    if fixed is None:
         beta_sq, floors = _projection(op, Phi)
         etas, sides = _morozov_roots(op, beta_sq, floors, delta, bracket)
+        sides = sides[spread]
+    t2 = time.perf_counter()
     if pencil is None:
         filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
         norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
     else:
-        alpha = alpha_from_eta(etas, op.norm2, delta) if fixed_alpha is None else fixed_alpha
-        G = pencil.solve(Phi, alpha)
+        if fixed is None:
+            G = pencil.solve(Phi, alpha_from_eta(etas, op.norm2, delta))
+        else:
+            G = fixed @ Phi
         norms = np.linalg.norm(G, axis=0)
     norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
-    best = np.argmin(norms.reshape(live.size, ncand), axis=1)
-    cols = np.arange(live.size) * ncand + best
-    found = np.isfinite(norms[cols])
-    p, cols = live[found], cols[found]
-    g_norms[p], argmin[p] = norms[cols], best[found]
-    vals[p] = 1.0 / norms[cols] if pencil is None else pencil.indicator(G[:, cols])
-    return vals, g_norms, argmin, sides
+    best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
+    win = spread[np.arange(live.size) * ncand + best]
+    found = np.isfinite(norms[win])
+    p, win = live[found], win[found]
+    g_norms[p], argmin[p] = norms[win], best[found]
+    vals[p] = 1.0 / norms[win] if pencil is None else pencil.indicator(G[:, win])
+    timings = MapTimings(t1 - t0, t2 - t1, time.perf_counter() - t2)
+    return _Block(vals, g_norms, argmin, sides, timings)
 
 
 def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
@@ -559,7 +621,7 @@ def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
 def _indicator_at(x0, candidates, op, *setting) -> PointIndicator:
     """_eval_block on the one-point block x0, as a PointIndicator."""
     cands = _candidate_list(candidates)
-    (value,), (gn,), (ci,), _ = _eval_block(
+    (value,), (gn,), (ci,), _, _ = _eval_block(
         np.asarray(x0, dtype=float).reshape(1, 3), cands, op, *setting
     )
     found = bool(np.isfinite(value))
@@ -620,9 +682,10 @@ def glsm_indicator_at(
     op = _operator(matrix)
     if op.norm2 > 0.0:
         _bracket(op, delta, bracket)  # an operator out of range would fail the pencil
+    pencil = GlsmPencil(op.matrix, sharp, delta)
     return _indicator_at(
         x0, candidates, op, delta, grid_points, wave, params, channels, bracket,
-        GlsmPencil(op.matrix, sharp, delta), fixed_alpha,
+        pencil, None if fixed_alpha is None else pencil.operator(fixed_alpha),
     )
 
 
@@ -640,8 +703,10 @@ class IndicatorMap:
     raw: np.ndarray           # (npts,), NaN where degenerate
     argmin_normal: np.ndarray  # (npts,) int, -1 where no candidate won
     argmin_iota: np.ndarray    # (npts,) int, -1 where no candidate won
-    # roots solved for the map; the map file does not store them
+    # roots solved for the map and its stage timings; the map file does
+    # not store them
     morozov: MorozovCounts = MorozovCounts()
+    timings: MapTimings = MapTimings()
 
     @property
     def raw_max(self) -> float:
@@ -720,7 +785,8 @@ def indicator_map(
     gpts, channels = scene.grid.points, scene.channels
 
     sides = np.zeros(0, dtype=int)
-    pencil = None
+    timings = MapTimings()
+    pencil = fixed = None
     if method == "glsm":
         if wave.gamma.imag > 1e-6 * abs(wave.gamma):
             warnings.warn(
@@ -731,29 +797,36 @@ def indicator_map(
                 stacklevel=2,
             )
         pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
-    if pencil is None or alpha_policy == "per-candidate":
-        fixed_alpha = None
-    elif fixed_alpha is None:
-        # the sampling point nearest the grid center that is not a sensing point
-        order = np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable")
-        k = next((k for k in order if _off_sensors(pts[k:k + 1], gpts)[0]), None)
-        if op.norm2 == 0.0 or k is None:
-            raise NumericalError("could not derive a fixed alpha near the grid center")
-        center = trial_pattern_block(pts[k:k + 1], cands, gpts, wave, params, channels)
-        etas, sides = _morozov_roots(op, *_projection(op, center), delta, bracket)
-        fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
-        logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
+    if pencil is not None and alpha_policy == "fixed":
+        if fixed_alpha is None:
+            # the sampling point nearest the grid center that is not a sensing point
+            order = np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable")
+            k = next((k for k in order if _off_sensors(pts[k:k + 1], gpts)[0]), None)
+            if op.norm2 == 0.0 or k is None:
+                raise NumericalError("could not derive a fixed alpha near the grid center")
+            cols, inverse = _distinct(cands)
+            t0 = time.perf_counter()
+            center = trial_pattern_block(pts[k:k + 1], cols, gpts, wave, params, channels)
+            t1 = time.perf_counter()
+            etas, sides = _morozov_roots(op, *_projection(op, center), delta, bracket)
+            # the median over all candidates, not over the distinct columns
+            etas, sides = etas[inverse], sides[inverse]
+            timings = MapTimings(t1 - t0, time.perf_counter() - t1)
+            fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
+            logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
+        fixed = pencil.operator(fixed_alpha)
 
     blocks = [
         _eval_block(
             pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
-            bracket, pencil, fixed_alpha,
+            bracket, pencil, fixed,
         )
         for s in range(0, len(pts), _BLOCK)
     ]
-    raw = np.concatenate([vals for vals, _, _, _ in blocks])
-    argmin = np.concatenate([arg for _, _, arg, _ in blocks])
-    sides = np.concatenate([sides] + [side for _, _, _, side in blocks])
+    raw = np.concatenate([b.vals for b in blocks])
+    argmin = np.concatenate([b.argmin for b in blocks])
+    sides = np.concatenate([sides] + [b.sides for b in blocks])
+    timings = MapTimings(*map(sum, zip(timings, *(b.timings for b in blocks))))
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0
     arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
@@ -772,6 +845,7 @@ def indicator_map(
             unbracketed_low=int((sides < 0).sum()),
             unbracketed_high=int((sides > 0).sum()),
         ),
+        timings=timings,
     )
     if imap.degenerate:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)

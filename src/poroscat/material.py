@@ -37,6 +37,7 @@ and satisfy A1 + A2 = 1 identically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -270,8 +271,26 @@ def solve_dispersion(params: MaterialParams, omega: float) -> WaveState:
     The transverse wavenumber is explicit; the two compressional
     wavenumbers come from the quadratic (in k^2) stated in the module
     docstring.  Raises DispersionDegeneracyError when the compressional
-    roots coincide (the modal weights A1, A2 are then undefined).
+    roots coincide (the modal weights A1, A2 are then undefined), and
+    DomainError naming omega when the solution, or the fourth powers of
+    the wavenumbers the kernels take, leave double range.
     """
+    try:
+        wave = _dispersion(params, omega)
+        # the kernels take up to the fourth power of each wavenumber
+        finite = all(cmath.isfinite(k**4) for k in (wave.k_s, wave.k_p1, wave.k_p2))
+        finite = finite and all(cmath.isfinite(a) for a in (wave.A1, wave.A2))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"omega = {omega!r} is out of range for this material: the dispersion "
+            "relation or its kernel powers leave double range"
+        )
+    return wave
+
+
+def _dispersion(params: MaterialParams, omega: float) -> WaveState:
     gamma = compute_gamma(params, omega)
     m = params.rho - params.rho_f**2 / gamma
     beta = params.alpha - params.rho_f / gamma

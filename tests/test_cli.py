@@ -14,8 +14,7 @@ from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.presets import desk_scale_scenario
 
 
-@pytest.fixture(scope="module")
-def tiny_scenario_doc():
+def _tiny_doc() -> dict:
     doc = desk_scale_scenario(resolution=(5, 5), n_dir=2, target_delta=0.05)
     # keep CLI tests quick: fewer sensing points and cells
     for well in doc["scene"]["wells"]:
@@ -23,6 +22,11 @@ def tiny_scenario_doc():
     for frac in doc["scene"]["fractures"]:
         frac["cells"] = [4, 1]
     return doc
+
+
+@pytest.fixture(scope="module")
+def tiny_scenario_doc():
+    return _tiny_doc()
 
 
 @pytest.fixture()
@@ -344,6 +348,22 @@ class TestMainEntry:
         low, high = meta["morozov_unbracketed_low"], meta["morozov_unbracketed_high"]
         assert 0 <= low and 0 <= high and low + high <= meta["morozov_roots"]
 
+    @pytest.mark.parametrize(
+        "method, policy", [("lsm", "per-candidate"), ("glsm", "per-candidate"), ("glsm", "fixed")]
+    )
+    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+    def test_stage_timings_in_meta(self, tmp_path, tiny_scenario_doc, method, policy):
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["inversion"]["alpha_policy"] = policy
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["map", "--scenario", str(path), "--out", str(out), "--method", method]) == 0
+        timings = json.loads((out / "invert_meta.json").read_text())["timings_s"]
+        stages = [timings[k] for k in ("patterns", "roots", "solve")]
+        assert all(t >= 0.0 for t in stages)
+        assert sum(stages) <= timings["map"]
+
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         cli.run_forward(sc, tmp_path / "a", seed=1)
@@ -351,6 +371,78 @@ class TestMainEntry:
         a = fw.load_matrix(tmp_path / "a/lambda_noisy.csv")
         b = fw.load_matrix(tmp_path / "b/lambda_noisy.csv")
         assert not np.array_equal(a.data, b.data)
+
+
+def _mutated_doc(doc: dict, mutation) -> dict:
+    """A copy of doc with the entry at path ``where`` set to value, deleted,
+    or (an object) given an unknown key."""
+    where, kind, value = mutation
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    if kind == "set":
+        node[where[-1]] = value
+    elif kind == "delete":
+        del node[where[-1]]
+    elif isinstance(node[where[-1]], dict):
+        node[where[-1]]["unknown"] = 1
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("frequency", "omega"), "x", "frequency.omega must be a number"),
+        (("material", "dimensionless", "mu"), "a", "material.dimensionless.mu must be a number"),
+        (("scene", "wells"), [], "scene.wells must hold at least 1 entries"),
+        (("scene", "fractures", 0, "center"), [0.0], "scene.fractures[0].center must hold 2 or 3"),
+        (("scene", "fractures"), None, "scene.fractures must be an array"),
+        (("scene", "contact"), "x", "scene.contact must be an object"),
+        (("frequency", "omega"), 1e300, "omega = 1e+300 is out of range"),
+        (("frequency", "omega"), 1e-300, "omega = 1e-300 is out of range"),
+    ],
+    ids=["omega-x", "mu-a", "wells-empty", "center-short", "fractures-null", "contact-x",
+         "omega-1e300", "omega-1e-300"],
+)
+def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_mutated_doc(tiny_scenario_doc, (where, "set", value))))
+    rc = cli.main(["forward", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def _doc_paths(node, where=()):
+    """Paths of every entry of a scenario document, containers included."""
+    if where:
+        yield where
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _doc_paths(child, where + (key,))
+
+
+_TINY_PATHS = list(_doc_paths(json.loads(json.dumps(_tiny_doc()))))
+# wrong types, empty containers, and numbers at and beyond double range;
+# integers stay small, so no mutation asks for a huge grid
+_SCENARIO_VALUES = [
+    "x", None, True, [], {}, [0.0], [[0.0]], 0, -1, 2, 0.5,
+    1e300, 1e-300, -1e300, 1e150, 10**400, math.nan, math.inf,
+]
+_SCENARIO_MUTATIONS = st.tuples(
+    st.sampled_from(_TINY_PATHS),
+    st.sampled_from(["set", "delete", "add"]),
+    st.sampled_from(_SCENARIO_VALUES),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation=_SCENARIO_MUTATIONS)
+def test_mutated_scenario_gives_exit_code(tiny_scenario_doc, tmp_path_factory, mutation):
+    out = tmp_path_factory.mktemp("scenario")
+    (out / "s.json").write_text(json.dumps(_mutated_doc(tiny_scenario_doc, mutation)))
+    rc = cli.main(["forward", "--scenario", str(out / "s.json"), "--out", str(out)])
+    assert rc in (0, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)
 
 
 @pytest.fixture(scope="module")

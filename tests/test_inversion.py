@@ -13,7 +13,13 @@ from poroscat.errors import DomainError
 from poroscat.greens import _trace_matrix, green_tensor
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scene
-from poroscat.scene import Scene, build_sampling_grid, build_sensing_grid, channel_indices
+from poroscat.scene import (
+    Scene,
+    build_sampling_grid,
+    build_sensing_grid,
+    channel_indices,
+    resolve_channels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,16 +107,28 @@ class TestTrialPattern:
         cols = R[:, 5 * cell : 5 * cell + 3] @ n / areas[cell]
         np.testing.assert_allclose(tp.vector, cols, rtol=1e-12)
 
-    @pytest.mark.parametrize("fan", ["in-plane", "oblique", "monopole-only"])
+    @pytest.mark.parametrize(
+        "fan", ["in-plane", "oblique", "monopole-only", "oblique-full", "fluid", "repeated"]
+    )
     def test_normal_basis_matches_per_normal_kernel(self, scene, wave, params, fan):
         cands = scene.sampling.candidates()
-        if fan == "oblique":
+        channels = scene.channels
+        if fan in ("oblique", "oblique-full"):
             n = np.array([0.3, -0.5, 0.8])
             cands = [(n / np.linalg.norm(n), 1), (np.array([0.0, 0.0, 1.0]), 1)] + cands
+        if fan == "oblique-full":
+            # every (j, k) pair of the quadratic form, on all four channels
+            m = np.array([-0.2, 0.7, 0.4])
+            cands = [(m / np.linalg.norm(m), 1), (m / np.linalg.norm(m), 0)] + cands
+            channels = resolve_channels("full")
         elif fan == "monopole-only":
             cands = [(n, iota) for n, iota in cands if iota == 0]
+        elif fan == "fluid":
+            channels = resolve_channels("fluid")
+        elif fan == "repeated":
+            cands = cands + [cands[-1], cands[0]]
         pts = scene.sampling.points()[:7]
-        args = (pts, cands, scene.grid.points, wave, params, scene.channels)
+        args = (pts, cands, scene.grid.points, wave, params, channels)
         np.testing.assert_allclose(
             inv.trial_pattern_block(*args), per_normal_patterns(*args), rtol=1e-13
         )
@@ -389,6 +407,22 @@ class TestIndicatorAt:
         assert out1.value == out2.value
         assert out1.iota == out2.iota
 
+    def test_first_of_equal_monopoles_wins(self, scene, lam, wave, params):
+        # every iota = 0 candidate has the same pattern, whatever its
+        # normal: the tie goes to the first of them
+        x0 = scene.sampling.points()[11]
+        normals = scene.sampling.normals
+        monopoles = [(n, 0) for n in normals]
+        rest = (0.01, scene.grid.points, wave, params, scene.channels)
+        sharp = inv.lambda_sharp(lam.data)
+        for at, ops in (
+            (inv.lsm_indicator_at, (lam.data,)), (inv.glsm_indicator_at, (lam.data, sharp))
+        ):
+            one = at(x0, monopoles[:1], *ops, *rest)
+            out = at(x0, monopoles, *ops, *rest)
+            assert (out.normal_index, out.iota) == (0, 0)
+            assert out.value == one.value and not out.degenerate
+
 
 class TestIndicatorMap:
     def test_map_matches_per_point_calls(self, scene, lam, wave, params):
@@ -432,6 +466,26 @@ class TestIndicatorMap:
             assert imap.raw[b] == pytest.approx(1.0 / norms[best], rel=1e-9)
             assert imap.argmin_iota[b] == cands[best][1]
 
+    def test_dipole_normals_compete(self, scene, lam, wave, params):
+        # dipoles alone: each point's winner is the normal of least ||g||
+        g = scene.sampling
+        dipoles = dataclasses.replace(
+            scene, sampling=build_sampling_grid(g.region, g.resolution, 4, (1,))
+        )
+        imap = inv.indicator_map(dipoles, lam, "lsm", wave, params)
+        op = inv.SvdOperator(lam)
+        Phi = per_normal_patterns(
+            g.points(), dipoles.sampling.candidates(), scene.grid.points, wave, params,
+            scene.channels,
+        )
+        norms = [
+            np.linalg.norm(inv.tikhonov_solve(op, phi, inv.morozov_eta(op, phi, imap.delta).eta))
+            for phi in Phi.T
+        ]
+        ref = np.argmin(np.reshape(norms, (g.point_count, 4)), axis=1)
+        assert len(set(ref)) > 1
+        np.testing.assert_array_equal(imap.argmin_normal, ref)
+
     def test_glsm_map_matches_primitives(self, scene, lam, wave, params):
         # noisy data keep the Cholesky normal equations of glsm_solve
         # positive definite at the discrepancy weights
@@ -471,6 +525,25 @@ class TestIndicatorMap:
                 scene, lam, "glsm", wave, params, alpha_policy="fixed"
             )
         assert np.isfinite(imap.raw).all()
+
+    def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params):
+        # reference: GlsmPencil.solve at the one alpha, block by block
+        alpha = 3e-4
+        with pytest.warns(RuntimeWarning):
+            imap = inv.indicator_map(
+                scene, lam, "glsm", wave, params, alpha_policy="fixed", fixed_alpha=alpha
+            )
+        pencil = inv.GlsmPencil(lam.data, inv.lambda_sharp(lam.data), imap.delta)
+        pts, cands = scene.sampling.points(), scene.sampling.candidates()
+        ref = []
+        for s in range(0, len(pts), 16):
+            Phi = inv.trial_pattern_block(
+                pts[s:s + 16], cands, scene.grid.points, wave, params, scene.channels
+            )
+            G = pencil.solve(Phi, alpha).reshape(Phi.shape[0], -1, len(cands))
+            best = np.argmin(np.linalg.norm(G, axis=0), axis=1)
+            ref.extend(pencil.indicator(G[:, np.arange(best.size), best]))
+        np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
 
     def test_values_nonnegative_and_normalized(self, scene, lam, wave, params):
         imap = inv.indicator_map(scene, lam, "lsm", wave, params)
