@@ -13,17 +13,11 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
-    JumpState,
     ScatteringMatrix,
-    TraceState,
     assemble_lambda,
     check_admissibility,
-    incident_traces,
     inject_noise,
-    interacting_jump_solve,
     load_matrix,
-    local_jump_solve,
-    radiate,
     save_matrix,
 )
 from .greens import (
@@ -31,18 +25,15 @@ from .greens import (
     TraceKernel,
     dislocation_trace_kernel,
     green_tensor,
-    helmholtz_kernel,
     trace_kernel,
 )
 from .inversion import (
     IndicatorMap,
     TrialPattern,
-    glsm_indicator_at,
     glsm_solve,
     indicator_map,
     lambda_sharp,
     load_indicator_map,
-    lsm_indicator_at,
     morozov_eta,
     save_indicator_map,
     tikhonov_solve,

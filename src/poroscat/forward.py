@@ -14,12 +14,10 @@ the composition of three discrete operators:
 One builder each makes S and R for any points and channels, and one
 transfer function applies T to a block of trace columns.  R is S's trace
 kernel read transposed and weighted by the cell areas, so the R builder
-takes the kernel block the S builder evaluated.  The per-source
-functions (incident_traces, local_jump_solve, interacting_jump_solve,
-radiate) are one-point, one-column uses of them, and assemble_lambda is
-their whole-grid use, so both run the same guards: the S builder rejects
-a source on a patch, the R builder flags points in a patch's
-near-singular zone.
+takes the kernel block the S builder evaluated.  assemble_lambda is
+their one use on the whole grid, and the builders carry the guards: the
+S builder rejects a source on a patch, the R builder flags points in a
+patch's near-singular zone.
 
 Two interface closures are provided.  The local (Born-type) closure
 zeroes the scattered traces in the contact conditions, making T block
@@ -66,15 +64,8 @@ from .scene import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "TraceState",
-    "JumpState",
     "ScatteringMatrix",
-    "RadiatedField",
     "AdmissibilityReport",
-    "incident_traces",
-    "local_jump_solve",
-    "interacting_jump_solve",
-    "radiate",
     "assemble_lambda",
     "inject_noise",
     "check_admissibility",
@@ -82,8 +73,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
 ]
-
-_SOURCE_NAMES = {"fx": 0, "fy": 1, "fz": 2, "fluid": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +116,6 @@ def _collect_cells(patches: Sequence[FracturePatch]) -> _Cells:
 # ---------------------------------------------------------------------------
 # incident traces (operator S)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceState:
-    """Incident traces at every collocation cell for one point source."""
-
-    traction: np.ndarray  # (nc, 3)
-    flow: np.ndarray      # (nc,)
-    pressure: np.ndarray  # (nc,)
-
-    def as_vector(self) -> np.ndarray:
-        """Cell-major 5-vector layout (t1, t2, t3, q, p) per cell."""
-        out = np.empty(5 * self.traction.shape[0], dtype=np.complex128)
-        out.reshape(-1, 5)[:, 0:3] = self.traction
-        out.reshape(-1, 5)[:, 3] = self.flow
-        out.reshape(-1, 5)[:, 4] = self.pressure
-        return out
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "TraceState":
-        m = np.asarray(vec).reshape(-1, 5)
-        return cls(traction=m[:, 0:3], flow=m[:, 3], pressure=m[:, 4])
-
-
 def _kernel_block(cells: _Cells, points, cidx, wave, params) -> np.ndarray:
     """(5*nc, C*N) trace kernel: unit sources of the channels cidx at the N
     points to the traces at the cells."""
@@ -176,57 +143,9 @@ def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
     return _trace_block(scene.patches, scene.grid.points, cidx, wave, params)
 
 
-def incident_traces(
-    y,
-    source_type,
-    patches: Sequence[FracturePatch],
-    wave: WaveState,
-    params: MaterialParams,
-    amplitude: complex = 1.0,
-) -> TraceState:
-    """Traces of the incident field of a unit point source at y on all cells.
-
-    source_type is one of "fx", "fy", "fz", "fluid" (or the index 0..3).
-    The result is linear in amplitude (applied as a final scaling).
-    """
-    y = np.asarray(y, dtype=float).reshape(1, 3)
-    if isinstance(source_type, str):
-        src = _SOURCE_NAMES.get(source_type)
-        if src is None:
-            raise DomainError(f"unknown source type {source_type!r}")
-    else:
-        src = int(source_type)
-        if not 0 <= src <= 3:
-            raise DomainError(f"source type index must be 0..3, got {src}")
-    col = _trace_block(patches, y, [src], wave, params)[:, 0]
-    return TraceState.from_vector(amplitude * col)
-
-
 # ---------------------------------------------------------------------------
 # interface transfer (operator T)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class JumpState:
-    """Jump densities per cell: [[u]] (3), [[p]], and -[[q]]."""
-
-    u_jump: np.ndarray      # (nc, 3)
-    p_jump: np.ndarray      # (nc,)
-    neg_q_jump: np.ndarray  # (nc,)
-
-    def as_vector(self) -> np.ndarray:
-        out = np.empty(5 * self.u_jump.shape[0], dtype=np.complex128)
-        m = out.reshape(-1, 5)
-        m[:, 0:3] = self.u_jump
-        m[:, 3] = self.p_jump
-        m[:, 4] = self.neg_q_jump
-        return out
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "JumpState":
-        m = np.asarray(vec).reshape(-1, 5)
-        return cls(u_jump=m[:, 0:3], p_jump=m[:, 3], neg_q_jump=m[:, 4])
-
-
 def _contact_blocks(
     patches: Sequence[FracturePatch], patch_index: np.ndarray, omega: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -294,38 +213,6 @@ def _local_transfer(patches, omega: float) -> np.ndarray:
     local closure applied to unit traces."""
     nc = sum(p.cell_count for p in patches)
     return _transfer(patches, np.tile(np.eye(5), (nc, 1)), omega).reshape(nc, 5, 5)
-
-
-def local_jump_solve(
-    traces: TraceState, patches: Sequence[FracturePatch], wave: WaveState
-) -> JumpState:
-    """Born-type local closure: scattered traces are zeroed cell by cell.
-
-        [[u]]  = K^-1 (t + alpha_f_tilde p n)
-        [[p]]  = (i omega Pi / kappa_f) q     (0 for high permeability)
-        -[[q]] = (Pi alpha_f / (k_n beta_f)) (p + beta_f t.n)
-    """
-    a = _transfer(patches, traces.as_vector()[:, None], wave.omega)
-    return JumpState.from_vector(a[:, 0])
-
-
-def interacting_jump_solve(
-    traces: TraceState,
-    patches: Sequence[FracturePatch],
-    wave: WaveState,
-    params: MaterialParams,
-    cutoff: float | None = 50.0,
-) -> JumpState:
-    """Coupled closure with inter-patch scattered traces retained.
-
-    Each cell's contact conditions see the traces radiated by the cells
-    of every *other* patch (patch-exclusion collocation).  Reduces to the
-    local closure for a single patch, or when all patch pairs are farther
-    apart than cutoff / min(Im k) (set cutoff=None to force the solve).
-    """
-    coupling = (wave, params, cutoff)
-    a = _transfer(patches, traces.as_vector()[:, None], wave.omega, coupling)
-    return JumpState.from_vector(a[:, 0])
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -400,14 +287,6 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # radiation (operator conj(S)* with cell-area quadrature)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RadiatedField:
-    """Scattered (u, p) values per observation point with proximity flags."""
-
-    values: np.ndarray         # (npts, 4) complex
-    near_singular: np.ndarray  # (npts,) bool
-
-
 def _radiation_block(patches, points, kernel: np.ndarray):
     """(C*N, 5*nc) operator R: cell jump densities to the data of some
     channels at the N points, with the points' near-singular flags.
@@ -437,30 +316,6 @@ def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
     return _radiation_block(
         scene.patches, scene.grid.points, _trace_operator(scene, wave, params)
     )[0]
-
-
-def radiate(
-    jumps: JumpState,
-    patches: Sequence[FracturePatch],
-    points,
-    wave: WaveState,
-    params: MaterialParams,
-) -> RadiatedField:
-    """Scattered field at observation points from per-cell jump densities.
-
-    Midpoint quadrature: field = sum_cells area * kernel(cell, point) @ a.
-    Points closer to a patch than half the local cell diagonal are
-    flagged near-singular in the returned metadata.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    kernel = _kernel_block(_collect_cells(patches), points, [0, 1, 2, 3], wave, params)
-    R, near = _radiation_block(patches, points, kernel)
-    a = jumps.as_vector()
-    if a.size != R.shape[1]:
-        raise CompatibilityError(
-            f"jump state has {a.size // 5} cells, patches have {R.shape[1] // 5}"
-        )
-    return RadiatedField(values=(R @ a).reshape(-1, 4), near_singular=near)
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +349,6 @@ class ScatteringMatrix:
     def size(self) -> int:
         return self.data.shape[0]
 
-    def index_of(self, point: int, channel: str) -> int:
-        if not 0 <= point < self.n_points:
-            raise DomainError(f"point index {point} out of range")
-        try:
-            c = self.channels.index(channel)
-        except ValueError:
-            raise DomainError(f"channel {channel!r} not in {self.channels}") from None
-        return point * len(self.channels) + c
-
-    def point_channel(self, index: int) -> tuple[int, str]:
-        if not 0 <= index < self.size:
-            raise DomainError(f"matrix index {index} out of range")
-        c = len(self.channels)
-        return index // c, self.channels[index % c]
-
 
 def _require_active_channels(scene: Scene) -> None:
     cidx = channel_indices(scene.channels)
@@ -530,7 +370,7 @@ def assemble_lambda(
 
     Column block j holds the scattered (u, p) data at every grid point
     for a unit excitation of channel j; the operator is the composition
-    radiate . jump_solve . incident_traces.
+    R T S of radiation, interface transfer and incident traces.
     """
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
@@ -669,39 +509,20 @@ class AdmissibilityReport:
     admissible: bool
     worst_imag: float
     tolerance: float
-    trials: int
-    seed: int
 
 
-def check_admissibility(
-    contact: ContactParams,
-    wave: WaveState,
-    trials: int = 10000,
-    seed: int = 0,
-) -> AdmissibilityReport:
-    """Sampled well-posedness check of the interface operator.
+def check_admissibility(contact: ContactParams, wave: WaveState) -> AdmissibilityReport:
+    """Exact well-posedness check of the interface operator.
 
-    Draws random unit 5-vectors phi and evaluates Im <P phi, phi> with
-    the duality pairing aligned componentwise with the jump basis; the
-    contact law is admissible when the supremum is <= 0 (within 1e-12 of
-    the matrix scale).
+    With the duality pairing aligned componentwise with the jump basis,
+    the supremum of Im <P phi, phi> over unit 5-vectors phi is the largest
+    eigenvalue of the Hermitian part (P - P^H) / 2i.  The contact law is
+    admissible when it is <= 0 (within 1e-12 of the matrix scale).
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     P = interface_response_matrix(contact, wave.omega)
-    rng = np.random.default_rng(seed)
-    phi = rng.normal(size=(trials, 5)) + 1j * rng.normal(size=(trials, 5))
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    vals = np.imag(np.einsum("ts,ts->t", phi @ P.T, phi.conj()))
-    worst = float(vals.max())
+    worst = float(np.linalg.eigvalsh((P - P.conj().T) / 2j)[-1])
     tol = 1e-12 * max(1.0, float(np.linalg.norm(P)))
-    return AdmissibilityReport(
-        admissible=worst <= tol,
-        worst_imag=worst,
-        tolerance=tol,
-        trials=trials,
-        seed=seed,
-    )
+    return AdmissibilityReport(admissible=worst <= tol, worst_imag=worst, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

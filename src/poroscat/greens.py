@@ -53,7 +53,6 @@ from .material import MaterialParams, WaveState
 __all__ = [
     "GreenTensor",
     "TraceKernel",
-    "helmholtz_kernel",
     "green_tensor",
     "biot_residual",
     "trace_kernel",
@@ -93,28 +92,6 @@ def _radial_stack(k: complex, r: np.ndarray, nmax: int) -> np.ndarray:
             + 24.0 * inv**4
         )
     return out
-
-
-def helmholtz_kernel(k: complex, r, order: int = 0):
-    """order-th radial derivative of the scalar kernel exp(ikr)/(4 pi r).
-
-    Parameters
-    ----------
-    k : complex
-        Wavenumber (Im(k) >= 0 for a decaying kernel).
-    r : float or array
-        Source-receiver distance, strictly positive.
-    order : int
-        Derivative order, 0..4.
-    """
-    if not 0 <= order <= 4:
-        raise DomainError(f"derivative order must be in 0..4, got {order!r}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise SingularityError("helmholtz kernel evaluated at r <= 0")
-    stack = _radial_stack(complex(k), r_arr, order)
-    out = stack[..., order]
-    return out if out.shape else complex(out)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,7 @@ map is one solution operator V diag(1/(d + alpha)) W, built once.  A map
 evaluates its sampling points in blocks, one block after another, and
 each block as arrays over its distinct trial columns: one pattern kernel
 evaluation, one root solve, one filtered product, then one argmin over
-all (point, candidate) columns.  The per-point indicators are the same
-evaluator on a one-point block.
+all (point, candidate) columns.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ _BLOCK = 64  # sampling points per trial_pattern_block call in indicator_map
 __all__ = [
     "TrialPattern",
     "IndicatorMap",
-    "PointIndicator",
     "MorozovResult",
     "MorozovCounts",
     "MapTimings",
@@ -77,8 +75,6 @@ __all__ = [
     "tikhonov_solve",
     "morozov_eta",
     "glsm_solve",
-    "lsm_indicator_at",
-    "glsm_indicator_at",
     "indicator_map",
     "save_indicator_map",
     "load_indicator_map",
@@ -491,17 +487,8 @@ class GlsmPencil:
 
 
 # ---------------------------------------------------------------------------
-# block evaluator and per-point indicators
+# block evaluator
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PointIndicator:
-    value: float
-    g_norm: float
-    normal_index: int
-    iota: int
-    degenerate: bool = False
-
-
 def _off_sensors(points: np.ndarray, grid_points: np.ndarray) -> np.ndarray:
     """Mask of the points that coincide with no sensing point; the trial
     kernels are singular at r = 0, as in greens._geometry."""
@@ -607,86 +594,6 @@ def _eval_block(
     vals[p] = 1.0 / norms[win] if pencil is None else pencil.indicator(G[:, win])
     timings = MapTimings(t1 - t0, t2 - t1, time.perf_counter() - t2)
     return _Block(vals, g_norms, argmin, sides, timings)
-
-
-def _candidate_list(candidates) -> list[tuple[np.ndarray, int]]:
-    out = []
-    for normal, iota in candidates:
-        out.append((np.asarray(normal, dtype=float).reshape(3), int(iota)))
-    if not out:
-        raise DomainError("candidate list is empty")
-    return out
-
-
-def _indicator_at(x0, candidates, op, *setting) -> PointIndicator:
-    """_eval_block on the one-point block x0, as a PointIndicator."""
-    cands = _candidate_list(candidates)
-    (value,), (gn,), (ci,), _, _ = _eval_block(
-        np.asarray(x0, dtype=float).reshape(1, 3), cands, op, *setting
-    )
-    found = bool(np.isfinite(value))
-    return PointIndicator(
-        value=float(value), g_norm=float(gn),
-        normal_index=int(ci) % _normals_count(cands) if found else -1,
-        iota=cands[ci][1] if found else -1, degenerate=not found,
-    )
-
-
-def lsm_indicator_at(
-    x0,
-    candidates,
-    matrix,
-    delta: float,
-    grid_points,
-    wave: WaveState,
-    params: MaterialParams,
-    channels: Sequence[str],
-    bracket=None,
-) -> PointIndicator:
-    """Sampling indicator 1/||g|| at one point, minimized over candidates.
-
-    For each trial (n, iota): eta from the discrepancy principle, g from
-    the Tikhonov solve; the candidate of minimal ||g|| wins (ties go to
-    the first in order).
-    """
-    return _indicator_at(
-        x0, candidates, _operator(matrix), delta, grid_points, wave, params, channels,
-        bracket,
-    )
-
-
-def _normals_count(cands) -> int:
-    # candidates are enumerated iota-major with the same normal fan per iota
-    iotas = {i for _, i in cands}
-    return max(1, len(cands) // max(1, len(iotas)))
-
-
-def glsm_indicator_at(
-    x0,
-    candidates,
-    matrix,
-    sharp,
-    delta: float,
-    grid_points,
-    wave: WaveState,
-    params: MaterialParams,
-    channels: Sequence[str],
-    bracket=None,
-    fixed_alpha: float | None = None,
-) -> PointIndicator:
-    """Penalized indicator at one point, argmin over candidates by ||g||.
-
-    The indicator of the winning solution is
-    1/sqrt(g^H L# g + delta ||g||^2).
-    """
-    op = _operator(matrix)
-    if op.norm2 > 0.0:
-        _bracket(op, delta, bracket)  # an operator out of range would fail the pencil
-    pencil = GlsmPencil(op.matrix, sharp, delta)
-    return _indicator_at(
-        x0, candidates, op, delta, grid_points, wave, params, channels, bracket,
-        pencil, None if fixed_alpha is None else pencil.operator(fixed_alpha),
-    )
 
 
 # ---------------------------------------------------------------------------

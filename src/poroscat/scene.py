@@ -101,23 +101,6 @@ class ContactParams:
             "model": self.model,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ContactParams":
-        def _cplx(v):
-            if isinstance(v, (list, tuple)):
-                return complex(v[0], v[1])
-            return complex(v)
-
-        return cls(
-            k_t=_cplx(d["k_t"]),
-            k_n=_cplx(d["k_n"]),
-            kappa_f=float(d.get("kappa_f", 1.0)),
-            alpha_f=float(d.get("alpha_f", 0.85)),
-            beta_f=float(d.get("beta_f", 0.3)),
-            Pi=float(d.get("Pi", 1.0)),
-            model=d.get("model", FINITE_PERMEABILITY),
-        )
-
 
 @dataclass(frozen=True)
 class FracturePatch:
@@ -192,26 +175,6 @@ class FracturePatch:
             + v[..., None] * self.e2[None, :]
         )
         return np.linalg.norm(np.asarray(points, float) - closest, axis=-1)
-
-    def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "e1": list(self.e1),
-            "e2": list(self.e2),
-            "half_lengths": list(self.half_lengths),
-            "subdivisions": list(self.subdivisions),
-            "contact": self.contact.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FracturePatch":
-        return build_fracture_patch(
-            center=d["center"],
-            frame=(d["e1"], d["e2"]),
-            half_lengths=d["half_lengths"],
-            subdivisions=d["subdivisions"],
-            contact=ContactParams.from_dict(d["contact"]),
-        )
 
 
 def build_fracture_patch(
@@ -302,13 +265,6 @@ class SensingGrid:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def to_dict(self) -> dict:
-        return {"points": [list(p) for p in self.points]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensingGrid":
-        return cls(points=np.asarray(d["points"], dtype=float))
 
 
 def build_sensing_grid(
@@ -415,25 +371,6 @@ class SamplingGrid:
             for k in range(self.normals.shape[0])
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "region": list(self.region),
-            "resolution": list(self.resolution),
-            "n_dir": int(self.normals.shape[0]),
-            "iotas": list(self.iotas),
-            "plane_z": self.plane_z,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplingGrid":
-        return build_sampling_grid(
-            region=tuple(d["region"]),
-            resolution=tuple(d["resolution"]),
-            n_dir=int(d["n_dir"]),
-            iotas=tuple(d["iotas"]),
-            plane_z=float(d.get("plane_z", 0.0)),
-        )
-
 
 def build_sampling_grid(
     region, resolution, n_dir: int, iotas, plane_z: float = 0.0
@@ -520,21 +457,4 @@ class Scene:
             return np.full(pts.shape[:-1], np.inf)
         return np.min(
             np.stack([p.distance_to(pts) for p in self.patches], axis=0), axis=0
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "patches": [p.to_dict() for p in self.patches],
-            "sampling": self.sampling.to_dict(),
-            "channels": list(self.channels),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scene":
-        return cls(
-            grid=SensingGrid.from_dict(d["grid"]),
-            patches=tuple(FracturePatch.from_dict(p) for p in d["patches"]),
-            sampling=SamplingGrid.from_dict(d["sampling"]),
-            channels=tuple(d.get("channels", CHANNELS_IN_PLANE)),
         )

@@ -1,17 +1,36 @@
+import importlib
+import importlib.util
 import json
 import math
+import pkgutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poroscat
 from poroscat import cli
 from poroscat import forward as fw
 from poroscat import greens
 from poroscat import inversion as inv
 from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.presets import desk_scale_scenario
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench(name: str):
+    """A module of the benchmark harness, loaded once from its file."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
 
 
 def _tiny_doc() -> dict:
@@ -130,6 +149,29 @@ class TestRunForward:
         assert resolved["forward"]["mode"] == "local"
         assert resolved["scene"]["channels"] == ["fx", "fy", "fluid"]
 
+    @pytest.mark.parametrize("workload", ["desk-image", "network-forward", "fine-grid-fixed"])
+    def test_resolved_echo_reproduces_matrices(self, tmp_path, workload):
+        # the echo is a scenario: forward on it writes the same files
+        doc = _perfbench("workloads").scenario_doc(workload, 1, smoke=True)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        assert cli.main(["forward", "--scenario", str(tmp_path / "s.json"),
+                         "--out", str(tmp_path / "a")]) == 0
+        echo = tmp_path / "a" / "resolved_scenario.json"
+        assert cli.main(["forward", "--scenario", str(echo), "--out", str(tmp_path / "b")]) == 0
+        for name in ("lambda.csv", "lambda_noisy.csv", "resolved_scenario.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_echo_records_overrides(self, tmp_path, scenario_path):
+        argv = ["forward", "--scenario", str(scenario_path), "--out", str(tmp_path / "a")]
+        assert cli.main(argv + ["--seed", "7", "--mode", "interacting"]) == 0
+        echo = tmp_path / "a" / "resolved_scenario.json"
+        resolved = json.loads(echo.read_text())
+        assert resolved["noise"]["seed"] == 7
+        assert resolved["forward"]["mode"] == "interacting"
+        assert cli.main(["forward", "--scenario", str(echo), "--out", str(tmp_path / "b")]) == 0
+        for name in ("lambda.csv", "lambda_noisy.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestRunInvert:
     def test_maps_written_with_pgm_dimensions(self, tmp_path, scenario_path):
@@ -195,6 +237,7 @@ class TestRunCheck:
         assert by_name["lambda_sharp_psd"]["status"] == "pass"
         assert by_name["morozov_closed_form"]["status"] == "pass"
         assert by_name["contact_admissibility"]["status"] == "pass"
+        assert by_name["operator_reciprocity"]["status"] == "pass"
         report = json.loads((tmp_path / "out/check_report.json").read_text())
         assert len(report) == len(results)
 
@@ -217,6 +260,7 @@ class TestRunCheck:
         results = cli.run_check(sc)
         by_name = {r["name"]: r for r in results}
         assert by_name["factorization_consistency"]["status"] == "pass"
+        assert by_name["operator_reciprocity"]["status"] == "pass"
         assert by_name["adjoint_identity"]["status"] == "skip"
 
 
@@ -422,25 +466,36 @@ def _doc_paths(node, where=()):
             yield from _doc_paths(child, where + (key,))
 
 
-_TINY_PATHS = list(_doc_paths(json.loads(json.dumps(_tiny_doc()))))
+# mutations are drawn from an input document and from its resolved echo
+_SCENARIO_DOCS = {
+    "input": _tiny_doc(),
+    "echo": json.loads(json.dumps(cli.parse_scenario(_tiny_doc()).resolved)),
+}
 # wrong types, empty containers, and numbers at and beyond double range;
 # integers stay small, so no mutation asks for a huge grid
 _SCENARIO_VALUES = [
     "x", None, True, [], {}, [0.0], [[0.0]], 0, -1, 2, 0.5,
     1e300, 1e-300, -1e300, 1e150, 10**400, math.nan, math.inf,
 ]
-_SCENARIO_MUTATIONS = st.tuples(
-    st.sampled_from(_TINY_PATHS),
-    st.sampled_from(["set", "delete", "add"]),
-    st.sampled_from(_SCENARIO_VALUES),
-)
+_SCENARIO_MUTATIONS = st.one_of(*(
+    st.tuples(
+        st.just(name),
+        st.tuples(
+            st.sampled_from(list(_doc_paths(doc))),
+            st.sampled_from(["set", "delete", "add"]),
+            st.sampled_from(_SCENARIO_VALUES),
+        ),
+    )
+    for name, doc in _SCENARIO_DOCS.items()
+))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(mutation=_SCENARIO_MUTATIONS)
-def test_mutated_scenario_gives_exit_code(tiny_scenario_doc, tmp_path_factory, mutation):
+def test_mutated_scenario_gives_exit_code(tmp_path_factory, mutation):
+    name, change = mutation
     out = tmp_path_factory.mktemp("scenario")
-    (out / "s.json").write_text(json.dumps(_mutated_doc(tiny_scenario_doc, mutation)))
+    (out / "s.json").write_text(json.dumps(_mutated_doc(_SCENARIO_DOCS[name], change)))
     rc = cli.main(["forward", "--scenario", str(out / "s.json"), "--out", str(out)])
     assert rc in (0, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO)
 
@@ -559,3 +614,24 @@ def test_replayed_call_shapes(tiny_scenario_doc):
     greens.dislocation_trace_kernel(
         src.cells()[0][0], src.normal, trc.cells()[0][1], trc.normal, wave, params
     )
+
+
+def test_public_names_exist():
+    for info in pkgutil.iter_modules(poroscat.__path__):
+        module = importlib.import_module(f"poroscat.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"poroscat.{info.name}.__all__ names missing {missing}"
+
+
+def test_tracer_wraps_and_restores():
+    """The traced benchmark run wraps module attributes of the CLI path; each
+    must exist, and uninstalling must put the originals back."""
+    tracer = _perfbench("tracing").Tracer()
+    try:
+        tracer.install()  # an attribute that is gone raises AttributeError here
+        wrapped = list(tracer._patches)
+        assert wrapped
+        assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)

@@ -380,48 +380,47 @@ class TestIndicatorScaling:
         assert np.linalg.norm(g2) == pytest.approx(3.0 * np.linalg.norm(g1), rel=1e-9)
 
 
+def indicator_at(x0, cands, L, delta, scene, wave, params, sharp=None):
+    """(value, winning candidate index) at one sampling point: the map's block
+    evaluator on a one-point block, penalized when the L# operator sharp is given."""
+    pencil = None if sharp is None else inv.GlsmPencil(L, sharp, delta)
+    (value,), _, (best,), _, _ = inv._eval_block(
+        np.reshape(x0, (1, 3)), cands, inv.SvdOperator(L), delta, scene.grid.points,
+        wave, params, scene.channels, pencil=pencil,
+    )
+    return float(value), int(best)
+
+
 class TestIndicatorAt:
     def test_single_candidate(self, scene, lam, wave, params):
         x0 = scene.sampling.points()[7]
         cands = [(scene.sampling.normals[0], 1)]
-        out = inv.lsm_indicator_at(
-            x0, cands, lam.data, 0.01, scene.grid.points, wave, params, scene.channels
-        )
+        value, _ = indicator_at(x0, cands, lam.data, 0.01, scene, wave, params)
         phi = inv.trial_pattern(
             x0, cands[0][0], 1, scene.grid.points, wave, params, scene.channels
         ).vector
         eta = inv.morozov_eta(lam.data, phi, 0.01).eta
         g = inv.tikhonov_solve(lam.data, phi, eta)
-        assert out.value == pytest.approx(1.0 / np.linalg.norm(g), rel=1e-12)
+        assert value == pytest.approx(1.0 / np.linalg.norm(g), rel=1e-12)
 
     def test_duplicated_candidates_identical(self, scene, lam, wave, params):
         x0 = scene.sampling.points()[11]
         cands = scene.sampling.candidates()
-        out1 = inv.lsm_indicator_at(
-            x0, cands, lam.data, 0.01, scene.grid.points, wave, params, scene.channels
-        )
-        out2 = inv.lsm_indicator_at(
-            x0, cands + cands, lam.data, 0.01, scene.grid.points, wave, params,
-            scene.channels,
-        )
-        assert out1.value == out2.value
-        assert out1.iota == out2.iota
+        value1, best1 = indicator_at(x0, cands, lam.data, 0.01, scene, wave, params)
+        value2, best2 = indicator_at(x0, cands + cands, lam.data, 0.01, scene, wave, params)
+        assert value1 == value2
+        assert best1 == best2
 
     def test_first_of_equal_monopoles_wins(self, scene, lam, wave, params):
         # every iota = 0 candidate has the same pattern, whatever its
         # normal: the tie goes to the first of them
         x0 = scene.sampling.points()[11]
-        normals = scene.sampling.normals
-        monopoles = [(n, 0) for n in normals]
-        rest = (0.01, scene.grid.points, wave, params, scene.channels)
-        sharp = inv.lambda_sharp(lam.data)
-        for at, ops in (
-            (inv.lsm_indicator_at, (lam.data,)), (inv.glsm_indicator_at, (lam.data, sharp))
-        ):
-            one = at(x0, monopoles[:1], *ops, *rest)
-            out = at(x0, monopoles, *ops, *rest)
-            assert (out.normal_index, out.iota) == (0, 0)
-            assert out.value == one.value and not out.degenerate
+        monopoles = [(n, 0) for n in scene.sampling.normals]
+        for sharp in (None, inv.lambda_sharp(lam.data)):
+            one, _ = indicator_at(x0, monopoles[:1], lam.data, 0.01, scene, wave, params, sharp)
+            value, best = indicator_at(x0, monopoles, lam.data, 0.01, scene, wave, params, sharp)
+            assert best == 0
+            assert value == one and np.isfinite(value)
 
 
 class TestIndicatorMap:
@@ -430,12 +429,9 @@ class TestIndicatorMap:
         pts = scene.sampling.points()
         cands = scene.sampling.candidates()
         for b in (0, 13, 35):
-            out = inv.lsm_indicator_at(
-                pts[b], cands, lam.data, imap.delta, scene.grid.points, wave, params,
-                scene.channels,
-            )
-            assert imap.raw[b] == pytest.approx(out.value, rel=1e-9)
-            assert imap.argmin_iota[b] == out.iota
+            value, best = indicator_at(pts[b], cands, lam.data, imap.delta, scene, wave, params)
+            assert imap.raw[b] == pytest.approx(value, rel=1e-9)
+            assert imap.argmin_iota[b] == cands[best][1]
 
     def test_glsm_map_matches_direct_solves(self, scene, lam, wave, params):
         with pytest.warns(RuntimeWarning, match="self-adjoint"):
@@ -444,11 +440,8 @@ class TestIndicatorMap:
         cands = scene.sampling.candidates()
         sharp = inv.lambda_sharp(lam.data)
         for b in (5, 22):
-            out = inv.glsm_indicator_at(
-                pts[b], cands, lam.data, sharp, imap.delta, scene.grid.points,
-                wave, params, scene.channels,
-            )
-            assert imap.raw[b] == pytest.approx(out.value, rel=1e-5)
+            value, _ = indicator_at(pts[b], cands, lam.data, imap.delta, scene, wave, params, sharp)
+            assert imap.raw[b] == pytest.approx(value, rel=1e-5)
 
     def test_lsm_map_matches_primitives(self, scene, lam, wave, params):
         imap = inv.indicator_map(scene, lam, "lsm", wave, params)

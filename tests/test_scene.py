@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poroscat import cli
 from poroscat.errors import DegenerateContactError, DomainError, GeometryError
 from poroscat.scene import (
     ContactParams,
@@ -15,6 +16,7 @@ from poroscat.scene import (
     build_sensing_grid,
     resolve_channels,
 )
+from poroscat.presets import desk_scale_scenario
 
 
 def contact():
@@ -143,8 +145,7 @@ class TestContactParams:
 
     def test_roundtrip(self):
         c = ContactParams(k_t=1 + 2j, k_n=3.0, kappa_f=0.2, alpha_f=0.7, beta_f=0.2, Pi=0.9)
-        back = ContactParams.from_dict(c.to_dict())
-        assert back == c
+        assert cli._parse_contact(c.to_dict(), "contact") == c
 
 
 class TestSamplingGrid:
@@ -191,21 +192,33 @@ class TestScene:
         return Scene(grid=grid, patches=(patch,), sampling=sampling, channels="in-plane")
 
     def test_serialization_roundtrip_bit_exact(self):
-        scene = self.make_scene()
-        doc = json.loads(json.dumps(scene.to_dict()))
-        back = Scene.from_dict(doc)
-        np.testing.assert_array_equal(back.grid.points, scene.grid.points)
-        assert back.channels == scene.channels
-        for p0, p1 in zip(scene.patches, back.patches):
-            np.testing.assert_array_equal(p0.center, p1.center)
-            np.testing.assert_array_equal(p0.e1, p1.e1)
-            np.testing.assert_array_equal(p0.e2, p1.e2)
+        # the resolved echo of a scenario is a scenario that rebuilds the
+        # same scene, and echoes itself
+        doc = desk_scale_scenario(resolution=(5, 4), n_dir=3)
+        doc["scene"]["fractures"].append({
+            "center": [0.2, 0.1, 0.3], "e1": [1.0, 1.0, 0.0], "e2": [0.0, 0.2, 1.0],
+            "half_lengths": [0.4, 0.3], "contact": {"k_t": [0.5, -0.1], "k_n": 0.7},
+        })
+        doc["scene"]["sampling"]["plane_z"] = 0.25
+        scenario = cli.parse_scenario(doc)
+        echo = json.loads(json.dumps(scenario.resolved))
+        back = cli.parse_scenario(echo)
+        assert back.resolved == echo
+        scene, again = scenario.scene, back.scene
+        np.testing.assert_array_equal(again.grid.points, scene.grid.points)
+        assert again.channels == scene.channels
+        np.testing.assert_array_equal(again.sampling.points(), scene.sampling.points())
+        np.testing.assert_array_equal(again.sampling.normals, scene.sampling.normals)
+        assert again.sampling.iotas == scene.sampling.iotas
+        assert len(again.patches) == len(scene.patches) == 3
+        for p0, p1 in zip(scene.patches, again.patches):
+            for name in ("center", "e1", "e2", "normal"):
+                np.testing.assert_array_equal(getattr(p0, name), getattr(p1, name))
             assert p0.half_lengths == p1.half_lengths
+            assert p0.subdivisions == p1.subdivisions
             assert p0.contact == p1.contact
-        c0, a0 = scene.patches[0].cells()
-        c1, a1 = back.patches[0].cells()
-        np.testing.assert_array_equal(c0, c1)
-        np.testing.assert_array_equal(a0, a1)
+            for a0, a1 in zip(p0.cells(), p1.cells()):
+                np.testing.assert_array_equal(a0, a1)
 
     def test_grid_point_on_patch_rejected(self):
         patch = build_fracture_patch(
