@@ -35,7 +35,7 @@ from .errors import (
     PoroscatError,
     ValidationError,
 )
-from .greens import biot_residual, green_tensor
+from .greens import _dislocation_trace_matrix, biot_residual, green_tensor
 from .material import (
     DimensionalMaterial,
     MaterialParams,
@@ -612,7 +612,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     )
 
     S = fw._trace_operator(scene, wave, params)
-    R = fw._radiation_operator(scene, wave, params)
+    R, _ = fw._radiation_block(scene.patches, scene.grid.points, S)
     if S.shape[0] > 0:
         cells = fw._collect_cells(scene.patches)
         w = np.repeat(cells.areas, 5)
@@ -663,6 +663,34 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
             "detail": "||L - L^T||/||L||: " + ", ".join(f"{k} {v:.3e}" for k, v in asym.items()),
         }
     )
+
+    # the coupling kernel is reciprocal, B(z_i <- y_j) = B(y_j <- z_i)^T, which
+    # lets the interacting assembly evaluate each off-patch cell pair once
+    if len(scene.patches) < 2:
+        results.append(
+            {
+                "name": "dislocation_reciprocity",
+                "status": "skip",
+                "detail": "fewer than two patches",
+            }
+        )
+    else:
+        cells = fw._collect_cells(scene.patches)
+        i, j = np.nonzero(cells.patch_index[:, None] < cells.patch_index[None, :])
+        pick = rng.choice(i.size, size=min(64, i.size), replace=False)
+        i, j = i[pick], j[pick]
+        c, n = cells.centers, cells.normals
+        B = _dislocation_trace_matrix(c[j], n[j], c[i], n[i], wave, params)
+        swapped = _dislocation_trace_matrix(c[i], n[i], c[j], n[j], wave, params)
+        dev = np.linalg.norm(B - np.swapaxes(swapped, 1, 2), axis=(1, 2))
+        swap = float(np.max(dev / np.linalg.norm(B, axis=(1, 2))))
+        results.append(
+            {
+                "name": "dislocation_reciprocity",
+                "status": "pass" if swap < 1e-10 else "fail",
+                "detail": f"max ||B(z<-y) - B(y<-z)^T||/||B|| over {i.size} pairs: {swap:.3e}",
+            }
+        )
 
     sharp = inv.lambda_sharp(lam.data)
     herm = float(np.abs(sharp - sharp.conj().T).max())

@@ -25,7 +25,9 @@ diagonal and the whole operator an exact triple product R @ T @ S.  The
 interacting closure keeps the scattered traces radiated by cells of
 *other* patches (patch-exclusion collocation: couplings internal to one
 patch, including the singular self-cell term, are excluded) and solves
-the resulting dense linear system.
+the resulting dense linear system.  Its coupling kernel is reciprocal,
+B(z <- y) = B(y <- z)^T, so each unordered pair of cells on distinct
+patches costs one kernel evaluation, which fills both of its blocks.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -233,11 +235,12 @@ def _patches_interact(patches, wave, cutoff) -> bool:
     )
 
 
-# off-patch cell pairs per dislocation-kernel call.  At 432 bytes per pair
-# the largest kernel temporary stays under numpy's 256 KiB threshold for
-# computing expressions in place on temporaries, which rounds complex
-# products differently; M then matches a cell-by-cell build to the last
-# bits, and the kernel's memory stays well below that of the LU.
+# unordered off-patch cell pairs per dislocation-kernel call.  At 432
+# bytes per pair the largest kernel temporary stays under numpy's 256 KiB
+# threshold for computing expressions in place on temporaries, which
+# rounds complex products differently; the blocks (i, j) then match a
+# cell-by-cell build to the last bits, the transposed blocks (j, i) to
+# about 1e-16, and the kernel's memory stays well below that of the LU.
 _PAIR_CHUNK = 512
 
 
@@ -247,12 +250,15 @@ def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
     Block (i, i) is D of cell i.  Block (i, j) of an off-patch pair is
     -area_j E_i B_ij, B_ij the traces at cell i of the dislocation at
     cell j; pairs on one patch, the self-cell included, are excluded.
+    The kernel is reciprocal, B_ji = B_ij^T (the reciprocal theorem of
+    the Biot system), so it is evaluated once per unordered pair, with
+    patch_index[i] < patch_index[j], and fills both blocks.
     """
     nc = cells.count
     M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
     diag = np.arange(nc)
     M[diag, :, diag, :] = D
-    rows, cols = np.nonzero(cells.patch_index[:, None] != cells.patch_index[None, :])
+    rows, cols = np.nonzero(cells.patch_index[:, None] < cells.patch_index[None, :])
     for s in range(0, rows.size, _PAIR_CHUNK):
         i, j = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
         B = _dislocation_trace_matrix(
@@ -260,6 +266,7 @@ def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
             wave, params,
         )  # (pairs, 5, 5)
         M[i, :, j, :] = -np.einsum("prk,pks->prs", E[i], B) * cells.areas[j, None, None]
+        M[j, :, i, :] = -np.einsum("prk,psk->prs", E[j], B) * cells.areas[i, None, None]
     return M.reshape(5 * nc, 5 * nc)
 
 
@@ -548,9 +555,8 @@ def serialize_matrix(matrix: ScatteringMatrix) -> str:
     buf.write(f"# epsilon = {'none' if matrix.epsilon is None else _fmt(matrix.epsilon)}\n")
     buf.write(f"# seed = {'none' if matrix.seed is None else matrix.seed}\n")
     buf.write(f"# delta = {'none' if matrix.delta is None else _fmt(matrix.delta)}\n")
-    flat = matrix.data.ravel()
-    for v in flat:
-        buf.write(f"{_fmt(v.real)},{_fmt(v.imag)}\n")
+    parts = np.asarray(matrix.data, dtype=np.complex128).ravel().view(np.float64).tolist()
+    buf.write(("%.17g,%.17g\n" * (len(parts) // 2)) % tuple(parts))
     return buf.getvalue()
 
 
@@ -569,7 +575,46 @@ def _non_negative(cast):
     return checked
 
 
-def load_matrix(path) -> ScatteringMatrix:
+# the bytes written numbers are made of: deleting them from a body in the
+# written layout leaves exactly ",\n" per entry
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _read_bulk(path):
+    """(header, entries) of a file in the layout serialize_matrix writes,
+    with the body parsed in one pass; None for a file in any other layout,
+    and for one with a non-finite entry."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    tag = f"# {_FORMAT_TAG}\n".encode("ascii")
+    if not raw.startswith(tag):
+        return None
+    start = pos = len(tag)
+    while raw.startswith(b"#", pos):
+        pos = raw.find(b"\n", pos) + 1
+        if pos == 0:
+            return None
+    body = raw[pos:]
+    seps = body.translate(None, _NUMBER_BYTES)
+    if seps != b",\n" * (len(seps) // 2):
+        return None
+    try:
+        head = raw[start:pos].decode("ascii")
+        parts = np.array(body.replace(b",", b"\n").split(), dtype=np.float64)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    if parts.size != len(seps) or not np.isfinite(parts).all():
+        return None
+    header = {}
+    for line in head.splitlines():
+        key, _, val = line[1:].partition("=")
+        header[key.strip()] = val.strip()
+    return header, parts.view(np.complex128)
+
+
+def _read_lines(path):
+    """(header, entries) of a matrix file read one line at a time; names
+    the first unparsable or non-finite entry."""
     header: dict[str, str] = {}
     values: list[complex] = []
     try:
@@ -597,6 +642,11 @@ def load_matrix(path) -> ScatteringMatrix:
                 values.append(value)
     except UnicodeDecodeError:
         raise CompatibilityError(f"{path}: not an ASCII text file") from None
+    return header, np.array(values, dtype=np.complex128)
+
+
+def load_matrix(path) -> ScatteringMatrix:
+    header, values = _read_bulk(path) or _read_lines(path)
 
     def field(key, cast=str, optional=False):
         if optional and header.get(key, "none") == "none":
@@ -613,12 +663,12 @@ def load_matrix(path) -> ScatteringMatrix:
     n_points = field("n_points", _non_negative(int))
     channels = tuple(field("channels").split(","))
     n = n_points * len(channels)
-    if len(values) != n * n:
+    if values.size != n * n:
         raise CompatibilityError(
-            f"{path}: expected {n*n} entries, found {len(values)}"
+            f"{path}: expected {n*n} entries, found {values.size}"
         )
     return ScatteringMatrix(
-        data=np.array(values, dtype=np.complex128).reshape(n, n),
+        data=values.reshape(n, n),
         channels=channels,
         n_points=n_points,
         omega=field("omega", _non_negative(float)),

@@ -784,12 +784,12 @@ def save_indicator_map(imap: IndicatorMap, path) -> None:
         fh.write(f"# iotas = {','.join(str(i) for i in g.iotas)}\n")
         fh.write(f"# plane_z = {_fmt(g.plane_z)}\n")
         pts = g.points()
-        normalized = imap.normalized
-        for i in range(pts.shape[0]):
-            fh.write(
-                f"{_fmt(pts[i,0])},{_fmt(pts[i,1])},{_fmt(imap.raw[i])},"
-                f"{_fmt(normalized[i])},{imap.argmin_normal[i]},{imap.argmin_iota[i]}\n"
-            )
+        rows = zip(
+            pts[:, 0].tolist(), pts[:, 1].tolist(), imap.raw.tolist(),
+            imap.normalized.tolist(), imap.argmin_normal.tolist(), imap.argmin_iota.tolist(),
+        )
+        fields = tuple(v for row in rows for v in row)
+        fh.write(("%.17g,%.17g,%.17g,%.17g,%d,%d\n" * pts.shape[0]) % fields)
 
 
 def load_indicator_map(path) -> IndicatorMap:

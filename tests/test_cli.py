@@ -238,6 +238,7 @@ class TestRunCheck:
         assert by_name["morozov_closed_form"]["status"] == "pass"
         assert by_name["contact_admissibility"]["status"] == "pass"
         assert by_name["operator_reciprocity"]["status"] == "pass"
+        assert by_name["dislocation_reciprocity"]["status"] == "pass"
         report = json.loads((tmp_path / "out/check_report.json").read_text())
         assert len(report) == len(results)
 
@@ -262,6 +263,7 @@ class TestRunCheck:
         assert by_name["factorization_consistency"]["status"] == "pass"
         assert by_name["operator_reciprocity"]["status"] == "pass"
         assert by_name["adjoint_identity"]["status"] == "skip"
+        assert by_name["dislocation_reciprocity"]["status"] == "skip"
 
 
 class TestMainEntry:

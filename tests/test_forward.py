@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,39 @@ class TestInteractingJumpSolve:
         ref = interaction_matrix_per_row(patches, wave, params)
         assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    def test_interacting_lambda_matches_per_row_system(
+        self, scene_name, request, wave, params
+    ):
+        # L from the per-row reference M, with the same right-hand side and R
+        scene = request.getfixturevalue(scene_name)
+        S = fw._trace_operator(scene, wave, params)
+        R, _ = fw._radiation_block(scene.patches, scene.grid.points, S)
+        cells = fw._collect_cells(scene.patches)
+        _, E = fw._contact_blocks(scene.patches, cells.patch_index, wave.omega)
+        rhs = np.einsum("cij,cjk->cik", E, S.reshape(cells.count, 5, -1)).reshape(S.shape)
+        ref = R @ np.linalg.solve(interaction_matrix_per_row(scene.patches, wave, params), rhs)
+        L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
+        assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    def test_each_unordered_pair_evaluated_once(
+        self, scene_name, request, monkeypatch, wave, params
+    ):
+        patches = request.getfixturevalue(scene_name).patches
+        cells = fw._collect_cells(patches)
+        D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
+        kernel, pairs = fw._dislocation_trace_matrix, []
+
+        def counted(y, *args):
+            pairs.append(len(y))
+            return kernel(y, *args)
+
+        monkeypatch.setattr(fw, "_dislocation_trace_matrix", counted)
+        fw._interaction_matrix(cells, D, E, wave, params)
+        sizes = np.array([p.cell_count for p in patches])
+        assert sum(pairs) == (sizes.sum() ** 2 - (sizes**2).sum()) // 2
+
     def test_nearby_patches_actually_couple(self, small_scene, wave, params):
         tr = traces([0.0, -3.0, 0.0], "fx", small_scene.patches, wave, params)
         jl = jumps(tr, small_scene.patches, wave)
@@ -567,6 +601,45 @@ class TestExchangeFormat:
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-2]) + "\n")
         with pytest.raises(CompatibilityError):
+            fw.load_matrix(path)
+
+    def test_bulk_and_per_line_reads_agree(self, rng, tmp_path):
+        parts = np.concatenate([
+            rng.normal(size=42) * 10.0 ** rng.integers(-300, 300, 42),
+            [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, 3.0, -1.0, 1e-5],
+        ])
+        data = parts.view(complex).reshape(5, 5)
+        path = tmp_path / "m.csv"
+        fw.save_matrix(fw.ScatteringMatrix(data, channels=("fx",), n_points=5, omega=2.5), path)
+        bulk = fw._read_bulk(path)
+        assert bulk is not None  # the written layout takes the one-pass parse
+        header, values = fw._read_lines(path)
+        assert bulk[0] == header
+        assert bulk[1].view(np.int64).tolist() == values.view(np.int64).tolist()
+        back = fw.load_matrix(path).data
+        assert back.view(np.int64).tolist() == data.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,abc", "unparsable matrix entry '1.0,abc'"),
+            ("1e999,0", "non-finite matrix entry '1e999,0'"),
+            ("1,2,3", "unparsable matrix entry '1,2,3'"),
+            ("1 2,3", "unparsable matrix entry '1 2,3'"),
+            ("1.0,", "unparsable matrix entry '1.0,'"),
+        ],
+    )
+    def test_bad_entry_keeps_per_line_message(self, body, message, tmp_path):
+        # lines a one-pass parse could misread as whole entries: "1,2,3"
+        # with "4" and "1 2,3" with ",4" have four numbers on two lines,
+        # "1.0," with ",4" has two
+        path = tmp_path / "m.csv"
+        fw.save_matrix(fw.ScatteringMatrix(np.ones((2, 2), complex), ("fx",), 2, 1.0), path)
+        lines = path.read_text().splitlines()
+        lines[-2:] = [body, "4" if body == "1,2,3" else ",4"]
+        path.write_text("\n".join(lines) + "\n")
+        assert fw._read_bulk(path) is None
+        with pytest.raises(CompatibilityError, match=re.escape(message)):
             fw.load_matrix(path)
 
 

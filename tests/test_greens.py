@@ -6,6 +6,7 @@ import pytest
 
 from poroscat.errors import DomainError, SingularityError
 from poroscat.greens import (  # biot_residual is also the acceptance suite's oracle
+    _dislocation_trace_matrix,
     _radial_stack,
     _trace_matrix,
     biot_residual,
@@ -171,6 +172,21 @@ class TestTraceKernel:
 
 
 class TestDislocationKernel:
+    def test_swap_identity(self, wave, params, rng):
+        # reciprocity of the Biot system: exchanging the dislocation and the
+        # trace point (with their normals) transposes the kernel
+        y, z = rng.uniform(-2.0, 2.0, (2, 400, 3))
+        keep = np.linalg.norm(y - z, axis=1) > 0.1
+        y, z = y[keep], z[keep]
+        n, nu = rng.normal(size=(2,) + y.shape)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        nu /= np.linalg.norm(nu, axis=1)[:, None]
+        B = _dislocation_trace_matrix(y, n, z, nu, wave, params)
+        swapped = _dislocation_trace_matrix(z, nu, y, n, wave, params)
+        dev = np.linalg.norm(B - np.swapaxes(swapped, 1, 2), axis=(1, 2))
+        assert y.shape[0] > 300
+        assert np.all(dev <= 1e-13 * np.linalg.norm(B, axis=(1, 2)))
+
     def test_traces_of_radiated_field(self, wave, params, rng):
         # the coupling kernel must agree with finite differences of the
         # radiated dislocation field at a separated trace point
