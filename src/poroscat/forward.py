@@ -43,7 +43,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CompatibilityError,
@@ -270,23 +269,33 @@ def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
     return M.reshape(5 * nc, 5 * nc)
 
 
+def _cond(A: np.ndarray) -> float:
+    """2-norm condition number of A; inf for a non-finite A, whose SVD
+    would fail."""
+    return float(np.linalg.cond(A)) if np.all(np.isfinite(A)) else float("inf")
+
+
 def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve of the coupled interface system (1- or 2-d rhs), residual-checked."""
+    """LU solve of the coupled interface system (1- or 2-d rhs), residual-checked.
+
+    A non-finite M or rhs, a singular M and a non-finite or large
+    residual raise ConditioningError.
+    """
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        raise ConditioningError("coupled interface system has non-finite entries")
     try:
-        lu, piv = scipy.linalg.lu_factor(M)
-        a = scipy.linalg.lu_solve((lu, piv), rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        a = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"coupled interface system is singular: {exc}",
-            condition_number=float(np.linalg.cond(M)),
+            f"coupled interface system is singular: {exc}", condition_number=_cond(M)
         ) from None
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm > 0.0:
         res = np.linalg.norm(M @ a - rhs) / rhs_norm
-        if not np.isfinite(res) or res > 1e-8:
+        if not res <= 1e-8:  # NaN included
             raise ConditioningError(
                 f"coupled interface solve residual {res:.3e}",
-                condition_number=float(np.linalg.cond(M)),
+                condition_number=_cond(M) if np.isfinite(res) else float("inf"),
             )
     return a
 

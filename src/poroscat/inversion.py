@@ -48,10 +48,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
-from .forward import ScatteringMatrix
+from .forward import ScatteringMatrix, _cond
 from .greens import _pattern_kernel
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, channel_indices
@@ -186,7 +185,7 @@ def lambda_sharp(matrix) -> np.ndarray:
             vals, vecs = np.linalg.eigh(H)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"eigendecomposition failed ({exc}); cond(L) = {np.linalg.cond(L):.3e}"
+                f"eigendecomposition failed ({exc}); cond(L) = {_cond(L):.3e}"
             ) from None
         out += (vecs * np.abs(vals)) @ vecs.conj().T
     return 0.5 * (out + out.conj().T)
@@ -197,7 +196,10 @@ def _psd_function(matrix, fn, clamp_rel: float) -> np.ndarray:
     below clamp_rel * ||matrix||_2 (small negatives from roundoff too) set
     to zero."""
     H = _as_array(matrix)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed ({exc})") from None
     scale = float(np.abs(vals).max(initial=0.0))
     vals = np.where(vals < clamp_rel * scale, 0.0, vals)
     return (vecs * fn(vals)) @ vecs.conj().T
@@ -402,7 +404,8 @@ def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
         (L^H L + alpha (L#_psd + delta I)) g = L^H rhs
 
     where L#_psd is the PSD-clamped penalty operator (the Gram matrix of
-    its Hermitian square root).  Solved by a Cholesky factorization.
+    its Hermitian square root).  Solved by a Cholesky factorization
+    A = C C^H and two triangular solves.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
@@ -412,19 +415,27 @@ def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
     Hs = clamp_psd(sharp)
     A = L.conj().T @ L + alpha * (Hs + delta * np.eye(L.shape[1]))
     b = L.conj().T @ np.asarray(rhs, dtype=np.complex128)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ConditioningError("penalized normal equations have non-finite entries")
     try:
-        cho = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve(cho, b)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"penalized normal equations not positive definite: {exc}",
-            condition_number=float(np.linalg.cond(A)),
+            condition_number=_cond(A),
         ) from None
+    return np.linalg.solve(C.conj().T, np.linalg.solve(C, b))
 
 
 def alpha_from_eta(eta: float, lam_norm: float, delta: float) -> float:
     """Penalty weight rule: alpha = eta / (||L||_2 + delta)."""
     return eta / (lam_norm + delta)
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a^H b) per column of two C-contiguous complex (n, k) arrays, as
+    one sum of products over their float views: no conjugated temporary."""
+    return np.einsum("ij,ij->j", a.view(float), b.view(float)).reshape(-1, 2).sum(axis=1)
 
 
 class GlsmPencil:
@@ -437,6 +448,10 @@ class GlsmPencil:
 
     so one O(n^3) decomposition serves every right-hand side and every
     alpha (the per-candidate discrepancy rule changes only the filter).
+    It is the Cholesky reduction of the Hermitian-definite pencil (Golub
+    & Van Loan, Matrix Computations, 8.7): with L#_psd + delta I = C C^H
+    and X = C^-1 L^H, the eigenpairs (d, Q) of X X^H = C^-1 L^H L C^-H
+    give V = C^-H Q and W = V^H L^H = Q^H X.
     """
 
     def __init__(self, matrix, sharp, delta: float):
@@ -445,17 +460,18 @@ class GlsmPencil:
         self.delta = float(delta)
         if self.delta < 0.0:
             raise DomainError("delta must be non-negative")
-        LH = L.conj().T
-        B = self.sharp + self.delta * np.eye(L.shape[1])
         try:
-            d, V = scipy.linalg.eigh(LH @ L, B)
-        except scipy.linalg.LinAlgError as exc:
+            C = np.linalg.cholesky(self.sharp + self.delta * np.eye(L.shape[1]))
+            X = np.linalg.solve(C, L.conj().T)
+            K = X @ X.conj().T
+            d, Q = np.linalg.eigh(0.5 * (K + K.conj().T))
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"penalty pencil decomposition failed: {exc}"
             ) from None
         self.d = np.maximum(d, 0.0)
-        self.V = V
-        self.W = V.conj().T @ LH
+        self.V = np.linalg.solve(C.conj().T, Q)
+        self.W = Q.conj().T @ X
 
     def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
         """g = V ((W rhs) / (d + alpha)); alpha is one weight, or one per
@@ -474,14 +490,14 @@ class GlsmPencil:
             raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
         return (self.V / (self.d + alpha)) @ self.W
 
-    def indicator(self, g: np.ndarray):
+    def indicator(self, g: np.ndarray, norm_sq: np.ndarray | None = None):
         """1/sqrt(g^H L# g + delta ||g||^2), per column of a 2-d g; NaN
-        for a vanishing energy."""
-        G = g.reshape(g.shape[0], -1)
-        energy = (
-            np.real(np.einsum("ij,ij->j", G.conj(), self.sharp @ G))
-            + self.delta * np.linalg.norm(G, axis=0) ** 2
-        )
+        for a vanishing energy.  ``norm_sq`` is ||g||^2 per column, if the
+        caller has it."""
+        G = np.ascontiguousarray(g, dtype=np.complex128).reshape(g.shape[0], -1)
+        if norm_sq is None:
+            norm_sq = _re_inner(G, G)
+        energy = _re_inner(G, self.sharp @ G) + self.delta * norm_sq
         value = 1.0 / np.sqrt(np.where(energy > 0.0, energy, np.nan))
         return value if g.ndim == 2 else float(value[0])
 
@@ -584,14 +600,15 @@ def _eval_block(
             G = pencil.solve(Phi, alpha_from_eta(etas, op.norm2, delta))
         else:
             G = fixed @ Phi
-        norms = np.linalg.norm(G, axis=0)
+        norm_sq = _re_inner(G, G)
+        norms = np.sqrt(norm_sq)
     norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
     best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
     win = spread[np.arange(live.size) * ncand + best]
     found = np.isfinite(norms[win])
     p, win = live[found], win[found]
     g_norms[p], argmin[p] = norms[win], best[found]
-    vals[p] = 1.0 / norms[win] if pencil is None else pencil.indicator(G[:, win])
+    vals[p] = 1.0 / norms[win] if pencil is None else pencil.indicator(G[:, win], norm_sq[win])
     timings = MapTimings(t1 - t0, t2 - t1, time.perf_counter() - t2)
     return _Block(vals, g_norms, argmin, sides, timings)
 

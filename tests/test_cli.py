@@ -2,7 +2,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -623,6 +625,25 @@ def test_public_names_exist():
         module = importlib.import_module(f"poroscat.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"poroscat.{info.name}.__all__ names missing {missing}"
+
+
+def test_runtime_loads_no_scipy(tmp_path, scenario_path):
+    """Importing the package and running `check` load numpy's BLAS runtime
+    only: scipy, a test extra, stays out of sys.modules."""
+    code = "\n".join([
+        "import sys",
+        "import poroscat, poroscat.cli",
+        f"rc = poroscat.cli.main(['check', '--scenario', {str(scenario_path)!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}])",
+        "print(rc, 'scipy' in sys.modules)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split()[-2:] == ["0", "False"]
 
 
 def test_tracer_wraps_and_restores():

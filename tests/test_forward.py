@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poroscat import forward as fw
-from poroscat.errors import CompatibilityError, DegenerateContactError, DomainError
+from poroscat.errors import (
+    CompatibilityError,
+    ConditioningError,
+    DegenerateContactError,
+    DomainError,
+)
 from poroscat.greens import _dislocation_trace_matrix, green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
 from poroscat.presets import default_contact
@@ -323,6 +329,29 @@ class TestInteractingJumpSolve:
         fw._interaction_matrix(cells, D, E, wave, params)
         sizes = np.array([p.cell_count for p in patches])
         assert sum(pairs) == (sizes.sum() ** 2 - (sizes**2).sum()) // 2
+
+    @pytest.fixture()
+    def system(self, small_scene, wave, params, rng):
+        cells = fw._collect_cells(small_scene.patches)
+        D, E = fw._contact_blocks(small_scene.patches, cells.patch_index, wave.omega)
+        M = fw._interaction_matrix(cells, D, E, wave, params)
+        return M, rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
+
+    @pytest.mark.parametrize("where", ["M", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_is_conditioning_error(self, system, where, bad):
+        M, rhs = system
+        (M if where == "M" else rhs)[4, 1] = bad
+        with pytest.raises(ConditioningError) as info:
+            fw._coupled_solve(M, rhs)
+        assert info.value.condition_number == math.inf
+
+    def test_singular_system_is_conditioning_error(self, system):
+        M, rhs = system
+        M[:, 7] = 0.0
+        with pytest.raises(ConditioningError, match="singular") as info:
+            fw._coupled_solve(M, rhs)
+        assert info.value.condition_number > 1e12
 
     def test_nearby_patches_actually_couple(self, small_scene, wave, params):
         tr = traces([0.0, -3.0, 0.0], "fx", small_scene.patches, wave, params)

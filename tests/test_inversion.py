@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.optimize import brentq
 
 from poroscat import forward as fw
 from poroscat import inversion as inv
-from poroscat.errors import DomainError
+from poroscat.errors import ConditioningError, DomainError, NumericalError
 from poroscat.greens import _trace_matrix, green_tensor
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scene
@@ -354,6 +355,81 @@ class TestGlsm:
         v1 = indicator(g, sharp)
         v2 = indicator(gq, Q @ sharp @ Q.conj().T)
         assert v2 == pytest.approx(v1, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_is_conditioning_error(self, rng, bad):
+        L = random_operator(rng, 6)
+        L[2, 3] = bad
+        with pytest.raises(ConditioningError) as info, np.errstate(invalid="ignore"):
+            inv.glsm_solve(L, np.eye(6, dtype=complex), np.ones(6), 0.3, 0.05)
+        assert info.value.condition_number == math.inf
+
+
+class TestGlsmPencil:
+    """The numpy Cholesky reduction against scipy's generalized eigh as oracle."""
+
+    @pytest.mark.parametrize("where", ["L", "sharp"])
+    def test_nan_input_is_numerical_error(self, rng, where):
+        L, sharp = random_operator(rng, 6), np.eye(6, dtype=complex)
+        (L if where == "L" else sharp)[2, 3] = np.nan
+        with pytest.raises(NumericalError):
+            inv.GlsmPencil(L, inv.lambda_sharp(L) if where == "L" else sharp, 0.05)
+
+    @pytest.fixture(params=["random", "desk"])
+    def case(self, request, rng, lam):
+        if request.param == "random":
+            L = random_operator(rng, 30)
+            return L, 1e-3 * np.linalg.norm(L, 2)
+        return lam.data, 1e-2 * np.linalg.norm(lam.data, 2)
+
+    def test_joint_diagonalization(self, case):
+        L, delta = case
+        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
+        n = L.shape[1]
+        B = pencil.sharp + delta * np.eye(n)
+        A = L.conj().T @ L
+        d_ref = scipy.linalg.eigh(A, B, eigvals_only=True)
+        V = pencil.V
+        scale = d_ref.max()
+        assert np.abs(V.conj().T @ B @ V - np.eye(n)).max() <= 1e-10
+        assert np.abs(V.conj().T @ A @ V - np.diag(pencil.d)).max() <= 1e-10 * scale
+        assert np.abs(pencil.d - np.maximum(d_ref, 0.0)).max() <= 1e-10 * scale
+        W = V.conj().T @ L.conj().T
+        assert np.abs(pencil.W - W).max() <= 1e-10 * np.abs(W).max()
+
+    def test_solves_as_close_to_direct_as_scipy_pencil(self, case, rng):
+        L, delta = case
+        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
+        n = L.shape[1]
+        B = pencil.sharp + delta * np.eye(n)
+        A = L.conj().T @ L
+        d_ref, V_ref = scipy.linalg.eigh(A, B)
+        Phi = rng.normal(size=(L.shape[0], 40)) + 1j * rng.normal(size=(L.shape[0], 40))
+        alphas = d_ref.max() * 10.0 ** rng.uniform(-7, -1, 40)
+        direct = np.stack(
+            [np.linalg.solve(A + a * B, L.conj().T @ Phi[:, j]) for j, a in enumerate(alphas)],
+            axis=1,
+        )
+        oracle = V_ref @ (
+            (V_ref.conj().T @ L.conj().T @ Phi) / (np.maximum(d_ref, 0.0)[:, None] + alphas)
+        )
+
+        def error(G):
+            return (np.linalg.norm(G - direct, axis=0) / np.linalg.norm(direct, axis=0)).max()
+
+        # both sit at the conditioning of A + alpha B; neither is the exact solution
+        assert error(pencil.solve(Phi, alphas)) <= 2.0 * error(oracle)
+
+    def test_indicator_takes_known_norms(self, rng):
+        L = random_operator(rng, 6)
+        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), 0.05)
+        G = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        np.testing.assert_array_equal(
+            pencil.indicator(G, inv._re_inner(G, G)), pencil.indicator(G)
+        )
+        energy = np.real(np.einsum("ij,ij->j", G.conj(), pencil.sharp @ G))
+        energy += 0.05 * np.linalg.norm(G, axis=0) ** 2
+        np.testing.assert_allclose(pencil.indicator(G), 1.0 / np.sqrt(energy), rtol=1e-13)
 
 
 class TestGlsmCoincidence:
