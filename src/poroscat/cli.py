@@ -472,6 +472,8 @@ def run_forward(
         "epsilon": noisy.epsilon,
         "achieved_delta": noisy.delta,
         "norm_lambda": float(np.linalg.norm(lam.data, 2)),
+        "coupled_residual": lam.coupled_residual,
+        "closure_gap": lam.closure_gap,
         "timings_s": {"assemble": t_assemble, "noise": t_noise},
     }
     _dump_json(meta, out / "forward_meta.json")
@@ -633,12 +635,12 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
             {"name": "adjoint_identity", "status": "skip", "detail": "no fractures"}
         )
 
-    lam = fw.assemble_lambda(scene, wave, params, mode="local")
+    lam = fw._scattering_data(scene.patches, S, R, wave.omega)[0]
     nc = S.shape[0] // 5
     if nc > 0:
         T = fw._local_transfer(scene.patches, wave.omega)
         prod = R @ np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
-        fac = np.linalg.norm(lam.data - prod) / max(np.linalg.norm(prod), 1e-300)
+        fac = np.linalg.norm(lam - prod) / max(np.linalg.norm(prod), 1e-300)
         status = "pass" if fac < 1e-12 else "fail"
     else:
         fac, status = 0.0, "pass"  # zero operators agree trivially
@@ -651,9 +653,10 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     )
 
     # L is complex symmetric under both closures (reciprocity of the Biot system)
-    inter = fw.assemble_lambda(scene, wave, params, "interacting", scenario.forward_cutoff)
+    coupling = (wave, params, scenario.forward_cutoff)
+    inter = fw._scattering_data(scene.patches, S, R, wave.omega, coupling)[0]
     asym = {}
-    for mode, L in (("local", lam.data), ("interacting", inter.data)):
+    for mode, L in (("local", lam), ("interacting", inter)):
         scale = np.linalg.norm(L)
         asym[mode] = float(np.linalg.norm(L - L.T) / scale) if scale > 0.0 else 0.0
     results.append(
@@ -692,7 +695,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
             }
         )
 
-    sharp = inv.lambda_sharp(lam.data)
+    sharp = inv.lambda_sharp(lam)
     herm = float(np.abs(sharp - sharp.conj().T).max())
     eigs = np.linalg.eigvalsh(sharp)
     scale = max(float(np.abs(eigs).max()), 1e-300)

@@ -27,7 +27,9 @@ interacting closure keeps the scattered traces radiated by cells of
 patch, including the singular self-cell term, are excluded) and solves
 the resulting dense linear system.  Its coupling kernel is reciprocal,
 B(z <- y) = B(y <- z)^T, so each unordered pair of cells on distinct
-patches costs one kernel evaluation, which fills both of its blocks.
+patches costs one kernel evaluation, which fills both of its blocks.  An
+interacting assembly reports its solve's residual and its closure gap
+||L - L_loc|| / ||L_loc|| against the local closure.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -182,8 +184,9 @@ def _contact_blocks(
     return D[patch_index], E[patch_index]
 
 
-def _transfer(patches, psi: np.ndarray, omega: float, coupling=None) -> np.ndarray:
-    """Interface transfer T: a (5*nc, k) trace block to its jump block.
+def _transfer(patches, psi: np.ndarray, omega: float, coupling=None):
+    """Interface transfer T: a (5*nc, k) trace block to its jump block, and
+    the relative residual of the coupled solve (None when none was made).
 
     coupling is None for the local closure, or (wave, params, cutoff) for
     the interacting one, which reduces to the local closure when
@@ -206,14 +209,14 @@ def _transfer(patches, psi: np.ndarray, omega: float, coupling=None) -> np.ndarr
         T = np.linalg.solve(D, E)
     except np.linalg.LinAlgError:
         raise DegenerateContactError("interface stiffness matrix K is singular") from None
-    return np.einsum("cij,cjk->cik", T, blocks).reshape(psi.shape)
+    return np.einsum("cij,cjk->cik", T, blocks).reshape(psi.shape), None
 
 
 def _local_transfer(patches, omega: float) -> np.ndarray:
     """Block-diagonal local transfer blocks, one 5x5 block per cell: the
     local closure applied to unit traces."""
     nc = sum(p.cell_count for p in patches)
-    return _transfer(patches, np.tile(np.eye(5), (nc, 1)), omega).reshape(nc, 5, 5)
+    return _transfer(patches, np.tile(np.eye(5), (nc, 1)), omega)[0].reshape(nc, 5, 5)
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -234,12 +237,10 @@ def _patches_interact(patches, wave, cutoff) -> bool:
     )
 
 
-# unordered off-patch cell pairs per dislocation-kernel call.  At 432
-# bytes per pair the largest kernel temporary stays under numpy's 256 KiB
-# threshold for computing expressions in place on temporaries, which
-# rounds complex products differently; the blocks (i, j) then match a
-# cell-by-cell build to the last bits, the transposed blocks (j, i) to
-# about 1e-16, and the kernel's memory stays well below that of the LU.
+# cell pairs per dislocation-kernel call.  A call's temporaries peak at
+# about 2.2 KB per pair (1.1 MiB per call, by tracemalloc), far below the
+# 41 MB of the 320-cell network's M, which builds as fast with 512 to 2048
+# pairs per call and slower with 256, where per-call costs show (2 vCPU)
 _PAIR_CHUNK = 512
 
 
@@ -251,21 +252,49 @@ def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
     cell j; pairs on one patch, the self-cell included, are excluded.
     The kernel is reciprocal, B_ji = B_ij^T (the reciprocal theorem of
     the Biot system), so it is evaluated once per unordered pair, with
-    patch_index[i] < patch_index[j], and fills both blocks.
+    patch_index[i] < patch_index[j], and fills both blocks.  Cells are
+    collected patch by patch, so the pairs of patches a < b form a
+    rectangle of M.  The pairs go to the kernel rectangle by rectangle,
+    row-major, in chunks of _PAIR_CHUNK; a rectangle's part of a chunk
+    takes one product with the E of each patch.
     """
-    nc = cells.count
+    nc, pi, w = cells.count, cells.patch_index, -cells.areas
     M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
     diag = np.arange(nc)
     M[diag, :, diag, :] = D
-    rows, cols = np.nonzero(cells.patch_index[:, None] < cells.patch_index[None, :])
+    # first cell and cell count of each cell's patch
+    start, size = np.searchsorted(pi, pi).tolist(), np.bincount(pi)[pi].tolist()
+    rows, cols = np.nonzero(pi[:, None] < pi[None, :])
+    order = np.lexsort((cols, rows, pi[cols], pi[rows]))
+    rows, cols = rows[order], cols[order]
     for s in range(0, rows.size, _PAIR_CHUNK):
         i, j = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
         B = _dislocation_trace_matrix(
             cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
             wave, params,
         )  # (pairs, 5, 5)
-        M[i, :, j, :] = -np.einsum("prk,pks->prs", E[i], B) * cells.areas[j, None, None]
-        M[j, :, i, :] = -np.einsum("prk,psk->prs", E[j], B) * cells.areas[i, None, None]
+        Bj, Bi = B * w[j, None, None], B * w[i, None, None]
+        edges = (np.flatnonzero(np.diff(pi[i] * nc + pi[j])) + 1).tolist()
+        i, j = i.tolist(), j.tolist()
+        for lo, hi in zip([0] + edges, edges + [len(i)]):
+            # one pair of patches a < b: every cell of a patch has its patch's E;
+            # ea[r, p, s] = -area_j (E_a B_p)[r, s], eb[p, s, r] = -area_i (E_b B_p^T)[r, s]
+            ea = (E[i[lo]] @ np.swapaxes(Bj[lo:hi], 0, 1).reshape(5, -1)).reshape(5, hi - lo, 5)
+            eb = (Bi[lo:hi].reshape(-1, 5) @ E[j[lo]].T).reshape(hi - lo, 5, 5)
+            # the run is [q0, q1) of the rectangle in row-major order: a row's
+            # tail, whole rows and a row's head, each a rectangle of M
+            a0, b0, nb = start[i[lo]], start[j[lo]], size[j[lo]]
+            q0 = (i[lo] - a0) * nb + j[lo] - b0
+            q1 = q0 + hi - lo
+            cuts = sorted({q0, min(q1, -(-q0 // nb) * nb), max(q0, q1 // nb * nb), q1})
+            for u0, u1 in zip(cuts, cuts[1:]):
+                r0, r1 = a0 + u0 // nb, a0 + (u1 - 1) // nb + 1
+                c0, c1 = b0 + u0 % nb, b0 + (u1 - 1) % nb + 1
+                pairs = (r1 - r0, c1 - c0)
+                M[r0:r1, :, c0:c1, :] = (
+                    ea[:, u0 - q0:u1 - q0].reshape(5, *pairs, 5).transpose(1, 0, 2, 3))
+                M[c0:c1, :, r0:r1, :] = (
+                    eb[u0 - q0:u1 - q0].reshape(*pairs, 5, 5).transpose(1, 3, 0, 2))
     return M.reshape(5 * nc, 5 * nc)
 
 
@@ -275,8 +304,9 @@ def _cond(A: np.ndarray) -> float:
     return float(np.linalg.cond(A)) if np.all(np.isfinite(A)) else float("inf")
 
 
-def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve of the coupled interface system (1- or 2-d rhs), residual-checked.
+def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """LU solve of the coupled interface system (1- or 2-d rhs) and its
+    relative residual ||M a - rhs|| / ||rhs||.
 
     A non-finite M or rhs, a singular M and a non-finite or large
     residual raise ConditioningError.
@@ -290,14 +320,13 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"coupled interface system is singular: {exc}", condition_number=_cond(M)
         ) from None
     rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0.0:
-        res = np.linalg.norm(M @ a - rhs) / rhs_norm
-        if not res <= 1e-8:  # NaN included
-            raise ConditioningError(
-                f"coupled interface solve residual {res:.3e}",
-                condition_number=_cond(M) if np.isfinite(res) else float("inf"),
-            )
-    return a
+    res = float(np.linalg.norm(M @ a - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0
+    if not res <= 1e-8:  # NaN included
+        raise ConditioningError(
+            f"coupled interface solve residual {res:.3e}",
+            condition_number=_cond(M) if np.isfinite(res) else float("inf"),
+        )
+    return a, res
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +368,10 @@ def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Dense data operator with point-major (point, channel) indexing."""
+    """Dense data operator with point-major (point, channel) indexing.
+
+    coupled_residual and closure_gap are an interacting assembly's (see
+    _scattering_data), not part of the file format."""
 
     data: np.ndarray
     channels: tuple[str, ...]
@@ -350,6 +382,8 @@ class ScatteringMatrix:
     epsilon: float | None = None
     seed: int | None = None
     delta: float | None = None
+    coupled_residual: float | None = None
+    closure_gap: float | None = None
 
     def __post_init__(self) -> None:
         n = self.n_points * len(self.channels)
@@ -375,6 +409,28 @@ def _require_active_channels(scene: Scene) -> None:
         )
 
 
+def _scattering_data(patches, S, R, omega: float, coupling=None):
+    """(L, coupled residual, closure gap) of L = R T S, from S and R built.
+
+    For the interacting closure (coupling as in _transfer) the residual is
+    that of the coupled solve (None when the patches do not interact) and
+    the gap is ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the same
+    S and R; both are None for the local closure.
+    """
+    jumps, residual = _transfer(patches, S, omega, coupling)
+    data = R @ jumps
+    if not np.isfinite(data).all():
+        raise NumericalError(
+            "the scattering matrix has non-finite entries: the kernels left double "
+            "range for this scene, material and frequency"
+        )
+    if coupling is None:
+        return data, None, None
+    local = R @ _transfer(patches, S, omega)[0]
+    scale = np.linalg.norm(local)
+    return data, residual, float(np.linalg.norm(data - local) / scale) if scale > 0.0 else 0.0
+
+
 def assemble_lambda(
     scene: Scene,
     wave: WaveState,
@@ -394,12 +450,7 @@ def assemble_lambda(
     S = _trace_operator(scene, wave, params)
     R, _ = _radiation_block(scene.patches, scene.grid.points, S)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
-    data = R @ _transfer(scene.patches, S, wave.omega, coupling)
-    if not np.isfinite(data).all():
-        raise NumericalError(
-            "the scattering matrix has non-finite entries: the kernels left double "
-            "range for this scene, material and frequency"
-        )
+    data, residual, gap = _scattering_data(scene.patches, S, R, wave.omega, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
         data.shape[0], data.shape[1], mode, S.shape[0] // 5,
@@ -411,6 +462,8 @@ def assemble_lambda(
         omega=wave.omega,
         kind="clean",
         mode=mode,
+        coupled_residual=residual,
+        closure_gap=gap,
     )
 
 

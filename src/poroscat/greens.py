@@ -27,9 +27,12 @@ the displacement gradient with the drained stiffness C = lam I2 (x) I2
 (1/(gamma omega^2)) * (grad p . n - rho_f omega^2 u . n).
 
 Derivatives up to fourth order are produced analytically from the radial
-helpers plus direction-cosine tensor algebra (never finite differences);
-fourth order is required by the inter-patch coupling kernel, which takes
-traces of an already differentiated dislocation field.
+helpers plus direction-cosine algebra (never finite differences).  The
+inter-patch coupling kernel takes traces of an already differentiated
+dislocation field, so it reads radial stacks up to fourth order, but it
+forms no tensor above second order: the traces need each column's
+gradient only through its trace and its contractions with the trace
+normal, which it writes out in closed form in d and the two normals.
 
 Trial patterns read the traction rows along their own normal, n.t(n).
 That is a quadratic form n_j n_k M_jk with a symmetric, normal-free M per
@@ -176,49 +179,15 @@ def _s2_radial(f, r):
     return P, Q
 
 
-def _s2(f, r, d, n, PQ=None):
-    """n_k (third Cartesian derivative)_kij of a radial scalar; symmetric in
-    ij.  ``PQ`` passes _s2_radial(f, r) when it is already formed."""
-    P, Q = _s2_radial(f, r) if PQ is None else PQ
+def _s2(P, Q, d, n):
+    """n_k (third Cartesian derivative)_kij of a radial scalar from its
+    _s2_radial (P, Q); symmetric in ij."""
     nd = np.sum(n * d, axis=-1)
     dd = d[..., :, None] * d[..., None, :]
     ndsym = n[..., :, None] * d[..., None, :] + d[..., :, None] * n[..., None, :]
     return (
         (P * nd)[..., None, None] * dd
         + Q[..., None, None] * (ndsym + nd[..., None, None] * _EYE3)
-    )
-
-
-def _nf4(f, r, d, n):
-    """n_k (fourth Cartesian derivative)_kijm of a radial scalar.
-
-    Returns shape (..., 3, 3, 3) indexed [i, j, m]; fully symmetric.
-    """
-    f1, f2, f3, f4 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
-    D4 = f4 - 6.0 * f3 / r + 15.0 * f2 / r**2 - 15.0 * f1 / r**3
-    D2 = f3 / r - 3.0 * f2 / r**2 + 3.0 * f1 / r**3
-    D0 = f2 / r**2 - f1 / r**3
-    nd = np.sum(n * d, axis=-1)
-    ddd = d[..., :, None, None] * d[..., None, :, None] * d[..., None, None, :]
-    n_dd = (
-        n[..., :, None, None] * d[..., None, :, None] * d[..., None, None, :]
-        + d[..., :, None, None] * n[..., None, :, None] * d[..., None, None, :]
-        + d[..., :, None, None] * d[..., None, :, None] * n[..., None, None, :]
-    )
-    eye_d = (
-        _EYE3[:, :, None] * d[..., None, None, :]
-        + _EYE3[:, None, :] * d[..., None, :, None]
-        + _EYE3[None, :, :] * d[..., :, None, None]
-    )
-    eye_n = (
-        _EYE3[:, :, None] * n[..., None, None, :]
-        + _EYE3[:, None, :] * n[..., None, :, None]
-        + _EYE3[None, :, :] * n[..., :, None, None]
-    )
-    return (
-        (D4 * nd)[..., None, None, None] * ddd
-        + D2[..., None, None, None] * (n_dd + nd[..., None, None, None] * eye_d)
-        + D0[..., None, None, None] * eye_n
     )
 
 
@@ -333,7 +302,7 @@ def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarr
     r, d = _geometry(y, xi)
     st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
     n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
-    return _trace_rows(st, co, _radials(st, co, r), r, d, n)[0]
+    return _trace_rows(st, co, _radials(st, co, r), r, d, n)
 
 
 class _Radials(NamedTuple):
@@ -361,16 +330,11 @@ def _radials(st: _Stacks, co: _Coeffs, r) -> _Radials:
 
 
 def _trace_rows(st: _Stacks, co: _Coeffs, rad: _Radials, r, d, n):
-    """Trace-kernel rows from radial stacks of order >= 3 already built.
-
-    Returns the (..., 5, 4) kernel together with n.(third derivative of
-    Phi) and the Hessian of Psi, which the dislocation kernel
-    differentiates once more.
-    """
+    """The (..., 5, 4) trace kernel from radial stacks of order >= 3 already built."""
     nd = np.sum(n * d, axis=-1)
     gs0, gs1, Psi1, Dv1, pf = st.gs[..., 0], rad.gs1, rad.Psi1, rad.Dv1, rad.pf
 
-    S2P = _s2(st.Phi, r, d, n, rad.PQ)
+    S2P = _s2(*rad.PQ, d, n)
     HPsi = _hess(st.Psi, r, d)
     nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
 
@@ -411,7 +375,7 @@ def _trace_rows(st: _Stacks, co: _Coeffs, rad: _Radials, r, d, n):
     out[..., 3, 3] = qf
     out[..., 4, 0:3] = ps
     out[..., 4, 3] = pf
-    return out, S2P, HPsi
+    return out
 
 
 def _pattern_kernel(y, xi, pairs, wave: WaveState, params: MaterialParams) -> np.ndarray:
@@ -506,118 +470,96 @@ def _dislocation_trace_matrix(
     radiated by unit jump components ([[u]], [[p]], -[[q]]) at y (normal n_src).
 
     The radiated field is the reciprocal evaluation of the trace kernel
-    (source placed at the observer); taking its traces costs one more
-    Cartesian derivative, hence the fourth-order radial stacks.
+    (source placed at the observer), F = K^T.  Its traces need the
+    gradient X of each column's displacement only through tr X, nu.X and
+    X.nu, and the pressure gradient only along nu; each is written out in
+    closed form in d, n and nu.  The fourth Cartesian derivative of Phi
+    enters through its n- and nu-contraction,
+
+        D4 (n.d)(nu.d) d(x)d + D2 [(nu.d)(n(x)d + d(x)n) + (n.nu) d(x)d
+        + (n.d)((nu.d) I + nu(x)d + d(x)nu)] + D0 [(n.nu) I + nu(x)n + n(x)nu],
+
+    with trace (D4 + 7 D2)(n.d) d + (D2 + 5 D0) n.
     """
-    # w = y - z so that d matches the trace-at-y / source-at-z arrangement
+    # w = y - z (d/dz = -d/dw), so d matches the trace-at-y / source-at-z arrangement
     r, d = _geometry(z, y)
     n = np.broadcast_to(np.asarray(n_src, dtype=float), d.shape)
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
-    st = _Stacks(wave, r, 4)
-    co = _coeffs(wave, params)
+    st, co = _Stacks(wave, r, 4), _coeffs(wave, params)
     rad = _radials(st, co, r)
-    # field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)]: the
-    # trace kernel read with rows and columns swapped
-    K, S2P, HPsi = _trace_rows(st, co, rad, r, d, n)
-    F = np.swapaxes(K, -1, -2)
-    nd = np.sum(n * d, axis=-1)
+    K = _trace_rows(st, co, rad, r, d, n)  # F[row, col] = K[col, row]
+    nd, vd, nv = np.sum(n * d, axis=-1), np.sum(nu * d, axis=-1), np.sum(n * nu, axis=-1)
 
-    gs1, gs2 = rad.gs1, st.gs[..., 2]
-    Psi1, Psi2, Dv1 = rad.Psi1, rad.Psi2, rad.Dv1
+    def vec(cd, cn, cv):  # cd d + cn n + cv nu, without the terms given as None
+        terms = [c[..., None] * u for c, u in ((cd, d), (cn, n), (cv, nu)) if c is not None]
+        return sum(terms[1:], terms[0])
+
+    def s2nu(P, Q):  # _s2's n-contracted third derivative, contracted with nu
+        return vec(P * nd * vd + Q * nv, Q * vd, Q * nd)
+
+    f1, f2, f3, f4 = (st.Phi[..., k] for k in range(1, 5))
+    D4 = f4 - 6.0 * f3 / r + 15.0 * f2 / r**2 - 15.0 * f1 / r**3
+    D2 = f3 / r - 3.0 * f2 / r**2 + 3.0 * f1 / r**3
+    D0 = f2 / r**2 - f1 / r**3
+    P_psi, Q_psi = _s2_radial(st.Psi, r)
+    P_phi, Q_phi = rad.PQ
+    # Hessians a d(x)d + b I of Psi, of the divergence factor Dv1 d and of gs1 d
     Dv2 = st.A1 * st.k1sq * st.g1[..., 2] + st.A2 * st.k2sq * st.g2[..., 2]
+    b_psi, b_dv, b_gs = rad.Psi1 / r, rad.Dv1 / r, rad.gs1 / r
+    a_psi, a_dv, a_gs = rad.Psi2 - b_psi, Dv2 - b_dv, st.gs[..., 2] - b_gs
     X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
     Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
-    Pf2 = co.cf1 * st.g1[..., 2] + co.cf2 * st.g2[..., 2]
-    Y = Pf1 + co.rho_f_w2 * co.cP * Psi1
+    Y = Pf1 + co.rho_f_w2 * co.cP * rad.Psi1
+    Yp = co.cf1 * st.g1[..., 2] + co.cf2 * st.g2[..., 2] + co.rho_f_w2 * co.cP * rad.Psi2
 
-    dd = d[..., :, None] * d[..., None, :]
-    S2Psi = _s2(st.Psi, r, d, n)
-    nF4 = _nf4(st.Phi, r, d, n)
+    # jump columns [[u]]_j: with T[j, i, m] = d Ts[j, i] / d w_m the gradient
+    # of the field, tr_j = T[j, i, i] = tr_d d_j + tr_n n_j and
+    # Z[j, i] = nu_m (T[j, i, m] + T[j, m, i]) = sum c_uv u_j v_i + c_I delta_ij
+    # over u, v in (d, n, nu)
+    mu, lam, alpha, g = co.mu, co.lam, co.alpha, co.gamma_w2
+    m2, mk = 2.0 * mu * co.cU, mu * co.cU * co.ks2
+    a_h = lam * co.cU * a_dv - alpha * co.cP * a_psi
+    b_h = lam * co.cU * b_dv - alpha * co.cP * b_psi
+    tr_d = nd * (m2 * (D4 + 7.0 * D2) + 2.0 * mk * a_gs)
+    tr_n = a_h + 3.0 * b_h + m2 * (D2 + 5.0 * D0) + 2.0 * mk * b_gs
+    c_dd = 2.0 * m2 * (D4 * nd * vd + D2 * nv) + mk * a_gs * nv
+    c_nd = 2.0 * (a_h + m2 * D2) * vd
+    c_dn = (2.0 * m2 * D2 + mk * a_gs) * vd
+    c_vd = (2.0 * m2 * D2 + mk * a_gs) * nd
+    c_dv = 2.0 * m2 * D2 * nd
+    c_nv = 2.0 * (b_h + m2 * D0)
+    c_vn = 2.0 * (m2 * D0 + mk * b_gs)
+    c_I = 2.0 * m2 * (D2 * nd * vd + D0 * nv) + mk * (a_gs * nd * vd + 2.0 * b_gs * nv)
 
-    def hess_pattern(f1, f2):
-        # d/dw_m of f1(r) d_i, given f2 = f1'
-        a = (f2 - f1 / r)[..., None, None]
-        return a * dd + (f1 / r)[..., None, None] * _EYE3  # [..., i, m]
-
-    # --- gradients of the field kernel with respect to w = y - z ----------
-    # dTs[..., j, i, m] = d Ts[j, i] / d w_m
-    HDv = hess_pattern(Dv1, Dv2)  # [..., i, m]
-    Hgs = hess_pattern(gs1, gs2)  # [..., j, m]
-    grad_gs1_nd = (
-        (gs2 * nd)[..., None] * d
-        + gs1[..., None] * (n - nd[..., None] * d) / r[..., None]
-    )  # [..., m]
-    term_lam = co.lam * co.cU * n[..., :, None, None] * HDv[..., None, :, :]
-    term_alpha = -co.alpha * co.cP * n[..., :, None, None] * HPsi[..., None, :, :]
-    # mu-part laid out [..., i, j, m]; nF4 and the delta_ij term are fully
-    # symmetric, only the n_i factor breaks the symmetry
-    term_mu = (
-        co.mu
-        * co.cU
-        * (
-            2.0 * nF4
-            + co.ks2
-            * (
-                _EYE3[:, :, None] * grad_gs1_nd[..., None, None, :]
-                + n[..., :, None, None] * Hgs[..., None, :, :]
-            )
-        )
-    )
-    dTs = np.swapaxes(term_mu, -3, -2) + term_lam + term_alpha  # [..., j, i, m]
-
-    dqs = (
-        co.cP * S2Psi
-        - co.rho_f_w2
-        * co.cU
-        * (S2P + co.ks2 * gs1[..., None, None] * n[..., :, None] * d[..., None, :])
-    ) / co.gamma_w2  # [..., i, m]
-    dps = co.cP * HPsi  # [..., i, m]
-
-    dtf = (
-        co.cP * co.lam * X1[..., None, None] * n[..., :, None] * d[..., None, :]
-        - 2.0 * co.mu * co.cP * S2Psi
-        - co.alpha * Pf1[..., None, None] * n[..., :, None] * d[..., None, :]
-    )  # [..., j, m]
-    Yp = Pf2 + co.rho_f_w2 * co.cP * Psi2
-    dqf = (
-        (Yp * nd)[..., None] * d
-        + Y[..., None] * (n - nd[..., None] * d) / r[..., None]
-    ) / co.gamma_w2  # [..., m]
-    dpf = Pf1[..., None] * d  # [..., m]
-
-    # assemble dF[..., m, row, col] = d F[row, col] / d w_m;
-    # F[i, j] = Ts[j, i], hence dF[m, i, j] = dTs[j, i, m]
-    dF = np.empty(r.shape + (3, 4, 5), dtype=np.complex128)
-    dF[..., :, :3, :3] = np.moveaxis(np.swapaxes(dTs, -3, -2), -1, -3)
-    dF[..., :, :3, 3] = np.moveaxis(dqs, -1, -2)
-    dF[..., :, :3, 4] = np.moveaxis(dps, -1, -2)
-    dF[..., :, 3, :3] = np.moveaxis(dtf, -1, -2)
-    dF[..., :, 3, 3] = dqf
-    dF[..., :, 3, 4] = dpf
-
-    # --- traces at z; d/dz = -d/dw ----------------------------------------
-    J = -dF[..., :, :3, :]  # J[..., m, i, col] = d u_i / d z_m
-    gp = -dF[..., :, 3, :]  # gp[..., m, col] = d p / d z_m
-
-    div_u = np.einsum("...mmc->...c", J)
-    nuJ_sym = np.einsum("...k,...kic->...ic", nu, J) + np.einsum(
-        "...k,...ikc->...ic", nu, J
-    )
-    t_rows = (
-        co.lam * nu[..., :, None] * div_u[..., None, :]
-        + co.mu * nuJ_sym
-        - co.alpha * nu[..., :, None] * F[..., None, 3, :]
-    )
-    q_row = (
-        np.einsum("...m,...mc->...c", nu, gp)
-        - co.rho_f_w2 * np.einsum("...i,...ic->...c", nu, F[..., :3, :])
-    ) / co.gamma_w2
-    p_row = F[..., 3, :]
-
+    # traces at z, with X = -T: t_i = lam nu_i tr X + mu (nu.X + X.nu)_i
+    # - alpha nu_i p and q = (nu.grad p - rho_f omega^2 nu.u) / (gamma omega^2)
     out = np.empty(r.shape + (5, 5), dtype=np.complex128)
-    out[..., 0:3, :] = t_rows
-    out[..., 3, :] = q_row
-    out[..., 4, :] = p_row
+    t = out[..., 0:3, 0:3]
+    t[...] = d[..., :, None] * vec(-mu * c_dd, -mu * c_nd, -mu * c_vd)[..., None, :]
+    t += n[..., :, None] * vec(-mu * c_dn, None, -mu * c_vn)[..., None, :]
+    t -= nu[..., :, None] * (
+        vec(mu * c_dv + lam * tr_d, mu * c_nv + lam * tr_n, None) + alpha * K[..., 0:3, 3]
+    )[..., None, :]
+    t[..., range(3), range(3)] -= mu * c_I[..., None]
+    # column [[p]]: F[:3] = qs, of w-gradient (cP S2[Psi] - rho_f omega^2 cU
+    # (S2[Phi] + ks2 gs1 n(x)d)) / (gamma omega^2), S2 as in _s2; column
+    # -[[q]]: F[:3] = ps = cP Psi1 d, of w-gradient cP Hess(Psi)
+    tr_p = (co.cP * (P_psi + 5.0 * Q_psi)
+            - co.rho_f_w2 * co.cU * (P_phi + 5.0 * Q_phi + co.ks2 * rad.gs1)) * nd / g
+    s2_psi = s2nu(P_psi, Q_psi)
+    gs1_k = co.rho_f_w2 * co.cU * co.ks2 * rad.gs1
+    z_p = 2.0 * co.cP * s2_psi - 2.0 * co.rho_f_w2 * co.cU * s2nu(P_phi, Q_phi) \
+        - vec(gs1_k * nv, gs1_k * vd, None)
+    out[..., 0:3, 3] = -(mu / g) * z_p - (lam * tr_p + alpha * K[..., 3, 3])[..., None] * nu
+    out[..., 0:3, 4] = -2.0 * mu * co.cP * vec(a_psi * vd, None, b_psi) - (
+        lam * co.cP * (a_psi + 3.0 * b_psi) + alpha * K[..., 4, 3])[..., None] * nu
+    nu_u = np.einsum("...ci,...i->...c", K[..., 0:3], nu)  # nu.F[:3] per column
+    out[..., 3, 0:3] = (2.0 * mu * co.cP * s2_psi
+                        - ((co.cP * lam * X1 - alpha * Pf1) * vd)[..., None] * n)
+    out[..., 3, 3] = -(Yp * nd * vd + Y * (nv - nd * vd) / r) / g
+    out[..., 3, 4] = -Pf1 * vd
+    out[..., 3, :] = (out[..., 3, :] - co.rho_f_w2 * nu_u) / g
+    out[..., 4, :] = K[..., 3]
     return out
 
 

@@ -19,6 +19,7 @@ from poroscat import forward as fw
 from poroscat import greens
 from poroscat import inversion as inv
 from poroscat.errors import CompatibilityError, ValidationError
+from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
 
 
@@ -244,6 +245,20 @@ class TestRunCheck:
         report = json.loads((tmp_path / "out/check_report.json").read_text())
         assert len(report) == len(results)
 
+    def test_trace_kernel_evaluated_once(self, monkeypatch, scenario_path):
+        # both closures reuse the S and R the adjoint check builds
+        sc = cli.load_scenario(scenario_path)
+        assert len(sc.scene.patches) == 2
+        block, calls = fw._kernel_block, []
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(fw, "_kernel_block", counted)
+        cli.run_check(sc)
+        assert len(calls) == 1
+
     def test_inadmissible_contact_flagged(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
         doc["scene"]["contact"]["kappa_f"] = -1e-3
@@ -411,6 +426,34 @@ class TestMainEntry:
         stages = [timings[k] for k in ("patterns", "roots", "solve")]
         assert all(t >= 0.0 for t in stages)
         assert sum(stages) <= timings["map"]
+
+    def test_closure_health_in_meta(self, tmp_path):
+        # interacting mode records the coupled solve's residual and the
+        # closure gap ||L_int - L_loc|| / ||L_loc||; local mode records null
+        doc = _perfbench("workloads").scenario_doc("network-forward", 1, smoke=True)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        sc = cli.load_scenario(tmp_path / "s.json")
+        assert sc.forward_mode == "interacting"
+        cli.run_forward(sc, tmp_path / "i")
+        cli.run_forward(sc, tmp_path / "l", mode="local")
+        wave = solve_dispersion(sc.params, sc.omega)
+        loc, inter = (
+            fw.assemble_lambda(sc.scene, wave, sc.params, mode, sc.forward_cutoff).data
+            for mode in ("local", "interacting")
+        )
+        gap = np.linalg.norm(inter - loc) / np.linalg.norm(loc)
+        S = fw._trace_operator(sc.scene, wave, sc.params)
+        cells = fw._collect_cells(sc.scene.patches)
+        D, E = fw._contact_blocks(sc.scene.patches, cells.patch_index, wave.omega)
+        M = fw._interaction_matrix(cells, D, E, wave, sc.params)
+        rhs = np.einsum("cij,cjk->cik", E, S.reshape(cells.count, 5, -1)).reshape(S.shape)
+        res = np.linalg.norm(M @ np.linalg.solve(M, rhs) - rhs) / np.linalg.norm(rhs)
+        meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
+        assert 0.0 < meta["coupled_residual"] <= 1e-8
+        assert meta["coupled_residual"] == pytest.approx(res, rel=1e-6)
+        assert gap > 0.0 and abs(meta["closure_gap"] - gap) <= 1e-12 * gap
+        meta = json.loads((tmp_path / "l/forward_meta.json").read_text())
+        assert meta["coupled_residual"] is None and meta["closure_gap"] is None
 
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)

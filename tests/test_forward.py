@@ -14,7 +14,7 @@ from poroscat.errors import (
     DegenerateContactError,
     DomainError,
 )
-from poroscat.greens import _dislocation_trace_matrix, green_tensor, trace_kernel
+from poroscat.greens import green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
 from poroscat.presets import default_contact
 from poroscat.scene import (
@@ -26,6 +26,8 @@ from poroscat.scene import (
     build_sensing_grid,
     channel_indices,
 )
+
+from oracles import dislocation_trace_oracle
 
 
 def contact(k=1.0, kappa_f=1e-3, model="finite-permeability"):
@@ -66,8 +68,14 @@ def three_patch_scene(small_scene):
     )
 
 
+@pytest.fixture(scope="module")
+def fluid_scene(small_scene):
+    return dataclasses.replace(small_scene, channels="fluid")
+
+
 def interaction_matrix_per_row(patches, wave, params):
-    """Reference: the coupled-system matrix built one collocation cell at a time."""
+    """Reference: the coupled-system matrix built one collocation cell at a
+    time, from the tensor-built oracle kernel."""
     cells = fw._collect_cells(patches)
     D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
     nc = cells.count
@@ -75,7 +83,7 @@ def interaction_matrix_per_row(patches, wave, params):
     for i in range(nc):
         M[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = D[i]
         others = np.nonzero(cells.patch_index != cells.patch_index[i])[0]
-        B = _dislocation_trace_matrix(
+        B = dislocation_trace_oracle(
             cells.centers[others], cells.normals[others],
             cells.centers[i][None, :], cells.normals[i][None, :], wave, params,
         )
@@ -93,7 +101,7 @@ def traces(y, channel, patches, wave, params):
 
 def jumps(psi, patches, wave, coupling=None):
     """(nc, 5) jump densities ([[u]], [[p]], -[[q]]) of the traces psi."""
-    return fw._transfer(patches, np.reshape(psi, (-1, 1)), wave.omega, coupling).reshape(-1, 5)
+    return fw._transfer(patches, np.reshape(psi, (-1, 1)), wave.omega, coupling)[0].reshape(-1, 5)
 
 
 def radiated(a, patches, points, wave, params):
@@ -283,12 +291,14 @@ class TestInteractingJumpSolve:
         res = np.linalg.norm(M @ a - rhs) / np.linalg.norm(rhs)
         assert res < 1e-10
 
-    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("chunk", [None, 3, 7])
     @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
     def test_one_pass_matches_per_row_reference(
         self, scene_name, chunk, request, monkeypatch, wave, params
     ):
-        if chunk is not None:  # pair chunks that split cell rows
+        # patch rectangles have rows of 8 and 6 pairs: chunks of 3 and 7
+        # pairs end partway through rows, and some span two rectangles
+        if chunk is not None:
             monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
         patches = request.getfixturevalue(scene_name).patches
         cells = fw._collect_cells(patches)
@@ -297,7 +307,7 @@ class TestInteractingJumpSolve:
         ref = interaction_matrix_per_row(patches, wave, params)
         assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene", "fluid_scene"])
     def test_interacting_lambda_matches_per_row_system(
         self, scene_name, request, wave, params
     ):
@@ -448,7 +458,7 @@ class TestAssembleLambda:
         for j, y in enumerate(pts):
             for c, src in enumerate(cidx):
                 psi = fw._trace_block(patches, y[None, :], [src], wave, params)
-                col = R @ fw._transfer(patches, psi, wave.omega, (wave, params, None))
+                col = R @ fw._transfer(patches, psi, wave.omega, (wave, params, None))[0]
                 ref = lam.data[:, j * C + c]
                 assert np.linalg.norm(col[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -16,6 +16,8 @@ from poroscat.greens import (  # biot_residual is also the acceptance suite's or
 )
 from poroscat.material import solve_dispersion
 
+from oracles import dislocation_trace_oracle
+
 
 def radial(k, r, order=0):
     """order-th radial derivative of exp(ikr)/(4 pi r), from the radial stack."""
@@ -171,7 +173,58 @@ class TestTraceKernel:
             trace_kernel(np.zeros(3), np.ones(3), [1.0, 1.0, 0.0], wave, params)
 
 
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _separated_pairs(rng, count=400, bound=2.0, gap=0.1):
+    y, z = rng.uniform(-bound, bound, (2, count, 3))
+    keep = np.linalg.norm(y - z, axis=1) > gap
+    return y[keep], z[keep]
+
+
+def _assert_matches_oracle(y, n, z, nu, wave, params):
+    B = _dislocation_trace_matrix(y, n, z, nu, wave, params)
+    ref = dislocation_trace_oracle(y, n, z, nu, wave, params)
+    dev = np.linalg.norm(B - ref, axis=(1, 2))
+    assert np.all(dev <= 1e-13 * np.linalg.norm(ref, axis=(1, 2)))
+
+
 class TestDislocationKernel:
+    @pytest.mark.parametrize("medium", ["pecos", "high-permeability", "fluid-decoupled"])
+    def test_matches_tensor_oracle(self, medium, wave, params, rng):
+        # the closed-form contractions against the full derivative tensor
+        # contracted afterwards, on random separated pairs and normals
+        if medium == "high-permeability":  # a propagating slow wave
+            params = dataclasses.replace(params, kappa=1e4 * params.kappa)
+        elif medium == "fluid-decoupled":  # no solid-fluid coupling
+            params = dataclasses.replace(params, alpha=0.0, rho_f=1e-30)
+        if medium != "pecos":
+            wave = solve_dispersion(params, wave.omega)
+        y, z = _separated_pairs(rng)
+        n, nu = _unit(rng.normal(size=(2,) + y.shape))
+        assert y.shape[0] > 300
+        _assert_matches_oracle(y, n, z, nu, wave, params)
+
+    @pytest.mark.parametrize(
+        "case", ["n || d", "n || -d", "n perp d", "nu = n", "nu = -n", "nu perp n", "nu || d"]
+    )
+    def test_matches_tensor_oracle_at_edge_geometries(self, case, wave, params, rng):
+        y, z = _separated_pairs(rng, count=40)
+        d = _unit(y - z)  # the kernel's direction, from the trace point to the source
+        perp = _unit(np.cross(d, rng.normal(size=d.shape)))
+        free = _unit(rng.normal(size=d.shape))
+        n, nu = {
+            "n || d": (d, free),
+            "n || -d": (-d, free),
+            "n perp d": (perp, free),
+            "nu = n": (free, free),
+            "nu = -n": (free, -free),
+            "nu perp n": (free, _unit(np.cross(free, rng.normal(size=d.shape)))),
+            "nu || d": (perp, d),
+        }[case]
+        _assert_matches_oracle(y, n, z, nu, wave, params)
+
     def test_swap_identity(self, wave, params, rng):
         # reciprocity of the Biot system: exchanging the dislocation and the
         # trace point (with their normals) transposes the kernel
