@@ -506,7 +506,9 @@ def run_invert(
     noisy_path = src / "lambda_noisy.csv"
     if not noisy_path.exists():
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")
+    t0 = time.perf_counter()
     noisy = fw.load_matrix(noisy_path)
+    t_load = time.perf_counter() - t0
     scene = scenario.scene
     method = method or scenario.method
     wave = solve_dispersion(scenario.params, scenario.omega)
@@ -524,8 +526,10 @@ def run_invert(
     )
     t_map = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     inv.save_indicator_map(imap, out / f"map_{method}.csv")
     write_pgm(imap, out / f"map_{method}.pgm")
+    t_write = time.perf_counter() - t0
     meta = {
         "method": method,
         "delta": imap.delta,
@@ -535,7 +539,7 @@ def run_invert(
         "morozov_roots": imap.morozov.roots,
         "morozov_unbracketed_low": imap.morozov.unbracketed_low,
         "morozov_unbracketed_high": imap.morozov.unbracketed_high,
-        "timings_s": {"map": t_map, **imap.timings._asdict()},
+        "timings_s": {"load": t_load, "map": t_map, **imap.timings._asdict(), "write": t_write},
     }
     _dump_json(meta, out / "invert_meta.json")
     return meta

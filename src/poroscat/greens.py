@@ -38,9 +38,12 @@ Trial patterns read the traction rows along their own normal, n.t(n).
 That is a quadratic form n_j n_k M_jk with a symmetric, normal-free M per
 source column, built from the same radial combinations as the trace rows
 (_radials); _pattern_kernel evaluates M once for every normal of a block,
-together with the pressure row, which no normal changes.  biot_residual
-checks the point-source tensor against the governing system by finite
-differences.
+together with the pressure row, which no normal changes.  It writes each
+(source column, entry) pair as one expression over the block, for the
+requested columns only, straight into the layout that the candidates'
+expansion reads, from one geometry pass that the caller also uses to
+find coincident points.  biot_residual checks the point-source tensor
+against the governing system by finite differences.
 """
 
 from __future__ import annotations
@@ -137,10 +140,16 @@ def _coeffs(wave: WaveState, params: MaterialParams) -> _Coeffs:
     )
 
 
+def _separation(y: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance r (zero where the points coincide) and offset w = xi - y,
+    broadcasting over pairs."""
+    w = np.asarray(xi, dtype=float) - np.asarray(y, dtype=float)
+    return np.sqrt(np.sum(w * w, axis=-1)), w
+
+
 def _geometry(y: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance r and unit direction d = (xi - y)/r, broadcasting over pairs."""
-    w = np.asarray(xi, dtype=float) - np.asarray(y, dtype=float)
-    r = np.sqrt(np.sum(w * w, axis=-1))
+    r, w = _separation(y, xi)
     if np.any(r == 0.0):
         raise SingularityError("kernel evaluation at coincident points")
     return r, w / r[..., None]
@@ -378,22 +387,28 @@ def _trace_rows(st: _Stacks, co: _Coeffs, rad: _Radials, r, d, n):
     return out
 
 
-def _pattern_kernel(y, xi, pairs, wave: WaveState, params: MaterialParams) -> np.ndarray:
-    """Normal-free trial-pattern kernel: sources at y, trial point xi.
+def _pattern_kernel(r, d, cols, pairs, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """Normal-free trial-pattern kernel of a block, in the layout of its expansion.
 
     The traction rows t(n) of the trace kernel contracted with their own
     normal, n.t(n) = n_j n_k M_jk, form a quadratic form in n with a
     symmetric, normal-free M per source column:
 
-        force column i:  M_jk = a1 d_i delta_jk + a2 d_i d_j d_k
-                                + (b/2) (d_j delta_ik + d_k delta_ij)
-        fluid column:    M_jk = c1 delta_jk + c2 d_j d_k
+        force column i:  M_jk = a2 d_j d_k d_i + a1 d_i [j = k]
+                                + (b/2) (d_j [i = k] + d_k [i = j])
+        fluid column:    M_jk = c1 [j = k] + c2 d_j d_k
 
     with a1, a2, b, c1, c2 the radial combinations of the trace rows
-    (_radials).  Returns (..., len(pairs) + 1, 4): M_jk for each (j, k)
-    in ``pairs``, then the pressure row, columns the 4 source types at y.
+    (_radials).  The pressure row, which no normal changes, is cP Psi'
+    d_i for force column i and p^f for the fluid column.
+
+    r (N, nb) and d (N, nb, 3) are the distances and directions from N
+    sources to nb trial points (_geometry).  Returns (N, len(cols), nb,
+    len(pairs) + 1): for each source column in ``cols`` (0-2 the force
+    axes, 3 the fluid injection) the entries M_jk for each (j, k) in
+    ``pairs``, then the pressure row.  Each entry is written once, as one
+    expression over the block, for the requested columns only.
     """
-    r, d = _geometry(y, xi)
     st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
     rad = _radials(st, co, r)
     P, Q = rad.PQ
@@ -404,19 +419,27 @@ def _pattern_kernel(y, xi, pairs, wave: WaveState, params: MaterialParams) -> np
     Psi1_r = rad.Psi1 / r
     c1 = co.cP * co.lam * rad.X0 - co.alpha * rad.pf - 2.0 * co.mu * co.cP * Psi1_r
     c2 = -2.0 * co.mu * co.cP * (rad.Psi2 - Psi1_r)
+    ps = co.cP * rad.Psi1
 
-    j, k = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    diag = j == k
-    dj, dk = d[..., j], d[..., k]
-    djk = dj * dk
-    out = np.empty(r.shape + (j.size + 1, 4), dtype=np.complex128)
-    out[..., :-1, :3] = (
-        (a1[..., None] * diag + a2[..., None] * djk)[..., None] * d[..., None, :]
-        + half_b[..., None, None] * (dj[..., None] * _EYE3[k] + dk[..., None] * _EYE3[j])
-    )
-    out[..., :-1, 3] = c1[..., None] * diag + c2[..., None] * djk
-    out[..., -1, :3] = co.cP * rad.Psi1[..., None] * d
-    out[..., -1, 3] = rad.pf
+    dc = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # dc[m] = d_m, (N, nb)
+    force = any(i < 3 for i in cols)
+    hb = half_b * dc if force else None  # hb[m] = (b/2) d_m
+    out = np.empty((r.shape[0], len(cols), r.shape[1], len(pairs) + 1), dtype=np.complex128)
+    for e, (j, k) in enumerate(pairs):
+        djk = dc[j] * dc[k]
+        if force:
+            a = a1 + a2 * djk if j == k else a2 * djk
+        for c, i in enumerate(cols):
+            if i == 3:
+                out[:, c, :, e] = c1 + c2 * djk if j == k else c2 * djk
+            elif i == j == k:
+                out[:, c, :, e] = a * dc[i] + 2.0 * hb[i]
+            elif i in (j, k):
+                out[:, c, :, e] = a * dc[i] + hb[j + k - i]
+            else:
+                out[:, c, :, e] = a * dc[i]
+    for c, i in enumerate(cols):
+        out[:, c, :, -1] = rad.pf if i == 3 else ps * dc[i]
     return out
 
 

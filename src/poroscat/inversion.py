@@ -7,9 +7,10 @@ displacement-jump dipole along the trial normal n; for iota = 0 it is a
 unit fluid monopole (a -[[q]] point density), which is independent of n.
 The dipole pattern n.t(n) is a quadratic form n_j n_k M_jk of a
 normal-free kernel M (greens._pattern_kernel), so a block of sampling
-points needs one kernel evaluation for all of its normals.  Candidates
-with equal patterns (every monopole, any repeated dipole normal) share
-one distinct trial column.
+points needs one kernel evaluation for all of its normals, written entry
+by entry into the layout of the one product that expands it to the
+candidates.  Candidates with equal patterns (every monopole, any
+repeated dipole normal) share one distinct trial column.
 
 Two regularized solutions of the scattering equation L g = Phi back the
 two indicators:
@@ -26,7 +27,8 @@ two indicators:
   L# = |Re L| + |Im L| (Hermitian |.| via eigendecomposition), whose
   minimizer solves (L^H L + alpha (L# + delta I)) g = L^H Phi with
   alpha = eta / (||L|| + delta).  Its indicator is
-  1/sqrt(g^H L# g + delta ||g||^2).
+  1/sqrt(g^H L# g + delta ||g||^2).  glsm_solve finds one minimizer
+  from a QR factorization of the stacked least-squares system.
 
 All right-hand sides share one SVD of L, and the penalized variant one
 joint diagonalization of its normal-equation pencil (GlsmPencil), which
@@ -51,13 +53,16 @@ import numpy as np
 
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
 from .forward import ScatteringMatrix, _cond
-from .greens import _pattern_kernel
+from .greens import _geometry, _pattern_kernel, _separation
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, channel_indices
 
 logger = logging.getLogger(__name__)
 
-_BLOCK = 64  # sampling points per trial_pattern_block call in indicator_map
+# sampling points per block in indicator_map: on the 80x80 fine-grid map
+# (40 sensing points, fixed alpha) blocks of 32, 64 and 128 points took
+# 0.55, 0.44 and 0.53 s (medians of 7, 2 vCPU)
+_BLOCK = 64
 
 __all__ = [
     "TrialPattern",
@@ -131,14 +136,24 @@ def trial_pattern_block(
     quadratic form n_j n_k M_jk of a normal-free kernel M
     (greens._pattern_kernel), and the monopole pattern is the pressure
     row, which no normal changes.  So one kernel evaluation serves the
-    block, on the (j, k) pairs the candidates' normals use (3 for an
-    in-plane fan), and one matrix product contracts it with n_j n_k
-    (twice that off the diagonal).
+    block, on the requested channels and the (j, k) pairs the candidates'
+    normals use (3 for an in-plane fan), written straight into the
+    layout of one matrix product that contracts it with n_j n_k (twice
+    that off the diagonal).  A sampling point on a sensing point raises
+    SingularityError.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
     cidx = channel_indices(channels)
-    nb, N, C = pts.shape[0], gpts.shape[0], len(cidx)
+    r, d = _geometry(gpts[:, None, :], pts[None, :, :])
+    return _patterns(r, d, candidates, cidx, wave, params)
+
+
+def _patterns(r, d, candidates, cidx, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """trial_pattern_block from the block geometry: r (N, nb) and d (N, nb, 3)
+    from the N sensing points to the nb sampling points (greens._geometry),
+    on the channel columns cidx."""
+    N, nb = r.shape
     ncand = len(candidates)
     normals = np.array([np.asarray(n, float).reshape(3) for n, _ in candidates]).reshape(-1, 3)
     bad = [iota for _, iota in candidates if iota not in (0, 1)]
@@ -152,11 +167,9 @@ def trial_pattern_block(
     coef = np.zeros((ncand, used.sum() + 1))
     coef[dip, :-1] = weight[dip][:, used]
     coef[~dip, -1] = 1.0  # unit -[[q]] monopole
-    K = _pattern_kernel(
-        gpts[None, :, :], pts[:, None, :], np.column_stack([j[used], k[used]]), wave, params
-    )[..., cidx]  # (nb, N, n_pairs + 1, C)
-    K = K.transpose(1, 3, 0, 2).reshape(N * C * nb, coef.shape[1])
-    return (K @ coef.T).reshape(N * C, nb * ncand)
+    pairs = list(zip(j[used].tolist(), k[used].tolist()))
+    K = _pattern_kernel(r, d, cidx.tolist(), pairs, wave, params)  # (N, C, nb, pairs + 1)
+    return (K.reshape(-1, coef.shape[1]) @ coef.T).reshape(N * cidx.size, nb * ncand)
 
 
 # ---------------------------------------------------------------------------
@@ -399,32 +412,38 @@ def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
 
 
 def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
-    """Minimizer of the penalized functional, from its normal equations.
+    """Minimizer of the penalized functional, without its normal equations.
 
-        (L^H L + alpha (L#_psd + delta I)) g = L^H rhs
+    The minimizer g of ||L g - rhs||^2 + alpha ||H g||^2, with H the
+    Hermitian square root of L#_psd + delta I (L#_psd the PSD-clamped
+    penalty operator), solves
 
-    where L#_psd is the PSD-clamped penalty operator (the Gram matrix of
-    its Hermitian square root).  Solved by a Cholesky factorization
-    A = C C^H and two triangular solves.
+        (L^H L + alpha (L#_psd + delta I)) g = L^H rhs.
+
+    It is found as the least-squares solution of the stacked system
+    [L; sqrt(alpha) H] g = [rhs; 0], by one QR factorization and a
+    triangular solve, so L^H L, whose condition number is the square of
+    L's, is never formed.
     """
     if not alpha > 0.0:
         raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
     if delta < 0.0:
         raise DomainError(f"delta must be non-negative, got {delta!r}")
     L = _as_array(matrix)
-    Hs = clamp_psd(sharp)
-    A = L.conj().T @ L + alpha * (Hs + delta * np.eye(L.shape[1]))
-    b = L.conj().T @ np.asarray(rhs, dtype=np.complex128)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ConditioningError("penalized normal equations have non-finite entries")
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    # one eigendecomposition gives the clamped L# and the square root of its shift
+    H = _psd_function(sharp, lambda vals: np.sqrt(vals + delta), 1e-14)
+    A = np.vstack([L, math.sqrt(alpha) * H])
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+        raise ConditioningError("penalized least-squares system has non-finite entries")
+    Q, R = np.linalg.qr(A)
     try:
-        C = np.linalg.cholesky(A)
+        return np.linalg.solve(R, Q[: L.shape[0]].conj().T @ rhs)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"penalized normal equations not positive definite: {exc}",
-            condition_number=_cond(A),
+            f"penalized least-squares system is rank deficient: {exc}",
+            condition_number=_cond(R),
         ) from None
-    return np.linalg.solve(C.conj().T, np.linalg.solve(C, b))
 
 
 def alpha_from_eta(eta: float, lam_norm: float, delta: float) -> float:
@@ -505,19 +524,14 @@ class GlsmPencil:
 # ---------------------------------------------------------------------------
 # block evaluator
 # ---------------------------------------------------------------------------
-def _off_sensors(points: np.ndarray, grid_points: np.ndarray) -> np.ndarray:
-    """Mask of the points that coincide with no sensing point; the trial
-    kernels are singular at r = 0, as in greens._geometry."""
-    w = grid_points[None, :, :] - points[:, None, :]
-    return np.all(np.sum(w * w, axis=-1) > 0.0, axis=1)
-
-
 class MapTimings(NamedTuple):
-    """Seconds a map spent in each stage, summed over its blocks."""
+    """Seconds a map spent in each stage, summed over its blocks; setup is
+    the SVD, L#, the pencil and the fixed-alpha operator before them."""
 
     patterns: float = 0.0
     roots: float = 0.0
     solve: float = 0.0
+    setup: float = 0.0
 
 
 def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
@@ -578,14 +592,18 @@ def _eval_block(
     g_norms = np.zeros(nb)
     argmin = np.full(nb, -1, dtype=int)
     sides = np.zeros(0, dtype=int)
-    live = np.flatnonzero(_off_sensors(pts, gpts))
+    # one geometry pass: the trial kernels are singular at r = 0, so the
+    # points that coincide with a sensing point are left out
+    r, w = _separation(gpts[:, None, :], pts[None, :, :])
+    live = np.flatnonzero(np.all(r > 0.0, axis=0))
     if live.size == 0 or op.norm2 == 0.0:
         return _Block(vals, g_norms, argmin, sides, MapTimings())
     cols, inverse = _distinct(cands)
     # the distinct column of each (point, candidate) column
     spread = (np.arange(live.size)[:, None] * len(cols) + inverse).ravel()
     t0 = time.perf_counter()
-    Phi = trial_pattern_block(pts[live], cols, gpts, wave, params, channels)
+    r = r[:, live]
+    Phi = _patterns(r, w[:, live] / r[..., None], cols, channel_indices(channels), wave, params)
     t1 = time.perf_counter()
     if fixed is None:
         beta_sq, floors = _projection(op, Phi)
@@ -700,6 +718,7 @@ def indicator_map(
             f"matrix ({matrix.n_points} points, channels {matrix.channels}) does not "
             f"match the scene ({scene.grid.count} points, channels {scene.channels})"
         )
+    t_setup = time.perf_counter()
     op = _operator(matrix)
     delta = _derive_delta(matrix, delta, op)
     if op.norm2 > 0.0:
@@ -721,11 +740,12 @@ def indicator_map(
                 stacklevel=2,
             )
         pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
+    setup = time.perf_counter() - t_setup
     if pencil is not None and alpha_policy == "fixed":
         if fixed_alpha is None:
             # the sampling point nearest the grid center that is not a sensing point
             order = np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable")
-            k = next((k for k in order if _off_sensors(pts[k:k + 1], gpts)[0]), None)
+            k = next((k for k in order if np.all(_separation(gpts, pts[k])[0] > 0.0)), None)
             if op.norm2 == 0.0 or k is None:
                 raise NumericalError("could not derive a fixed alpha near the grid center")
             cols, inverse = _distinct(cands)
@@ -738,7 +758,9 @@ def indicator_map(
             timings = MapTimings(t1 - t0, time.perf_counter() - t1)
             fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
             logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
+        t_setup = time.perf_counter()
         fixed = pencil.operator(fixed_alpha)
+        setup += time.perf_counter() - t_setup
 
     blocks = [
         _eval_block(
@@ -750,7 +772,9 @@ def indicator_map(
     raw = np.concatenate([b.vals for b in blocks])
     argmin = np.concatenate([b.argmin for b in blocks])
     sides = np.concatenate([sides] + [b.sides for b in blocks])
-    timings = MapTimings(*map(sum, zip(timings, *(b.timings for b in blocks))))
+    timings = MapTimings(*map(sum, zip(timings, *(b.timings for b in blocks))))._replace(
+        setup=setup
+    )
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0
     arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)

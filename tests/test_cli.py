@@ -423,9 +423,10 @@ class TestMainEntry:
         out = tmp_path / "o"
         assert cli.main(["map", "--scenario", str(path), "--out", str(out), "--method", method]) == 0
         timings = json.loads((out / "invert_meta.json").read_text())["timings_s"]
-        stages = [timings[k] for k in ("patterns", "roots", "solve")]
-        assert all(t >= 0.0 for t in stages)
-        assert sum(stages) <= timings["map"]
+        keys = ("load", "map", "patterns", "roots", "solve", "setup", "write")
+        assert sorted(timings) == sorted(keys)
+        assert all(timings[k] >= 0.0 for k in keys)
+        assert sum(timings[k] for k in ("patterns", "roots", "solve", "setup")) <= timings["map"]
 
     def test_closure_health_in_meta(self, tmp_path):
         # interacting mode records the coupled solve's residual and the

@@ -109,26 +109,37 @@ class TestTrialPattern:
         np.testing.assert_allclose(tp.vector, cols, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "fan", ["in-plane", "oblique", "monopole-only", "oblique-full", "fluid", "repeated"]
+        "fan",
+        [
+            "in-plane", "oblique", "monopole-only", "oblique-full", "fluid", "repeated",
+            "off-plane", "reordered",
+        ],
     )
     def test_normal_basis_matches_per_normal_kernel(self, scene, wave, params, fan):
         cands = scene.sampling.candidates()
         channels = scene.channels
-        if fan in ("oblique", "oblique-full"):
+        pts = scene.sampling.points()[:7]
+        if fan in ("oblique", "oblique-full", "off-plane", "reordered"):
             n = np.array([0.3, -0.5, 0.8])
             cands = [(n / np.linalg.norm(n), 1), (np.array([0.0, 0.0, 1.0]), 1)] + cands
-        if fan == "oblique-full":
+        if fan in ("oblique-full", "off-plane", "reordered"):
             # every (j, k) pair of the quadratic form, on all four channels
             m = np.array([-0.2, 0.7, 0.4])
             cands = [(m / np.linalg.norm(m), 1), (m / np.linalg.norm(m), 0)] + cands
             channels = resolve_channels("full")
+        if fan == "off-plane":
+            # the wells lie in z = 0: a sampling plane above them gives d_z != 0
+            g = scene.sampling
+            pts = build_sampling_grid(g.region, g.resolution, 4, (0, 1), plane_z=0.37).points()
+            pts = pts[::5]
+        elif fan == "reordered":
+            channels = ("fluid", "fz", "fx")
         elif fan == "monopole-only":
             cands = [(n, iota) for n, iota in cands if iota == 0]
         elif fan == "fluid":
             channels = resolve_channels("fluid")
         elif fan == "repeated":
             cands = cands + [cands[-1], cands[0]]
-        pts = scene.sampling.points()[:7]
         args = (pts, cands, scene.grid.points, wave, params, channels)
         np.testing.assert_allclose(
             inv.trial_pattern_block(*args), per_normal_patterns(*args), rtol=1e-13
@@ -556,28 +567,28 @@ class TestIndicatorMap:
         np.testing.assert_array_equal(imap.argmin_normal, ref)
 
     def test_glsm_map_matches_primitives(self, scene, lam, wave, params):
-        # noisy data keep the Cholesky normal equations of glsm_solve
-        # positive definite at the discrepancy weights
+        # the clean operator (cond L ~ 1e16) at its discrepancy weights too
         noisy = fw.inject_noise(lam, target_delta=0.05, seed=3)
-        with pytest.warns(RuntimeWarning, match="self-adjoint"):
-            imap = inv.indicator_map(scene, noisy, "glsm", wave, params)
         pts = scene.sampling.points()
         cands = scene.sampling.candidates()
-        L, delta = noisy.data, imap.delta
-        sharp = inv.lambda_sharp(L)
-        sharp_psd = inv.clamp_psd(sharp)
-        norm_l = np.linalg.norm(L, 2)
-        for b in (8, 27):
-            sols = []
-            for n, iota in cands:
-                phi = inv.trial_pattern(
-                    pts[b], n, iota, scene.grid.points, wave, params, scene.channels
-                ).vector
-                alpha = inv.morozov_eta(L, phi, delta).eta / (norm_l + delta)
-                sols.append(inv.glsm_solve(L, sharp, phi, alpha, delta))
-            g = min(sols, key=np.linalg.norm)
-            energy = np.real(g.conj() @ sharp_psd @ g) + delta * np.linalg.norm(g) ** 2
-            assert imap.raw[b] == pytest.approx(1.0 / np.sqrt(energy), rel=1e-5)
+        for data in (noisy, lam):
+            with pytest.warns(RuntimeWarning, match="self-adjoint"):
+                imap = inv.indicator_map(scene, data, "glsm", wave, params)
+            L, delta = data.data, imap.delta
+            sharp = inv.lambda_sharp(L)
+            sharp_psd = inv.clamp_psd(sharp)
+            norm_l = np.linalg.norm(L, 2)
+            for b in (8, 27):
+                sols = []
+                for n, iota in cands:
+                    phi = inv.trial_pattern(
+                        pts[b], n, iota, scene.grid.points, wave, params, scene.channels
+                    ).vector
+                    alpha = inv.morozov_eta(L, phi, delta).eta / (norm_l + delta)
+                    sols.append(inv.glsm_solve(L, sharp, phi, alpha, delta))
+                g = min(sols, key=np.linalg.norm)
+                energy = np.real(g.conj() @ sharp_psd @ g) + delta * np.linalg.norm(g) ** 2
+                assert imap.raw[b] == pytest.approx(1.0 / np.sqrt(energy), rel=1e-5)
 
     def test_empty_scene_degenerate_map(self, wave, params):
         grid = build_sensing_grid([[[-1, -1, 0], [1, -1, 0]]], 5)
