@@ -462,6 +462,7 @@ def run_forward(
     resolved["noise"] = dict(resolved["noise"], seed=seed)
     resolved["forward"] = dict(resolved["forward"], mode=mode)
     _dump_json(resolved, out / "resolved_scenario.json")
+    norm = float(np.linalg.norm(lam.data, 2))
     meta = {
         "n_points": lam.n_points,
         "channels": list(lam.channels),
@@ -471,7 +472,9 @@ def run_forward(
         "seed": seed,
         "epsilon": noisy.epsilon,
         "achieved_delta": noisy.delta,
-        "norm_lambda": float(np.linalg.norm(lam.data, 2)),
+        "norm_lambda": norm,
+        "relative_delta": noisy.delta / norm if norm > 0.0 else None,
+        "near_singular_points": lam.near_singular_points,
         "coupled_residual": lam.coupled_residual,
         "closure_gap": lam.closure_gap,
         "timings_s": {"assemble": t_assemble, "noise": t_noise},
@@ -539,6 +542,12 @@ def run_invert(
         "morozov_roots": imap.morozov.roots,
         "morozov_unbracketed_low": imap.morozov.unbracketed_low,
         "morozov_unbracketed_high": imap.morozov.unbracketed_high,
+        "operator_rank": imap.spectrum.rank,
+        "sigma_max": imap.spectrum.sigma_max,
+        "sigma_above_delta": imap.spectrum.above_delta,
+        "relative_delta": (
+            imap.delta / imap.spectrum.sigma_max if imap.spectrum.sigma_max > 0.0 else None
+        ),
         "timings_s": {"load": t_load, "map": t_map, **imap.timings._asdict(), "write": t_write},
     }
     _dump_json(meta, out / "invert_meta.json")

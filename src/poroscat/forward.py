@@ -371,7 +371,9 @@ class ScatteringMatrix:
     """Dense data operator with point-major (point, channel) indexing.
 
     coupled_residual and closure_gap are an interacting assembly's (see
-    _scattering_data), not part of the file format."""
+    _scattering_data), and near_singular_points counts the sensing points
+    an assembly flagged (_radiation_block); none is part of the file
+    format."""
 
     data: np.ndarray
     channels: tuple[str, ...]
@@ -384,6 +386,7 @@ class ScatteringMatrix:
     delta: float | None = None
     coupled_residual: float | None = None
     closure_gap: float | None = None
+    near_singular_points: int | None = None
 
     def __post_init__(self) -> None:
         n = self.n_points * len(self.channels)
@@ -448,7 +451,7 @@ def assemble_lambda(
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
     _require_active_channels(scene)
     S = _trace_operator(scene, wave, params)
-    R, _ = _radiation_block(scene.patches, scene.grid.points, S)
+    R, near = _radiation_block(scene.patches, scene.grid.points, S)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
     data, residual, gap = _scattering_data(scene.patches, S, R, wave.omega, coupling)
     logger.info(
@@ -464,6 +467,7 @@ def assemble_lambda(
         mode=mode,
         coupled_residual=residual,
         closure_gap=gap,
+        near_singular_points=int(near.sum()),
     )
 
 

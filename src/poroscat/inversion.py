@@ -30,7 +30,12 @@ two indicators:
   1/sqrt(g^H L# g + delta ||g||^2).  glsm_solve finds one minimizer
   from a QR factorization of the stacked least-squares system.
 
-All right-hand sides share one SVD of L, and the penalized variant one
+All right-hand sides share one SVD of L, cut at its numerical rank
+(SvdOperator): the multiplicative noise model (I + N) L keeps L's rank
+deficiency, and the singular values below numpy's matrix_rank tolerance
+are rounding.  The roots, the Tikhonov norms and solves then run on the
+kept range only, and the part of a trial column outside it enters the
+gap as its floor.  The penalized variant shares one
 joint diagonalization of its normal-equation pencil (GlsmPencil), which
 serves every right-hand side and every alpha; one fixed alpha for a whole
 map is one solution operator V diag(1/(d + alpha)) W, built once.  A map
@@ -70,6 +75,7 @@ __all__ = [
     "MorozovResult",
     "MorozovCounts",
     "MapTimings",
+    "OperatorSpectrum",
     "SvdOperator",
     "trial_pattern",
     "trial_pattern_block",
@@ -229,22 +235,43 @@ def sqrt_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
 
 
 class SvdOperator:
-    """Thin SVD of the data operator, reused across many right-hand sides."""
+    """SVD of the data operator on its numerical range, reused across many
+    right-hand sides.
+
+    Only the r singular values above numpy's matrix_rank default
+    tolerance s_0 * max(M, N) * eps are kept (s is (r,), Vh is (r, N));
+    the SVD determines the others only to about eps * s_0, so they are
+    rounding.  Uh is U^H of the full unitary U, contiguous: its first r
+    rows span the kept range and the rest its complement, so the part of
+    a right-hand side outside the kept range, the floor of the
+    discrepancy gap, is a sum of squares over those rows (_projection).
+    A zero operator has r = 0.
+    """
 
     def __init__(self, matrix):
         L = _as_array(matrix)
         if L.ndim != 2:
             raise DomainError("operator must be a matrix")
         self.matrix = L
-        self.U, self.s, self.Vh = np.linalg.svd(L, full_matrices=False)
+        U, s, Vh = np.linalg.svd(L)
+        # the small factors first, so an s_0 near the double limit does not overflow
+        tol = max(L.shape) * np.finfo(float).eps * s[0] if s.size else 0.0
+        # an overflowed s_0 keeps the whole spectrum, for the range checks to reject
+        r = int(np.count_nonzero(s > tol)) if math.isfinite(tol) else s.size
+        self.s, self.Vh = s[:r], Vh[:r]
+        self.Uh = np.ascontiguousarray(U.conj().T)
 
     @property
     def norm2(self) -> float:
         return float(self.s[0]) if self.s.size else 0.0
 
+    @property
+    def rank(self) -> int:
+        return self.s.size
+
     def project(self, rhs: np.ndarray) -> np.ndarray:
-        """Coefficients beta = U^H rhs."""
-        return self.U.conj().T @ rhs
+        """Coefficients beta = U^H rhs on the kept range."""
+        return self.Uh[: self.rank] @ rhs
 
 
 def _operator(matrix) -> SvdOperator:
@@ -254,8 +281,9 @@ def _operator(matrix) -> SvdOperator:
 def tikhonov_solve(matrix, rhs, eta: float) -> np.ndarray:
     """Unique minimizer of ||L g - rhs||^2 + eta ||g||^2 via the SVD.
 
-    g = sum_i s_i/(s_i^2 + eta) (u_i . rhs) v_i; accepts a matrix, a
-    ScatteringMatrix or a precomputed SvdOperator, and 1- or 2-d rhs.
+    g = sum_i s_i/(s_i^2 + eta) (u_i . rhs) v_i over the kept range of
+    SvdOperator; accepts a matrix, a ScatteringMatrix or a precomputed
+    SvdOperator, and 1- or 2-d rhs.
     """
     if not eta > 0.0:
         raise DomainError(f"eta must be strictly positive, got {eta!r}")
@@ -284,11 +312,14 @@ _MAX_STEPS = 200  # at least every second step halves the bracket
 
 
 def _projection(op: SvdOperator, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|U^H rhs|^2 and ||rhs - U U^H rhs||^2 (the part of rhs outside the
-    column space), per column of rhs."""
-    beta_sq = np.abs(op.project(rhs)) ** 2
-    full = np.sum(np.abs(rhs) ** 2, axis=0)
-    return beta_sq, np.maximum(full - np.sum(beta_sq, axis=0), 0.0)
+    """|beta_i|^2 = |u_i^H rhs|^2 on the kept range of SvdOperator, and the
+    part of rhs outside it, sum_{i > r} |u_i^H rhs|^2 over the rest of the
+    full unitary U, per column of rhs.  Summing the small squares keeps the
+    floor accurate where rhs lies almost wholly in the range; the
+    difference ||rhs||^2 - sum_r |beta_i|^2 would carry an error of
+    eps ||rhs||^2."""
+    beta_sq = np.abs(op.Uh @ rhs) ** 2
+    return beta_sq[: op.rank], beta_sq[op.rank:].sum(axis=0)
 
 
 def _bracket(op: SvdOperator, delta: float, bracket=None) -> tuple[float, float]:
@@ -364,16 +395,23 @@ def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
     x = a - ga * (b - a) / (gb - ga)
     dx = dx_old = b - a
     s2c = s2[:, None]
+    ones_s2 = np.vstack([np.ones_like(s2), s2])
     out = np.empty(m)
     # columns still iterating; x, a, b, dx, dx_old, beta_sq, floor_sq hold theirs
     cols = np.arange(m)
     for _ in range(_MAX_STEPS):
         eta = np.exp(x)
-        q = 1.0 / (s2c + eta)
-        q2 = q * q
-        g = np.einsum("ij,ij->j", (eta * eta - d2 * s2c) * q2, beta_sq) + floor_sq
-        q2 *= q * s2c
-        dg = 2.0 * eta * (eta + d2) * np.einsum("ij,ij->j", q2, beta_sq)
+        # with w_i = |beta_i|^2 / (s_i^2 + eta)^2 the gap is
+        # eta^2 sum w - delta^2 sum s^2 w + floor (both sums one product) and
+        # its slope 2 eta (eta + delta^2) sum s^2 w / (s^2 + eta)
+        q = s2c + eta
+        np.reciprocal(q, out=q)
+        w = q * q
+        w *= beta_sq
+        sums = ones_s2 @ w
+        g = eta * eta * sums[0] - d2 * sums[1] + floor_sq
+        w *= q
+        dg = 2.0 * eta * (eta + d2) * (s2 @ w)
         below = g < 0.0
         a, b = np.where(below, x, a), np.where(below, b, x)
         step = g / dg
@@ -386,6 +424,8 @@ def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
         dx, dx_old = np.where(bisect, 0.5 * (b - a), step), dx
         x = np.where(g == 0.0, x, np.where(bisect, a + dx, newton))
         done |= np.abs(dx) <= tol
+        if not done.any():
+            continue
         out[cols[done]] = x[done]
         go = ~done
         cols, x, a, b, dx, dx_old = cols[go], x[go], a[go], b[go], dx[go], dx_old[go]
@@ -534,6 +574,14 @@ class MapTimings(NamedTuple):
     setup: float = 0.0
 
 
+class OperatorSpectrum(NamedTuple):
+    """L's singular values against the map's noise level delta."""
+
+    rank: int = 0  # singular values SvdOperator keeps
+    sigma_max: float = 0.0
+    above_delta: int = 0  # singular values above delta
+
+
 def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
     """The distinct trial columns of a candidate list, and the index of
     each candidate's column.  Every monopole has the same pattern, and so
@@ -645,10 +693,11 @@ class IndicatorMap:
     raw: np.ndarray           # (npts,), NaN where degenerate
     argmin_normal: np.ndarray  # (npts,) int, -1 where no candidate won
     argmin_iota: np.ndarray    # (npts,) int, -1 where no candidate won
-    # roots solved for the map and its stage timings; the map file does
-    # not store them
+    # roots solved for the map, its stage timings and L's spectrum; the
+    # map file does not store them
     morozov: MorozovCounts = MorozovCounts()
     timings: MapTimings = MapTimings()
+    spectrum: OperatorSpectrum = OperatorSpectrum()
 
     @property
     def raw_max(self) -> float:
@@ -794,6 +843,7 @@ def indicator_map(
             unbracketed_high=int((sides > 0).sum()),
         ),
         timings=timings,
+        spectrum=OperatorSpectrum(op.rank, op.norm2, int(np.count_nonzero(op.s > delta))),
     )
     if imap.degenerate:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)

@@ -456,6 +456,27 @@ class TestMainEntry:
         meta = json.loads((tmp_path / "l/forward_meta.json").read_text())
         assert meta["coupled_residual"] is None and meta["closure_gap"] is None
 
+    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
+    def test_spectrum_summary_in_meta(self, tmp_path):
+        # L's singular values against delta, from an SVD of the written matrix
+        doc = _perfbench("workloads").scenario_doc("desk-image", 1, smoke=True)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["map", "--scenario", str(tmp_path / "s.json"), "--out", str(out)]) == 0
+        noisy = fw.load_matrix(out / "lambda_noisy.csv")
+        s = np.linalg.svd(noisy.data, compute_uv=False)
+        tol = s[0] * max(noisy.data.shape) * np.finfo(float).eps
+        meta = json.loads((out / "invert_meta.json").read_text())
+        assert meta["operator_rank"] == np.count_nonzero(s > tol) < s.size
+        assert meta["sigma_max"] == pytest.approx(s[0], rel=1e-12)
+        assert meta["sigma_above_delta"] == np.count_nonzero(s > meta["delta"])
+        assert meta["relative_delta"] == pytest.approx(meta["delta"] / s[0], rel=1e-12)
+        fmeta = json.loads((out / "forward_meta.json").read_text())
+        clean = np.linalg.svd(fw.load_matrix(out / "lambda.csv").data, compute_uv=False)
+        assert fmeta["relative_delta"] == pytest.approx(0.05 / clean[0], rel=1e-9)
+        assert fmeta["relative_delta"] == fmeta["achieved_delta"] / fmeta["norm_lambda"]
+        assert fmeta["near_singular_points"] == 0
+
     def test_seed_override_changes_noise(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
         cli.run_forward(sc, tmp_path / "a", seed=1)

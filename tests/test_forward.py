@@ -16,7 +16,7 @@ from poroscat.errors import (
 )
 from poroscat.greens import green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
-from poroscat.presets import default_contact
+from poroscat.presets import default_contact, desk_scale_scene
 from poroscat.scene import (
     ContactParams,
     HIGH_PERMEABILITY,
@@ -475,6 +475,19 @@ class TestAssembleLambda:
             fw.assemble_lambda(scene(0.0, min_clearance=-1.0), wave, params)
         fw.assemble_lambda(scene(0.05), wave, params)
         assert "1 observation point(s) within the near-singular zone" in caplog.text
+
+    def test_near_singular_points_counted(self, small_scene, wave, params):
+        # a sensing point within half a cell diagonal of a patch is counted
+        # on the matrix, and the noisy copy keeps the count
+        patch = small_scene.patches[0]
+        well = [patch.center + 0.05 * patch.normal, patch.center + 2.0 * patch.normal]
+        close = Scene(grid=build_sensing_grid([well], 3), patches=small_scene.patches,
+                      sampling=small_scene.sampling, channels="in-plane")
+        lam = fw.assemble_lambda(close, wave, params)
+        assert lam.near_singular_points >= 1
+        noisy = fw.inject_noise(lam, target_delta=0.01)
+        assert noisy.near_singular_points == lam.near_singular_points
+        assert fw.assemble_lambda(desk_scale_scene(), wave, params).near_singular_points == 0
 
     def test_h_well_matrix_shape_and_indexing(self, wave, params):
         wells = [

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -37,11 +38,23 @@ def random_operator(rng, n=8):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def brentq_eta(op, beta_sq, floor_sq, delta):
-    """Reference discrepancy root of one column: a Brent search on log(eta)
-    over the default bracket.  Returns (eta, side) as _morozov_roots does."""
-    lo, hi = 1e-14 * op.norm2**2, 1e8 * op.norm2**2
-    s2 = op.s**2
+def full_projection(L, rhs):
+    """The whole spectrum of L from its own thin SVD, with |U^H rhs|^2 over
+    all min(M, N) singular values and the floor ||rhs - U U^H rhs||^2 (the
+    part of rhs outside L's column space): the discrepancy gap without any
+    rank cut."""
+    U, s, _ = np.linalg.svd(L, full_matrices=False)
+    beta = U.conj().T @ rhs
+    floor_sq = np.sum(np.abs(rhs - U @ beta) ** 2, axis=0)
+    return s, np.abs(beta) ** 2, floor_sq
+
+
+def brentq_eta(s, beta_sq, floor_sq, delta):
+    """Reference discrepancy root of one column on the spectrum s (from
+    full_projection): a Brent search on log(eta) over the default bracket.
+    Returns (eta, side) as _morozov_roots does."""
+    lo, hi = 1e-14 * s[0] ** 2, 1e8 * s[0] ** 2
+    s2 = s**2
 
     def gap(x):
         eta = math.exp(x)
@@ -52,6 +65,23 @@ def brentq_eta(op, beta_sq, floor_sq, delta):
     if gap(math.log(hi)) <= 0.0:
         return hi, 1
     return math.exp(brentq(gap, math.log(lo), math.log(hi), xtol=5e-15, maxiter=200)), 0
+
+
+def brentq_roots(L, rhs, delta):
+    """(eta, side) of every column of rhs from brentq_eta on L's full spectrum."""
+    s, beta_sq, floor_sq = full_projection(L, rhs)
+    ref = np.array([brentq_eta(s, beta_sq[:, j], floor_sq[j], delta) for j in range(rhs.shape[1])])
+    return ref[:, 0], ref[:, 1].astype(int)
+
+
+def with_cut(op, tol):
+    """A copy of op that keeps the singular values above tol instead of
+    those above its own tolerance; it shares op's full U^H."""
+    _, s, Vh = np.linalg.svd(op.matrix)
+    r = int(np.count_nonzero(s > tol))
+    cut = copy.copy(op)
+    cut.s, cut.Vh = s[:r], Vh[:r]
+    return cut
 
 
 def per_normal_patterns(points, cands, grid_points, wave, params, channels):
@@ -287,8 +317,8 @@ class TestMorozov:
 
 @pytest.fixture(scope="module")
 def desk_columns(params, wave):
-    """Projections of every (point, candidate) column of the desk-scale
-    maps, on the clean operator and on the noisy one."""
+    """Every (point, candidate) column of the desk-scale maps, and its
+    projection on the clean operator and on the noisy one."""
     scene = desk_scale_scene()
     lam = fw.assemble_lambda(scene, wave, params, mode="local")
     noisy = fw.inject_noise(lam, target_delta=0.05, seed=20240613)
@@ -299,7 +329,7 @@ def desk_columns(params, wave):
         )
         for s in range(0, len(pts), 64)
     ])
-    out = {}
+    out = {"Phi": Phi}
     for name, mat in (("clean", lam), ("noisy", noisy)):
         op = inv.SvdOperator(mat)
         out[name] = (op, inv._derive_delta(mat, None, op), *inv._projection(op, Phi))
@@ -308,14 +338,95 @@ def desk_columns(params, wave):
 
 @pytest.mark.parametrize("data", ["clean", "noisy"])
 def test_vectorized_root_matches_brentq(desk_columns, data):
+    # the oracle searches the gap of L's whole spectrum, with no rank cut
     op, delta, beta_sq, floors = desk_columns[data]
     eta, side = inv._morozov_roots(op, beta_sq, floors, delta)
-    ref = np.array([
-        brentq_eta(op, beta_sq[:, j], floors[j], delta) for j in range(beta_sq.shape[1])
-    ])
+    ref_eta, ref_side = brentq_roots(op.matrix, desk_columns["Phi"], delta)
     assert eta.size == 25600
-    np.testing.assert_array_equal(side, ref[:, 1])
-    np.testing.assert_allclose(eta, ref[:, 0], rtol=1e-10)
+    np.testing.assert_array_equal(side, ref_side)
+    np.testing.assert_allclose(eta, ref_eta, rtol=1e-10)
+
+
+class TestNumericalRange:
+    """SvdOperator keeps L's numerical range only; the roots must not see
+    the cut."""
+
+    @staticmethod
+    def rank3_noisy(rng):
+        # a rank-3 8x8 operator with singular values 1, 0.5 and 1e-4, under
+        # multiplicative noise (I + N) L
+        Q1, Q2 = (np.linalg.qr(random_operator(rng, 8))[0] for _ in range(2))
+        L = (Q1[:, :3] * [1.0, 0.5, 1e-4]) @ Q2[:, :3].conj().T
+        return (np.eye(8) + 0.01 * random_operator(rng, 8)) @ L
+
+    def test_rank_deficient_roots_match_full_spectrum(self, rng):
+        A = self.rank3_noisy(rng)
+        op = inv.SvdOperator(A)
+        assert op.rank == 3 and np.linalg.svd(A, compute_uv=False)[3] < 1e-13 * op.norm2
+        # columns in the range, plus a small part outside it
+        rhs = A @ random_operator(rng, 8)[:, :6] + 1e-3 * random_operator(rng, 8)[:, :6]
+        for delta in (0.05, 0.3, 2.0):
+            eta, side = inv._morozov_roots(op, *inv._projection(op, rhs), delta)
+            ref_eta, ref_side = brentq_roots(A, rhs, delta)
+            np.testing.assert_array_equal(side, ref_side)
+            np.testing.assert_allclose(eta, ref_eta, rtol=1e-12)
+            assert np.any(side == 0)
+
+    def test_rhs_outside_range_is_low_end(self, rng):
+        A = self.rank3_noisy(rng)
+        op = inv.SvdOperator(A)
+        U = np.linalg.svd(A)[0]
+        phi = U[:, 3:] @ random_operator(rng, 5)[:, 0]  # orthogonal to the range
+        eta, side = inv._morozov_roots(op, *inv._projection(op, phi[:, None]), 0.1)
+        assert side.tolist() == [-1] and eta[0] == 1e-14 * op.norm2**2
+        res = inv.morozov_eta(A, phi, 0.1)
+        assert (res.eta, res.bracketed) == (eta[0], False)
+
+    def test_unbracketed_ends_keep_side_and_value(self, rng):
+        # in one call: u_1 stays below the discrepancy at the high end, u_3
+        # is bracketed, and a column outside the range is above it at the
+        # low end
+        A = self.rank3_noisy(rng)
+        op = inv.SvdOperator(A)
+        lo, hi = 1e-14 * op.norm2**2, 1e8 * op.norm2**2
+        U = np.linalg.svd(A)[0]
+        rhs = np.column_stack([U[:, 0], U[:, 2], U[:, 3:] @ random_operator(rng, 5)[:, 0]])
+        delta = 1e9 * op.norm2
+        eta, side = inv._morozov_roots(op, *inv._projection(op, rhs), delta)
+        assert side.tolist() == [1, 0, -1] and (eta[0], eta[2]) == (hi, lo)
+        # the full spectrum agrees on the columns in the range; on the third,
+        # delta times its rounding singular values would outweigh lo
+        ref_eta, ref_side = brentq_roots(A, rhs[:, :2], delta)
+        assert ref_side.tolist() == [1, 0] and ref_eta[0] == hi
+        assert eta[1] == pytest.approx(ref_eta[1], rel=1e-12)
+
+    def test_zero_operator(self):
+        op = inv.SvdOperator(np.zeros((4, 4), dtype=complex))
+        assert op.rank == 0 and op.norm2 == 0.0
+        res = inv.morozov_eta(op, np.ones(4), 0.1)
+        assert res.eta == math.inf and res.bracketed is False
+
+    def test_overflowed_norm_is_rejected(self):
+        # ||L|| overflows to inf: the operator keeps its whole spectrum and
+        # the bracket check rejects it, instead of a zero operator's eta = inf
+        A = np.array([[1.7e308, 1.7e308], [0.0, 1.0]], dtype=complex)
+        assert inv.SvdOperator(A).rank == 2
+        with pytest.raises(DomainError, match="operator norm"):
+            inv.morozov_eta(A, np.ones(2), 0.1)
+
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_cut_sits_in_rounding(self, desk_columns, factor):
+        # cutting the noisy desk L a decade either side of the tolerance
+        # moves no root: the cut is not a tuning parameter
+        op, delta, beta_sq, floors = desk_columns["noisy"]
+        tol = max(op.matrix.shape) * np.finfo(float).eps * op.norm2
+        cut = with_cut(op, factor * tol)
+        assert cut.rank != op.rank
+        eta, side = inv._morozov_roots(op, beta_sq, floors, delta)
+        cut_proj = inv._projection(cut, desk_columns["Phi"])
+        cut_eta, cut_side = inv._morozov_roots(cut, *cut_proj, delta)
+        np.testing.assert_array_equal(cut_side, side)
+        np.testing.assert_allclose(cut_eta, eta, rtol=1e-12)
 
 
 class TestGlsm:
