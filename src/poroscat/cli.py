@@ -626,10 +626,10 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
         }
     )
 
-    S = fw._trace_operator(scene, wave, params)
-    R, _ = fw._radiation_block(scene.patches, scene.grid.points, S)
+    # one set of factors for every check below
+    factors = fw._factors(scene, wave, params)
+    S, R, cells = factors.S, factors.R, factors.interface.cells
     if S.shape[0] > 0:
-        cells = fw._collect_cells(scene.patches)
         w = np.repeat(cells.areas, 5)
         gv = rng.normal(size=S.shape[1]) + 1j * rng.normal(size=S.shape[1])
         av = rng.normal(size=S.shape[0]) + 1j * rng.normal(size=S.shape[0])
@@ -648,10 +648,10 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
             {"name": "adjoint_identity", "status": "skip", "detail": "no fractures"}
         )
 
-    lam = fw._scattering_data(scene.patches, S, R, wave.omega)[0]
-    nc = S.shape[0] // 5
+    lam = fw._scattering_data(factors)[0]
+    nc = cells.count
     if nc > 0:
-        T = fw._local_transfer(scene.patches, wave.omega)
+        T = factors.interface.T
         prod = R @ np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
         fac = np.linalg.norm(lam - prod) / max(np.linalg.norm(prod), 1e-300)
         status = "pass" if fac < 1e-12 else "fail"
@@ -667,7 +667,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
 
     # L is complex symmetric under both closures (reciprocity of the Biot system)
     coupling = (wave, params, scenario.forward_cutoff)
-    inter = fw._scattering_data(scene.patches, S, R, wave.omega, coupling)[0]
+    inter = fw._scattering_data(factors, coupling)[0]
     asym = {}
     for mode, L in (("local", lam), ("interacting", inter)):
         scale = np.linalg.norm(L)
@@ -691,7 +691,6 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
             }
         )
     else:
-        cells = fw._collect_cells(scene.patches)
         i, j = np.nonzero(cells.patch_index[:, None] < cells.patch_index[None, :])
         pick = rng.choice(i.size, size=min(64, i.size), replace=False)
         i, j = i[pick], j[pick]

@@ -11,13 +11,14 @@ the composition of three discrete operators:
     radiation operator R  : jump densities -> (u, p) data on the grid,
                             midpoint quadrature with cell areas.
 
-One builder each makes S and R for any points and channels, and one
-transfer function applies T to a block of trace columns.  R is S's trace
-kernel read transposed and weighted by the cell areas, so the R builder
-takes the kernel block the S builder evaluated.  assemble_lambda is
-their one use on the whole grid, and the builders carry the guards: the
-S builder rejects a source on a patch, the R builder flags points in a
-patch's near-singular zone.
+_factors builds a scene's factors once: the collocation cells, S, R with
+the sensing points' near-singular flags, and the per-cell contact blocks
+(D, E) with the local transfer T = D^-1 E.  R is S's trace kernel read
+transposed and weighted by the cell areas.  Both closures, the closure
+gap and the check suite read that one set.  The contact law is stated
+once (_contact_law): the transfer is D^-1 E, and the interface response
+whose admissibility check_admissibility decides is E^-1 D.  A source on a
+patch cannot occur, as Scene keeps every sensing point off the patches.
 
 Two interface closures are provided.  The local (Born-type) closure
 zeroes the scattered traces in the contact conditions, making T block
@@ -42,7 +43,7 @@ import cmath
 import io
 import logging
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .errors import (
     DegenerateContactError,
     DomainError,
     NumericalError,
-    SingularityError,
 )
 from .greens import _trace_matrix, _dislocation_trace_matrix
 from .material import MaterialParams, WaveState
@@ -117,7 +117,8 @@ def _collect_cells(patches: Sequence[FracturePatch]) -> _Cells:
 
 
 # ---------------------------------------------------------------------------
-# incident traces (operator S)
+# incident traces (operator S) and radiation (operator conj(S)* with
+# cell-area quadrature)
 # ---------------------------------------------------------------------------
 def _kernel_block(cells: _Cells, points, cidx, wave, params) -> np.ndarray:
     """(5*nc, C*N) trace kernel: unit sources of the channels cidx at the N
@@ -130,61 +131,108 @@ def _kernel_block(cells: _Cells, points, cidx, wave, params) -> np.ndarray:
     return K[..., cidx].transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
 
 
-def _trace_block(patches, points, cidx, wave, params) -> np.ndarray:
-    """(5*nc, C*N) operator S: unit sources of the channels cidx at the N
-    points to the cell traces.  A source on a patch is rejected."""
-    for pi, patch in enumerate(patches):
-        on = np.flatnonzero(patch.distance_to(points) < 1e-12)
-        if on.size:
-            raise SingularityError(f"source point {points[on[0]]} lies on patch {pi}")
-    return _kernel_block(_collect_cells(patches), points, cidx, wave, params)
+def _radiation_block(patches, points, kernel: np.ndarray, areas: np.ndarray):
+    """(C*N, 5*nc) operator R: cell jump densities to the data of some
+    channels at the N points, with the points' near-singular flags.
 
-
-def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
-    """(5*nc, C*N) operator: grid excitations to cell traces."""
-    cidx = channel_indices(scene.channels)
-    return _trace_block(scene.patches, scene.grid.points, cidx, wave, params)
+    ``kernel`` is the (5*nc, C*N) _kernel_block of the same points and
+    channels, ``areas`` the cell areas: entry [(p, c), cell] of R is the
+    reciprocal evaluation of the trace kernel (source at point p, trace
+    and normal at the cell), kernel[cell, (p, c)], times the cell area.
+    Points closer to a patch than half its cell diagonal are flagged
+    near-singular.
+    """
+    near = np.zeros(points.shape[0], dtype=bool)
+    for patch in patches:
+        n1, n2 = patch.subdivisions
+        h1, h2 = patch.half_lengths
+        diag = np.hypot(2.0 * h1 / n1, 2.0 * h2 / n2)
+        near |= patch.distance_to(points) < 0.5 * diag
+    if near.any():
+        logger.warning(
+            "%d observation point(s) within the near-singular zone", int(near.sum())
+        )
+    return np.ascontiguousarray((np.repeat(areas, 5)[:, None] * kernel).T), near
 
 
 # ---------------------------------------------------------------------------
-# interface transfer (operator T)
+# contact law and interface transfer (operator T)
 # ---------------------------------------------------------------------------
-def _contact_blocks(
-    patches: Sequence[FracturePatch], patch_index: np.ndarray, omega: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell interface matrices (D, E), each (nc, 5, 5), gathered by patch.
+def _contact_law(contact: ContactParams, omega: float, e1, e2, n):
+    """The contact conditions D a = E psi of a patch with frame (e1, e2, n),
+    as 5x5 matrices (D, E).
 
     D maps the jump unknowns a = ([[u]], [[p]], -[[q]]) to the closure
     left-hand side; E maps the trace vector (t, q, p) to the right-hand
-    side, so that the local transfer is T = D^-1 E.  For the
-    high-permeability model the flow condition is replaced by [[p]] = 0.
+    side, so that the local transfer is T = D^-1 E and the interface
+    response is E^-1 D.  For the high-permeability model the flow
+    condition is replaced by [[p]] = 0, and E has no flow row.
     """
+    c = contact
+    if c.beta_f == 0:
+        raise DegenerateContactError("beta_f is zero")
+    D = np.zeros((5, 5), dtype=np.complex128)
+    E = np.zeros_like(D)
+    D[0:3, 0:3] = c.stiffness_matrix(e1, e2, n)
+    D[3, 4] = c.k_n * c.beta_f / (c.Pi * c.alpha_f)
+    E[0:3, 0:3] = np.eye(3)
+    E[0:3, 4] = c.alpha_f_tilde * n
+    E[3, 0:3] = c.beta_f * n
+    E[3, 4] = 1.0
+    if c.model == HIGH_PERMEABILITY:
+        D[4, 3] = 1.0  # [[p]] = 0
+    else:
+        if c.kappa_f == 0:
+            raise DegenerateContactError("kappa_f is zero")
+        D[4, 3] = c.kappa_f / (1j * omega * c.Pi)
+        E[4, 3] = 1.0
+    return D, E
+
+
+def _contact_blocks(
+    patches: Sequence[FracturePatch], patch_index: np.ndarray, omega: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (D, E) of _contact_law, each (nc, 5, 5), gathered by patch."""
     D = np.zeros((len(patches), 5, 5), dtype=np.complex128)
     E = np.zeros_like(D)
     for i, patch in enumerate(patches):
-        c, n = patch.contact, patch.normal
-        K = c.stiffness_matrix(patch.e1, patch.e2, n)
-        if c.k_n == 0:
-            raise DegenerateContactError("k_n is zero")
-        if c.beta_f == 0:
-            raise DegenerateContactError("beta_f is zero")
-        D[i, 0:3, 0:3] = K
-        D[i, 3, 4] = c.k_n * c.beta_f / (c.Pi * c.alpha_f)
-        E[i, 0:3, 0:3] = np.eye(3)
-        E[i, 0:3, 4] = c.alpha_f_tilde * n
-        E[i, 3, 0:3] = c.beta_f * n
-        E[i, 3, 4] = 1.0
-        if c.model == HIGH_PERMEABILITY:
-            D[i, 4, 3] = 1.0  # [[p]] = 0
-        else:
-            if c.kappa_f == 0:
-                raise DegenerateContactError("kappa_f is zero")
-            D[i, 4, 3] = c.kappa_f / (1j * omega * c.Pi)
-            E[i, 4, 3] = 1.0
+        D[i], E[i] = _contact_law(patch.contact, omega, patch.e1, patch.e2, patch.normal)
     return D[patch_index], E[patch_index]
 
 
-def _transfer(patches, psi: np.ndarray, omega: float, coupling=None):
+class _Interface(NamedTuple):
+    """Contact law per collocation cell of a set of patches: the cells, the
+    blocks (D, E) and the local transfer T = D^-1 E, each (nc, 5, 5)."""
+
+    patches: tuple[FracturePatch, ...]
+    cells: _Cells
+    D: np.ndarray
+    E: np.ndarray
+    T: np.ndarray
+
+
+def _interface(patches: Sequence[FracturePatch], omega: float) -> _Interface:
+    cells = _collect_cells(patches)
+    D, E = _contact_blocks(patches, cells.patch_index, omega)
+    try:
+        T = np.linalg.solve(D, E)
+    except np.linalg.LinAlgError:
+        raise DegenerateContactError("interface stiffness matrix K is singular") from None
+    return _Interface(tuple(patches), cells, D, E, T)
+
+
+def _local_transfer(patches, omega: float) -> np.ndarray:
+    """Block-diagonal local transfer blocks, one 5x5 block per cell."""
+    return _interface(patches, omega).T
+
+
+def _blockwise(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Per-cell 5x5 blocks (nc, 5, 5) applied to a (5*nc, k) block."""
+    cells = psi.reshape(blocks.shape[0], 5, psi.shape[1])
+    return np.einsum("cij,cjk->cik", blocks, cells).reshape(psi.shape)
+
+
+def _jumps(interface: _Interface, psi: np.ndarray, coupling=None):
     """Interface transfer T: a (5*nc, k) trace block to its jump block, and
     the relative residual of the coupled solve (None when none was made).
 
@@ -192,31 +240,12 @@ def _transfer(patches, psi: np.ndarray, omega: float, coupling=None):
     the interacting one, which reduces to the local closure when
     _patches_interact says the patches do not couple.
     """
-    cells = _collect_cells(patches)
-    nc = cells.count
-    if psi.shape[0] != 5 * nc:
-        raise CompatibilityError(
-            f"trace block has {psi.shape[0] // 5} cells, patches have {nc}"
-        )
-    D, E = _contact_blocks(patches, cells.patch_index, omega)
-    blocks = psi.reshape(nc, 5, psi.shape[1])
     if coupling is not None:
         wave, params, cutoff = coupling
-        if _patches_interact(patches, wave, cutoff):
-            rhs = np.einsum("cij,cjk->cik", E, blocks).reshape(psi.shape)
-            return _coupled_solve(_interaction_matrix(cells, D, E, wave, params), rhs)
-    try:
-        T = np.linalg.solve(D, E)
-    except np.linalg.LinAlgError:
-        raise DegenerateContactError("interface stiffness matrix K is singular") from None
-    return np.einsum("cij,cjk->cik", T, blocks).reshape(psi.shape), None
-
-
-def _local_transfer(patches, omega: float) -> np.ndarray:
-    """Block-diagonal local transfer blocks, one 5x5 block per cell: the
-    local closure applied to unit traces."""
-    nc = sum(p.cell_count for p in patches)
-    return _transfer(patches, np.tile(np.eye(5), (nc, 1)), omega)[0].reshape(nc, 5, 5)
+        if _patches_interact(interface.patches, wave, cutoff):
+            M = _interaction_matrix(interface, wave, params)
+            return _coupled_solve(M, _blockwise(interface.E, psi))
+    return _blockwise(interface.T, psi), None
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -244,7 +273,7 @@ def _patches_interact(patches, wave, cutoff) -> bool:
 _PAIR_CHUNK = 512
 
 
-def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
+def _interaction_matrix(interface: _Interface, wave, params) -> np.ndarray:
     """Dense (5*nc, 5*nc) matrix of the coupled interface system.
 
     Block (i, i) is D of cell i.  Block (i, j) of an off-patch pair is
@@ -258,6 +287,7 @@ def _interaction_matrix(cells: _Cells, D, E, wave, params) -> np.ndarray:
     row-major, in chunks of _PAIR_CHUNK; a rectangle's part of a chunk
     takes one product with the E of each patch.
     """
+    cells, D, E = interface.cells, interface.D, interface.E
     nc, pi, w = cells.count, cells.patch_index, -cells.areas
     M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
     diag = np.arange(nc)
@@ -330,40 +360,6 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# radiation (operator conj(S)* with cell-area quadrature)
-# ---------------------------------------------------------------------------
-def _radiation_block(patches, points, kernel: np.ndarray):
-    """(C*N, 5*nc) operator R: cell jump densities to the data of some
-    channels at the N points, with the points' near-singular flags.
-
-    ``kernel`` is the (5*nc, C*N) _kernel_block of the same points and
-    channels: entry [(p, c), cell] of R is the reciprocal evaluation of
-    the trace kernel (source at point p, trace and normal at the cell),
-    kernel[cell, (p, c)], times the cell area.  Points closer to a patch
-    than half its cell diagonal are flagged near-singular.
-    """
-    near = np.zeros(points.shape[0], dtype=bool)
-    for patch in patches:
-        n1, n2 = patch.subdivisions
-        h1, h2 = patch.half_lengths
-        diag = np.hypot(2.0 * h1 / n1, 2.0 * h2 / n2)
-        near |= patch.distance_to(points) < 0.5 * diag
-    if near.any():
-        logger.warning(
-            "%d observation point(s) within the near-singular zone", int(near.sum())
-        )
-    areas = np.repeat(_collect_cells(patches).areas, 5)
-    return np.ascontiguousarray((areas[:, None] * kernel).T), near
-
-
-def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
-    """(C*N, 5*nc) operator: cell jump densities to grid data."""
-    return _radiation_block(
-        scene.patches, scene.grid.points, _trace_operator(scene, wave, params)
-    )[0]
-
-
-# ---------------------------------------------------------------------------
 # scattering operator
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -403,25 +399,46 @@ class ScatteringMatrix:
         return self.data.shape[0]
 
 
-def _require_active_channels(scene: Scene) -> None:
-    cidx = channel_indices(scene.channels)
-    mask = scene.grid.active[:, cidx]
-    if not mask.all():
-        raise CompatibilityError(
-            "sensing grid excitation mask is not uniform over the scene channels"
-        )
+class _Factors(NamedTuple):
+    """One scene's factors of L = R T S: the interface (cells, D, E and T),
+    S (5*nc, C*N), R (C*N, 5*nc) and the sensing points' near-singular
+    flags."""
+
+    interface: _Interface
+    S: np.ndarray
+    R: np.ndarray
+    near: np.ndarray
 
 
-def _scattering_data(patches, S, R, omega: float, coupling=None):
-    """(L, coupled residual, closure gap) of L = R T S, from S and R built.
+def _factors(scene: Scene, wave, params) -> _Factors:
+    """The factors of a scene, each built once."""
+    interface = _interface(scene.patches, wave.omega)
+    cells, points = interface.cells, scene.grid.points
+    S = _kernel_block(cells, points, channel_indices(scene.channels), wave, params)
+    R, near = _radiation_block(scene.patches, points, S, cells.areas)
+    return _Factors(interface, S, R, near)
 
-    For the interacting closure (coupling as in _transfer) the residual is
+
+def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
+    """(5*nc, C*N) operator S: grid excitations to cell traces."""
+    return _factors(scene, wave, params).S
+
+
+def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
+    """(C*N, 5*nc) operator R: cell jump densities to grid data."""
+    return _factors(scene, wave, params).R
+
+
+def _scattering_data(factors: _Factors, coupling=None):
+    """(L, coupled residual, closure gap) of L = R T S from a scene's factors.
+
+    For the interacting closure (coupling as in _jumps) the residual is
     that of the coupled solve (None when the patches do not interact) and
     the gap is ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the same
-    S and R; both are None for the local closure.
+    factors; both are None for the local closure.
     """
-    jumps, residual = _transfer(patches, S, omega, coupling)
-    data = R @ jumps
+    jumps, residual = _jumps(factors.interface, factors.S, coupling)
+    data = factors.R @ jumps
     if not np.isfinite(data).all():
         raise NumericalError(
             "the scattering matrix has non-finite entries: the kernels left double "
@@ -429,7 +446,7 @@ def _scattering_data(patches, S, R, omega: float, coupling=None):
         )
     if coupling is None:
         return data, None, None
-    local = R @ _transfer(patches, S, omega)[0]
+    local = data if residual is None else factors.R @ _jumps(factors.interface, factors.S)[0]
     scale = np.linalg.norm(local)
     return data, residual, float(np.linalg.norm(data - local) / scale) if scale > 0.0 else 0.0
 
@@ -449,14 +466,12 @@ def assemble_lambda(
     """
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
-    _require_active_channels(scene)
-    S = _trace_operator(scene, wave, params)
-    R, near = _radiation_block(scene.patches, scene.grid.points, S)
+    factors = _factors(scene, wave, params)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
-    data, residual, gap = _scattering_data(scene.patches, S, R, wave.omega, coupling)
+    data, residual, gap = _scattering_data(factors, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
-        data.shape[0], data.shape[1], mode, S.shape[0] // 5,
+        data.shape[0], data.shape[1], mode, factors.interface.cells.count,
     )
     return ScatteringMatrix(
         data=data,
@@ -467,7 +482,7 @@ def assemble_lambda(
         mode=mode,
         coupled_residual=residual,
         closure_gap=gap,
-        near_singular_points=int(near.sum()),
+        near_singular_points=int(factors.near.sum()),
     )
 
 
@@ -527,53 +542,24 @@ def inject_noise(
 # ---------------------------------------------------------------------------
 # contact-law admissibility
 # ---------------------------------------------------------------------------
-def interface_response_matrix(
-    contact: ContactParams,
-    omega: float,
-    frame: tuple | None = None,
-) -> np.ndarray:
-    """5x5 matrix of the interface operator in the jump basis.
+def interface_response_matrix(contact: ContactParams, omega: float) -> np.ndarray:
+    """5x5 matrix P = E^-1 D of the interface operator in the jump basis,
+    with (D, E) of _contact_law in the frame (e1, e2, n) = (x, y, z).
 
     Maps phi = ([[u]] (3), [[p]], -[[q]]) to the total-trace triple
     (t + t_inc (3), <q> + q_inc, <p> + p_inc) implied by the contact
     conditions.  For the high-permeability model the [[p]] column and
     flow row vanish (the pressure jump is constrained to zero).
     """
-    if frame is None:
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        n = np.array([0.0, 0.0, 1.0])
-    else:
-        e1, e2, n = (np.asarray(v, dtype=float) for v in frame)
-    if contact.beta_f == 0:
-        raise DegenerateContactError("beta_f is zero")
-    K = contact.stiffness_matrix(e1, e2, n)
-    at = contact.alpha_f_tilde
-    bf = contact.beta_f
-    cq = at * contact.k_n * bf / (contact.Pi * contact.alpha_f)
-    denom = 1.0 - at * bf
-    if abs(denom) < 1e-14:
+    D, E = _contact_law(contact, omega, *np.eye(3))
+    if abs(1.0 - contact.alpha_f_tilde * contact.beta_f) < 1e-14:
         raise DegenerateContactError("1 - alpha_f_tilde*beta_f vanishes")
-
-    P = np.zeros((5, 5), dtype=np.complex128)
-    for col in range(5):
-        phi = np.zeros(5, dtype=np.complex128)
-        phi[col] = 1.0
-        a_u, a_p, a_q = phi[0:3], phi[3], phi[4]
-        tn = (n @ (K @ a_u) - cq * a_q) / denom
-        tau = K @ a_u - cq * a_q * n + at * bf * tn * n
-        row_p = contact.k_n * bf / (contact.Pi * contact.alpha_f) * a_q - bf * tn
-        if contact.model == HIGH_PERMEABILITY:
-            row_q = 0.0
-        else:
-            if contact.kappa_f == 0:
-                raise DegenerateContactError("kappa_f is zero")
-            row_q = contact.kappa_f / (1j * omega * contact.Pi) * a_p
-        P[0:3, col] = tau
-        P[3, col] = row_q
-        P[4, col] = row_p
-    if contact.model == HIGH_PERMEABILITY:
-        P[:, 3] = 0.0
+    high = contact.model == HIGH_PERMEABILITY
+    if high:
+        E[4, 3] = 1.0  # this law has no flow row; P's is zeroed below
+    P = np.linalg.solve(E, D)
+    if high:
+        P[3] = P[:, 3] = 0.0
     return P
 
 

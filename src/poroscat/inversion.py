@@ -210,28 +210,28 @@ def lambda_sharp(matrix) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _psd_function(matrix, fn, clamp_rel: float) -> np.ndarray:
+def _psd_function(matrix, fn) -> np.ndarray:
     """V fn(D) V^H over the eigenpairs of the Hermitian part, eigenvalues
-    below clamp_rel * ||matrix||_2 (small negatives from roundoff too) set
-    to zero."""
+    below 1e-14 * ||matrix||_2 (small negatives from roundoff too) set to
+    zero."""
     H = _as_array(matrix)
     try:
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed ({exc})") from None
     scale = float(np.abs(vals).max(initial=0.0))
-    vals = np.where(vals < clamp_rel * scale, 0.0, vals)
+    vals = np.where(vals < 1e-14 * scale, 0.0, vals)
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
-def clamp_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
+def clamp_psd(matrix) -> np.ndarray:
     """Project a nearly-PSD Hermitian matrix onto the PSD cone."""
-    return _psd_function(matrix, lambda vals: vals, clamp_rel)
+    return _psd_function(matrix, lambda vals: vals)
 
 
-def sqrt_psd(matrix, clamp_rel: float = 1e-14) -> np.ndarray:
+def sqrt_psd(matrix) -> np.ndarray:
     """Hermitian square root with negative-eigenvalue clamping."""
-    return _psd_function(matrix, np.sqrt, clamp_rel)
+    return _psd_function(matrix, np.sqrt)
 
 
 class SvdOperator:
@@ -245,13 +245,16 @@ class SvdOperator:
     rows span the kept range and the rest its complement, so the part of
     a right-hand side outside the kept range, the floor of the
     discrepancy gap, is a sum of squares over those rows (_projection).
-    A zero operator has r = 0.
+    A zero operator has r = 0, and one with a non-finite entry raises
+    ConditioningError before the SVD, which may not return on it.
     """
 
     def __init__(self, matrix):
         L = _as_array(matrix)
         if L.ndim != 2:
             raise DomainError("operator must be a matrix")
+        if not np.all(np.isfinite(L)):
+            raise ConditioningError("operator has non-finite entries")
         self.matrix = L
         U, s, Vh = np.linalg.svd(L)
         # the small factors first, so an s_0 near the double limit does not overflow
@@ -322,27 +325,18 @@ def _projection(op: SvdOperator, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return beta_sq[: op.rank], beta_sq[op.rank:].sum(axis=0)
 
 
-def _bracket(op: SvdOperator, delta: float, bracket=None) -> tuple[float, float]:
-    """The eta interval of the root search, [1e-14, 1e8] * ||L||^2 unless
-    given.  The gap's terms square eta and delta * ||L||, so the bracket
-    ends and delta * ||L|| are checked to keep their squares in double
-    range."""
+def _bracket(op: SvdOperator, delta: float) -> tuple[float, float]:
+    """The eta interval of the root search, [1e-14, 1e8] * ||L||^2.  The
+    gap's terms square eta and delta * ||L||, so the bracket ends and
+    delta * ||L|| are checked to keep their squares in double range."""
     scale = op.norm2 * op.norm2
-    if bracket is None:
-        lo, hi = 1e-14 * scale, 1e8 * scale
-        if not (lo * lo > 0.0 and math.isfinite(hi * hi)):
-            raise DomainError(
-                f"operator norm ||L|| = {op.norm2:.6g} is out of range: the squares of "
-                f"the discrepancy bracket [1e-14, 1e8] * ||L||^2 = [{lo:.3g}, {hi:.3g}] "
-                "must be finite and nonzero"
-            )
-    else:
-        lo, hi = bracket
-        if not (0.0 < lo < hi and lo * lo > 0.0 and math.isfinite(hi * hi)):
-            raise DomainError(
-                f"bracket endpoints must be positive and ordered, with finite nonzero "
-                f"squares, got {bracket!r}"
-            )
+    lo, hi = 1e-14 * scale, 1e8 * scale
+    if not (lo * lo > 0.0 and math.isfinite(hi * hi)):
+        raise DomainError(
+            f"operator norm ||L|| = {op.norm2:.6g} is out of range: the squares of "
+            f"the discrepancy bracket [1e-14, 1e8] * ||L||^2 = [{lo:.3g}, {hi:.3g}] "
+            "must be finite and nonzero"
+        )
     if not (delta > 0.0 and math.isfinite(delta * delta * max(1.0, scale))):
         raise DomainError(
             f"delta = {delta!r} is out of range for ||L|| = {op.norm2:.6g}: "
@@ -351,7 +345,7 @@ def _bracket(op: SvdOperator, delta: float, bracket=None) -> tuple[float, float]
     return float(lo), float(hi)
 
 
-def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta, bracket=None):
+def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta):
     """Discrepancy weights of all columns of a projection (nonzero L).
 
     The gap is increasing in eta.  Its table at log-spaced nodes at most
@@ -360,7 +354,7 @@ def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta, bracket=None):
     >= 0 at the low end of the bracket, +1 where it is still <= 0 at the
     high end (eta is then that end), 0 where the root is bracketed.
     """
-    lo, hi = _bracket(op, delta, bracket)
+    lo, hi = _bracket(op, delta)
     s2, d2 = op.s**2, delta * delta
     x_nodes = np.linspace(
         math.log(lo), math.log(hi), max(2, math.ceil(math.log10(hi / lo)) + 1)
@@ -436,7 +430,7 @@ def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
     return out
 
 
-def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
+def morozov_eta(matrix, rhs, delta: float) -> MorozovResult:
     """Discrepancy-principle weight: ||L g - rhs|| = delta ||g||.
 
     A zero operator gives eta = inf with bracketed=False.
@@ -447,7 +441,7 @@ def morozov_eta(matrix, rhs, delta: float, bracket=None) -> MorozovResult:
     op = _operator(matrix)
     if op.norm2 == 0.0:
         return MorozovResult(eta=float("inf"), bracketed=False)
-    (eta,), (side,) = _morozov_roots(op, *_projection(op, rhs.reshape(-1, 1)), delta, bracket)
+    (eta,), (side,) = _morozov_roots(op, *_projection(op, rhs.reshape(-1, 1)), delta)
     return MorozovResult(eta=float(eta), bracketed=bool(side == 0))
 
 
@@ -472,7 +466,7 @@ def glsm_solve(matrix, sharp, rhs, alpha: float, delta: float) -> np.ndarray:
     L = _as_array(matrix)
     rhs = np.asarray(rhs, dtype=np.complex128)
     # one eigendecomposition gives the clamped L# and the square root of its shift
-    H = _psd_function(sharp, lambda vals: np.sqrt(vals + delta), 1e-14)
+    H = _psd_function(sharp, lambda vals: np.sqrt(vals + delta))
     A = np.vstack([L, math.sqrt(alpha) * H])
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("penalized least-squares system has non-finite entries")
@@ -615,7 +609,6 @@ def _eval_block(
     wave: WaveState,
     params: MaterialParams,
     channels: Sequence[str],
-    bracket=None,
     pencil: GlsmPencil | None = None,
     fixed: np.ndarray | None = None,
 ) -> _Block:
@@ -655,7 +648,7 @@ def _eval_block(
     t1 = time.perf_counter()
     if fixed is None:
         beta_sq, floors = _projection(op, Phi)
-        etas, sides = _morozov_roots(op, beta_sq, floors, delta, bracket)
+        etas, sides = _morozov_roots(op, beta_sq, floors, delta)
         sides = sides[spread]
     t2 = time.perf_counter()
     if pencil is None:
@@ -742,7 +735,6 @@ def indicator_map(
     delta: float | None = None,
     alpha_policy: str = "per-candidate",
     fixed_alpha: float | None = None,
-    bracket=None,
 ) -> IndicatorMap:
     """Evaluate an indicator over the scene's sampling grid.
 
@@ -771,7 +763,7 @@ def indicator_map(
     op = _operator(matrix)
     delta = _derive_delta(matrix, delta, op)
     if op.norm2 > 0.0:
-        bracket = _bracket(op, delta, bracket)
+        _bracket(op, delta)  # rejects an operator norm or delta out of range
     pts = scene.sampling.points()
     cands = scene.sampling.candidates()
     gpts, channels = scene.grid.points, scene.channels
@@ -801,7 +793,7 @@ def indicator_map(
             t0 = time.perf_counter()
             center = trial_pattern_block(pts[k:k + 1], cols, gpts, wave, params, channels)
             t1 = time.perf_counter()
-            etas, sides = _morozov_roots(op, *_projection(op, center), delta, bracket)
+            etas, sides = _morozov_roots(op, *_projection(op, center), delta)
             # the median over all candidates, not over the distinct columns
             etas, sides = etas[inverse], sides[inverse]
             timings = MapTimings(t1 - t0, time.perf_counter() - t1)
@@ -814,7 +806,7 @@ def indicator_map(
     blocks = [
         _eval_block(
             pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
-            bracket, pencil, fixed,
+            pencil, fixed,
         )
         for s in range(0, len(pts), _BLOCK)
     ]

@@ -9,16 +9,12 @@ wavelength close to one).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+from .cli import parse_scenario
 from .material import MaterialParams
-from .scene import (
-    ContactParams,
-    Scene,
-    build_fracture_patch,
-    build_sampling_grid,
-    build_sensing_grid,
-)
+from .scene import ContactParams, Scene
 
 __all__ = [
     "pecos_sandstone",
@@ -57,52 +53,17 @@ def default_contact() -> ContactParams:
     )
 
 
-def desk_scale_scene(
-    channels="in-plane",
-    resolution=(40, 40),
-    n_dir: int = 8,
-    cells=(10, 2),
-    ribbon_width: float = 2.0,
-) -> Scene:
-    """Two planar fractures probed from an L-shaped well.
+def desk_scale_scene(channels="in-plane", resolution=(40, 40), n_dir: int = 8) -> Scene:
+    """The scene of desk_scale_scenario: two planar fractures probed from
+    an L-shaped well.
 
     Fracture lengths are 2-3 shear wavelengths; the well runs along two
     sides of the sampling region (about 40 points), mirroring a
     limited-aperture treatment-well arrangement.
     """
-    contact = default_contact()
-    patches = (
-        build_fracture_patch(
-            center=[-0.9, 0.55, 0.0],
-            strike_rad=0.42 * math.pi,
-            half_lengths=(1.25, 1.0),
-            subdivisions=cells,
-            contact=contact,
-            width=ribbon_width,
-        ),
-        build_fracture_patch(
-            center=[1.1, -0.35, 0.0],
-            strike_rad=0.08 * math.pi,
-            half_lengths=(1.0, 1.0),
-            subdivisions=cells,
-            contact=contact,
-            width=ribbon_width,
-        ),
-    )
-    grid = build_sensing_grid(
-        [
-            [[-3.2, -3.0, 0.0], [-3.2, 3.0, 0.0]],
-            [[-2.9, -3.2, 0.0], [3.0, -3.2, 0.0]],
-        ],
-        20,
-    )
-    sampling = build_sampling_grid(
-        region=(-2.5, 2.5, -2.5, 2.5),
-        resolution=resolution,
-        n_dir=n_dir,
-        iotas=(0, 1),
-    )
-    return Scene(grid=grid, patches=patches, sampling=sampling, channels=channels)
+    return parse_scenario(
+        desk_scale_scenario(channels=channels, resolution=resolution, n_dir=n_dir)
+    ).scene
 
 
 def desk_scale_scenario(
@@ -120,22 +81,8 @@ def desk_scale_scenario(
         noise["epsilon"] = 0.0
     else:
         noise["target_delta"] = target_delta
-    scene = desk_scale_scene(channels=channels, resolution=resolution, n_dir=n_dir)
-    contact = default_contact()
     return {
-        "material": {
-            "dimensionless": {
-                "lam": 0.47,
-                "mu": 1.0,
-                "M": 1.66,
-                "rho": 2.27,
-                "rho_f": 1.0,
-                "rho_a": 0.117,
-                "kappa": 2.0 * math.pi * 2.45e-6,
-                "phi": 0.195,
-                "alpha": 0.83,
-            }
-        },
+        "material": {"dimensionless": dataclasses.asdict(pecos_sandstone())},
         "frequency": {"omega": PECOS_OMEGA},
         "scene": {
             "wells": [
@@ -158,7 +105,7 @@ def desk_scale_scenario(
                     "cells": [10, 2],
                 },
             ],
-            "contact": contact.to_dict(),
+            "contact": default_contact().to_dict(),
             "sampling": {
                 "region": [-2.5, 2.5, -2.5, 2.5],
                 "resolution": list(resolution),

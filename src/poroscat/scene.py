@@ -12,7 +12,7 @@ plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -184,7 +184,6 @@ def build_fracture_patch(
     subdivisions=(1, 1),
     contact: ContactParams | None = None,
     strike_rad: float | None = None,
-    width: float | None = None,
 ) -> FracturePatch:
     """Construct a patch from a frame or from in-plane strike geometry.
 
@@ -193,8 +192,7 @@ def build_fracture_patch(
     * ``frame=(e1, e2)``: the axes are Gram-Schmidt orthonormalized and
       the normal is e1 x e2.
     * ``strike_rad`` given: ribbon-like in-plane patch with long axis at
-      that angle from the x-axis in the x-y plane, short axis along z of
-      half-extent ``width/2`` (half_lengths[1] is then ignored).
+      that angle from the x-axis in the x-y plane, short axis along z.
 
     Cells tile the rectangle exactly: subdivisions (n1, n2) split the
     half_lengths axes into equal cells.
@@ -205,8 +203,6 @@ def build_fracture_patch(
     if strike_rad is not None:
         e1 = np.array([math.cos(strike_rad), math.sin(strike_rad), 0.0])
         e2 = np.array([0.0, 0.0, 1.0])
-        if width is not None:
-            half_lengths = (half_lengths[0], width / 2.0)
     elif frame is not None:
         a = np.asarray(frame[0], dtype=float).reshape(3)
         b = np.asarray(frame[1], dtype=float).reshape(3)
@@ -237,23 +233,15 @@ def build_fracture_patch(
 
 @dataclass(frozen=True)
 class SensingGrid:
-    """Ordered excitation/observation points with a per-point channel mask.
-
-    ``active`` is an (N, 4) boolean mask over the four source/data types
-    (three force/displacement axes, fluid/pressure); assembly requires it
-    to be uniform across points and consistent with the scene channels.
-    """
+    """Ordered excitation/observation points, each sensing every channel."""
 
     points: np.ndarray
-    active: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise GeometryError(f"points must be (N>=1, 3), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        if self.active is None:
-            object.__setattr__(self, "active", np.ones((pts.shape[0], 4), dtype=bool))
         # duplicate detection on exact coordinates
         seen = set()
         for i, p in enumerate(pts):
@@ -431,20 +419,23 @@ def resolve_channels(spec) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Scene:
-    """Sensing grid, fracture patches, sampling grid and active channels."""
+    """Sensing grid, fracture patches, sampling grid and active channels.
+
+    Every sensing point keeps a clearance of more than 1e-9 from every
+    patch, so no source or observation point lies on a patch.
+    """
 
     grid: SensingGrid
     patches: tuple[FracturePatch, ...]
     sampling: SamplingGrid
     channels: tuple[str, ...] = CHANNELS_IN_PLANE
-    min_clearance: float = 1e-9
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patches", tuple(self.patches))
         object.__setattr__(self, "channels", resolve_channels(self.channels))
         for pi, patch in enumerate(self.patches):
             dist = patch.distance_to(self.grid.points)
-            if dist.min() <= self.min_clearance:
+            if dist.min() <= 1e-9:
                 raise GeometryError(
                     f"sensing point {int(dist.argmin())} lies on or too close "
                     f"to patch {pi} (clearance {dist.min():.3e})"

@@ -6,6 +6,11 @@ fourth Cartesian derivative _nf4 of a radial scalar) and only then
 contracted with the trace normal.  The production kernel,
 poroscat.greens._dislocation_trace_matrix, writes those contractions out
 in closed form; the two share the radial stacks and the trace rows only.
+
+interface_response_oracle is the interface response of a contact law
+built column by column from the contact conditions solved for the total
+traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
+the law's matrices.
 """
 
 import numpy as np
@@ -22,6 +27,7 @@ from poroscat.greens import (
     _trace_rows,
 )
 from poroscat.material import MaterialParams, WaveState
+from poroscat.scene import HIGH_PERMEABILITY, ContactParams
 
 
 def _nf4(f, r, d, n):
@@ -178,3 +184,28 @@ def dislocation_trace_oracle(
     out[..., 3, :] = q_row
     out[..., 4, :] = p_row
     return out
+
+
+def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarray:
+    """5x5 interface response in the jump basis, frame (x, y, z): column k
+    holds the total traces (t (3), q, p) the contact conditions give for
+    the k-th unit jump vector phi = ([[u]] (3), [[p]], -[[q]]).  For the
+    high-permeability model the [[p]] column and the flow row vanish."""
+    e1, e2, n = np.eye(3)
+    K = contact.stiffness_matrix(e1, e2, n)
+    at, bf = contact.alpha_f_tilde, contact.beta_f
+    cq = at * contact.k_n * bf / (contact.Pi * contact.alpha_f)
+    denom = 1.0 - at * bf
+    P = np.zeros((5, 5), dtype=np.complex128)
+    for col in range(5):
+        phi = np.zeros(5, dtype=np.complex128)
+        phi[col] = 1.0
+        a_u, a_p, a_q = phi[0:3], phi[3], phi[4]
+        tn = (n @ (K @ a_u) - cq * a_q) / denom
+        P[0:3, col] = K @ a_u - cq * a_q * n + at * bf * tn * n
+        if contact.model != HIGH_PERMEABILITY:
+            P[3, col] = contact.kappa_f / (1j * omega * contact.Pi) * a_p
+        P[4, col] = contact.k_n * bf / (contact.Pi * contact.alpha_f) * a_q - bf * tn
+    if contact.model == HIGH_PERMEABILITY:
+        P[:, 3] = 0.0
+    return P

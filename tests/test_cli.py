@@ -259,6 +259,18 @@ class TestRunCheck:
         cli.run_check(sc)
         assert len(calls) == 1
 
+    def test_factors_built_once(self, monkeypatch, scenario_path):
+        # every check reads the one set of cells and contact blocks
+        sc = cli.load_scenario(scenario_path)
+        calls = []
+        for name in ("_collect_cells", "_contact_blocks"):
+            def counted(*args, _name=name, _fn=getattr(fw, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(fw, name, counted)
+        cli.run_check(sc)
+        assert sorted(calls) == ["_collect_cells", "_contact_blocks"]
+
     def test_inadmissible_contact_flagged(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
         doc["scene"]["contact"]["kappa_f"] = -1e-3
@@ -443,11 +455,11 @@ class TestMainEntry:
             for mode in ("local", "interacting")
         )
         gap = np.linalg.norm(inter - loc) / np.linalg.norm(loc)
-        S = fw._trace_operator(sc.scene, wave, sc.params)
-        cells = fw._collect_cells(sc.scene.patches)
-        D, E = fw._contact_blocks(sc.scene.patches, cells.patch_index, wave.omega)
-        M = fw._interaction_matrix(cells, D, E, wave, sc.params)
-        rhs = np.einsum("cij,cjk->cik", E, S.reshape(cells.count, 5, -1)).reshape(S.shape)
+        f = fw._factors(sc.scene, wave, sc.params)
+        S, iface = f.S, f.interface
+        M = fw._interaction_matrix(iface, wave, sc.params)
+        blocks = S.reshape(iface.cells.count, 5, -1)
+        rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
         res = np.linalg.norm(M @ np.linalg.solve(M, rhs) - rhs) / np.linalg.norm(rhs)
         meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
         assert 0.0 < meta["coupled_residual"] <= 1e-8

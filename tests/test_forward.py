@@ -13,6 +13,7 @@ from poroscat.errors import (
     ConditioningError,
     DegenerateContactError,
     DomainError,
+    GeometryError,
 )
 from poroscat.greens import green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
@@ -27,7 +28,7 @@ from poroscat.scene import (
     channel_indices,
 )
 
-from oracles import dislocation_trace_oracle
+from oracles import dislocation_trace_oracle, interface_response_oracle
 
 
 def contact(k=1.0, kappa_f=1e-3, model="finite-permeability"):
@@ -76,8 +77,8 @@ def fluid_scene(small_scene):
 def interaction_matrix_per_row(patches, wave, params):
     """Reference: the coupled-system matrix built one collocation cell at a
     time, from the tensor-built oracle kernel."""
-    cells = fw._collect_cells(patches)
-    D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
+    iface = fw._interface(patches, wave.omega)
+    cells, D, E = iface.cells, iface.D, iface.E
     nc = cells.count
     M = np.zeros((5 * nc, 5 * nc), dtype=complex)
     for i in range(nc):
@@ -96,20 +97,23 @@ def interaction_matrix_per_row(patches, wave, params):
 def traces(y, channel, patches, wave, params):
     """(nc, 5) cell traces (t, q, p) of a unit source of one channel at y."""
     y = np.asarray(y, dtype=float).reshape(1, 3)
-    return fw._trace_block(patches, y, channel_indices([channel]), wave, params).reshape(-1, 5)
+    cells = fw._collect_cells(patches)
+    return fw._kernel_block(cells, y, channel_indices([channel]), wave, params).reshape(-1, 5)
 
 
 def jumps(psi, patches, wave, coupling=None):
     """(nc, 5) jump densities ([[u]], [[p]], -[[q]]) of the traces psi."""
-    return fw._transfer(patches, np.reshape(psi, (-1, 1)), wave.omega, coupling)[0].reshape(-1, 5)
+    iface = fw._interface(patches, wave.omega)
+    return fw._jumps(iface, np.reshape(psi, (-1, 1)), coupling)[0].reshape(-1, 5)
 
 
 def radiated(a, patches, points, wave, params):
     """(N, 4) data (u, p) at the points of the jump densities a, and the
     points' near-singular flags."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    K = fw._kernel_block(fw._collect_cells(patches), points, [0, 1, 2, 3], wave, params)
-    R, near = fw._radiation_block(patches, points, K)
+    cells = fw._collect_cells(patches)
+    K = fw._kernel_block(cells, points, [0, 1, 2, 3], wave, params)
+    R, near = fw._radiation_block(patches, points, K, cells.areas)
     return (R @ np.ravel(a)).reshape(-1, 4), near
 
 
@@ -164,10 +168,14 @@ class TestIncidentTraces:
         )
         assert np.linalg.norm(tr[0, 0:3] - t_fd) / np.linalg.norm(t_fd) < 1e-6
 
-    def test_source_on_patch_rejected(self, small_scene, wave, params):
-        center = small_scene.patches[0].center
-        with pytest.raises(fw.SingularityError):
-            traces(center, "fx", small_scene.patches, wave, params)
+    def test_source_on_patch_rejected(self, small_scene):
+        # a scene keeps its sensing points off the patches, so no source
+        # reaches the trace kernel on a patch
+        patch = small_scene.patches[0]
+        well = [patch.center, patch.center + 2.0 * patch.normal]
+        with pytest.raises(GeometryError, match="patch 0"):
+            Scene(grid=build_sensing_grid([well], 3), patches=small_scene.patches,
+                  sampling=small_scene.sampling)
 
 
 class TestLocalJumpSolve:
@@ -283,10 +291,9 @@ class TestInteractingJumpSolve:
     def test_system_residual(self, small_scene, wave, params, rng):
         nc = sum(p.cell_count for p in small_scene.patches)
         psi = rng.normal(size=5 * nc) + 1j * rng.normal(size=5 * nc)
-        cells = fw._collect_cells(small_scene.patches)
-        D, E = fw._contact_blocks(small_scene.patches, cells.patch_index, wave.omega)
-        M = fw._interaction_matrix(cells, D, E, wave, params)
-        rhs = np.einsum("cij,cj->ci", E, psi.reshape(-1, 5)).ravel()
+        iface = fw._interface(small_scene.patches, wave.omega)
+        M = fw._interaction_matrix(iface, wave, params)
+        rhs = np.einsum("cij,cj->ci", iface.E, psi.reshape(-1, 5)).ravel()
         a = jumps(psi, small_scene.patches, wave, (wave, params, None)).ravel()
         res = np.linalg.norm(M @ a - rhs) / np.linalg.norm(rhs)
         assert res < 1e-10
@@ -301,9 +308,7 @@ class TestInteractingJumpSolve:
         if chunk is not None:
             monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
         patches = request.getfixturevalue(scene_name).patches
-        cells = fw._collect_cells(patches)
-        D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
-        M = fw._interaction_matrix(cells, D, E, wave, params)
+        M = fw._interaction_matrix(fw._interface(patches, wave.omega), wave, params)
         ref = interaction_matrix_per_row(patches, wave, params)
         assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -313,12 +318,10 @@ class TestInteractingJumpSolve:
     ):
         # L from the per-row reference M, with the same right-hand side and R
         scene = request.getfixturevalue(scene_name)
-        S = fw._trace_operator(scene, wave, params)
-        R, _ = fw._radiation_block(scene.patches, scene.grid.points, S)
-        cells = fw._collect_cells(scene.patches)
-        _, E = fw._contact_blocks(scene.patches, cells.patch_index, wave.omega)
-        rhs = np.einsum("cij,cjk->cik", E, S.reshape(cells.count, 5, -1)).reshape(S.shape)
-        ref = R @ np.linalg.solve(interaction_matrix_per_row(scene.patches, wave, params), rhs)
+        f = fw._factors(scene, wave, params)
+        S, nc = f.S, f.interface.cells.count
+        rhs = np.einsum("cij,cjk->cik", f.interface.E, S.reshape(nc, 5, -1)).reshape(S.shape)
+        ref = f.R @ np.linalg.solve(interaction_matrix_per_row(scene.patches, wave, params), rhs)
         L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
         assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
 
@@ -327,8 +330,7 @@ class TestInteractingJumpSolve:
         self, scene_name, request, monkeypatch, wave, params
     ):
         patches = request.getfixturevalue(scene_name).patches
-        cells = fw._collect_cells(patches)
-        D, E = fw._contact_blocks(patches, cells.patch_index, wave.omega)
+        iface = fw._interface(patches, wave.omega)
         kernel, pairs = fw._dislocation_trace_matrix, []
 
         def counted(y, *args):
@@ -336,15 +338,13 @@ class TestInteractingJumpSolve:
             return kernel(y, *args)
 
         monkeypatch.setattr(fw, "_dislocation_trace_matrix", counted)
-        fw._interaction_matrix(cells, D, E, wave, params)
+        fw._interaction_matrix(iface, wave, params)
         sizes = np.array([p.cell_count for p in patches])
         assert sum(pairs) == (sizes.sum() ** 2 - (sizes**2).sum()) // 2
 
     @pytest.fixture()
     def system(self, small_scene, wave, params, rng):
-        cells = fw._collect_cells(small_scene.patches)
-        D, E = fw._contact_blocks(small_scene.patches, cells.patch_index, wave.omega)
-        M = fw._interaction_matrix(cells, D, E, wave, params)
+        M = fw._interaction_matrix(fw._interface(small_scene.patches, wave.omega), wave, params)
         return M, rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
 
     @pytest.mark.parametrize("where", ["M", "rhs"])
@@ -453,28 +453,41 @@ class TestAssembleLambda:
             assert np.all(err <= 1e-12 * np.linalg.norm(lam.data, axis=0))
             return
         # one source at a time: S column, coupled transfer, then R
-        cells = fw._collect_cells(patches)
-        R, _ = fw._radiation_block(patches, pts, fw._kernel_block(cells, pts, cidx, wave, params))
+        f = fw._factors(scene, wave, params)
         for j, y in enumerate(pts):
             for c, src in enumerate(cidx):
-                psi = fw._trace_block(patches, y[None, :], [src], wave, params)
-                col = R @ fw._transfer(patches, psi, wave.omega, (wave, params, None))[0]
+                psi = fw._kernel_block(f.interface.cells, y[None, :], [src], wave, params)
+                col = f.R @ fw._jumps(f.interface, psi, (wave, params, None))[0]
                 ref = lam.data[:, j * C + c]
                 assert np.linalg.norm(col[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_grid_guards_run_in_assembly(self, small_scene, wave, params, caplog):
         patch = small_scene.patches[0]
 
-        def scene(offset, **kw):
+        def scene(offset):
             well = [patch.center + offset * patch.normal, patch.center + 2.0 * patch.normal]
             grid = build_sensing_grid([well], 3)
             return Scene(grid=grid, patches=small_scene.patches,
-                         sampling=small_scene.sampling, channels="in-plane", **kw)
+                         sampling=small_scene.sampling, channels="in-plane")
 
-        with pytest.raises(fw.SingularityError, match="lies on patch 0"):
-            fw.assemble_lambda(scene(0.0, min_clearance=-1.0), wave, params)
+        with pytest.raises(GeometryError, match="too close to patch 0"):
+            scene(0.0)
         fw.assemble_lambda(scene(0.05), wave, params)
         assert "1 observation point(s) within the near-singular zone" in caplog.text
+
+    @pytest.mark.parametrize("mode", ["local", "interacting"])
+    def test_factors_built_once(self, mode, small_scene, monkeypatch, wave, params):
+        # the closure, and the interacting closure's gap, read one set of
+        # cells and contact blocks
+        calls = []
+        for name in ("_collect_cells", "_contact_blocks"):
+            def counted(*args, _name=name, _fn=getattr(fw, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(fw, name, counted)
+        lam = fw.assemble_lambda(small_scene, wave, params, mode, cutoff=None)
+        assert sorted(calls) == ["_collect_cells", "_contact_blocks"]
+        assert (lam.closure_gap is None) == (mode == "local")
 
     def test_near_singular_points_counted(self, small_scene, wave, params):
         # a sensing point within half a cell diagonal of a patch is counted
@@ -610,6 +623,28 @@ class TestAdmissibility:
         rep = fw.check_admissibility(bad, wave)
         assert not rep.admissible
         assert rep.worst_imag > 0
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            contact(),
+            default_contact(),
+            contact(k=2.0, model=HIGH_PERMEABILITY),
+            ContactParams(k_t=1.0 - 0.3j, k_n=0.7 + 0.2j, kappa_f=2e-3, alpha_f=0.85,
+                          beta_f=0.3, Pi=1.0),
+            ContactParams(k_t=0.5, k_n=0.8, kappa_f=1e-3, alpha_f=0.7, beta_f=0.4, Pi=0.6),
+            ContactParams(k_t=0.3 - 0.1j, k_n=0.9, alpha_f=0.6, beta_f=0.5,
+                          model=HIGH_PERMEABILITY),
+        ],
+        ids=["finite", "demo", "high-perm", "complex", "Pi", "high-perm-complex"],
+    )
+    def test_response_matches_column_oracle(self, law, wave):
+        # E^-1 D of the contact law against the conditions solved column by column
+        P = fw.interface_response_matrix(law, wave.omega)
+        ref = interface_response_oracle(law, wave.omega)
+        assert np.linalg.norm(P - ref) <= 1e-14 * np.linalg.norm(ref)
+        if law.model == HIGH_PERMEABILITY:
+            assert not P[3].any() and not P[:, 3].any()
 
     def test_quadratic_form_homogeneity(self, wave, rng):
         P = fw.interface_response_matrix(contact(), wave.omega)

@@ -414,6 +414,23 @@ class TestNumericalRange:
         with pytest.raises(DomainError, match="operator norm"):
             inv.morozov_eta(A, np.ones(2), 0.1)
 
+    @pytest.mark.parametrize(
+        "bad, at", [(math.inf, (0, 0)), (math.inf, (2, 0)), (math.nan, (1, 1))],
+        ids=["inf-diagonal", "inf-below", "nan"],
+    )
+    def test_non_finite_operator_is_conditioning_error(self, bad, at):
+        # checked before the SVD, which does not return on an infinite entry
+        A = np.eye(3, dtype=complex)
+        A[at] = bad
+        calls = (
+            inv.SvdOperator,
+            lambda M: inv.morozov_eta(M, np.ones(3), 0.1),
+            lambda M: inv.tikhonov_solve(M, np.ones(3), 0.1),
+        )
+        for call in calls:
+            with pytest.raises(ConditioningError, match="non-finite"):
+                call(A)
+
     @pytest.mark.parametrize("factor", [0.1, 10.0])
     def test_cut_sits_in_rounding(self, desk_columns, factor):
         # cutting the noisy desk L a decade either side of the tolerance
