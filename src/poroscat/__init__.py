@@ -22,7 +22,6 @@ from .forward import (
 )
 from .greens import (
     GreenTensor,
-    TraceKernel,
     dislocation_trace_kernel,
     green_tensor,
     trace_kernel,

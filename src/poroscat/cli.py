@@ -136,8 +136,23 @@ def _integer(value, path: str, limit: int = 2**31) -> int:
     return value
 
 
-def _numbers(value, path: str, sizes) -> list[float]:
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path, sizes))]
+def _numbers(value, path: str, sizes, read=_number) -> list[float]:
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path, sizes))]
+
+
+# scene coordinates and lengths stay below this magnitude, so that squared
+# distances between scene points stay in double range
+_COORDINATE_LIMIT = 1e150
+
+
+def _coordinate(value, path: str) -> float:
+    """A finite number of magnitude below _COORDINATE_LIMIT."""
+    x = _number(value, path)
+    if not abs(x) < _COORDINATE_LIMIT:
+        raise ValidationError(
+            f"{path} must be of magnitude below {_COORDINATE_LIMIT:g}, got {_show(value)}"
+        )
+    return x
 
 
 def _integers(value, path: str, sizes=None) -> list[int]:
@@ -239,15 +254,17 @@ def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
         raise ValidationError(f"{path}: no contact given and no scene default")
     cells = _integers(doc.get("cells", [8, 2]), f"{path}.cells", (2,))
     strike = "angle_rad" in doc or "length" in doc
-    center = _numbers(_need(doc, "center", path), f"{path}.center", (2, 3) if strike else (3,))
+    center = _numbers(
+        _need(doc, "center", path), f"{path}.center", (2, 3) if strike else (3,), _coordinate
+    )
     if strike:
         if len(center) == 2:
             center = [center[0], center[1], 0.0]
         echo = {
             "center": center,
-            "length": _number(_need(doc, "length", path), f"{path}.length"),
+            "length": _coordinate(_need(doc, "length", path), f"{path}.length"),
             "angle_rad": _number(_need(doc, "angle_rad", path), f"{path}.angle_rad"),
-            "width": _number(doc.get("width", 1.0), f"{path}.width"),
+            "width": _coordinate(doc.get("width", 1.0), f"{path}.width"),
         }
         patch = build_fracture_patch(
             center=center,
@@ -259,7 +276,7 @@ def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
     else:
         echo = {"center": center}
         for key, size in (("e1", 3), ("e2", 3), ("half_lengths", 2)):
-            echo[key] = _numbers(_need(doc, key, path), f"{path}.{key}", (size,))
+            echo[key] = _numbers(_need(doc, key, path), f"{path}.{key}", (size,), _coordinate)
         patch = build_fracture_patch(
             center=center,
             frame=(echo["e1"], echo["e2"]),
@@ -279,7 +296,9 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         w = _object(w, path, {"points", "samples_per_segment"})
         points = _array(_need(w, "points", path), f"{path}.points", min_size=2)
         wells.append({
-            "points": [_numbers(v, f"{path}.points[{j}]", (3,)) for j, v in enumerate(points)],
+            "points": [
+                _numbers(v, f"{path}.points[{j}]", (3,), _coordinate) for j, v in enumerate(points)
+            ],
             "samples_per_segment": _integer(
                 w.get("samples_per_segment", 10), f"{path}.samples_per_segment"
             ),
@@ -301,11 +320,11 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         _need(doc, "sampling", "scene"), path, {"region", "resolution", "n_dir", "iotas", "plane_z"}
     )
     sampling = {
-        "region": _numbers(_need(s, "region", path), f"{path}.region", (4,)),
+        "region": _numbers(_need(s, "region", path), f"{path}.region", (4,), _coordinate),
         "resolution": _integers(_need(s, "resolution", path), f"{path}.resolution", (2,)),
         "n_dir": _integer(s.get("n_dir", 8), f"{path}.n_dir"),
         "iotas": _integers(s.get("iotas", [0, 1]), f"{path}.iotas"),
-        "plane_z": _number(s.get("plane_z", 0.0), f"{path}.plane_z"),
+        "plane_z": _coordinate(s.get("plane_z", 0.0), f"{path}.plane_z"),
     }
     channels = doc.get("channels", "in-plane")
     if not isinstance(channels, str):
@@ -496,17 +515,12 @@ def write_pgm(imap: inv.IndicatorMap, path) -> None:
             fh.write(" ".join(str(v) for v in pix) + "\n")
 
 
-def run_invert(
-    scenario: Scenario,
-    out_dir,
-    matrices_dir=None,
-    method: str | None = None,
-) -> dict:
-    """Compute the indicator map from written matrices; write CSV and PGM."""
+def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
+    """Compute the indicator map from the matrices written to ``out_dir``;
+    write CSV and PGM."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    src = Path(matrices_dir) if matrices_dir is not None else out
-    noisy_path = src / "lambda_noisy.csv"
+    noisy_path = out / "lambda_noisy.csv"
     if not noisy_path.exists():
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")
     t0 = time.perf_counter()
@@ -651,8 +665,11 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     lam = fw._scattering_data(factors)[0]
     nc = cells.count
     if nc > 0:
-        T = factors.interface.T
-        prod = R @ np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
+        # L = R T S against R J, where J solves each cell's contact conditions
+        # D J = E S directly rather than through the transfer T = D^-1 E
+        D, E = factors.interface.D, factors.interface.E
+        J = np.linalg.solve(D, E @ S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
+        prod = R @ J
         fac = np.linalg.norm(lam - prod) / max(np.linalg.norm(prod), 1e-300)
         status = "pass" if fac < 1e-12 else "fail"
     else:

@@ -27,23 +27,27 @@ the displacement gradient with the drained stiffness C = lam I2 (x) I2
 (1/(gamma omega^2)) * (grad p . n - rho_f omega^2 u . n).
 
 Derivatives up to fourth order are produced analytically from the radial
-helpers plus direction-cosine algebra (never finite differences).  The
-inter-patch coupling kernel takes traces of an already differentiated
-dislocation field, so it reads radial stacks up to fourth order, but it
-forms no tensor above second order: the traces need each column's
-gradient only through its trace and its contractions with the trace
-normal, which it writes out in closed form in d and the two normals.
+helpers plus direction-cosine algebra (never finite differences).
 
-Trial patterns read the traction rows along their own normal, n.t(n).
-That is a quadratic form n_j n_k M_jk with a symmetric, normal-free M per
-source column, built from the same radial combinations as the trace rows
-(_radials); _pattern_kernel evaluates M once for every normal of a block,
-together with the pressure row, which no normal changes.  It writes each
-(source column, entry) pair as one expression over the block, for the
-requested columns only, straight into the layout that the candidates'
-expansion reads, from one geometry pass that the caller also uses to
-find coincident points.  biot_residual checks the point-source tensor
-against the governing system by finite differences.
+The trace rows are stated once, as scalar radial coefficients (_radials):
+every row of the 5x4 trace kernel is a combination of d and n with
+coefficients in r alone.  Three functions read them.  _trace_rows writes
+the trace kernel.  _pattern_kernel writes the trial patterns, which read
+the traction rows along their own normal: n.t(n) is a quadratic form
+n_j n_k M_jk with a symmetric, normal-free M per source column, evaluated
+once for every normal of a block, together with the pressure row, which
+no normal changes; each (source column, entry) pair is one expression
+over the block, written for the requested columns only, straight into
+the layout that the candidates' expansion reads.  The inter-patch
+coupling kernel, _dislocation_trace_matrix, takes traces of an already
+differentiated dislocation field, so it reads radial stacks up to fourth
+order, but it forms no tensor above second order: the traces need each
+column's gradient only through its trace and its contractions with the
+trace normal, which it writes out in closed form in d and the two
+normals, and the field itself only through the trace kernel's fluid
+column and its force columns contracted with the trace normal.
+biot_residual checks the point-source tensor against the governing
+system by finite differences.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .material import MaterialParams, WaveState
 
 __all__ = [
     "GreenTensor",
-    "TraceKernel",
     "green_tensor",
     "biot_residual",
     "trace_kernel",
@@ -188,18 +191,6 @@ def _s2_radial(f, r):
     return P, Q
 
 
-def _s2(P, Q, d, n):
-    """n_k (third Cartesian derivative)_kij of a radial scalar from its
-    _s2_radial (P, Q); symmetric in ij."""
-    nd = np.sum(n * d, axis=-1)
-    dd = d[..., :, None] * d[..., None, :]
-    ndsym = n[..., :, None] * d[..., None, :] + d[..., :, None] * n[..., None, :]
-    return (
-        (P * nd)[..., None, None] * dd
-        + Q[..., None, None] * (ndsym + nd[..., None, None] * _EYE3)
-    )
-
-
 # ---------------------------------------------------------------------------
 # point-source tensor
 # ---------------------------------------------------------------------------
@@ -311,79 +302,87 @@ def _trace_matrix(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarr
     r, d = _geometry(y, xi)
     st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
     n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
-    return _trace_rows(st, co, _radials(st, co, r), r, d, n)
+    return _trace_rows(_radials(st, co, r), d, n)
 
 
 class _Radials(NamedTuple):
-    """Radial combinations of the trace rows, from stacks of order >= 3."""
+    """Radial coefficients of the five trace rows, from stacks of order >= 3.
 
-    PQ: tuple       # _s2_radial of Phi
+    With nd = n.d, force column i of the trace kernel reads
+
+        t_m = (a1 n_m + a2 nd d_m) d_i + hb (d_m n_i + nd [m = i]),
+        q   = qa nd d_i + qb n_i,    p = ps d_i,
+
+    and the fluid column t = c1 n + c2 nd d, q = qf nd, p = pf.  PQ (the
+    _s2_radial of Phi), Dv1, Psi1, Psi2 and gs1 are the radial
+    combinations these are built from, which the coupling kernel
+    differentiates once more.
+    """
+
+    a1: np.ndarray
+    a2: np.ndarray
+    hb: np.ndarray   # b/2
+    qa: np.ndarray
+    qb: np.ndarray
+    ps: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    qf: np.ndarray
+    pf: np.ndarray   # p^f, the pressure of a unit fluid injection
+    PQ: tuple
     Dv1: np.ndarray  # the divergence of the U^s columns is cU * Dv1 * d_j
     Psi1: np.ndarray
     Psi2: np.ndarray
-    X0: np.ndarray   # k_p1^2 G_p1 - k_p2^2 G_p2
-    pf: np.ndarray   # p^f, the pressure of a unit fluid injection
     gs1: np.ndarray
 
 
 def _radials(st: _Stacks, co: _Coeffs, r) -> _Radials:
+    """The coefficients of _Radials.  Traction applies the drained
+    stiffness to grad U^s (the third derivative of Phi through
+    _s2_radial, and the divergence Dv1) and subtracts alpha p n; flow
+    takes n.grad p and n.u through the Hessian scalars (f'' - f'/r, f'/r)
+    of Psi and Phi."""
+    P, Q = _s2_radial(st.Phi, r)
+    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
+    Psi1, Psi2, gs1 = st.Psi[..., 1], st.Psi[..., 2], st.gs[..., 1]
+    X0 = st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0]
+    pf = co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0]
+    mu_u, g = co.mu * co.cU, co.gamma_w2
+    cP_g, rho_g, rho_u_g = co.cP / g, co.rho_f_w2 / g, co.rho_f_w2 * co.cU / g
+    Psi1_r, Phi1_r = Psi1 / r, st.Phi[..., 1] / r
+    a_psi, ps = Psi2 - Psi1_r, co.cP * Psi1
     return _Radials(
-        PQ=_s2_radial(st.Phi, r),
-        Dv1=st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1],
-        Psi1=st.Psi[..., 1],
-        Psi2=st.Psi[..., 2],
-        X0=st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0],
-        pf=co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0],
-        gs1=st.gs[..., 1],
+        a1=co.lam * co.cU * Dv1 - co.alpha * co.cP * Psi1 + 2.0 * mu_u * Q,
+        a2=2.0 * mu_u * P,
+        hb=mu_u * (2.0 * Q + co.ks2 * gs1),
+        qa=cP_g * a_psi - rho_u_g * (st.Phi[..., 2] - Phi1_r),
+        qb=cP_g * Psi1_r - rho_u_g * (Phi1_r + co.ks2 * st.gs[..., 0]),
+        ps=ps,
+        c1=co.cP * co.lam * X0 - co.alpha * pf - 2.0 * co.mu * co.cP * Psi1_r,
+        c2=-2.0 * co.mu * co.cP * a_psi,
+        qf=(co.cf1 / g) * st.g1[..., 1] + (co.cf2 / g) * st.g2[..., 1] + rho_g * ps,
+        pf=pf,
+        PQ=(P, Q),
+        Dv1=Dv1,
+        Psi1=Psi1,
+        Psi2=Psi2,
+        gs1=gs1,
     )
 
 
-def _trace_rows(st: _Stacks, co: _Coeffs, rad: _Radials, r, d, n):
-    """The (..., 5, 4) trace kernel from radial stacks of order >= 3 already built."""
+def _trace_rows(rad: _Radials, d, n) -> np.ndarray:
+    """The (..., 5, 4) trace kernel at unit normals n from its coefficients."""
     nd = np.sum(n * d, axis=-1)
-    gs0, gs1, Psi1, Dv1, pf = st.gs[..., 0], rad.gs1, rad.Psi1, rad.Dv1, rad.pf
-
-    S2P = _s2(*rad.PQ, d, n)
-    HPsi = _hess(st.Psi, r, d)
-    nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
-
-    ps = co.cP * Psi1[..., None] * d
-
-    n_d = n[..., :, None] * d[..., None, :]
-    Ts = (
-        co.lam * co.cU * Dv1[..., None, None] * n_d
-        + co.mu
-        * co.cU
-        * (
-            2.0 * S2P
-            + co.ks2
-            * gs1[..., None, None]
-            * (nd[..., None, None] * _EYE3 + d[..., :, None] * n[..., None, :])
-        )
-        - co.alpha * co.cP * Psi1[..., None, None] * n_d
-    )
-
-    tf = (
-        co.cP * co.lam * rad.X0[..., None] * n
-        - 2.0 * co.mu * co.cP * nHPsi
-        - co.alpha * pf[..., None] * n
-    )
-
-    nU = co.cU * (
-        np.einsum("...k,...kj->...j", n, _hess(st.Phi, r, d))
-        + (co.ks2 * gs0)[..., None] * n
-    )
-    qs = (co.cP * nHPsi - co.rho_f_w2 * nU) / co.gamma_w2
-    Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
-    qf = (Pf1 * nd + co.rho_f_w2 * co.cP * Psi1 * nd) / co.gamma_w2
-
-    out = np.empty(r.shape + (5, 4), dtype=np.complex128)
-    out[..., 0:3, 0:3] = Ts
-    out[..., 0:3, 3] = tf
-    out[..., 3, 0:3] = qs
-    out[..., 3, 3] = qf
-    out[..., 4, 0:3] = ps
-    out[..., 4, 3] = pf
+    out = np.empty(nd.shape + (5, 4), dtype=np.complex128)
+    t_d = rad.a1[..., None] * n + (rad.a2 * nd)[..., None] * d
+    out[..., 0:3, 0:3] = t_d[..., :, None] * d[..., None, :]
+    out[..., 0:3, 0:3] += rad.hb[..., None, None] * d[..., :, None] * n[..., None, :]
+    out[..., range(3), range(3)] += (rad.hb * nd)[..., None]
+    out[..., 0:3, 3] = rad.c1[..., None] * n + (rad.c2 * nd)[..., None] * d
+    out[..., 3, 0:3] = (rad.qa * nd)[..., None] * d + rad.qb[..., None] * n
+    out[..., 3, 3] = rad.qf * nd
+    out[..., 4, 0:3] = rad.ps[..., None] * d
+    out[..., 4, 3] = rad.pf
     return out
 
 
@@ -409,21 +408,12 @@ def _pattern_kernel(r, d, cols, pairs, wave: WaveState, params: MaterialParams) 
     ``pairs``, then the pressure row.  Each entry is written once, as one
     expression over the block, for the requested columns only.
     """
-    st, co = _Stacks(wave, r, 3), _coeffs(wave, params)
-    rad = _radials(st, co, r)
-    P, Q = rad.PQ
-    mu_u = co.mu * co.cU
-    a1 = co.lam * co.cU * rad.Dv1 - co.alpha * co.cP * rad.Psi1 + 2.0 * mu_u * Q
-    a2 = 2.0 * mu_u * P
-    half_b = mu_u * (2.0 * Q + co.ks2 * rad.gs1)
-    Psi1_r = rad.Psi1 / r
-    c1 = co.cP * co.lam * rad.X0 - co.alpha * rad.pf - 2.0 * co.mu * co.cP * Psi1_r
-    c2 = -2.0 * co.mu * co.cP * (rad.Psi2 - Psi1_r)
-    ps = co.cP * rad.Psi1
+    rad = _radials(_Stacks(wave, r, 3), _coeffs(wave, params), r)
+    a1, a2, c1, c2 = rad.a1, rad.a2, rad.c1, rad.c2
 
     dc = np.ascontiguousarray(np.moveaxis(d, -1, 0))  # dc[m] = d_m, (N, nb)
     force = any(i < 3 for i in cols)
-    hb = half_b * dc if force else None  # hb[m] = (b/2) d_m
+    hb_d = rad.hb * dc if force else None  # hb_d[m] = (b/2) d_m
     out = np.empty((r.shape[0], len(cols), r.shape[1], len(pairs) + 1), dtype=np.complex128)
     for e, (j, k) in enumerate(pairs):
         djk = dc[j] * dc[k]
@@ -433,37 +423,14 @@ def _pattern_kernel(r, d, cols, pairs, wave: WaveState, params: MaterialParams) 
             if i == 3:
                 out[:, c, :, e] = c1 + c2 * djk if j == k else c2 * djk
             elif i == j == k:
-                out[:, c, :, e] = a * dc[i] + 2.0 * hb[i]
+                out[:, c, :, e] = a * dc[i] + 2.0 * hb_d[i]
             elif i in (j, k):
-                out[:, c, :, e] = a * dc[i] + hb[j + k - i]
+                out[:, c, :, e] = a * dc[i] + hb_d[j + k - i]
             else:
                 out[:, c, :, e] = a * dc[i]
     for c, i in enumerate(cols):
-        out[:, c, :, -1] = rad.pf if i == 3 else ps * dc[i]
+        out[:, c, :, -1] = rad.pf if i == 3 else rad.ps * dc[i]
     return out
-
-
-@dataclass(frozen=True)
-class TraceKernel:
-    """5x4 map from the 4 source types at y to the trace triple at xi.
-
-    Rows: traction components t1..t3, relative normal flow q, pressure p.
-    Columns: unit forces along the three axes, unit fluid injection.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def traction(self) -> np.ndarray:
-        return self.matrix[0:3, :]
-
-    @property
-    def flow(self) -> np.ndarray:
-        return self.matrix[3, :]
-
-    @property
-    def pressure(self) -> np.ndarray:
-        return self.matrix[4, :]
 
 
 def _check_unit_normal(n) -> np.ndarray:
@@ -475,12 +442,15 @@ def _check_unit_normal(n) -> np.ndarray:
     return n
 
 
-def trace_kernel(y, xi, n, wave: WaveState, params: MaterialParams) -> TraceKernel:
-    """Trace kernel at a single pair: traces at xi (unit normal n), sources at y."""
+def trace_kernel(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """5x4 trace kernel at a single pair: rows the traces (traction (3),
+    relative normal flow, pressure) at ``xi`` with unit normal ``n``,
+    columns the source types at ``y`` (unit forces along the three axes,
+    unit fluid injection)."""
     y = np.asarray(y, dtype=float).reshape(3)
     xi = np.asarray(xi, dtype=float).reshape(3)
     n = _check_unit_normal(n)
-    return TraceKernel(matrix=_trace_matrix(y, xi, n, wave, params))
+    return _trace_matrix(y, xi, n, wave, params)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +480,24 @@ def _dislocation_trace_matrix(
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
     st, co = _Stacks(wave, r, 4), _coeffs(wave, params)
     rad = _radials(st, co, r)
-    K = _trace_rows(st, co, rad, r, d, n)  # F[row, col] = K[col, row]
     nd, vd, nv = np.sum(n * d, axis=-1), np.sum(nu * d, axis=-1), np.sum(n * nu, axis=-1)
 
     def vec(cd, cn, cv):  # cd d + cn n + cv nu, without the terms given as None
         terms = [c[..., None] * u for c, u in ((cd, d), (cn, n), (cv, nu)) if c is not None]
         return sum(terms[1:], terms[0])
 
-    def s2nu(P, Q):  # _s2's n-contracted third derivative, contracted with nu
+    def s2nu(P, Q):  # n_k nu_j f_,kij from the _s2_radial (P, Q) of f
         return vec(P * nd * vd + Q * nv, Q * vd, Q * nd)
+
+    # the field F = K^T read from the trace rows' coefficients (_Radials):
+    # the trace kernel's fluid column (tf, qf, pf), which is F's last row,
+    # and its force columns contracted with nu, nu_u[c] = nu.F[:3, c]
+    tf = vec(rad.c2 * nd, rad.c1, None)
+    qf = rad.qf * nd
+    nu_u = np.empty(r.shape + (5,), dtype=np.complex128)
+    nu_u[..., 0:3] = vec(rad.a2 * nd * vd + rad.hb * nv, rad.a1 * vd, rad.hb * nd)
+    nu_u[..., 3] = rad.qa * nd * vd + rad.qb * nv
+    nu_u[..., 4] = rad.ps * vd
 
     f1, f2, f3, f4 = (st.Phi[..., k] for k in range(1, 5))
     D4 = f4 - 6.0 * f3 / r + 15.0 * f2 / r**2 - 15.0 * f1 / r**3
@@ -532,7 +511,6 @@ def _dislocation_trace_matrix(
     a_psi, a_dv, a_gs = rad.Psi2 - b_psi, Dv2 - b_dv, st.gs[..., 2] - b_gs
     X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
     Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
-    Y = Pf1 + co.rho_f_w2 * co.cP * rad.Psi1
     Yp = co.cf1 * st.g1[..., 2] + co.cf2 * st.g2[..., 2] + co.rho_f_w2 * co.cP * rad.Psi2
 
     # jump columns [[u]]_j: with T[j, i, m] = d Ts[j, i] / d w_m the gradient
@@ -561,11 +539,11 @@ def _dislocation_trace_matrix(
     t[...] = d[..., :, None] * vec(-mu * c_dd, -mu * c_nd, -mu * c_vd)[..., None, :]
     t += n[..., :, None] * vec(-mu * c_dn, None, -mu * c_vn)[..., None, :]
     t -= nu[..., :, None] * (
-        vec(mu * c_dv + lam * tr_d, mu * c_nv + lam * tr_n, None) + alpha * K[..., 0:3, 3]
+        vec(mu * c_dv + lam * tr_d, mu * c_nv + lam * tr_n, None) + alpha * tf
     )[..., None, :]
     t[..., range(3), range(3)] -= mu * c_I[..., None]
     # column [[p]]: F[:3] = qs, of w-gradient (cP S2[Psi] - rho_f omega^2 cU
-    # (S2[Phi] + ks2 gs1 n(x)d)) / (gamma omega^2), S2 as in _s2; column
+    # (S2[Phi] + ks2 gs1 n(x)d)) / (gamma omega^2), S2[f] = n_k f_,kim; column
     # -[[q]]: F[:3] = ps = cP Psi1 d, of w-gradient cP Hess(Psi)
     tr_p = (co.cP * (P_psi + 5.0 * Q_psi)
             - co.rho_f_w2 * co.cU * (P_phi + 5.0 * Q_phi + co.ks2 * rad.gs1)) * nd / g
@@ -573,16 +551,17 @@ def _dislocation_trace_matrix(
     gs1_k = co.rho_f_w2 * co.cU * co.ks2 * rad.gs1
     z_p = 2.0 * co.cP * s2_psi - 2.0 * co.rho_f_w2 * co.cU * s2nu(P_phi, Q_phi) \
         - vec(gs1_k * nv, gs1_k * vd, None)
-    out[..., 0:3, 3] = -(mu / g) * z_p - (lam * tr_p + alpha * K[..., 3, 3])[..., None] * nu
+    out[..., 0:3, 3] = -(mu / g) * z_p - (lam * tr_p + alpha * qf)[..., None] * nu
     out[..., 0:3, 4] = -2.0 * mu * co.cP * vec(a_psi * vd, None, b_psi) - (
-        lam * co.cP * (a_psi + 3.0 * b_psi) + alpha * K[..., 4, 3])[..., None] * nu
-    nu_u = np.einsum("...ci,...i->...c", K[..., 0:3], nu)  # nu.F[:3] per column
+        lam * co.cP * (a_psi + 3.0 * b_psi) + alpha * rad.pf)[..., None] * nu
     out[..., 3, 0:3] = (2.0 * mu * co.cP * s2_psi
                         - ((co.cP * lam * X1 - alpha * Pf1) * vd)[..., None] * n)
-    out[..., 3, 3] = -(Yp * nd * vd + Y * (nv - nd * vd) / r) / g
+    out[..., 3, 3] = -(Yp * nd * vd / g + rad.qf * (nv - nd * vd) / r)
     out[..., 3, 4] = -Pf1 * vd
     out[..., 3, :] = (out[..., 3, :] - co.rho_f_w2 * nu_u) / g
-    out[..., 4, :] = K[..., 3]
+    out[..., 4, 0:3] = tf
+    out[..., 4, 3] = qf
+    out[..., 4, 4] = rad.pf
     return out
 
 

@@ -1,11 +1,19 @@
 """Independent reference implementations for the tests.
 
+trace_matrix_oracle is the 5x4 trace kernel in tensor form: the traction
+rows contract Cartesian Hessians and the n-contracted third derivative
+_s2 of the radial potentials with the drained stiffness, and the flow
+rows contract the Hessians with the normal.  The production kernel,
+poroscat.greens._trace_matrix, writes every row from one set of scalar
+radial coefficients (greens._radials); the two share the radial stacks.
+
 dislocation_trace_oracle is the coupling kernel built as the full
 derivative tensor dF[..., m, row, col] of the radiated field (with the
 fourth Cartesian derivative _nf4 of a radial scalar) and only then
 contracted with the trace normal.  The production kernel,
 poroscat.greens._dislocation_trace_matrix, writes those contractions out
-in closed form; the two share the radial stacks and the trace rows only.
+in closed form; the two share the radial stacks only, the oracle's field
+being the tensor-form trace rows read with rows and columns swapped.
 
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
@@ -15,19 +23,82 @@ the law's matrices.
 
 import numpy as np
 
-from poroscat.greens import (
-    _EYE3,
-    _Stacks,
-    _coeffs,
-    _geometry,
-    _hess,
-    _radials,
-    _s2,
-    _s2_radial,
-    _trace_rows,
-)
+from poroscat.greens import _EYE3, _Stacks, _coeffs, _geometry, _hess, _s2_radial
 from poroscat.material import MaterialParams, WaveState
 from poroscat.scene import HIGH_PERMEABILITY, ContactParams
+
+
+def _s2(P, Q, d, n):
+    """n_k (third Cartesian derivative)_kij of a radial scalar from its
+    _s2_radial (P, Q); symmetric in ij."""
+    nd = np.sum(n * d, axis=-1)
+    dd = d[..., :, None] * d[..., None, :]
+    ndsym = n[..., :, None] * d[..., None, :] + d[..., :, None] * n[..., None, :]
+    return (
+        (P * nd)[..., None, None] * dd
+        + Q[..., None, None] * (ndsym + nd[..., None, None] * _EYE3)
+    )
+
+
+def _trace_rows(st: _Stacks, co, r, d, n):
+    """The (..., 5, 4) trace kernel in tensor form from radial stacks of
+    order >= 3."""
+    nd = np.sum(n * d, axis=-1)
+    gs0, gs1, Psi1 = st.gs[..., 0], st.gs[..., 1], st.Psi[..., 1]
+    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
+    X0 = st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0]
+    pf = co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0]
+
+    S2P = _s2(*_s2_radial(st.Phi, r), d, n)
+    HPsi = _hess(st.Psi, r, d)
+    nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
+
+    ps = co.cP * Psi1[..., None] * d
+
+    n_d = n[..., :, None] * d[..., None, :]
+    Ts = (
+        co.lam * co.cU * Dv1[..., None, None] * n_d
+        + co.mu
+        * co.cU
+        * (
+            2.0 * S2P
+            + co.ks2
+            * gs1[..., None, None]
+            * (nd[..., None, None] * _EYE3 + d[..., :, None] * n[..., None, :])
+        )
+        - co.alpha * co.cP * Psi1[..., None, None] * n_d
+    )
+
+    tf = (
+        co.cP * co.lam * X0[..., None] * n
+        - 2.0 * co.mu * co.cP * nHPsi
+        - co.alpha * pf[..., None] * n
+    )
+
+    nU = co.cU * (
+        np.einsum("...k,...kj->...j", n, _hess(st.Phi, r, d))
+        + (co.ks2 * gs0)[..., None] * n
+    )
+    qs = (co.cP * nHPsi - co.rho_f_w2 * nU) / co.gamma_w2
+    Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
+    qf = (Pf1 * nd + co.rho_f_w2 * co.cP * Psi1 * nd) / co.gamma_w2
+
+    out = np.empty(r.shape + (5, 4), dtype=np.complex128)
+    out[..., 0:3, 0:3] = Ts
+    out[..., 0:3, 3] = tf
+    out[..., 3, 0:3] = qs
+    out[..., 3, 3] = qf
+    out[..., 4, 0:3] = ps
+    out[..., 4, 3] = pf
+    return out
+
+
+def trace_matrix_oracle(y, xi, n, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """Batched 5x4 trace kernel in tensor form: rows (t1,t2,t3,q,p) at xi
+    with normal n, columns the 4 source types at y."""
+    r, d = _geometry(y, xi)
+    n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
+    return _trace_rows(_Stacks(wave, r, 3), _coeffs(wave, params), r, d, n)
 
 
 def _nf4(f, r, d, n):
@@ -79,16 +150,16 @@ def dislocation_trace_oracle(
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
     st = _Stacks(wave, r, 4)
     co = _coeffs(wave, params)
-    rad = _radials(st, co, r)
     # field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)]: the
     # trace kernel read with rows and columns swapped
-    K = _trace_rows(st, co, rad, r, d, n)
-    S2P, HPsi = _s2(*rad.PQ, d, n), _hess(st.Psi, r, d)
+    K = _trace_rows(st, co, r, d, n)
+    S2P, HPsi = _s2(*_s2_radial(st.Phi, r), d, n), _hess(st.Psi, r, d)
     F = np.swapaxes(K, -1, -2)
     nd = np.sum(n * d, axis=-1)
 
-    gs1, gs2 = rad.gs1, st.gs[..., 2]
-    Psi1, Psi2, Dv1 = rad.Psi1, rad.Psi2, rad.Dv1
+    gs1, gs2 = st.gs[..., 1], st.gs[..., 2]
+    Psi1, Psi2 = st.Psi[..., 1], st.Psi[..., 2]
+    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
     Dv2 = st.A1 * st.k1sq * st.g1[..., 2] + st.A2 * st.k2sq * st.g2[..., 2]
     X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
     Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,21 @@ class TestRunCheck:
             monkeypatch.setattr(fw, name, counted)
         cli.run_check(sc)
         assert sorted(calls) == ["_collect_cells", "_contact_blocks"]
+
+    def test_wrong_cell_transfer_flagged(self, monkeypatch, scenario_path):
+        # L built with each cell's transfer block moved to the next cell no
+        # longer matches the contact conditions solved cell by cell
+        sc = cli.load_scenario(scenario_path)
+        factors = fw._factors
+
+        def planted(*args):
+            f = factors(*args)
+            T = np.roll(f.interface.T, 1, axis=0)
+            return f._replace(interface=f.interface._replace(T=T))
+
+        monkeypatch.setattr(fw, "_factors", planted)
+        by_name = {r["name"]: r for r in cli.run_check(sc)}
+        assert by_name["factorization_consistency"]["status"] == "fail"
 
     def test_inadmissible_contact_flagged(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
@@ -536,6 +552,38 @@ def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where,
     rc = cli.main(["forward", "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+_FRAME_FRACTURE = {"center": [0.0, 0.5, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 0.0, 1.0],
+                   "half_lengths": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("scene", "wells", 0, "points", 1, 0), "scene.wells[0].points[1][0]"),
+        (("scene", "fractures", 0, "center", 1), "scene.fractures[0].center[1]"),
+        (("scene", "fractures", 1, "length"), "scene.fractures[1].length"),
+        (("scene", "fractures", 1, "center", 0), "scene.fractures[1].center[0]"),
+        (("scene", "fractures", 1, "width"), "scene.fractures[1].width"),
+        (("scene", "fractures", 0, "half_lengths", 0), "scene.fractures[0].half_lengths[0]"),
+        (("scene", "fractures", 0, "e2", 2), "scene.fractures[0].e2[2]"),
+        (("scene", "sampling", "region", 3), "scene.sampling.region[3]"),
+        (("scene", "sampling", "plane_z"), "scene.sampling.plane_z"),
+    ],
+)
+@pytest.mark.parametrize("value", [1e300, -1e150])
+def test_far_scene_coordinate_rejected(tmp_path, tiny_scenario_doc, capsys, where, path, value):
+    # squared distances of coordinates this large leave double range
+    doc = json.loads(json.dumps(tiny_scenario_doc))
+    doc["scene"]["fractures"][0] = dict(_FRAME_FRACTURE)
+    doc = _mutated_doc(doc, (where, "set", value))
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["forward", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{path} must be of magnitude below 1e+150" in capsys.readouterr().err
 
 
 def _doc_paths(node, where=()):

@@ -385,7 +385,7 @@ class TestRadiate:
         a = np.concatenate([n, [0, 0]]).astype(complex)
         obs = np.array([1.5, 1.0, 0.4])
         field, _ = radiated(a, (patch,), obs, wave, params)
-        K = trace_kernel(obs, patch.center, n, wave, params).matrix
+        K = trace_kernel(obs, patch.center, n, wave, params)
         expect = K.T @ a * patch.area
         np.testing.assert_allclose(field[0], expect, rtol=1e-14)
 
@@ -422,10 +422,14 @@ class TestAssembleLambda:
         assert not np.any(lam.data)
 
     def test_factorization_consistency(self, small_scene, wave, params):
+        # L against R T S with T written out cell by cell from the contact law
         lam = fw.assemble_lambda(small_scene, wave, params, mode="local")
         S = fw._trace_operator(small_scene, wave, params)
         R = fw._radiation_operator(small_scene, wave, params)
-        T = fw._local_transfer(small_scene.patches, wave.omega)
+        T = np.array([
+            local_transfer_oracle(p, wave.omega)
+            for p in small_scene.patches for _ in range(p.cell_count)
+        ])
         nc = S.shape[0] // 5
         prod = R @ np.einsum("cij,cjk->cik", T, S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
         assert np.linalg.norm(lam.data - prod) <= 1e-12 * np.linalg.norm(prod)
@@ -444,7 +448,7 @@ class TestAssembleLambda:
             K, T, area = [], [], []
             for patch in patches:
                 for x, a in zip(*patch.cells()):
-                    K.append([trace_kernel(y, x, patch.normal, wave, params).matrix[:, cidx]
+                    K.append([trace_kernel(y, x, patch.normal, wave, params)[:, cidx]
                               for y in pts])
                     T.append(local_transfer_oracle(patch, wave.omega))
                     area.append(a)

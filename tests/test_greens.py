@@ -16,7 +16,7 @@ from poroscat.greens import (  # biot_residual is also the acceptance suite's or
 )
 from poroscat.material import solve_dispersion
 
-from oracles import dislocation_trace_oracle
+from oracles import dislocation_trace_oracle, trace_matrix_oracle
 
 
 def radial(k, r, order=0):
@@ -106,12 +106,29 @@ class TestGreenTensor:
 
 
 class TestTraceKernel:
+    @pytest.mark.parametrize("spread", ["near", "far"])
+    def test_matches_tensor_oracle(self, spread, wave, params, rng):
+        # the rows written from their scalar radial coefficients against the
+        # tensor form (Hessians and third derivatives contracted afterwards),
+        # at separations from a thousandth of a unit to well past the
+        # slow-wave decay length
+        lo, hi = (1e-3, 0.5) if spread == "near" else (0.5, 20.0)
+        y = rng.uniform(-2.0, 2.0, (300, 3))
+        xi = y + _unit(rng.normal(size=y.shape)) * np.exp(
+            rng.uniform(math.log(lo), math.log(hi), (300, 1))
+        )
+        n = _unit(rng.normal(size=y.shape))
+        K = _trace_matrix(y, xi, n, wave, params)
+        ref = trace_matrix_oracle(y, xi, n, wave, params)
+        dev = np.linalg.norm(K - ref, axis=(1, 2))
+        assert np.all(dev <= 1e-13 * np.linalg.norm(ref, axis=(1, 2)))
+
     def test_normal_flip_signs(self, wave, params, rng):
         y, xi = np.array([0.1, -0.2, 0.3]), np.array([1.0, 0.6, -0.4])
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        kp = trace_kernel(y, xi, n, wave, params).matrix
-        km = trace_kernel(y, xi, -n, wave, params).matrix
+        kp = trace_kernel(y, xi, n, wave, params)
+        km = trace_kernel(y, xi, -n, wave, params)
         np.testing.assert_array_equal(km[0:3], -kp[0:3])  # traction rows flip
         np.testing.assert_array_equal(km[3], -kp[3])      # flow row flips
         np.testing.assert_array_equal(km[4], kp[4])       # pressure row unchanged
@@ -120,7 +137,7 @@ class TestTraceKernel:
         y, xi = np.array([0.1, -0.2, 0.3]), np.array([0.9, 0.5, -0.4])
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        K = trace_kernel(y, xi, n, wave, params).matrix
+        K = trace_kernel(y, xi, n, wave, params)
         h = 1e-5
         J = np.zeros((3, 4, 4), complex)
         for k in range(3):
@@ -140,6 +157,21 @@ class TestTraceKernel:
             err = np.linalg.norm(K[:3, col] - t_fd) / np.linalg.norm(t_fd)
             assert err < 1e-6
 
+    def test_flow_row_matches_finite_difference(self, wave, params, rng):
+        # q = (grad p . n - rho_f omega^2 u . n) / (gamma omega^2) for every
+        # source column, from central differences of the point-source tensor
+        y, xi = np.array([0.1, -0.2, 0.3]), np.array([0.9, 0.5, -0.4])
+        n = _unit(rng.normal(size=3))
+        K = trace_kernel(y, xi, n, wave, params)
+        h = 1e-5
+        dp = (
+            green_tensor(y, xi + h * n, wave, params).matrix[3]
+            - green_tensor(y, xi - h * n, wave, params).matrix[3]
+        ) / (2 * h)
+        u_n = n @ green_tensor(y, xi, wave, params).matrix[:3]
+        q_fd = (dp - params.rho_f * wave.omega**2 * u_n) / (wave.gamma * wave.omega**2)
+        np.testing.assert_allclose(K[3], q_fd, rtol=1e-6)
+
     def test_flow_row_reduction_without_solid_coupling(self, wave, params):
         # alpha = 0 and vanishing rho_f reduce the flow row to grad(p).n;
         # only the fluid column keeps a live pressure field in this limit,
@@ -149,7 +181,7 @@ class TestTraceKernel:
         y = np.zeros(3)
         xi = np.array([0.8, 0.1, 0.5]) * (0.5 / w0.k_p2.imag) / 0.9434
         n = np.array([0.0, 0.0, 1.0])
-        K = trace_kernel(y, xi, n, w0, p0).matrix
+        K = trace_kernel(y, xi, n, w0, p0)
         h = 2e-7
         dp = (
             green_tensor(y, xi + h * n, w0, p0).matrix[3, 3]
@@ -163,7 +195,7 @@ class TestTraceKernel:
     def test_pressure_row_equals_green_pressure(self, wave, params):
         y, xi = np.zeros(3), np.array([0.7, -0.3, 0.2])
         n = np.array([1.0, 0.0, 0.0])
-        K = trace_kernel(y, xi, n, wave, params).matrix
+        K = trace_kernel(y, xi, n, wave, params)
         g = green_tensor(y, xi, wave, params).matrix
         np.testing.assert_array_equal(K[4, :3], g[3, :3])
         assert K[4, 3] == g[3, 3]

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from poroscat import forward as fw
 from poroscat import inversion as inv
 from poroscat.errors import ConditioningError, DomainError, NumericalError
-from poroscat.greens import _trace_matrix, green_tensor
+from poroscat.greens import green_tensor
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scene
 from poroscat.scene import (
@@ -22,6 +22,8 @@ from poroscat.scene import (
     channel_indices,
     resolve_channels,
 )
+
+from oracles import trace_matrix_oracle
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ def per_normal_patterns(points, cands, grid_points, wave, params, channels):
     nb, ncand = len(points), len(cands)
     out = np.empty((len(grid_points) * len(cidx), nb * ncand), dtype=complex)
     for q, (normal, iota) in enumerate(cands):
-        K = _trace_matrix(grid_points[None], points[:, None], normal, wave, params)
+        K = trace_matrix_oracle(grid_points[None], points[:, None], normal, wave, params)
         amp = np.zeros(5)
         if iota == 1:
             amp[0:3] = normal
