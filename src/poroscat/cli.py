@@ -254,6 +254,10 @@ def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
         raise ValidationError(f"{path}: no contact given and no scene default")
     cells = _integers(doc.get("cells", [8, 2]), f"{path}.cells", (2,))
     strike = "angle_rad" in doc or "length" in doc
+    for key in ("e1", "e2", "half_lengths") if strike else ("width",):
+        if key in doc:
+            form = "strike (length, angle_rad)" if strike else "frame (e1, e2, half_lengths)"
+            raise ValidationError(f"{path}.{key} is not a key of a {form} fracture")
     center = _numbers(
         _need(doc, "center", path), f"{path}.center", (2, 3) if strike else (3,), _coordinate
     )
@@ -475,12 +479,14 @@ def run_forward(
         noisy = fw.inject_noise(lam, epsilon=scenario.noise_epsilon or 0.0, seed=seed)
     t_noise = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     fw.save_matrix(lam, out / "lambda.csv")
     fw.save_matrix(noisy, out / "lambda_noisy.csv")
     resolved = dict(scenario.resolved)
     resolved["noise"] = dict(resolved["noise"], seed=seed)
     resolved["forward"] = dict(resolved["forward"], mode=mode)
     _dump_json(resolved, out / "resolved_scenario.json")
+    t_write = time.perf_counter() - t0
     norm = float(np.linalg.norm(lam.data, 2))
     meta = {
         "n_points": lam.n_points,
@@ -496,7 +502,7 @@ def run_forward(
         "near_singular_points": lam.near_singular_points,
         "coupled_residual": lam.coupled_residual,
         "closure_gap": lam.closure_gap,
-        "timings_s": {"assemble": t_assemble, "noise": t_noise},
+        "timings_s": {"assemble": t_assemble, **lam.timings, "noise": t_noise, "write": t_write},
     }
     _dump_json(meta, out / "forward_meta.json")
     return meta
@@ -571,6 +577,12 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # property-suite runner
 # ---------------------------------------------------------------------------
+def _entry(name: str, ok: bool | None, detail: str) -> dict:
+    """A check report entry; ok is None for a skipped check."""
+    return {"name": name, "status": "skip" if ok is None else "pass" if ok else "fail",
+            "detail": detail}
+
+
 def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
     from .presets import pecos_sandstone, PECOS_OMEGA
 
@@ -580,11 +592,8 @@ def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
         for k in ("lam", "mu", "M", "rho", "rho_f", "rho_a", "kappa", "phi", "alpha")
     ) and math.isclose(wave.omega, PECOS_OMEGA, rel_tol=1e-9)
     if not same:
-        return {
-            "name": "dispersion_reference_speeds",
-            "status": "skip",
-            "detail": "scenario background is not the reference sandstone",
-        }
+        return _entry("dispersion_reference_speeds", None,
+                      "scenario background is not the reference sandstone")
     cs, cp1, cp2 = wave.modal_speeds()
     ok = True
     details = []
@@ -595,11 +604,7 @@ def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
         good = rel <= 0.05 and 0.5 <= ratio <= 2.0
         ok &= good
         details.append(f"{key}: re rel {rel:.3g}, |im| ratio {ratio:.3g}")
-    return {
-        "name": "dispersion_reference_speeds",
-        "status": "pass" if ok else "fail",
-        "detail": "; ".join(details),
-    }
+    return _entry("dispersion_reference_speeds", ok, "; ".join(details))
 
 
 def _check_pde_residual(params, wave, rng) -> dict:
@@ -609,11 +614,8 @@ def _check_pde_residual(params, wave, rng) -> dict:
         xi = rng.normal(size=3)
         xi *= rng.uniform(0.6, 1.5) / np.linalg.norm(xi)
         worst = max(worst, *(biot_residual(y, xi, col, wave, params) for col in range(4)))
-    return {
-        "name": "fundamental_solution_pde_residual",
-        "status": "pass" if worst < 1e-4 else "fail",
-        "detail": f"max relative residual {worst:.3e}",
-    }
+    return _entry("fundamental_solution_pde_residual", worst < 1e-4,
+                  f"max relative residual {worst:.3e}")
 
 
 def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
@@ -632,13 +634,8 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     g = green_tensor(np.zeros(3), xi, wave, params)
     uf_err = float(np.abs(g.fluid_displacement + g.force_pressure).max())
     a_err = abs(wave.A1 + wave.A2 - 1.0)
-    results.append(
-        {
-            "name": "kernel_identities",
-            "status": "pass" if (uf_err == 0.0 and a_err < 1e-12) else "fail",
-            "detail": f"u_f + p_s deviation {uf_err:.3e}, A1+A2-1 = {a_err:.3e}",
-        }
-    )
+    results.append(_entry("kernel_identities", uf_err == 0.0 and a_err < 1e-12,
+                          f"u_f + p_s deviation {uf_err:.3e}, A1+A2-1 = {a_err:.3e}"))
 
     # one set of factors for every check below
     factors = fw._factors(scene, wave, params)
@@ -650,17 +647,9 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
         lhs = np.vdot(av, w * (S @ gv))
         rhs = np.vdot(np.conj(R) @ av, gv)
         adj = abs(lhs - rhs) / abs(lhs)
-        results.append(
-            {
-                "name": "adjoint_identity",
-                "status": "pass" if adj < 1e-8 else "fail",
-                "detail": f"relative mismatch {adj:.3e}",
-            }
-        )
+        results.append(_entry("adjoint_identity", adj < 1e-8, f"relative mismatch {adj:.3e}"))
     else:
-        results.append(
-            {"name": "adjoint_identity", "status": "skip", "detail": "no fractures"}
-        )
+        results.append(_entry("adjoint_identity", None, "no fractures"))
 
     lam = fw._scattering_data(factors)[0]
     nc = cells.count
@@ -671,16 +660,10 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
         J = np.linalg.solve(D, E @ S.reshape(nc, 5, -1)).reshape(5 * nc, -1)
         prod = R @ J
         fac = np.linalg.norm(lam - prod) / max(np.linalg.norm(prod), 1e-300)
-        status = "pass" if fac < 1e-12 else "fail"
     else:
-        fac, status = 0.0, "pass"  # zero operators agree trivially
-    results.append(
-        {
-            "name": "factorization_consistency",
-            "status": status,
-            "detail": f"relative deviation {fac:.3e}",
-        }
-    )
+        fac = 0.0  # zero operators agree trivially
+    results.append(_entry("factorization_consistency", fac < 1e-12,
+                          f"relative deviation {fac:.3e}"))
 
     # L is complex symmetric under both closures (reciprocity of the Biot system)
     coupling = (wave, params, scenario.forward_cutoff)
@@ -689,24 +672,15 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     for mode, L in (("local", lam), ("interacting", inter)):
         scale = np.linalg.norm(L)
         asym[mode] = float(np.linalg.norm(L - L.T) / scale) if scale > 0.0 else 0.0
-    results.append(
-        {
-            "name": "operator_reciprocity",
-            "status": "pass" if max(asym.values()) < 1e-10 else "fail",
-            "detail": "||L - L^T||/||L||: " + ", ".join(f"{k} {v:.3e}" for k, v in asym.items()),
-        }
-    )
+    results.append(_entry(
+        "operator_reciprocity", max(asym.values()) < 1e-10,
+        "||L - L^T||/||L||: " + ", ".join(f"{k} {v:.3e}" for k, v in asym.items()),
+    ))
 
     # the coupling kernel is reciprocal, B(z_i <- y_j) = B(y_j <- z_i)^T, which
     # lets the interacting assembly evaluate each off-patch cell pair once
     if len(scene.patches) < 2:
-        results.append(
-            {
-                "name": "dislocation_reciprocity",
-                "status": "skip",
-                "detail": "fewer than two patches",
-            }
-        )
+        results.append(_entry("dislocation_reciprocity", None, "fewer than two patches"))
     else:
         i, j = np.nonzero(cells.patch_index[:, None] < cells.patch_index[None, :])
         pick = rng.choice(i.size, size=min(64, i.size), replace=False)
@@ -716,54 +690,32 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
         swapped = _dislocation_trace_matrix(c[i], n[i], c[j], n[j], wave, params)
         dev = np.linalg.norm(B - np.swapaxes(swapped, 1, 2), axis=(1, 2))
         swap = float(np.max(dev / np.linalg.norm(B, axis=(1, 2))))
-        results.append(
-            {
-                "name": "dislocation_reciprocity",
-                "status": "pass" if swap < 1e-10 else "fail",
-                "detail": f"max ||B(z<-y) - B(y<-z)^T||/||B|| over {i.size} pairs: {swap:.3e}",
-            }
-        )
+        results.append(_entry(
+            "dislocation_reciprocity", swap < 1e-10,
+            f"max ||B(z<-y) - B(y<-z)^T||/||B|| over {i.size} pairs: {swap:.3e}",
+        ))
 
     sharp = inv.lambda_sharp(lam)
     herm = float(np.abs(sharp - sharp.conj().T).max())
     eigs = np.linalg.eigvalsh(sharp)
     scale = max(float(np.abs(eigs).max()), 1e-300)
     psd_ok = herm <= 1e-12 * scale and eigs.min() >= -1e-12 * scale
-    results.append(
-        {
-            "name": "lambda_sharp_psd",
-            "status": "pass" if psd_ok else "fail",
-            "detail": f"hermitian dev {herm:.3e}, min eig {eigs.min():.3e}",
-        }
-    )
+    results.append(_entry("lambda_sharp_psd", psd_ok,
+                          f"hermitian dev {herm:.3e}, min eig {eigs.min():.3e}"))
 
     res = inv.morozov_eta(np.eye(3, dtype=complex), np.array([1.0, 0, 0]), 0.05)
     moro_ok = res.bracketed and abs(res.eta - 0.05) <= 1e-12
-    results.append(
-        {
-            "name": "morozov_closed_form",
-            "status": "pass" if moro_ok else "fail",
-            "detail": f"eta = {res.eta!r} for delta = 0.05",
-        }
-    )
+    results.append(_entry("morozov_closed_form", moro_ok, f"eta = {res.eta!r} for delta = 0.05"))
 
     worst = None
     for patch in scene.patches:
         rep = fw.check_admissibility(patch.contact, wave)
         if worst is None or rep.worst_imag > worst[1]:
             worst = (rep.admissible, rep.worst_imag)
-    if worst is None:
-        results.append(
-            {"name": "contact_admissibility", "status": "skip", "detail": "no fractures"}
-        )
-    else:
-        results.append(
-            {
-                "name": "contact_admissibility",
-                "status": "pass" if worst[0] else "fail",
-                "detail": f"max Im<P phi, phi> = {worst[1]:.3e}",
-            }
-        )
+    results.append(
+        _entry("contact_admissibility", None, "no fractures") if worst is None
+        else _entry("contact_admissibility", worst[0], f"max Im<P phi, phi> = {worst[1]:.3e}")
+    )
 
     if out_dir is not None:
         out = Path(out_dir)

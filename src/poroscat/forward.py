@@ -42,7 +42,8 @@ from __future__ import annotations
 import cmath
 import io
 import logging
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -232,19 +233,25 @@ def _blockwise(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("cij,cjk->cik", blocks, cells).reshape(psi.shape)
 
 
-def _jumps(interface: _Interface, psi: np.ndarray, coupling=None):
+def _jumps(interface: _Interface, psi: np.ndarray, coupling=None, timings=None):
     """Interface transfer T: a (5*nc, k) trace block to its jump block, and
     the relative residual of the coupled solve (None when none was made).
 
     coupling is None for the local closure, or (wave, params, cutoff) for
     the interacting one, which reduces to the local closure when
-    _patches_interact says the patches do not couple.
+    _patches_interact says the patches do not couple.  A coupled solve
+    records the seconds of M's fill and LU solve in the dict ``timings``.
     """
     if coupling is not None:
         wave, params, cutoff = coupling
         if _patches_interact(interface.patches, wave, cutoff):
+            t0 = time.perf_counter()
             M = _interaction_matrix(interface, wave, params)
-            return _coupled_solve(M, _blockwise(interface.E, psi))
+            t1 = time.perf_counter()
+            out = _coupled_solve(M, _blockwise(interface.E, psi))
+            if timings is not None:
+                timings.update(coupling=t1 - t0, solve=time.perf_counter() - t1)
+            return out
     return _blockwise(interface.T, psi), None
 
 
@@ -367,9 +374,9 @@ class ScatteringMatrix:
     """Dense data operator with point-major (point, channel) indexing.
 
     coupled_residual and closure_gap are an interacting assembly's (see
-    _scattering_data), and near_singular_points counts the sensing points
-    an assembly flagged (_radiation_block); none is part of the file
-    format."""
+    _scattering_data), near_singular_points counts the sensing points an
+    assembly flagged (_radiation_block), and timings holds the seconds of
+    its coupled solve (_jumps); none is part of the file format."""
 
     data: np.ndarray
     channels: tuple[str, ...]
@@ -383,6 +390,7 @@ class ScatteringMatrix:
     coupled_residual: float | None = None
     closure_gap: float | None = None
     near_singular_points: int | None = None
+    timings: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n_points * len(self.channels)
@@ -429,7 +437,7 @@ def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
     return _factors(scene, wave, params).R
 
 
-def _scattering_data(factors: _Factors, coupling=None):
+def _scattering_data(factors: _Factors, coupling=None, timings=None):
     """(L, coupled residual, closure gap) of L = R T S from a scene's factors.
 
     For the interacting closure (coupling as in _jumps) the residual is
@@ -437,7 +445,7 @@ def _scattering_data(factors: _Factors, coupling=None):
     the gap is ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the same
     factors; both are None for the local closure.
     """
-    jumps, residual = _jumps(factors.interface, factors.S, coupling)
+    jumps, residual = _jumps(factors.interface, factors.S, coupling, timings)
     data = factors.R @ jumps
     if not np.isfinite(data).all():
         raise NumericalError(
@@ -468,7 +476,8 @@ def assemble_lambda(
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
     factors = _factors(scene, wave, params)
     coupling = (wave, params, cutoff) if mode == "interacting" else None
-    data, residual, gap = _scattering_data(factors, coupling)
+    timings: dict = {}
+    data, residual, gap = _scattering_data(factors, coupling, timings)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
         data.shape[0], data.shape[1], mode, factors.interface.cells.count,
@@ -483,6 +492,7 @@ def assemble_lambda(
         coupled_residual=residual,
         closure_gap=gap,
         near_singular_points=int(factors.near.sum()),
+        timings=timings,
     )
 
 

@@ -7,10 +7,10 @@ displacement-jump dipole along the trial normal n; for iota = 0 it is a
 unit fluid monopole (a -[[q]] point density), which is independent of n.
 The dipole pattern n.t(n) is a quadratic form n_j n_k M_jk of a
 normal-free kernel M (greens._pattern_kernel), so a block of sampling
-points needs one kernel evaluation for all of its normals, written entry
-by entry into the layout of the one product that expands it to the
-candidates.  Candidates with equal patterns (every monopole, any
-repeated dipole normal) share one distinct trial column.
+points needs one kernel evaluation for all of its normals, which stays
+in the kernel's basis until the first product with it (_Patterns).
+Candidates with equal patterns (every monopole, any repeated dipole
+normal) share one distinct trial column.
 
 Two regularized solutions of the scattering equation L g = Phi back the
 two indicators:
@@ -152,15 +152,35 @@ def trial_pattern_block(
     gpts = np.asarray(grid_points, dtype=float)
     cidx = channel_indices(channels)
     r, d = _geometry(gpts[:, None, :], pts[None, :, :])
-    return _patterns(r, d, candidates, cidx, wave, params)
+    patterns = _patterns(r, d, candidates, cidx, wave, params)
+    return patterns.expand(patterns.K)
 
 
-def _patterns(r, d, candidates, cidx, wave: WaveState, params: MaterialParams) -> np.ndarray:
-    """trial_pattern_block from the block geometry: r (N, nb) and d (N, nb, 3)
-    from the N sensing points to the nb sampling points (greens._geometry),
-    on the channel columns cidx."""
+class _Patterns(NamedTuple):
+    """Trial patterns of a block in the pattern kernel's basis: the w
+    columns of K per sampling point (its (j, k) entries, then the pressure
+    row) times the real coef (w, n_columns).  M @ _Patterns expands after
+    the product when w is the narrower side (4 against 9 distinct columns
+    on an in-plane fan), else before."""
+
+    K: np.ndarray
+    coef: np.ndarray
+    __array_ufunc__ = None  # ndarray @ _Patterns goes to __rmatmul__
+
+    def expand(self, A: np.ndarray) -> np.ndarray:
+        return (A.reshape(-1, self.coef.shape[0]) @ self.coef).reshape(A.shape[0], -1)
+
+    def __rmatmul__(self, M: np.ndarray) -> np.ndarray:
+        if self.coef.shape[0] < self.coef.shape[1]:
+            return self.expand(M @ self.K)
+        return M @ self.expand(self.K)
+
+
+def _patterns(r, d, candidates, cidx, wave: WaveState, params: MaterialParams) -> _Patterns:
+    """trial_pattern_block from the block geometry, unexpanded: r (N, nb)
+    and d (N, nb, 3) from the N sensing points to the nb sampling points
+    (greens._geometry), on the channel columns cidx."""
     N, nb = r.shape
-    ncand = len(candidates)
     normals = np.array([np.asarray(n, float).reshape(3) for n, _ in candidates]).reshape(-1, 3)
     bad = [iota for _, iota in candidates if iota not in (0, 1)]
     if bad:
@@ -170,12 +190,12 @@ def _patterns(r, d, candidates, cidx, wave: WaveState, params: MaterialParams) -
     weight = normals[:, j] * normals[:, k] * np.where(j == k, 1.0, 2.0)
     used = np.any(weight[dip] != 0.0, axis=0)
     # coefficient of candidate q on (pair (j, k) ..., pressure row)
-    coef = np.zeros((ncand, used.sum() + 1))
-    coef[dip, :-1] = weight[dip][:, used]
-    coef[~dip, -1] = 1.0  # unit -[[q]] monopole
+    coef = np.zeros((used.sum() + 1, len(candidates)))
+    coef[:-1, dip] = weight[dip][:, used].T
+    coef[-1, ~dip] = 1.0  # unit -[[q]] monopole
     pairs = list(zip(j[used].tolist(), k[used].tolist()))
     K = _pattern_kernel(r, d, cidx.tolist(), pairs, wave, params)  # (N, C, nb, pairs + 1)
-    return (K.reshape(-1, coef.shape[1]) @ coef.T).reshape(N * cidx.size, nb * ncand)
+    return _Patterns(K.reshape(N * cidx.size, nb * coef.shape[0]), coef)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +524,10 @@ class GlsmPencil:
     It is the Cholesky reduction of the Hermitian-definite pencil (Golub
     & Van Loan, Matrix Computations, 8.7): with L#_psd + delta I = C C^H
     and X = C^-1 L^H, the eigenpairs (d, Q) of X X^H = C^-1 L^H L C^-H
-    give V = C^-H Q and W = V^H L^H = Q^H X.
+    give V = C^-H Q and W = V^H L^H = Q^H X, here from the SVD X = Q
+    diag(s) Y^H (d = s^2, W = diag(s) Y^H): eigh of X X^H has its small
+    eigenvalues only to eps s_max^2 (clean desk operator, cond L ~ 1e18:
+    indicator energy 3e-5 from a 50-digit solve, against 3e-9 now).
     """
 
     def __init__(self, matrix, sharp, delta: float):
@@ -516,15 +539,14 @@ class GlsmPencil:
         try:
             C = np.linalg.cholesky(self.sharp + self.delta * np.eye(L.shape[1]))
             X = np.linalg.solve(C, L.conj().T)
-            K = X @ X.conj().T
-            d, Q = np.linalg.eigh(0.5 * (K + K.conj().T))
+            Q, s, Yh = np.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"penalty pencil decomposition failed: {exc}"
             ) from None
-        self.d = np.maximum(d, 0.0)
-        self.V = np.linalg.solve(C.conj().T, Q)
-        self.W = Q.conj().T @ X
+        # in ascending order, as eigh would give them
+        self.d, self.W = (s * s)[::-1].copy(), np.ascontiguousarray((s[:, None] * Yh)[::-1])
+        self.V = np.linalg.solve(C.conj().T, Q[:, ::-1])
 
     def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
         """g = V ((W rhs) / (d + alpha)); alpha is one weight, or one per

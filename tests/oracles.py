@@ -4,16 +4,29 @@ trace_matrix_oracle is the 5x4 trace kernel in tensor form: the traction
 rows contract Cartesian Hessians and the n-contracted third derivative
 _s2 of the radial potentials with the drained stiffness, and the flow
 rows contract the Hessians with the normal.  The production kernel,
-poroscat.greens._trace_matrix, writes every row from one set of scalar
-radial coefficients (greens._radials); the two share the radial stacks.
+poroscat.greens._trace_matrix, writes every row from scalar radial
+coefficients (greens._trace_coefficients).
 
 dislocation_trace_oracle is the coupling kernel built as the full
 derivative tensor dF[..., m, row, col] of the radiated field (with the
 fourth Cartesian derivative _nf4 of a radial scalar) and only then
 contracted with the trace normal.  The production kernel,
 poroscat.greens._dislocation_trace_matrix, writes those contractions out
-in closed form; the two share the radial stacks only, the oracle's field
-being the tensor-form trace rows read with rows and columns swapped.
+in closed form, its oracle's field being the tensor-form trace rows read
+with rows and columns swapped.
+
+Both oracles keep their tensor forms but read their radial scalars (the
+Hessian, third- and fourth-derivative scalars of the potentials, each a
+series in exp(i k r)/r^j) from the production radial evaluator, so they
+check the kernels' tensor algebra.  trace_matrix_oracle reads the very
+series the trace kernel reads (greens._SCALARS): near the source the
+modes of a scalar such as Q cancel, and two evaluations of it differ in
+the digits the cancellation leaves (4.6e-13 of the pair norm at r = 1e-3
+for separately evaluated rows, against the 1e-13 its test asks).
+dislocation_trace_oracle, whose pairs lie 0.1 or more apart, states its
+scalars itself (radial_scalars over greens._Radial).  radial_scalars
+works over any arithmetic: with plain mpmath numbers it is the 40-digit
+reference of the radial evaluator in tests/test_greens.py.
 
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
@@ -23,14 +36,71 @@ the law's matrices.
 
 import numpy as np
 
-from poroscat.greens import _EYE3, _Stacks, _coeffs, _geometry, _hess, _s2_radial
+from poroscat.greens import _EYE3, _SCALARS, _PowR, _Table, _coeffs, _geometry, _modes, _table
 from poroscat.material import MaterialParams, WaveState
 from poroscat.scene import HIGH_PERMEABILITY, ContactParams
 
 
+def radial_scalars(g, r, wave: WaveState, params: MaterialParams) -> dict:
+    """The radial scalars of both tensor forms, by name.
+
+    g[x][m] is the m-th radial derivative (m <= 4) of exp(i k_x r)/(4 pi r)
+    for the modes x = s, p1, p2, and r the distance: either greens._Radial
+    series with r = greens._PowR(1), or numbers.  The Hessian of a radial
+    f is a d(x)d + b I with (a, b) = (f'' - f'/r, f'/r), and so is the
+    gradient of f'(r) d.
+    """
+    co = _coeffs(wave, params)
+    A1, A2 = complex(wave.A1), complex(wave.A2)
+    k1sq, k2sq = complex(wave.k_p1) ** 2, complex(wave.k_p2) ** 2
+    gs, g1, g2 = g
+    Phi = [gs[m] - A1 * g1[m] - A2 * g2[m] for m in range(5)]
+    Psi = [g1[m] - g2[m] for m in range(5)]
+    Dv = [A1 * k1sq * g1[m] + A2 * k2sq * g2[m] for m in range(4)]
+    X = [k1sq * g1[m] - k2sq * g2[m] for m in range(2)]
+    Pf = [co.cf1 * g1[m] + co.cf2 * g2[m] for m in range(3)]
+
+    def hess(f):  # f = [f, f', f'', ...]
+        return f[2] - f[1] / r, f[1] / r
+
+    def s2(f):  # n_k f_,kij = P (n.d) d_i d_j + Q (n_i d_j + d_i n_j + (n.d) delta_ij)
+        return f[3] - 3.0 * f[2] / r + 3.0 * f[1] / r**2, f[2] / r - f[1] / r**2
+
+    f1, f2, f3, f4 = Phi[1:5]
+    out = dict(
+        gs0=gs[0], gs1=gs[1], gs2=gs[2], Psi1=Psi[1], Psi2=Psi[2],
+        Dv1=Dv[1], Dv2=Dv[2], X0=X[0], X1=X[1], pf=Pf[0], Pf1=Pf[1], Pf2=Pf[2],
+        D4=f4 - 6.0 * f3 / r + 15.0 * f2 / r**2 - 15.0 * f1 / r**3,
+        D2=f3 / r - 3.0 * f2 / r**2 + 3.0 * f1 / r**3,
+        D0=f2 / r**2 - f1 / r**3,
+        Y_r=(Pf[1] + co.rho_f_w2 * co.cP * Psi[1]) / r,
+    )
+    for name, pair in (("phi", hess(Phi)), ("psi", hess(Psi)), ("dv", hess(Dv)), ("gs", hess(gs))):
+        out["a_" + name], out["b_" + name] = pair
+    for name, pair in (("phi", s2(Phi)), ("psi", s2(Psi))):
+        out["P_" + name], out["Q_" + name] = pair
+    return out
+
+
+def evaluated_scalars(r, wave: WaveState, params: MaterialParams) -> dict:
+    """radial_scalars at the distances r, by the production radial evaluator."""
+    g = []
+    for f in _modes((wave.k_s, wave.k_p1, wave.k_p2)):
+        g.append([f])
+        for _ in range(4):
+            g[-1].append(g[-1][-1].d)
+    fns = radial_scalars(g, _PowR(1), wave, params)
+    return dict(zip(fns, _Table(list(fns.values()))(r)))
+
+
+def _hess(a, b, d):
+    """a d(x)d + b I."""
+    return a[..., None, None] * d[..., :, None] * d[..., None, :] + b[..., None, None] * _EYE3
+
+
 def _s2(P, Q, d, n):
     """n_k (third Cartesian derivative)_kij of a radial scalar from its
-    _s2_radial (P, Q); symmetric in ij."""
+    (P, Q); symmetric in ij."""
     nd = np.sum(n * d, axis=-1)
     dd = d[..., :, None] * d[..., None, :]
     ndsym = n[..., :, None] * d[..., None, :] + d[..., :, None] * n[..., None, :]
@@ -40,17 +110,14 @@ def _s2(P, Q, d, n):
     )
 
 
-def _trace_rows(st: _Stacks, co, r, d, n):
-    """The (..., 5, 4) trace kernel in tensor form from radial stacks of
-    order >= 3."""
+def trace_rows(s: dict, co, d, n):
+    """The (..., 5, 4) trace kernel in tensor form from the radial_scalars
+    s of its pairs (arrays of complex numbers, or of mpmath numbers)."""
     nd = np.sum(n * d, axis=-1)
-    gs0, gs1, Psi1 = st.gs[..., 0], st.gs[..., 1], st.Psi[..., 1]
-    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
-    X0 = st.k1sq * st.g1[..., 0] - st.k2sq * st.g2[..., 0]
-    pf = co.cf1 * st.g1[..., 0] + co.cf2 * st.g2[..., 0]
+    gs0, gs1, Psi1, Dv1, X0, pf = (s[k] for k in ("gs0", "gs1", "Psi1", "Dv1", "X0", "pf"))
 
-    S2P = _s2(*_s2_radial(st.Phi, r), d, n)
-    HPsi = _hess(st.Psi, r, d)
+    S2P = _s2(s["P_phi"], s["Q_phi"], d, n)
+    HPsi = _hess(s["a_psi"], s["b_psi"], d)
     nHPsi = np.einsum("...k,...kj->...j", n, HPsi)
 
     ps = co.cP * Psi1[..., None] * d
@@ -76,14 +143,13 @@ def _trace_rows(st: _Stacks, co, r, d, n):
     )
 
     nU = co.cU * (
-        np.einsum("...k,...kj->...j", n, _hess(st.Phi, r, d))
+        np.einsum("...k,...kj->...j", n, _hess(s["a_phi"], s["b_phi"], d))
         + (co.ks2 * gs0)[..., None] * n
     )
     qs = (co.cP * nHPsi - co.rho_f_w2 * nU) / co.gamma_w2
-    Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
-    qf = (Pf1 * nd + co.rho_f_w2 * co.cP * Psi1 * nd) / co.gamma_w2
+    qf = (s["Pf1"] * nd + co.rho_f_w2 * co.cP * Psi1 * nd) / co.gamma_w2
 
-    out = np.empty(r.shape + (5, 4), dtype=np.complex128)
+    out = np.empty(nd.shape + (5, 4), dtype=np.complex128)
     out[..., 0:3, 0:3] = Ts
     out[..., 0:3, 3] = tf
     out[..., 3, 0:3] = qs
@@ -98,18 +164,16 @@ def trace_matrix_oracle(y, xi, n, wave: WaveState, params: MaterialParams) -> np
     with normal n, columns the 4 source types at y."""
     r, d = _geometry(y, xi)
     n = np.broadcast_to(np.asarray(n, dtype=float), d.shape)
-    return _trace_rows(_Stacks(wave, r, 3), _coeffs(wave, params), r, d, n)
+    s = dict(zip(_SCALARS, _table(wave, params, _SCALARS)(r)))
+    return trace_rows(s, _coeffs(wave, params), d, n)
 
 
-def _nf4(f, r, d, n):
-    """n_k (fourth Cartesian derivative)_kijm of a radial scalar.
+def _nf4(D4, D2, D0, d, n):
+    """n_k (fourth Cartesian derivative)_kijm of a radial scalar from its
+    radial_scalars (D4, D2, D0).
 
     Returns shape (..., 3, 3, 3) indexed [i, j, m]; fully symmetric.
     """
-    f1, f2, f3, f4 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
-    D4 = f4 - 6.0 * f3 / r + 15.0 * f2 / r**2 - 15.0 * f1 / r**3
-    D2 = f3 / r - 3.0 * f2 / r**2 + 3.0 * f1 / r**3
-    D0 = f2 / r**2 - f1 / r**3
     nd = np.sum(n * d, axis=-1)
     ddd = d[..., :, None, None] * d[..., None, :, None] * d[..., None, None, :]
     n_dd = (
@@ -142,46 +206,34 @@ def dislocation_trace_oracle(
 
     The radiated field is the reciprocal evaluation of the trace kernel
     (source placed at the observer); taking its traces costs one more
-    Cartesian derivative, hence the fourth-order radial stacks.
+    Cartesian derivative, hence the fourth-derivative radial scalars.
     """
     # w = y - z so that d matches the trace-at-y / source-at-z arrangement
     r, d = _geometry(z, y)
     n = np.broadcast_to(np.asarray(n_src, dtype=float), d.shape)
     nu = np.broadcast_to(np.asarray(n_trc, dtype=float), d.shape)
-    st = _Stacks(wave, r, 4)
+    s = evaluated_scalars(r, wave, params)
     co = _coeffs(wave, params)
     # field kernel F[..., row(u1,u2,u3,p), col(au1..3, ap, aq)]: the
     # trace kernel read with rows and columns swapped
-    K = _trace_rows(st, co, r, d, n)
-    S2P, HPsi = _s2(*_s2_radial(st.Phi, r), d, n), _hess(st.Psi, r, d)
+    K = trace_rows(s, co, d, n)
+    S2P, HPsi = _s2(s["P_phi"], s["Q_phi"], d, n), _hess(s["a_psi"], s["b_psi"], d)
     F = np.swapaxes(K, -1, -2)
     nd = np.sum(n * d, axis=-1)
 
-    gs1, gs2 = st.gs[..., 1], st.gs[..., 2]
-    Psi1, Psi2 = st.Psi[..., 1], st.Psi[..., 2]
-    Dv1 = st.A1 * st.k1sq * st.g1[..., 1] + st.A2 * st.k2sq * st.g2[..., 1]
-    Dv2 = st.A1 * st.k1sq * st.g1[..., 2] + st.A2 * st.k2sq * st.g2[..., 2]
-    X1 = st.k1sq * st.g1[..., 1] - st.k2sq * st.g2[..., 1]
-    Pf1 = co.cf1 * st.g1[..., 1] + co.cf2 * st.g2[..., 1]
-    Pf2 = co.cf1 * st.g1[..., 2] + co.cf2 * st.g2[..., 2]
-    Y = Pf1 + co.rho_f_w2 * co.cP * Psi1
-
-    dd = d[..., :, None] * d[..., None, :]
-    S2Psi = _s2(*_s2_radial(st.Psi, r), d, n)
-    nF4 = _nf4(st.Phi, r, d, n)
-
-    def hess_pattern(f1, f2):
-        # d/dw_m of f1(r) d_i, given f2 = f1'
-        a = (f2 - f1 / r)[..., None, None]
-        return a * dd + (f1 / r)[..., None, None] * _EYE3  # [..., i, m]
+    gs1, gs2, Psi1, Psi2 = s["gs1"], s["gs2"], s["Psi1"], s["Psi2"]
+    X1, Pf1, Pf2 = s["X1"], s["Pf1"], s["Pf2"]
+    S2Psi = _s2(s["P_psi"], s["Q_psi"], d, n)
+    nF4 = _nf4(s["D4"], s["D2"], s["D0"], d, n)
 
     # --- gradients of the field kernel with respect to w = y - z ----------
-    # dTs[..., j, i, m] = d Ts[j, i] / d w_m
-    HDv = hess_pattern(Dv1, Dv2)  # [..., i, m]
-    Hgs = hess_pattern(gs1, gs2)  # [..., j, m]
+    # dTs[..., j, i, m] = d Ts[j, i] / d w_m; the gradient of f(r) d_i is
+    # the Hessian pair (f' - f/r, f/r) of radial_scalars
+    HDv = _hess(s["a_dv"], s["b_dv"], d)  # [..., i, m]
+    Hgs = _hess(s["a_gs"], s["b_gs"], d)  # [..., j, m]
     grad_gs1_nd = (
         (gs2 * nd)[..., None] * d
-        + gs1[..., None] * (n - nd[..., None] * d) / r[..., None]
+        + s["b_gs"][..., None] * (n - nd[..., None] * d)
     )  # [..., m]
     term_lam = co.lam * co.cU * n[..., :, None, None] * HDv[..., None, :, :]
     term_alpha = -co.alpha * co.cP * n[..., :, None, None] * HPsi[..., None, :, :]
@@ -217,7 +269,7 @@ def dislocation_trace_oracle(
     Yp = Pf2 + co.rho_f_w2 * co.cP * Psi2
     dqf = (
         (Yp * nd)[..., None] * d
-        + Y[..., None] * (n - nd[..., None] * d) / r[..., None]
+        + s["Y_r"][..., None] * (n - nd[..., None] * d)
     ) / co.gamma_w2  # [..., m]
     dpf = Pf1[..., None] * d  # [..., m]
 

@@ -484,6 +484,23 @@ class TestMainEntry:
         meta = json.loads((tmp_path / "l/forward_meta.json").read_text())
         assert meta["coupled_residual"] is None and meta["closure_gap"] is None
 
+    @pytest.mark.parametrize("mode", ["local", "interacting"])
+    def test_forward_stage_timings_in_meta(self, tmp_path, mode):
+        # forward times its file writes, and an interacting assembly the fill
+        # of M and its LU solve, which are part of the assembly
+        doc = _perfbench("workloads").scenario_doc("network-forward", 1, smoke=True)
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        sc = cli.load_scenario(tmp_path / "s.json")
+        timings = cli.run_forward(sc, tmp_path / "o", mode=mode)["timings_s"]
+        meta = json.loads((tmp_path / "o/forward_meta.json").read_text())
+        assert meta["timings_s"] == timings
+        keys = ["assemble", "noise", "write"]
+        keys += ["coupling", "solve"] if mode == "interacting" else []
+        assert sorted(timings) == sorted(keys)
+        assert all(timings[k] >= 0.0 for k in keys)
+        if mode == "interacting":
+            assert timings["coupling"] + timings["solve"] <= timings["assemble"]
+
     @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_spectrum_summary_in_meta(self, tmp_path):
         # L's singular values against delta, from an SVD of the written matrix
@@ -584,6 +601,29 @@ def test_far_scene_coordinate_rejected(tmp_path, tiny_scenario_doc, capsys, wher
         rc = cli.main(["forward", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert f"{path} must be of magnitude below 1e+150" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "form, key, value",
+    [
+        ("strike", "e1", "junk"),
+        ("strike", "e2", [0.0, 0.0, 1.0]),
+        ("strike", "half_lengths", [1.0, 0.5]),
+        ("frame", "width", "nonsense"),
+        ("frame", "width", 1e300),
+    ],
+)
+def test_other_form_fracture_key_rejected(tmp_path, tiny_scenario_doc, capsys, form, key, value):
+    # a fracture in one form (strike: length, angle_rad, width; frame: e1,
+    # e2, half_lengths) rejects the other form's keys instead of dropping them
+    doc = json.loads(json.dumps(tiny_scenario_doc))
+    if form == "frame":
+        doc["scene"]["fractures"][0] = dict(_FRAME_FRACTURE)
+    doc["scene"]["fractures"][0][key] = value
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    rc = cli.main(["forward", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"scene.fractures[0].{key} is not a key of a {form}" in capsys.readouterr().err
 
 
 def _doc_paths(node, where=()):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poroscat import forward as fw
+from poroscat.cli import parse_scenario
 from poroscat.errors import (
     CompatibilityError,
     ConditioningError,
@@ -17,7 +18,7 @@ from poroscat.errors import (
 )
 from poroscat.greens import green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
-from poroscat.presets import default_contact, desk_scale_scene
+from poroscat.presets import default_contact, desk_scale_scenario, desk_scale_scene
 from poroscat.scene import (
     ContactParams,
     HIGH_PERMEABILITY,
@@ -287,6 +288,18 @@ class TestInteractingJumpSolve:
         np.testing.assert_array_equal(
             jumps(tr, patches, w), jumps(tr, patches, w, (w, lossy, 20.0))
         )
+
+    @pytest.mark.parametrize("k", [2e-4, 2e-5])
+    def test_compliant_contact_residual(self, k):
+        # the interacting desk scene with contact stiffnesses 100 and 1000
+        # times below the demo's 0.02, where M's diagonal D is small against
+        # its off-patch coupling: the pivoted LU keeps the residual small
+        doc = desk_scale_scenario(mode="interacting")
+        doc["scene"]["contact"].update(k_t=[k, 0.0], k_n=[k, 0.0])
+        sc = parse_scenario(doc)
+        wave = solve_dispersion(sc.params, sc.omega)
+        lam = fw.assemble_lambda(sc.scene, wave, sc.params, "interacting", sc.forward_cutoff)
+        assert 0.0 < lam.coupled_residual <= 1e-9
 
     def test_system_residual(self, small_scene, wave, params, rng):
         nc = sum(p.cell_count for p in small_scene.patches)

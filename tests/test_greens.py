@@ -1,13 +1,18 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from poroscat.errors import DomainError, SingularityError
 from poroscat.greens import (  # biot_residual is also the acceptance suite's oracle
+    _Table,
+    _coeffs,
     _dislocation_trace_matrix,
-    _radial_stack,
+    _geometry,
+    _modes,
+    _pattern_kernel,
     _trace_matrix,
     biot_residual,
     dislocation_trace_kernel,
@@ -16,12 +21,15 @@ from poroscat.greens import (  # biot_residual is also the acceptance suite's or
 )
 from poroscat.material import solve_dispersion
 
-from oracles import dislocation_trace_oracle, trace_matrix_oracle
+from oracles import dislocation_trace_oracle, radial_scalars, trace_matrix_oracle, trace_rows
 
 
 def radial(k, r, order=0):
-    """order-th radial derivative of exp(ikr)/(4 pi r), from the radial stack."""
-    return _radial_stack(complex(k), np.asarray(r, dtype=float), order)[..., order]
+    """order-th radial derivative of exp(ikr)/(4 pi r), from the radial evaluator."""
+    (f,) = _modes([complex(k)])
+    for _ in range(order):
+        f = f.d
+    return _Table([f])(r)[0]
 
 
 class TestHelmholtzKernel:
@@ -50,6 +58,68 @@ class TestHelmholtzKernel:
         y = np.array([0.2, -0.1, 0.0])
         with pytest.raises(SingularityError):
             _trace_matrix(y, y, np.array([0.0, 0.0, 1.0]), wave, params)
+
+
+def _unit_pairs(rng, count, lo, hi):
+    """Sources y, trace points at log-uniform distances in [lo, hi] from
+    them, and unit normals."""
+    y = rng.uniform(-2.0, 2.0, (count, 3))
+    xi = y + _unit(rng.normal(size=y.shape)) * np.exp(
+        rng.uniform(math.log(lo), math.log(hi), (count, 1))
+    )
+    return y, xi, _unit(rng.normal(size=y.shape))
+
+
+class TestRadialEvaluator:
+    """The radial evaluator against an independent reference: the modal
+    potentials exp(i k r)/(4 pi r) differentiated by mpmath.diffs, their
+    radial scalars (oracles.radial_scalars) and the tensor-form trace rows
+    (oracles.trace_rows), all in 40-digit arithmetic."""
+
+    PAIRS = 150
+    BOUNDS = {"near": (1e-3, 0.5, 2e-12), "far": (0.5, 20.0, 2e-14)}
+
+    @staticmethod
+    def reference_rows(y, xi, normals, wave, params):
+        """The 5x4 trace kernel of each pair at each of ``normals`` (a list
+        of (pairs, 3) arrays), in 40-digit arithmetic."""
+        r, d = _geometry(y, xi)
+        ks = [complex(k) for k in (wave.k_s, wave.k_p1, wave.k_p2)]
+        with mpmath.workdps(40):
+            scalars = []
+            for dist in r.tolist():
+                t0 = mpmath.mpf(dist)
+                g = [
+                    mpmath.diffs(lambda t, k=k: mpmath.exp(1j * k * t) / (4 * mpmath.pi * t), t0, 4)
+                    for k in ks
+                ]
+                scalars.append(radial_scalars([list(x) for x in g], t0, wave, params))
+            s = {k: np.array([p[k] for p in scalars], dtype=object) for k in scalars[0]}
+            co = _coeffs(wave, params)
+            return [trace_rows(s, co, d, n) for n in normals]
+
+    @pytest.mark.parametrize("spread", ["near", "far"])
+    def test_trace_kernel_matches_reference(self, spread, wave, params, rng):
+        lo, hi, bound = self.BOUNDS[spread]
+        y, xi, n = _unit_pairs(rng, self.PAIRS, lo, hi)
+        (ref,) = self.reference_rows(y, xi, [n], wave, params)
+        dev = np.linalg.norm(_trace_matrix(y, xi, n, wave, params) - ref, axis=(1, 2))
+        assert np.all(dev <= bound * np.linalg.norm(ref, axis=(1, 2)))
+
+    @pytest.mark.parametrize("spread", ["near", "far"])
+    def test_pattern_coefficients_match_reference(self, spread, wave, params, rng):
+        # entry M_jk of source column c is the traction t_j at normal e_k,
+        # the traction rows being linear in the normal; then the pressure row
+        lo, hi, bound = self.BOUNDS[spread]
+        y, xi, _ = _unit_pairs(rng, self.PAIRS, lo, hi)
+        axes = [np.broadcast_to(e, y.shape) for e in np.eye(3)]
+        ref_k = self.reference_rows(y, xi, axes, wave, params)
+        pairs = [(j, k) for j in range(3) for k in range(j, 3)]
+        ref = np.stack([ref_k[k][:, j, :] for j, k in pairs] + [ref_k[0][:, 4, :]], axis=-1)
+        r, d = _geometry(y[:, None], xi[:, None])
+        K = _pattern_kernel(r, d, [0, 1, 2, 3], pairs, wave, params)[:, :, 0, :]
+        dev = np.linalg.norm(K - ref, axis=(1, 2))
+        assert np.all(dev <= bound * np.linalg.norm(ref, axis=(1, 2)))
 
 
 class TestGreenTensor:
@@ -113,11 +183,7 @@ class TestTraceKernel:
         # at separations from a thousandth of a unit to well past the
         # slow-wave decay length
         lo, hi = (1e-3, 0.5) if spread == "near" else (0.5, 20.0)
-        y = rng.uniform(-2.0, 2.0, (300, 3))
-        xi = y + _unit(rng.normal(size=y.shape)) * np.exp(
-            rng.uniform(math.log(lo), math.log(hi), (300, 1))
-        )
-        n = _unit(rng.normal(size=y.shape))
+        y, xi, n = _unit_pairs(rng, 300, lo, hi)
         K = _trace_matrix(y, xi, n, wave, params)
         ref = trace_matrix_oracle(y, xi, n, wave, params)
         dev = np.linalg.norm(K - ref, axis=(1, 2))
