@@ -563,6 +563,7 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
         "morozov_unbracketed_low": imap.morozov.unbracketed_low,
         "morozov_unbracketed_high": imap.morozov.unbracketed_high,
         "operator_rank": imap.spectrum.rank,
+        "pencil_rank": imap.spectrum.pencil_rank,
         "sigma_max": imap.spectrum.sigma_max,
         "sigma_above_delta": imap.spectrum.above_delta,
         "relative_delta": (

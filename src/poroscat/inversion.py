@@ -37,8 +37,14 @@ are rounding.  The roots, the Tikhonov norms and solves then run on the
 kept range only, and the part of a trial column outside it enters the
 gap as its floor.  The penalized variant shares one
 joint diagonalization of its normal-equation pencil (GlsmPencil), which
-serves every right-hand side and every alpha; one fixed alpha for a whole
-map is one solution operator V diag(1/(d + alpha)) W, built once.  A map
+serves every right-hand side and every alpha, on the pencil's numerical
+range of r directions.  There a solution is g = V_r y, with coordinates
+y = (W_r Phi) / (d_r + alpha), and the pencil's normalization makes its
+penalty energy ||y||^2: per-candidate weights read the indicator 1/||y||
+from the coordinates, and ||g|| = ||T y|| through the r x r triangular
+factor T of V_r, so no block forms its solutions g.  One fixed alpha for
+a whole map is one solution operator V_r diag(1/(d_r + alpha)) W_r,
+built once.  A map
 evaluates its sampling points in blocks, one block after another, and
 each block as arrays over its distinct trial columns: one pattern kernel
 evaluation, one root solve, one filtered product, then one argmin over
@@ -254,6 +260,15 @@ def sqrt_psd(matrix) -> np.ndarray:
     return _psd_function(matrix, np.sqrt)
 
 
+def _numerical_rank(s: np.ndarray, shape) -> int:
+    """Count of the descending singular values s of a matrix of the given
+    shape above numpy's matrix_rank default tolerance s_0 * max(shape) * eps."""
+    # the small factors first, so an s_0 near the double limit does not overflow
+    tol = max(shape) * np.finfo(float).eps * s[0] if s.size else 0.0
+    # an overflowed s_0 keeps the whole spectrum, for the range checks to reject
+    return int(np.count_nonzero(s > tol)) if math.isfinite(tol) else s.size
+
+
 class SvdOperator:
     """SVD of the data operator on its numerical range, reused across many
     right-hand sides.
@@ -277,10 +292,7 @@ class SvdOperator:
             raise ConditioningError("operator has non-finite entries")
         self.matrix = L
         U, s, Vh = np.linalg.svd(L)
-        # the small factors first, so an s_0 near the double limit does not overflow
-        tol = max(L.shape) * np.finfo(float).eps * s[0] if s.size else 0.0
-        # an overflowed s_0 keeps the whole spectrum, for the range checks to reject
-        r = int(np.count_nonzero(s > tol)) if math.isfinite(tol) else s.size
+        r = _numerical_rank(s, L.shape)
         self.s, self.Vh = s[:r], Vh[:r]
         self.Uh = np.ascontiguousarray(U.conj().T)
 
@@ -528,6 +540,16 @@ class GlsmPencil:
     diag(s) Y^H (d = s^2, W = diag(s) Y^H): eigh of X X^H has its small
     eigenvalues only to eps s_max^2 (clean desk operator, cond L ~ 1e18:
     indicator energy 3e-5 from a 50-digit solve, against 3e-9 now).
+
+    The solves run on the pencil's numerical range: the r singular values
+    of X that SvdOperator's rule keeps (73 of 120 on the noisy desk L),
+    the last r entries d_r of d, rows W_r of W and columns V_r of V.  A
+    direction with d = 0 has L v = 0, so its row of W rhs is zero; the
+    rows left out hold rounding only.  A solution is g = V_r y in the
+    range's coordinates y = (W_r rhs) / (d_r + alpha) (coordinates), and
+    since V_r^H (L#_psd + delta I) V_r = I its penalty energy is ||y||^2.
+    T, the R factor of the thin QR of V_r, gives its norm ||g|| = ||T y||
+    without forming g.
     """
 
     def __init__(self, matrix, sharp, delta: float):
@@ -547,23 +569,35 @@ class GlsmPencil:
         # in ascending order, as eigh would give them
         self.d, self.W = (s * s)[::-1].copy(), np.ascontiguousarray((s[:, None] * Yh)[::-1])
         self.V = np.linalg.solve(C.conj().T, Q[:, ::-1])
+        cut = s.size - _numerical_rank(s, X.shape)
+        self.d_r, self.W_r, self.V_r = self.d[cut:], self.W[cut:], self.V[:, cut:]
+        self.T = np.linalg.qr(self.V_r, mode="r")
 
-    def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
-        """g = V ((W rhs) / (d + alpha)); alpha is one weight, or one per
-        column of a 2-d rhs."""
+    @property
+    def rank(self) -> int:
+        """r, the directions the solves run on."""
+        return self.d_r.size
+
+    def coordinates(self, rhs, alpha) -> np.ndarray:
+        """y = (W_r rhs) / (d_r + alpha), the solution in the range's
+        coordinates; alpha is one weight, or one per column of a 2-d rhs."""
         alpha = np.asarray(alpha, dtype=float)
         if not np.all(alpha > 0.0):
             raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
-        z = self.W @ rhs
-        filt = self.d[:, None] + alpha if z.ndim == 2 else self.d + alpha
-        return self.V @ (z / filt)
+        y = self.W_r @ rhs
+        y /= self.d_r[:, None] + alpha if y.ndim == 2 else self.d_r + alpha
+        return y
+
+    def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
+        """g = V_r coordinates(rhs, alpha)."""
+        return self.V_r @ self.coordinates(rhs, alpha)
 
     def operator(self, alpha: float) -> np.ndarray:
-        """The solution operator V diag(1/(d + alpha)) W of one weight alpha:
-        solve(rhs, alpha) as one product."""
+        """The solution operator V_r diag(1/(d_r + alpha)) W_r of one weight
+        alpha: solve(rhs, alpha) as one product."""
         if not alpha > 0.0:
             raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
-        return (self.V / (self.d + alpha)) @ self.W
+        return (self.V_r / (self.d_r + alpha)) @ self.W_r
 
     def indicator(self, g: np.ndarray, norm_sq: np.ndarray | None = None):
         """1/sqrt(g^H L# g + delta ||g||^2), per column of a 2-d g; NaN
@@ -591,11 +625,13 @@ class MapTimings(NamedTuple):
 
 
 class OperatorSpectrum(NamedTuple):
-    """L's singular values against the map's noise level delta."""
+    """L's singular values against the map's noise level delta, and the
+    rank of the penalized pencil (None without one)."""
 
     rank: int = 0  # singular values SvdOperator keeps
     sigma_max: float = 0.0
     above_delta: int = 0  # singular values above delta
+    pencil_rank: int | None = None  # directions GlsmPencil solves on
 
 
 def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
@@ -639,9 +675,10 @@ def _eval_block(
     Without a pencil: 1/||g||, g the Tikhonov solution at the discrepancy
     weight.  With one: the penalized indicator, g = fixed @ Phi if the
     fixed-alpha operator ``fixed`` (GlsmPencil.operator) is given, else
-    alpha from each candidate's discrepancy weight.  Patterns, roots and
-    solves run on the distinct trial columns (_distinct); the norms and
-    the root sides are then spread back over all (point, candidate)
+    alpha from each candidate's discrepancy weight, with g kept in the
+    pencil's range coordinates (GlsmPencil.coordinates).  Patterns, roots
+    and solves run on the distinct trial columns (_distinct); the norms
+    and the root sides are then spread back over all (point, candidate)
     columns.  Each point takes the candidate of least ||g|| (ties go to
     the first).  Returns (value, ||g||, candidate index) per point, NaN, 0
     and -1 where no candidate is usable or the point coincides with a
@@ -676,11 +713,13 @@ def _eval_block(
     if pencil is None:
         filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
         norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
+    elif fixed is None:
+        # g = V_r y: ||g|| = ||T y|| and its penalty energy is ||y||^2
+        Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
+        TY = pencil.T @ Y
+        norms, energy = np.sqrt(_re_inner(TY, TY)), _re_inner(Y, Y)
     else:
-        if fixed is None:
-            G = pencil.solve(Phi, alpha_from_eta(etas, op.norm2, delta))
-        else:
-            G = fixed @ Phi
+        G = fixed @ Phi
         norm_sq = _re_inner(G, G)
         norms = np.sqrt(norm_sq)
     norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
@@ -689,7 +728,12 @@ def _eval_block(
     found = np.isfinite(norms[win])
     p, win = live[found], win[found]
     g_norms[p], argmin[p] = norms[win], best[found]
-    vals[p] = 1.0 / norms[win] if pencil is None else pencil.indicator(G[:, win], norm_sq[win])
+    if pencil is None:
+        vals[p] = 1.0 / norms[win]
+    elif fixed is None:
+        vals[p] = 1.0 / np.sqrt(energy[win])
+    else:
+        vals[p] = pencil.indicator(G[:, win], norm_sq[win])
     timings = MapTimings(t1 - t0, t2 - t1, time.perf_counter() - t2)
     return _Block(vals, g_norms, argmin, sides, timings)
 
@@ -857,7 +901,10 @@ def indicator_map(
             unbracketed_high=int((sides > 0).sum()),
         ),
         timings=timings,
-        spectrum=OperatorSpectrum(op.rank, op.norm2, int(np.count_nonzero(op.s > delta))),
+        spectrum=OperatorSpectrum(
+            op.rank, op.norm2, int(np.count_nonzero(op.s > delta)),
+            None if pencil is None else pencil.rank,
+        ),
     )
     if imap.degenerate:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)

@@ -516,6 +516,17 @@ class TestMainEntry:
         assert meta["sigma_max"] == pytest.approx(s[0], rel=1e-12)
         assert meta["sigma_above_delta"] == np.count_nonzero(s > meta["delta"])
         assert meta["relative_delta"] == pytest.approx(meta["delta"] / s[0], rel=1e-12)
+        assert meta["method"] == "lsm" and meta["pencil_rank"] is None
+        # the GLSM pencil's rank: the singular values of C^-1 L^H, C C^H = L#_psd + delta I
+        argv = ["invert", "--scenario", str(tmp_path / "s.json"), "--out", str(out)]
+        assert cli.main(argv + ["--method", "glsm"]) == 0
+        gmeta = json.loads((out / "invert_meta.json").read_text())
+        L, n = noisy.data, noisy.data.shape[1]
+        C = np.linalg.cholesky(inv.clamp_psd(inv.lambda_sharp(L)) + gmeta["delta"] * np.eye(n))
+        x = np.linalg.svd(np.linalg.solve(C, L.conj().T), compute_uv=False)
+        rank = np.count_nonzero(x > x[0] * max(L.shape) * np.finfo(float).eps)
+        assert gmeta["pencil_rank"] == rank < n
+        assert gmeta["operator_rank"] == meta["operator_rank"]
         fmeta = json.loads((out / "forward_meta.json").read_text())
         clean = np.linalg.svd(fw.load_matrix(out / "lambda.csv").data, compute_uv=False)
         assert fmeta["relative_delta"] == pytest.approx(0.05 / clean[0], rel=1e-9)

@@ -71,6 +71,21 @@ def three_patch_scene(small_scene):
 
 
 @pytest.fixture(scope="module")
+def many_patch_scene(small_scene):
+    """40 single-cell patches on a 5 x 8 lattice, alternating contact models:
+    every pair of cells is a one-pair patch rectangle."""
+    patches = tuple(
+        build_fracture_patch(
+            center=[0.5 * (k % 5) - 1.0, 0.4 * (k // 5) - 1.5, 0.0], strike_rad=0.3 * k,
+            half_lengths=(0.15, 0.1), subdivisions=(1, 1),
+            contact=contact(model=HIGH_PERMEABILITY if k % 3 == 0 else "finite-permeability"),
+        )
+        for k in range(40)
+    )
+    return dataclasses.replace(small_scene, patches=patches)
+
+
+@pytest.fixture(scope="module")
 def fluid_scene(small_scene):
     return dataclasses.replace(small_scene, channels="fluid")
 
@@ -312,7 +327,9 @@ class TestInteractingJumpSolve:
         assert res < 1e-10
 
     @pytest.mark.parametrize("chunk", [None, 3, 7])
-    @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene"])
+    @pytest.mark.parametrize(
+        "scene_name", ["small_scene", "three_patch_scene", "many_patch_scene"]
+    )
     def test_one_pass_matches_per_row_reference(
         self, scene_name, chunk, request, monkeypatch, wave, params
     ):

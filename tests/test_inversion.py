@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,12 +319,18 @@ class TestMorozov:
 
 
 @pytest.fixture(scope="module")
-def desk_columns(params, wave):
-    """Every (point, candidate) column of the desk-scale maps, and its
-    projection on the clean operator and on the noisy one."""
+def desk_scale(params, wave):
+    """The desk-scale scene, its clean operator and a noisy copy (delta 0.05)."""
     scene = desk_scale_scene()
     lam = fw.assemble_lambda(scene, wave, params, mode="local")
-    noisy = fw.inject_noise(lam, target_delta=0.05, seed=20240613)
+    return scene, lam, fw.inject_noise(lam, target_delta=0.05, seed=20240613)
+
+
+@pytest.fixture(scope="module")
+def desk_columns(desk_scale, params, wave):
+    """Every (point, candidate) column of the desk-scale maps, and its
+    projection on the clean operator and on the noisy one."""
+    scene, lam, noisy = desk_scale
     pts, cands = scene.sampling.points(), scene.sampling.candidates()
     Phi = np.hstack([
         inv.trial_pattern_block(
@@ -561,6 +568,57 @@ class TestGlsmPencil:
         # both sit at the conditioning of A + alpha B; neither is the exact solution
         assert error(pencil.solve(Phi, alphas)) <= 2.0 * error(oracle)
 
+    @pytest.fixture(params=["random", "desk"])
+    def ranged(self, request, rng, desk_scale):
+        """A pencil on a rank-deficient operator: random of rank 12 of 30,
+        or the noisy desk-scale L."""
+        if request.param == "random":
+            U, s, Vh = np.linalg.svd(random_operator(rng, 30))
+            L, delta = (U[:, :12] * s[:12]) @ Vh[:12], 1e-3 * s[0]
+        else:
+            L, delta = desk_scale[2].data, desk_scale[2].delta
+        return inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
+
+    def test_range_norm_through_triangular_factor(self, ranged, rng):
+        pencil = ranged
+        assert 0 < pencil.rank < pencil.d.size
+        np.testing.assert_array_equal(pencil.d_r, pencil.d[-pencil.rank:])
+        Y = rng.normal(size=(pencil.rank, 40)) + 1j * rng.normal(size=(pencil.rank, 40))
+        np.testing.assert_allclose(
+            np.linalg.norm(pencil.T @ Y, axis=0), np.linalg.norm(pencil.V_r @ Y, axis=0),
+            rtol=1e-13,
+        )
+
+    def test_range_energy_is_coordinate_norm(self, ranged, rng):
+        # V_r^H (L#_psd + delta I) V_r = I: the penalty energy of V_r y is ||y||^2
+        pencil = ranged
+        Y = rng.normal(size=(pencil.rank, 40)) + 1j * rng.normal(size=(pencil.rank, 40))
+        np.testing.assert_allclose(
+            pencil.indicator(pencil.V_r @ Y), 1.0 / np.linalg.norm(Y, axis=0), rtol=1e-10
+        )
+
+    def test_per_candidate_block_matches_full_pencil(self, desk_scale, wave, params):
+        # reference: every (point, candidate) solution g on all n pencil
+        # directions, its norm and its indicator from L#
+        scene, _, noisy = desk_scale
+        op = inv.SvdOperator(noisy)
+        delta = inv._derive_delta(noisy, None, op)
+        pencil = inv.GlsmPencil(noisy.data, inv.lambda_sharp(noisy.data), delta)
+        pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
+        gpts = scene.grid.points
+        block = inv._eval_block(pts, cands, op, delta, gpts, wave, params, scene.channels, pencil)
+        Phi = inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels)
+        etas, _ = inv._morozov_roots(op, *inv._projection(op, Phi), delta)
+        alpha = inv.alpha_from_eta(etas, op.norm2, delta)
+        G = pencil.V @ ((pencil.W @ Phi) / (pencil.d[:, None] + alpha))
+        best = np.argmin(np.linalg.norm(G, axis=0).reshape(len(pts), len(cands)), axis=1)
+        win = np.arange(len(pts)) * len(cands) + best
+        np.testing.assert_array_equal(block.argmin, best)
+        np.testing.assert_allclose(block.vals, pencil.indicator(G[:, win]), rtol=1e-10)
+        np.testing.assert_allclose(
+            block.g_norms, np.linalg.norm(G[:, win], axis=0), rtol=1e-10
+        )
+
     def test_indicator_takes_known_norms(self, rng):
         L = random_operator(rng, 6)
         pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), 0.05)
@@ -754,6 +812,28 @@ class TestIndicatorMap:
             best = np.argmin(np.linalg.norm(G, axis=0), axis=1)
             ref.extend(pencil.indicator(G[:, np.arange(best.size), best]))
         np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
+
+    def test_glsm_block_transients_level_with_lsm(self, desk_scale, wave, params):
+        # a per-candidate GLSM block works in the pencil's r coordinates and
+        # forms no full-size solution block: its tracemalloc peak on 64
+        # desk-scale points stays within 1.2 times the LSM block's
+        scene, _, noisy = desk_scale
+        op = inv.SvdOperator(noisy)
+        pencil = inv.GlsmPencil(noisy.data, inv.lambda_sharp(noisy.data), noisy.delta)
+        pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
+
+        def peak(pencil):
+            args = (pts, cands, op, noisy.delta, scene.grid.points, wave, params, scene.channels)
+            inv._eval_block(*args, pencil)  # warm any per-(wave, params) caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                inv._eval_block(*args, pencil)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(pencil) <= 1.2 * peak(None)
 
     def test_values_nonnegative_and_normalized(self, scene, lam, wave, params):
         imap = inv.indicator_map(scene, lam, "lsm", wave, params)
