@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from . import forward as fw
 from . import inversion as inv
+from . import ledger
 from .errors import (
     DomainError,
     NumericalError,
@@ -459,34 +459,31 @@ def run_forward(
     seed: int | None = None,
     mode: str | None = None,
 ) -> dict:
-    """Assemble and write lambda.csv and lambda_noisy.csv plus metadata."""
+    """Assemble and write lambda.csv and lambda_noisy.csv plus metadata;
+    the stage seconds and health facts come from the run's ledger record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wave = solve_dispersion(scenario.params, scenario.omega)
     mode = mode or scenario.forward_mode
     seed = scenario.seed if seed is None else seed
 
-    t0 = time.perf_counter()
-    lam = fw.assemble_lambda(
-        scenario.scene, wave, scenario.params, mode=mode, cutoff=scenario.forward_cutoff
-    )
-    t_assemble = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if scenario.noise_target_delta is not None:
-        noisy = fw.inject_noise(lam, target_delta=scenario.noise_target_delta, seed=seed)
-    else:
-        noisy = fw.inject_noise(lam, epsilon=scenario.noise_epsilon or 0.0, seed=seed)
-    t_noise = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fw.save_matrix(lam, out / "lambda.csv")
-    fw.save_matrix(noisy, out / "lambda_noisy.csv")
-    resolved = dict(scenario.resolved)
-    resolved["noise"] = dict(resolved["noise"], seed=seed)
-    resolved["forward"] = dict(resolved["forward"], mode=mode)
-    _dump_json(resolved, out / "resolved_scenario.json")
-    t_write = time.perf_counter() - t0
+    with ledger.record() as rec:
+        with ledger.stage("assemble"):
+            lam = fw.assemble_lambda(
+                scenario.scene, wave, scenario.params, mode=mode, cutoff=scenario.forward_cutoff
+            )
+        with ledger.stage("noise"):
+            if scenario.noise_target_delta is not None:
+                noisy = fw.inject_noise(lam, target_delta=scenario.noise_target_delta, seed=seed)
+            else:
+                noisy = fw.inject_noise(lam, epsilon=scenario.noise_epsilon or 0.0, seed=seed)
+        with ledger.stage("write"):
+            fw.save_matrix(lam, out / "lambda.csv")
+            fw.save_matrix(noisy, out / "lambda_noisy.csv")
+            resolved = dict(scenario.resolved)
+            resolved["noise"] = dict(resolved["noise"], seed=seed)
+            resolved["forward"] = dict(resolved["forward"], mode=mode)
+            _dump_json(resolved, out / "resolved_scenario.json")
     norm = float(np.linalg.norm(lam.data, 2))
     meta = {
         "n_points": lam.n_points,
@@ -499,10 +496,9 @@ def run_forward(
         "achieved_delta": noisy.delta,
         "norm_lambda": norm,
         "relative_delta": noisy.delta / norm if norm > 0.0 else None,
-        "near_singular_points": lam.near_singular_points,
-        "coupled_residual": lam.coupled_residual,
-        "closure_gap": lam.closure_gap,
-        "timings_s": {"assemble": t_assemble, **lam.timings, "noise": t_noise, "write": t_write},
+        "coupled_residual": None,  # both are an interacting assembly's
+        "closure_gap": None,
+        **rec,
     }
     _dump_json(meta, out / "forward_meta.json")
     return meta
@@ -523,53 +519,42 @@ def write_pgm(imap: inv.IndicatorMap, path) -> None:
 
 def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
     """Compute the indicator map from the matrices written to ``out_dir``;
-    write CSV and PGM."""
+    write CSV and PGM.  The stage seconds, root counts and spectrum
+    summary come from the run's ledger record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     noisy_path = out / "lambda_noisy.csv"
     if not noisy_path.exists():
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")
-    t0 = time.perf_counter()
-    noisy = fw.load_matrix(noisy_path)
-    t_load = time.perf_counter() - t0
     scene = scenario.scene
     method = method or scenario.method
     wave = solve_dispersion(scenario.params, scenario.omega)
 
-    t0 = time.perf_counter()
-    imap = inv.indicator_map(
-        scene,
-        noisy,
-        method,
-        wave,
-        scenario.params,
-        delta=scenario.inversion_delta,
-        alpha_policy=scenario.alpha_policy,
-        fixed_alpha=scenario.fixed_alpha,
-    )
-    t_map = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    inv.save_indicator_map(imap, out / f"map_{method}.csv")
-    write_pgm(imap, out / f"map_{method}.pgm")
-    t_write = time.perf_counter() - t0
+    with ledger.record() as rec:
+        with ledger.stage("load"):
+            noisy = fw.load_matrix(noisy_path)
+        with ledger.stage("map"):
+            imap = inv.indicator_map(
+                scene, noisy, method, wave, scenario.params, delta=scenario.inversion_delta,
+                alpha_policy=scenario.alpha_policy, fixed_alpha=scenario.fixed_alpha,
+            )
+        with ledger.stage("write"):
+            inv.save_indicator_map(imap, out / f"map_{method}.csv")
+            write_pgm(imap, out / f"map_{method}.pgm")
+    # a map of a zero L, or with no sampling point off the sensing points, stages no block
+    rec["timings_s"] = {**dict.fromkeys(("patterns", "roots", "solve"), 0.0), **rec["timings_s"]}
     meta = {
         "method": method,
         "delta": imap.delta,
         "raw_max": imap.raw_max,
         "degenerate_points": imap.degenerate_count,
         "trial_triplets": scene.sampling.trial_count,
-        "morozov_roots": imap.morozov.roots,
-        "morozov_unbracketed_low": imap.morozov.unbracketed_low,
-        "morozov_unbracketed_high": imap.morozov.unbracketed_high,
-        "operator_rank": imap.spectrum.rank,
-        "pencil_rank": imap.spectrum.pencil_rank,
-        "sigma_max": imap.spectrum.sigma_max,
-        "sigma_above_delta": imap.spectrum.above_delta,
-        "relative_delta": (
-            imap.delta / imap.spectrum.sigma_max if imap.spectrum.sigma_max > 0.0 else None
-        ),
-        "timings_s": {"load": t_load, "map": t_map, **imap.timings._asdict(), "write": t_write},
+        "morozov_roots": 0,
+        "morozov_unbracketed_low": 0,
+        "morozov_unbracketed_high": 0,
+        "pencil_rank": None,  # GLSM's
+        **rec,
+        "relative_delta": imap.delta / rec["sigma_max"] if rec["sigma_max"] > 0.0 else None,
     }
     _dump_json(meta, out / "invert_meta.json")
     return meta
@@ -589,8 +574,7 @@ def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
 
     ref = pecos_sandstone()
     same = all(
-        math.isclose(getattr(params, k), getattr(ref, k), rel_tol=1e-9)
-        for k in ("lam", "mu", "M", "rho", "rho_f", "rho_a", "kappa", "phi", "alpha")
+        math.isclose(getattr(params, k), getattr(ref, k), rel_tol=1e-9) for k in _MATERIAL_KEYS
     ) and math.isclose(wave.omega, PECOS_OMEGA, rel_tol=1e-9)
     if not same:
         return _entry("dispersion_reference_speeds", None,
@@ -652,7 +636,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
     else:
         results.append(_entry("adjoint_identity", None, "no fractures"))
 
-    lam = fw._scattering_data(factors)[0]
+    lam = fw._scattering_data(factors)
     nc = cells.count
     if nc > 0:
         # L = R T S against R J, where J solves each cell's contact conditions
@@ -668,7 +652,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
 
     # L is complex symmetric under both closures (reciprocity of the Biot system)
     coupling = (wave, params, scenario.forward_cutoff)
-    inter = fw._scattering_data(factors, coupling)[0]
+    inter = fw._scattering_data(factors, coupling)
     asym = {}
     for mode, L in (("local", lam), ("interacting", inter)):
         scale = np.linalg.norm(L)

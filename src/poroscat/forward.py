@@ -28,9 +28,10 @@ interacting closure keeps the scattered traces radiated by cells of
 patch, including the singular self-cell term, are excluded) and solves
 the resulting dense linear system.  Its coupling kernel is reciprocal,
 B(z <- y) = B(y <- z)^T, so each unordered pair of cells on distinct
-patches costs one kernel evaluation, which fills both of its blocks.  An
-interacting assembly reports its solve's residual and its closure gap
-||L - L_loc|| / ||L_loc|| against the local closure.
+patches costs one kernel evaluation, which fills both of its blocks.
+An assembly notes in the run's ledger (poroscat.ledger) its near-singular
+sensing points and, if interacting, its solve's seconds and residual and
+its closure gap ||L - L_loc|| / ||L_loc|| against the local closure.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -40,14 +41,13 @@ reciprocal data component (force e_i with u_i, fluid injection with p).
 from __future__ import annotations
 
 import cmath
-import io
 import logging
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import ledger
 from .errors import (
     CompatibilityError,
     ConditioningError,
@@ -233,26 +233,25 @@ def _blockwise(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("cij,cjk->cik", blocks, cells).reshape(psi.shape)
 
 
-def _jumps(interface: _Interface, psi: np.ndarray, coupling=None, timings=None):
-    """Interface transfer T: a (5*nc, k) trace block to its jump block, and
-    the relative residual of the coupled solve (None when none was made).
+def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
+    """Interface transfer T: a (5*nc, k) trace block to its jump block.
 
     coupling is None for the local closure, or (wave, params, cutoff) for
     the interacting one, which reduces to the local closure when
     _patches_interact says the patches do not couple.  A coupled solve
-    records the seconds of M's fill and LU solve in the dict ``timings``.
+    records the seconds of M's fill (coupling) and LU solve (solve) and
+    its relative residual (coupled_residual) in the ledger.
     """
     if coupling is not None:
         wave, params, cutoff = coupling
         if _patches_interact(interface.patches, wave, cutoff):
-            t0 = time.perf_counter()
-            M = _interaction_matrix(interface, wave, params)
-            t1 = time.perf_counter()
-            out = _coupled_solve(M, _blockwise(interface.E, psi))
-            if timings is not None:
-                timings.update(coupling=t1 - t0, solve=time.perf_counter() - t1)
-            return out
-    return _blockwise(interface.T, psi), None
+            with ledger.stage("coupling"):
+                M = _interaction_matrix(interface, wave, params)
+            with ledger.stage("solve"):
+                jumps, residual = _coupled_solve(M, _blockwise(interface.E, psi))
+            ledger.note("coupled_residual", residual)
+            return jumps
+    return _blockwise(interface.T, psi)
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -371,12 +370,8 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Dense data operator with point-major (point, channel) indexing.
-
-    coupled_residual and closure_gap are an interacting assembly's (see
-    _scattering_data), near_singular_points counts the sensing points an
-    assembly flagged (_radiation_block), and timings holds the seconds of
-    its coupled solve (_jumps); none is part of the file format."""
+    """Dense data operator with point-major (point, channel) indexing;
+    its fields are those of the file format."""
 
     data: np.ndarray
     channels: tuple[str, ...]
@@ -387,10 +382,6 @@ class ScatteringMatrix:
     epsilon: float | None = None
     seed: int | None = None
     delta: float | None = None
-    coupled_residual: float | None = None
-    closure_gap: float | None = None
-    near_singular_points: int | None = None
-    timings: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n_points * len(self.channels)
@@ -437,26 +428,25 @@ def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
     return _factors(scene, wave, params).R
 
 
-def _scattering_data(factors: _Factors, coupling=None, timings=None):
-    """(L, coupled residual, closure gap) of L = R T S from a scene's factors.
+def _scattering_data(factors: _Factors, coupling=None) -> np.ndarray:
+    """L = R T S from a scene's factors.
 
-    For the interacting closure (coupling as in _jumps) the residual is
-    that of the coupled solve (None when the patches do not interact) and
-    the gap is ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the same
-    factors; both are None for the local closure.
+    For the interacting closure (coupling as in _jumps) the ledger gets
+    the closure gap ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the
+    same factors (0 when the patches do not interact).
     """
-    jumps, residual = _jumps(factors.interface, factors.S, coupling, timings)
-    data = factors.R @ jumps
+    data = factors.R @ _jumps(factors.interface, factors.S, coupling)
     if not np.isfinite(data).all():
         raise NumericalError(
             "the scattering matrix has non-finite entries: the kernels left double "
             "range for this scene, material and frequency"
         )
-    if coupling is None:
-        return data, None, None
-    local = data if residual is None else factors.R @ _jumps(factors.interface, factors.S)[0]
-    scale = np.linalg.norm(local)
-    return data, residual, float(np.linalg.norm(data - local) / scale) if scale > 0.0 else 0.0
+    if coupling is not None:
+        local = factors.R @ _jumps(factors.interface, factors.S)
+        scale = np.linalg.norm(local)
+        gap = float(np.linalg.norm(data - local) / scale) if scale > 0.0 else 0.0
+        ledger.note("closure_gap", gap)
+    return data
 
 
 def assemble_lambda(
@@ -475,9 +465,9 @@ def assemble_lambda(
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
     factors = _factors(scene, wave, params)
+    ledger.note("near_singular_points", int(factors.near.sum()))
     coupling = (wave, params, cutoff) if mode == "interacting" else None
-    timings: dict = {}
-    data, residual, gap = _scattering_data(factors, coupling, timings)
+    data = _scattering_data(factors, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
         data.shape[0], data.shape[1], mode, factors.interface.cells.count,
@@ -489,10 +479,6 @@ def assemble_lambda(
         omega=wave.omega,
         kind="clean",
         mode=mode,
-        coupled_residual=residual,
-        closure_gap=gap,
-        near_singular_points=int(factors.near.sum()),
-        timings=timings,
     )
 
 
@@ -604,27 +590,21 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def serialize_matrix(matrix: ScatteringMatrix) -> str:
+def save_matrix(matrix: ScatteringMatrix, path) -> None:
     """Text form: '#'-prefixed header, then one 're,im' line per entry
     (row-major, 17 significant digits; bit-exact round trip)."""
-    buf = io.StringIO()
-    buf.write(f"# {_FORMAT_TAG}\n")
-    buf.write(f"# kind = {matrix.kind}\n")
-    buf.write(f"# mode = {matrix.mode}\n")
-    buf.write(f"# n_points = {matrix.n_points}\n")
-    buf.write(f"# channels = {','.join(matrix.channels)}\n")
-    buf.write(f"# omega = {_fmt(matrix.omega)}\n")
-    buf.write(f"# epsilon = {'none' if matrix.epsilon is None else _fmt(matrix.epsilon)}\n")
-    buf.write(f"# seed = {'none' if matrix.seed is None else matrix.seed}\n")
-    buf.write(f"# delta = {'none' if matrix.delta is None else _fmt(matrix.delta)}\n")
     parts = np.asarray(matrix.data, dtype=np.complex128).ravel().view(np.float64).tolist()
-    buf.write(("%.17g,%.17g\n" * (len(parts) // 2)) % tuple(parts))
-    return buf.getvalue()
-
-
-def save_matrix(matrix: ScatteringMatrix, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(serialize_matrix(matrix))
+        fh.write(f"# {_FORMAT_TAG}\n")
+        fh.write(f"# kind = {matrix.kind}\n")
+        fh.write(f"# mode = {matrix.mode}\n")
+        fh.write(f"# n_points = {matrix.n_points}\n")
+        fh.write(f"# channels = {','.join(matrix.channels)}\n")
+        fh.write(f"# omega = {_fmt(matrix.omega)}\n")
+        fh.write(f"# epsilon = {'none' if matrix.epsilon is None else _fmt(matrix.epsilon)}\n")
+        fh.write(f"# seed = {'none' if matrix.seed is None else matrix.seed}\n")
+        fh.write(f"# delta = {'none' if matrix.delta is None else _fmt(matrix.delta)}\n")
+        fh.write(("%.17g,%.17g\n" * (len(parts) // 2)) % tuple(parts))
 
 
 def _non_negative(cast):
@@ -643,7 +623,7 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 
 
 def _read_bulk(path):
-    """(header, entries) of a file in the layout serialize_matrix writes,
+    """(header, entries) of a file in the layout save_matrix writes,
     with the body parsed in one pass; None for a file in any other layout,
     and for one with a non-finite entry."""
     with open(path, "rb") as fh:

@@ -48,22 +48,23 @@ built once.  A map
 evaluates its sampling points in blocks, one block after another, and
 each block as arrays over its distinct trial columns: one pattern kernel
 evaluation, one root solve, one filtered product, then one argmin over
-all (point, candidate) columns.
+all (point, candidate) columns.  A map notes in the run's ledger
+(poroscat.ledger) its stage seconds, its roots and L's spectrum.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import ledger
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
-from .forward import ScatteringMatrix, _cond
+from .forward import ScatteringMatrix, _cond, _fmt
 from .greens import _geometry, _pattern_kernel, _separation
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, channel_indices
@@ -72,16 +73,13 @@ logger = logging.getLogger(__name__)
 
 # sampling points per block in indicator_map: on the 80x80 fine-grid map
 # (40 sensing points, fixed alpha) blocks of 32, 64 and 128 points took
-# 0.55, 0.44 and 0.53 s (medians of 7, 2 vCPU)
+# 0.39, 0.32 and 0.39 s (invert_meta.json's map stage, medians of 7, 2 vCPU)
 _BLOCK = 64
 
 __all__ = [
     "TrialPattern",
     "IndicatorMap",
     "MorozovResult",
-    "MorozovCounts",
-    "MapTimings",
-    "OperatorSpectrum",
     "SvdOperator",
     "trial_pattern",
     "trial_pattern_block",
@@ -333,14 +331,6 @@ class MorozovResult(NamedTuple):
     bracketed: bool
 
 
-class MorozovCounts(NamedTuple):
-    """Discrepancy roots solved for a map, and how many were not bracketed."""
-
-    roots: int = 0
-    unbracketed_low: int = 0   # gap >= 0 at the low end: eta = low end
-    unbracketed_high: int = 0  # gap <= 0 at the high end: eta = high end
-
-
 _XTOL = 5e-15  # absolute and relative tolerances of the roots in log(eta)
 _RTOL = 4.0 * np.finfo(float).eps
 _MAX_STEPS = 200  # at least every second step halves the bracket
@@ -401,6 +391,14 @@ def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta):
         x = _newton_log_eta(s2, d2, beta_sq[:, cols], floor_sq[cols], x_nodes, table[:, cols])
         eta[cols] = np.exp(x)
     return eta, side
+
+
+def _count_roots(sides: np.ndarray) -> None:
+    """Count roots of _morozov_roots and those not bracketed at the low
+    (side -1) and high (+1) end in the ledger."""
+    ledger.count("morozov_roots", sides.size)
+    ledger.count("morozov_unbracketed_low", np.count_nonzero(sides < 0))
+    ledger.count("morozov_unbracketed_high", np.count_nonzero(sides > 0))
 
 
 def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
@@ -614,26 +612,6 @@ class GlsmPencil:
 # ---------------------------------------------------------------------------
 # block evaluator
 # ---------------------------------------------------------------------------
-class MapTimings(NamedTuple):
-    """Seconds a map spent in each stage, summed over its blocks; setup is
-    the SVD, L#, the pencil and the fixed-alpha operator before them."""
-
-    patterns: float = 0.0
-    roots: float = 0.0
-    solve: float = 0.0
-    setup: float = 0.0
-
-
-class OperatorSpectrum(NamedTuple):
-    """L's singular values against the map's noise level delta, and the
-    rank of the penalized pencil (None without one)."""
-
-    rank: int = 0  # singular values SvdOperator keeps
-    sigma_max: float = 0.0
-    above_delta: int = 0  # singular values above delta
-    pencil_rank: int | None = None  # directions GlsmPencil solves on
-
-
 def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
     """The distinct trial columns of a candidate list, and the index of
     each candidate's column.  Every monopole has the same pattern, and so
@@ -654,8 +632,6 @@ class _Block(NamedTuple):
     vals: np.ndarray
     g_norms: np.ndarray
     argmin: np.ndarray
-    sides: np.ndarray
-    timings: MapTimings
 
 
 def _eval_block(
@@ -682,8 +658,9 @@ def _eval_block(
     columns.  Each point takes the candidate of least ||g|| (ties go to
     the first).  Returns (value, ||g||, candidate index) per point, NaN, 0
     and -1 where no candidate is usable or the point coincides with a
-    sensing point, the root sides (see _morozov_roots) of the
-    (point, candidate) columns and the stage timings.
+    sensing point.  The roots of the (point, candidate) columns are
+    counted, and the seconds of patterns, roots and solve added, in the
+    ledger.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
@@ -691,51 +668,49 @@ def _eval_block(
     vals = np.full(nb, np.nan)
     g_norms = np.zeros(nb)
     argmin = np.full(nb, -1, dtype=int)
-    sides = np.zeros(0, dtype=int)
     # one geometry pass: the trial kernels are singular at r = 0, so the
     # points that coincide with a sensing point are left out
     r, w = _separation(gpts[:, None, :], pts[None, :, :])
     live = np.flatnonzero(np.all(r > 0.0, axis=0))
     if live.size == 0 or op.norm2 == 0.0:
-        return _Block(vals, g_norms, argmin, sides, MapTimings())
+        return _Block(vals, g_norms, argmin)
     cols, inverse = _distinct(cands)
     # the distinct column of each (point, candidate) column
     spread = (np.arange(live.size)[:, None] * len(cols) + inverse).ravel()
-    t0 = time.perf_counter()
-    r = r[:, live]
-    Phi = _patterns(r, w[:, live] / r[..., None], cols, channel_indices(channels), wave, params)
-    t1 = time.perf_counter()
-    if fixed is None:
-        beta_sq, floors = _projection(op, Phi)
-        etas, sides = _morozov_roots(op, beta_sq, floors, delta)
-        sides = sides[spread]
-    t2 = time.perf_counter()
-    if pencil is None:
-        filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
-        norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
-    elif fixed is None:
-        # g = V_r y: ||g|| = ||T y|| and its penalty energy is ||y||^2
-        Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
-        TY = pencil.T @ Y
-        norms, energy = np.sqrt(_re_inner(TY, TY)), _re_inner(Y, Y)
-    else:
-        G = fixed @ Phi
-        norm_sq = _re_inner(G, G)
-        norms = np.sqrt(norm_sq)
-    norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
-    best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
-    win = spread[np.arange(live.size) * ncand + best]
-    found = np.isfinite(norms[win])
-    p, win = live[found], win[found]
-    g_norms[p], argmin[p] = norms[win], best[found]
-    if pencil is None:
-        vals[p] = 1.0 / norms[win]
-    elif fixed is None:
-        vals[p] = 1.0 / np.sqrt(energy[win])
-    else:
-        vals[p] = pencil.indicator(G[:, win], norm_sq[win])
-    timings = MapTimings(t1 - t0, t2 - t1, time.perf_counter() - t2)
-    return _Block(vals, g_norms, argmin, sides, timings)
+    with ledger.stage("patterns"):
+        r, cidx = r[:, live], channel_indices(channels)
+        Phi = _patterns(r, w[:, live] / r[..., None], cols, cidx, wave, params)
+    with ledger.stage("roots"):
+        if fixed is None:
+            beta_sq, floors = _projection(op, Phi)
+            etas, sides = _morozov_roots(op, beta_sq, floors, delta)
+            _count_roots(sides[spread])
+    with ledger.stage("solve"):
+        if pencil is None:
+            filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
+            norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
+        elif fixed is None:
+            # g = V_r y: ||g|| = ||T y|| and its penalty energy is ||y||^2
+            Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
+            TY = pencil.T @ Y
+            norms, energy = np.sqrt(_re_inner(TY, TY)), _re_inner(Y, Y)
+        else:
+            G = fixed @ Phi
+            norm_sq = _re_inner(G, G)
+            norms = np.sqrt(norm_sq)
+        norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
+        best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
+        win = spread[np.arange(live.size) * ncand + best]
+        found = np.isfinite(norms[win])
+        p, win = live[found], win[found]
+        g_norms[p], argmin[p] = norms[win], best[found]
+        if pencil is None:
+            vals[p] = 1.0 / norms[win]
+        elif fixed is None:
+            vals[p] = 1.0 / np.sqrt(energy[win])
+        else:
+            vals[p] = pencil.indicator(G[:, win], norm_sq[win])
+    return _Block(vals, g_norms, argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +718,8 @@ def _eval_block(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class IndicatorMap:
-    """Per-sampling-point indicator values with argmin metadata."""
+    """Per-sampling-point indicator values with argmin metadata; its
+    fields are those of the map file."""
 
     method: str
     omega: float
@@ -752,11 +728,6 @@ class IndicatorMap:
     raw: np.ndarray           # (npts,), NaN where degenerate
     argmin_normal: np.ndarray  # (npts,) int, -1 where no candidate won
     argmin_iota: np.ndarray    # (npts,) int, -1 where no candidate won
-    # roots solved for the map, its stage timings and L's spectrum; the
-    # map file does not store them
-    morozov: MorozovCounts = MorozovCounts()
-    timings: MapTimings = MapTimings()
-    spectrum: OperatorSpectrum = OperatorSpectrum()
 
     @property
     def raw_max(self) -> float:
@@ -812,7 +783,9 @@ def indicator_map(
     that is not a sensing point (a documented approximation of the
     per-candidate rule).  Per-point failures, sampling points that
     coincide with sensing points included, are recorded as NaN values,
-    never aborts.
+    never aborts.  The ledger gets the seconds of setup (the SVD, L#, the
+    pencil and the fixed-alpha operator) and of the blocks' stages, the
+    roots solved (_count_roots) and L's spectrum against delta.
     """
     if method not in ("lsm", "glsm"):
         raise DomainError(f"method must be lsm|glsm, got {method!r}")
@@ -825,29 +798,31 @@ def indicator_map(
             f"matrix ({matrix.n_points} points, channels {matrix.channels}) does not "
             f"match the scene ({scene.grid.count} points, channels {scene.channels})"
         )
-    t_setup = time.perf_counter()
-    op = _operator(matrix)
-    delta = _derive_delta(matrix, delta, op)
-    if op.norm2 > 0.0:
-        _bracket(op, delta)  # rejects an operator norm or delta out of range
+    with ledger.stage("setup"):
+        op = _operator(matrix)
+        delta = _derive_delta(matrix, delta, op)
+        if op.norm2 > 0.0:
+            _bracket(op, delta)  # rejects an operator norm or delta out of range
+        pencil = fixed = None
+        if method == "glsm":
+            if wave.gamma.imag > 1e-6 * abs(wave.gamma):
+                warnings.warn(
+                    "penalized (glsm) imaging with significantly complex coupling "
+                    "gamma: the operator is not self-adjoint and the penalty lacks "
+                    "a range characterization; proceeding anyway",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
+    ledger.note("operator_rank", op.rank)
+    ledger.note("sigma_max", op.norm2)
+    ledger.note("sigma_above_delta", int(np.count_nonzero(op.s > delta)))
+    if pencil is not None:
+        ledger.note("pencil_rank", pencil.rank)
     pts = scene.sampling.points()
     cands = scene.sampling.candidates()
     gpts, channels = scene.grid.points, scene.channels
 
-    sides = np.zeros(0, dtype=int)
-    timings = MapTimings()
-    pencil = fixed = None
-    if method == "glsm":
-        if wave.gamma.imag > 1e-6 * abs(wave.gamma):
-            warnings.warn(
-                "penalized (glsm) imaging with significantly complex coupling "
-                "gamma: the operator is not self-adjoint and the penalty lacks "
-                "a range characterization; proceeding anyway",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
-    setup = time.perf_counter() - t_setup
     if pencil is not None and alpha_policy == "fixed":
         if fixed_alpha is None:
             # the sampling point nearest the grid center that is not a sensing point
@@ -856,32 +831,24 @@ def indicator_map(
             if op.norm2 == 0.0 or k is None:
                 raise NumericalError("could not derive a fixed alpha near the grid center")
             cols, inverse = _distinct(cands)
-            t0 = time.perf_counter()
-            center = trial_pattern_block(pts[k:k + 1], cols, gpts, wave, params, channels)
-            t1 = time.perf_counter()
-            etas, sides = _morozov_roots(op, *_projection(op, center), delta)
-            # the median over all candidates, not over the distinct columns
-            etas, sides = etas[inverse], sides[inverse]
-            timings = MapTimings(t1 - t0, time.perf_counter() - t1)
-            fixed_alpha = alpha_from_eta(float(np.median(etas)), op.norm2, delta)
+            with ledger.stage("patterns"):
+                center = trial_pattern_block(pts[k:k + 1], cols, gpts, wave, params, channels)
+            with ledger.stage("roots"):
+                etas, sides = _morozov_roots(op, *_projection(op, center), delta)
+                # the median over all candidates, not over the distinct columns
+                _count_roots(sides[inverse])
+                fixed_alpha = alpha_from_eta(float(np.median(etas[inverse])), op.norm2, delta)
             logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
-        t_setup = time.perf_counter()
-        fixed = pencil.operator(fixed_alpha)
-        setup += time.perf_counter() - t_setup
+        with ledger.stage("setup"):
+            fixed = pencil.operator(fixed_alpha)
 
-    blocks = [
-        _eval_block(
+    raw = np.full(len(pts), np.nan)
+    argmin = np.full(len(pts), -1, dtype=int)
+    for s in range(0, len(pts), _BLOCK):
+        raw[s:s + _BLOCK], _, argmin[s:s + _BLOCK] = _eval_block(
             pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
             pencil, fixed,
         )
-        for s in range(0, len(pts), _BLOCK)
-    ]
-    raw = np.concatenate([b.vals for b in blocks])
-    argmin = np.concatenate([b.argmin for b in blocks])
-    sides = np.concatenate([sides] + [b.sides for b in blocks])
-    timings = MapTimings(*map(sum, zip(timings, *(b.timings for b in blocks))))._replace(
-        setup=setup
-    )
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0
     arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
@@ -895,16 +862,6 @@ def indicator_map(
         raw=raw,
         argmin_normal=arg_n,
         argmin_iota=arg_i,
-        morozov=MorozovCounts(
-            roots=sides.size,
-            unbracketed_low=int((sides < 0).sum()),
-            unbracketed_high=int((sides > 0).sum()),
-        ),
-        timings=timings,
-        spectrum=OperatorSpectrum(
-            op.rank, op.norm2, int(np.count_nonzero(op.s > delta)),
-            None if pencil is None else pencil.rank,
-        ),
     )
     if imap.degenerate:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)
@@ -915,10 +872,6 @@ def indicator_map(
 # map I/O
 # ---------------------------------------------------------------------------
 _MAP_TAG = "poroscat-map v1"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def save_indicator_map(imap: IndicatorMap, path) -> None:
@@ -945,6 +898,10 @@ def save_indicator_map(imap: IndicatorMap, path) -> None:
 
 
 def load_indicator_map(path) -> IndicatorMap:
+    """Read a map file in the layout save_indicator_map writes.  A missing
+    or unparsable header field, a row that is not six fields of that
+    layout, and a row count other than the grid's point count raise
+    CompatibilityError."""
     from .scene import build_sampling_grid
 
     header: dict[str, str] = {}
@@ -960,22 +917,35 @@ def load_indicator_map(path) -> IndicatorMap:
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 header[key.strip()] = val.strip()
-            else:
-                parts = line.split(",")
+                continue
+            parts = line.split(",")
+            try:
+                if len(parts) != 6:
+                    raise ValueError(line)
                 rows.append((float(parts[2]), int(parts[4]), int(parts[5])))
-    region = tuple(float(v) for v in header["region"].split(","))
-    resolution = tuple(int(v) for v in header["resolution"].split(","))
-    grid = build_sampling_grid(
-        region,
-        resolution,
-        int(header["n_dir"]),
-        tuple(int(i) for i in header["iotas"].split(",")),
-        plane_z=float(header.get("plane_z", "0")),
-    )
+            except ValueError:
+                raise CompatibilityError(f"{path}: unparsable map row {line!r}") from None
+    try:
+        grid = build_sampling_grid(
+            tuple(float(v) for v in header["region"].split(",")),
+            tuple(int(v) for v in header["resolution"].split(",")),
+            int(header["n_dir"]),
+            tuple(int(i) for i in header["iotas"].split(",")),
+            plane_z=float(header.get("plane_z", "0")),
+        )
+        method, omega, delta = header["method"], float(header["omega"]), float(header["delta"])
+    except KeyError as exc:
+        raise CompatibilityError(f"{path}: missing header field {exc.args[0]!r}") from None
+    except (ValueError, IndexError) as exc:
+        raise CompatibilityError(f"{path}: unparsable header value ({exc})") from None
+    if len(rows) != grid.point_count:
+        raise CompatibilityError(
+            f"{path}: {len(rows)} rows for a grid of {grid.point_count} points"
+        )
     return IndicatorMap(
-        method=header["method"],
-        omega=float(header["omega"]),
-        delta=float(header["delta"]),
+        method=method,
+        omega=omega,
+        delta=delta,
         grid=grid,
         raw=np.array([r[0] for r in rows]),
         argmin_normal=np.array([r[1] for r in rows], dtype=int),

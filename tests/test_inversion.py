@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 
 from poroscat import forward as fw
 from poroscat import inversion as inv
-from poroscat.errors import ConditioningError, DomainError, NumericalError
+from poroscat.errors import CompatibilityError, ConditioningError, DomainError, NumericalError
 from poroscat.greens import green_tensor
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scene
@@ -659,7 +660,7 @@ def indicator_at(x0, cands, L, delta, scene, wave, params, sharp=None):
     """(value, winning candidate index) at one sampling point: the map's block
     evaluator on a one-point block, penalized when the L# operator sharp is given."""
     pencil = None if sharp is None else inv.GlsmPencil(L, sharp, delta)
-    (value,), _, (best,), _, _ = inv._eval_block(
+    (value,), _, (best,) = inv._eval_block(
         np.reshape(x0, (1, 3)), cands, inv.SvdOperator(L), delta, scene.grid.points,
         wave, params, scene.channels, pencil=pencil,
     )
@@ -852,6 +853,36 @@ class TestIndicatorMap:
         np.testing.assert_array_equal(back.argmin_normal, imap.argmin_normal)
         assert back.method == imap.method
         assert back.delta == imap.delta
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda lines: [x for x in lines if not x.startswith("# region")],
+             "missing header field 'region'"),
+            (lambda lines: [x.replace("n_dir = 2", "n_dir = two") for x in lines],
+             "unparsable header value"),
+            (lambda lines: lines[:-1] + ["0.5,1,0.25"], "unparsable map row '0.5,1,0.25'"),
+            (lambda lines: lines[:-1] + ["0.5,1,0.25,1,0,1,7"], "unparsable map row"),
+            (lambda lines: lines[:-1] + ["0.5,1,x,1,0,1"], "unparsable map row"),
+            (lambda lines: lines[:-1], "5 rows for a grid of 6 points"),
+            (lambda lines: lines + lines[-1:], "7 rows for a grid of 6 points"),
+        ],
+        ids=["no-region", "bad-n_dir", "short-row", "long-row", "bad-raw", "rows-5", "rows-7"],
+    )
+    def test_malformed_map_file_is_compatibility_error(self, tmp_path, edit, cause):
+        grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
+        imap = inv.IndicatorMap(
+            method="lsm", omega=3.91, delta=0.05, grid=grid,
+            raw=np.linspace(0.5, 1.0, 6), argmin_normal=np.zeros(6, dtype=int),
+            argmin_iota=np.ones(6, dtype=int),
+        )
+        path = tmp_path / "map.csv"
+        inv.save_indicator_map(imap, path)
+        lines = path.read_text(encoding="ascii").splitlines()
+        np.testing.assert_array_equal(inv.load_indicator_map(path).raw, imap.raw)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="ascii")
+        with pytest.raises(CompatibilityError, match=re.escape(cause)):
+            inv.load_indicator_map(path)
 
 
 class TestSymmetrizedFactorization:
