@@ -36,11 +36,14 @@ its closure gap ||L - L_loc|| / ||L_loc|| against the local closure.
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
 reciprocal data component (force e_i with u_i, fluid injection with p).
+
+The matrix file (save_matrix, load_matrix) and the indicator map file
+(inversion.save_indicator_map, load_indicator_map) share one exchange
+layout, written by _write_table and read by _read_table.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -288,49 +291,37 @@ def _interaction_matrix(interface: _Interface, wave, params) -> np.ndarray:
     The kernel is reciprocal, B_ji = B_ij^T (the reciprocal theorem of
     the Biot system), so it is evaluated once per unordered pair, with
     patch_index[i] < patch_index[j], and fills both blocks.  Cells are
-    collected patch by patch, so the pairs of patches a < b form a
-    rectangle of M.  The pairs go to the kernel rectangle by rectangle,
-    row-major, in chunks of _PAIR_CHUNK; a rectangle's part of a chunk
-    takes one product with the E of each patch.
+    collected patch by patch, so the pairs whose cell i is on patch a form
+    one strip: a's rows times the columns of every later patch.  A strip
+    goes to the kernel a few whole rows at a time (about _PAIR_CHUNK
+    pairs); its blocks (i, j) take one product with E_a, and its blocks
+    (j, i) one product with the E of each later patch.
     """
     cells, D, E = interface.cells, interface.D, interface.E
-    nc, pi, w = cells.count, cells.patch_index, -cells.areas
+    nc, w = cells.count, -cells.areas
     M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
     diag = np.arange(nc)
     M[diag, :, diag, :] = D
-    # first cell and cell count of each cell's patch
-    start, size = np.searchsorted(pi, pi).tolist(), np.bincount(pi)[pi].tolist()
-    rows, cols = np.nonzero(pi[:, None] < pi[None, :])
-    order = np.lexsort((cols, rows, pi[cols], pi[rows]))
-    rows, cols = rows[order], cols[order]
-    for s in range(0, rows.size, _PAIR_CHUNK):
-        i, j = rows[s:s + _PAIR_CHUNK], cols[s:s + _PAIR_CHUNK]
-        B = _dislocation_trace_matrix(
-            cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
-            wave, params,
-        )  # (pairs, 5, 5)
-        Bj, Bi = B * w[j, None, None], B * w[i, None, None]
-        edges = (np.flatnonzero(np.diff(pi[i] * nc + pi[j])) + 1).tolist()
-        i, j = i.tolist(), j.tolist()
-        for lo, hi in zip([0] + edges, edges + [len(i)]):
-            # one pair of patches a < b: every cell of a patch has its patch's E;
-            # ea[r, p, s] = -area_j (E_a B_p)[r, s], eb[p, s, r] = -area_i (E_b B_p^T)[r, s]
-            ea = (E[i[lo]] @ np.swapaxes(Bj[lo:hi], 0, 1).reshape(5, -1)).reshape(5, hi - lo, 5)
-            eb = (Bi[lo:hi].reshape(-1, 5) @ E[j[lo]].T).reshape(hi - lo, 5, 5)
-            # the run is [q0, q1) of the rectangle in row-major order: a row's
-            # tail, whole rows and a row's head, each a rectangle of M
-            a0, b0, nb = start[i[lo]], start[j[lo]], size[j[lo]]
-            q0 = (i[lo] - a0) * nb + j[lo] - b0
-            q1 = q0 + hi - lo
-            cuts = sorted({q0, min(q1, -(-q0 // nb) * nb), max(q0, q1 // nb * nb), q1})
-            for u0, u1 in zip(cuts, cuts[1:]):
-                r0, r1 = a0 + u0 // nb, a0 + (u1 - 1) // nb + 1
-                c0, c1 = b0 + u0 % nb, b0 + (u1 - 1) % nb + 1
-                pairs = (r1 - r0, c1 - c0)
-                M[r0:r1, :, c0:c1, :] = (
-                    ea[:, u0 - q0:u1 - q0].reshape(5, *pairs, 5).transpose(1, 0, 2, 3))
-                M[c0:c1, :, r0:r1, :] = (
-                    eb[u0 - q0:u1 - q0].reshape(*pairs, 5, 5).transpose(1, 3, 0, 2))
+    # first cell of each patch, and nc
+    bounds = np.searchsorted(cells.patch_index, np.arange(len(interface.patches) + 1)).tolist()
+    for k, (a0, a1) in enumerate(zip(bounds[:-2], bounds[1:-1])):
+        later, width = list(zip(bounds[k + 1:-1], bounds[k + 2:])), nc - a1
+        step = max(1, _PAIR_CHUNK // width)
+        for r0 in range(a0, a1, step):
+            r1 = min(r0 + step, a1)
+            i, j = np.repeat(np.arange(r0, r1), width), np.tile(np.arange(a1, nc), r1 - r0)
+            B = _dislocation_trace_matrix(
+                cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
+                wave, params,
+            ).reshape(r1 - r0, width, 5, 5)
+            # M[i, r, j, s] = -area_j (E_a B_ij)[r, s]
+            Bj = (B * w[None, a1:, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
+            M[r0:r1, :, a1:, :] = (E[a0] @ Bj).reshape(5, r1 - r0, width, 5).transpose(1, 0, 2, 3)
+            # M[j, r, i, s] = -area_i (E_b B_ij^T)[r, s], j on a later patch b
+            Bi = B * w[r0:r1, None, None, None]
+            for b0, b1 in later:
+                eb = Bi[:, b0 - a1:b1 - a1].reshape(-1, 5) @ E[b0].T
+                M[b0:b1, :, r0:r1, :] = eb.reshape(r1 - r0, b1 - b0, 5, 5).transpose(1, 3, 0, 2)
     return M.reshape(5 * nc, 5 * nc)
 
 
@@ -583,28 +574,41 @@ def check_admissibility(contact: ContactParams, wave: WaveState) -> Admissibilit
 # ---------------------------------------------------------------------------
 # exchange format
 # ---------------------------------------------------------------------------
+# The matrix and map files share one layout: a '# <tag>' line, one
+# '# key = value' line per header field, then one line of comma-separated
+# numbers per row (floats to 17 significant digits: a bit-exact round trip).
 _FORMAT_TAG = "poroscat-matrix v1"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _text(value) -> str:
+    """A header value as written: none, a float to 17 digits, or the
+    comma-joined texts of a tuple."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _write_table(path, tag: str, header: dict, row_format: str, fields) -> None:
+    """Write a file in the exchange layout: the header's values by _text,
+    then row_format once per row of the flat sequence fields."""
+    rows = len(fields) // row_format.count("%")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# {tag}\n")
+        fh.writelines(f"# {key} = {_text(value)}\n" for key, value in header.items())
+        fh.write((row_format * rows) % tuple(fields))
 
 
 def save_matrix(matrix: ScatteringMatrix, path) -> None:
-    """Text form: '#'-prefixed header, then one 're,im' line per entry
-    (row-major, 17 significant digits; bit-exact round trip)."""
+    """One 're,im' row per entry, row-major."""
     parts = np.asarray(matrix.data, dtype=np.complex128).ravel().view(np.float64).tolist()
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {_FORMAT_TAG}\n")
-        fh.write(f"# kind = {matrix.kind}\n")
-        fh.write(f"# mode = {matrix.mode}\n")
-        fh.write(f"# n_points = {matrix.n_points}\n")
-        fh.write(f"# channels = {','.join(matrix.channels)}\n")
-        fh.write(f"# omega = {_fmt(matrix.omega)}\n")
-        fh.write(f"# epsilon = {'none' if matrix.epsilon is None else _fmt(matrix.epsilon)}\n")
-        fh.write(f"# seed = {'none' if matrix.seed is None else matrix.seed}\n")
-        fh.write(f"# delta = {'none' if matrix.delta is None else _fmt(matrix.delta)}\n")
-        fh.write(("%.17g,%.17g\n" * (len(parts) // 2)) % tuple(parts))
+    header = {
+        "kind": matrix.kind, "mode": matrix.mode, "n_points": matrix.n_points,
+        "channels": matrix.channels, "omega": matrix.omega, "epsilon": matrix.epsilon,
+        "seed": matrix.seed, "delta": matrix.delta,
+    }
+    _write_table(path, _FORMAT_TAG, header, "%.17g,%.17g\n", parts)
 
 
 def _non_negative(cast):
@@ -617,78 +621,74 @@ def _non_negative(cast):
     return checked
 
 
-# the bytes written numbers are made of: deleting them from a body in the
-# written layout leaves exactly ",\n" per entry
-_NUMBER_BYTES = b"0123456789.eE+-"
+# the bytes written numbers are made of, the letters of nan and inf
+# included: deleting them from a body in the written layout leaves exactly
+# width - 1 commas and a newline per row
+_NUMBER_BYTES = b"0123456789.eE+-naninf"
 
 
-def _read_bulk(path):
-    """(header, entries) of a file in the layout save_matrix writes,
-    with the body parsed in one pass; None for a file in any other layout,
-    and for one with a non-finite entry."""
+def _header(lines) -> dict[str, str]:
+    """The '# key = value' lines of a header as a dict."""
+    pairs = (line[1:].partition("=") for line in lines)
+    return {key.strip(): val.strip() for key, _, val in pairs}
+
+
+def _read_table(path, tag: str, width: int, what: str, fault: str, ok):
+    """(header, rows) of a file in the exchange layout: the header as a
+    dict and the body as an (n, width) float array.
+
+    ok(rows) is a mask of the rows a caller accepts.  The written layout
+    is parsed in one pass.  A file in another layout (blank lines, comments
+    between rows, CR LF line ends), or one with a row that does not parse
+    or that ok refuses, is read line by line, which names the first such
+    row: 'unparsable <what>' or '<fault> <what>'.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    tag = f"# {_FORMAT_TAG}\n".encode("ascii")
-    if not raw.startswith(tag):
-        return None
-    start = pos = len(tag)
-    while raw.startswith(b"#", pos):
+    first = f"# {tag}\n".encode("ascii")
+    pos = len(first) if raw.startswith(first) else 0
+    while pos and raw.startswith(b"#", pos):
         pos = raw.find(b"\n", pos) + 1
-        if pos == 0:
-            return None
     body = raw[pos:]
     seps = body.translate(None, _NUMBER_BYTES)
-    if seps != b",\n" * (len(seps) // 2):
-        return None
-    try:
-        head = raw[start:pos].decode("ascii")
-        parts = np.array(body.replace(b",", b"\n").split(), dtype=np.float64)
-    except (UnicodeDecodeError, ValueError):
-        return None
-    if parts.size != len(seps) or not np.isfinite(parts).all():
-        return None
-    header = {}
-    for line in head.splitlines():
-        key, _, val = line[1:].partition("=")
-        header[key.strip()] = val.strip()
-    return header, parts.view(np.complex128)
-
-
-def _read_lines(path):
-    """(header, entries) of a matrix file read one line at a time; names
-    the first unparsable or non-finite entry."""
-    header: dict[str, str] = {}
-    values: list[complex] = []
+    n = len(seps) // width
+    if pos and seps == (b"," * (width - 1) + b"\n") * n:
+        try:
+            head = raw[len(first):pos].decode("ascii").splitlines()
+            rows = np.array(body.replace(b",", b"\n").split(), dtype=np.float64)
+        except (UnicodeDecodeError, ValueError):
+            rows = None
+        if rows is not None and rows.size == n * width and ok(rows.reshape(n, width)).all():
+            return _header(head), rows.reshape(n, width)
+    head, values = [], []
     try:
         with open(path, "r", encoding="ascii") as fh:
-            first = fh.readline().strip()
-            if first != f"# {_FORMAT_TAG}":
-                raise CompatibilityError(f"{path}: not a {_FORMAT_TAG} file")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            if fh.readline().strip() != f"# {tag}":
+                raise CompatibilityError(f"{path}: not a {tag} file")
+            for line in map(str.strip, fh):
                 if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    header[key.strip()] = val.strip()
-                    continue
-                re_s, _, im_s = line.partition(",")
-                try:
-                    value = complex(float(re_s), float(im_s))
-                except ValueError:
-                    raise CompatibilityError(
-                        f"{path}: unparsable matrix entry {line!r}"
-                    ) from None
-                if not cmath.isfinite(value):
-                    raise CompatibilityError(f"{path}: non-finite matrix entry {line!r}")
-                values.append(value)
+                    head.append(line)
+                elif line:
+                    try:
+                        row = np.array([float(v) for v in line.split(",")])
+                        if row.size != width:
+                            raise ValueError(line)
+                    except ValueError:
+                        raise CompatibilityError(f"{path}: unparsable {what} {line!r}") from None
+                    if not ok(row[None])[0]:
+                        raise CompatibilityError(f"{path}: {fault} {what} {line!r}")
+                    values.append(row)
     except UnicodeDecodeError:
         raise CompatibilityError(f"{path}: not an ASCII text file") from None
-    return header, np.array(values, dtype=np.complex128)
+    return _header(head), np.array(values).reshape(-1, width)
 
 
 def load_matrix(path) -> ScatteringMatrix:
-    header, values = _read_bulk(path) or _read_lines(path)
+    header, rows = _read_table(
+        path, _FORMAT_TAG, 2, "matrix entry", "non-finite",
+        lambda rows: np.isfinite(rows).all(axis=1),
+    )
+    values = rows.view(np.complex128).ravel()
 
     def field(key, cast=str, optional=False):
         if optional and header.get(key, "none") == "none":

@@ -49,7 +49,9 @@ evaluates its sampling points in blocks, one block after another, and
 each block as arrays over its distinct trial columns: one pattern kernel
 evaluation, one root solve, one filtered product, then one argmin over
 all (point, candidate) columns.  A map notes in the run's ledger
-(poroscat.ledger) its stage seconds, its roots and L's spectrum.
+(poroscat.ledger) its stage seconds, its roots and L's spectrum.  A map
+file is written and read in the matrix file's exchange layout, by
+forward's _write_table and _read_table.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ import numpy as np
 
 from . import ledger
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
-from .forward import ScatteringMatrix, _cond, _fmt
+from .forward import ScatteringMatrix, _cond, _read_table, _write_table
 from .greens import _geometry, _pattern_kernel, _separation
 from .material import MaterialParams, WaveState
-from .scene import SamplingGrid, Scene, channel_indices
+from .scene import SamplingGrid, Scene, build_sampling_grid, channel_indices
 
 logger = logging.getLogger(__name__)
 
@@ -630,7 +632,6 @@ def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
 
 class _Block(NamedTuple):
     vals: np.ndarray
-    g_norms: np.ndarray
     argmin: np.ndarray
 
 
@@ -656,9 +657,9 @@ def _eval_block(
     and solves run on the distinct trial columns (_distinct); the norms
     and the root sides are then spread back over all (point, candidate)
     columns.  Each point takes the candidate of least ||g|| (ties go to
-    the first).  Returns (value, ||g||, candidate index) per point, NaN, 0
-    and -1 where no candidate is usable or the point coincides with a
-    sensing point.  The roots of the (point, candidate) columns are
+    the first).  Returns (value, candidate index) per point, NaN and -1
+    where no candidate is usable or the point coincides with a sensing
+    point.  The roots of the (point, candidate) columns are
     counted, and the seconds of patterns, roots and solve added, in the
     ledger.
     """
@@ -666,14 +667,13 @@ def _eval_block(
     gpts = np.asarray(grid_points, dtype=float)
     nb, ncand = pts.shape[0], len(cands)
     vals = np.full(nb, np.nan)
-    g_norms = np.zeros(nb)
     argmin = np.full(nb, -1, dtype=int)
     # one geometry pass: the trial kernels are singular at r = 0, so the
     # points that coincide with a sensing point are left out
     r, w = _separation(gpts[:, None, :], pts[None, :, :])
     live = np.flatnonzero(np.all(r > 0.0, axis=0))
     if live.size == 0 or op.norm2 == 0.0:
-        return _Block(vals, g_norms, argmin)
+        return _Block(vals, argmin)
     cols, inverse = _distinct(cands)
     # the distinct column of each (point, candidate) column
     spread = (np.arange(live.size)[:, None] * len(cols) + inverse).ravel()
@@ -703,14 +703,14 @@ def _eval_block(
         win = spread[np.arange(live.size) * ncand + best]
         found = np.isfinite(norms[win])
         p, win = live[found], win[found]
-        g_norms[p], argmin[p] = norms[win], best[found]
+        argmin[p] = best[found]
         if pencil is None:
             vals[p] = 1.0 / norms[win]
         elif fixed is None:
             vals[p] = 1.0 / np.sqrt(energy[win])
         else:
             vals[p] = pencil.indicator(G[:, win], norm_sq[win])
-    return _Block(vals, g_norms, argmin)
+    return _Block(vals, argmin)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +845,7 @@ def indicator_map(
     raw = np.full(len(pts), np.nan)
     argmin = np.full(len(pts), -1, dtype=int)
     for s in range(0, len(pts), _BLOCK):
-        raw[s:s + _BLOCK], _, argmin[s:s + _BLOCK] = _eval_block(
+        raw[s:s + _BLOCK], argmin[s:s + _BLOCK] = _eval_block(
             pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
             pencil, fixed,
         )
@@ -875,56 +875,33 @@ _MAP_TAG = "poroscat-map v1"
 
 
 def save_indicator_map(imap: IndicatorMap, path) -> None:
-    """CSV form: '#' header (method, omega, delta, grid spec), then rows
+    """Header: method, omega, delta and the grid spec; then rows
     x,y,raw,normalized,normal_index,iota in row-major point order."""
     g = imap.grid
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# {_MAP_TAG}\n")
-        fh.write(f"# method = {imap.method}\n")
-        fh.write(f"# omega = {_fmt(imap.omega)}\n")
-        fh.write(f"# delta = {_fmt(imap.delta)}\n")
-        fh.write(f"# region = {','.join(_fmt(v) for v in g.region)}\n")
-        fh.write(f"# resolution = {g.resolution[0]},{g.resolution[1]}\n")
-        fh.write(f"# n_dir = {g.normals.shape[0]}\n")
-        fh.write(f"# iotas = {','.join(str(i) for i in g.iotas)}\n")
-        fh.write(f"# plane_z = {_fmt(g.plane_z)}\n")
-        pts = g.points()
-        rows = zip(
-            pts[:, 0].tolist(), pts[:, 1].tolist(), imap.raw.tolist(),
-            imap.normalized.tolist(), imap.argmin_normal.tolist(), imap.argmin_iota.tolist(),
-        )
-        fields = tuple(v for row in rows for v in row)
-        fh.write(("%.17g,%.17g,%.17g,%.17g,%d,%d\n" * pts.shape[0]) % fields)
+    header = {
+        "method": imap.method, "omega": imap.omega, "delta": imap.delta,
+        "region": g.region, "resolution": g.resolution, "n_dir": g.normals.shape[0],
+        "iotas": g.iotas, "plane_z": g.plane_z,
+    }
+    pts = g.points()
+    columns = (pts[:, 0], pts[:, 1], imap.raw, imap.normalized, imap.argmin_normal,
+               imap.argmin_iota)
+    fields = [v for row in zip(*(c.tolist() for c in columns)) for v in row]
+    _write_table(path, _MAP_TAG, header, "%.17g,%.17g,%.17g,%.17g,%d,%d\n", fields)
+
+
+def _whole_indices(rows: np.ndarray) -> np.ndarray:
+    """Map rows whose two index columns hold integers of int32 range."""
+    index = rows[:, 4:]
+    return ((np.abs(index) < 2**31) & (index == np.round(index))).all(axis=1)
 
 
 def load_indicator_map(path) -> IndicatorMap:
     """Read a map file in the layout save_indicator_map writes.  A missing
-    or unparsable header field, a row that is not six fields of that
-    layout, and a row count other than the grid's point count raise
+    or unparsable header field, a row that is not six numbers with integer
+    indices, and a row count other than the grid's point count raise
     CompatibilityError."""
-    from .scene import build_sampling_grid
-
-    header: dict[str, str] = {}
-    rows: list[tuple] = []
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().strip()
-        if first != f"# {_MAP_TAG}":
-            raise CompatibilityError(f"{path}: not a {_MAP_TAG} file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                header[key.strip()] = val.strip()
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 6:
-                    raise ValueError(line)
-                rows.append((float(parts[2]), int(parts[4]), int(parts[5])))
-            except ValueError:
-                raise CompatibilityError(f"{path}: unparsable map row {line!r}") from None
+    header, rows = _read_table(path, _MAP_TAG, 6, "map row", "unparsable", _whole_indices)
     try:
         grid = build_sampling_grid(
             tuple(float(v) for v in header["region"].split(",")),
@@ -947,7 +924,7 @@ def load_indicator_map(path) -> IndicatorMap:
         omega=omega,
         delta=delta,
         grid=grid,
-        raw=np.array([r[0] for r in rows]),
-        argmin_normal=np.array([r[1] for r in rows], dtype=int),
-        argmin_iota=np.array([r[2] for r in rows], dtype=int),
+        raw=rows[:, 2].copy(),
+        argmin_normal=rows[:, 4].astype(int),
+        argmin_iota=rows[:, 5].astype(int),
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from poroscat import forward
 from poroscat.material import solve_dispersion
 from poroscat.presets import PECOS_OMEGA, pecos_sandstone
 
@@ -31,3 +32,18 @@ def wave(params):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def forward_opens(monkeypatch):
+    """The modes of the files poroscat.forward opens during the test: its
+    exchange-format reader opens a file once, as bytes, when the one-pass
+    parse takes it, and again as text when it reads line by line."""
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "open", spy, raising=False)
+    return opened

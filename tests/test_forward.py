@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poroscat import forward as fw
+from poroscat import inversion as inv
 from poroscat import ledger
 from poroscat.cli import parse_scenario
 from poroscat.errors import (
@@ -335,8 +336,9 @@ class TestInteractingJumpSolve:
     def test_one_pass_matches_per_row_reference(
         self, scene_name, chunk, request, monkeypatch, wave, params
     ):
-        # patch rectangles have rows of 8 and 6 pairs: chunks of 3 and 7
-        # pairs end partway through rows, and some span two rectangles
+        # patch strips are 8, 14 and 6 columns wide (up to 39 on the
+        # many-patch scene): chunks of 3 and 7 pairs send one strip row per
+        # kernel call, the default chunk whole strips of several rows
         if chunk is not None:
             monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
         patches = request.getfixturevalue(scene_name).patches
@@ -728,21 +730,43 @@ class TestExchangeFormat:
         with pytest.raises(CompatibilityError):
             fw.load_matrix(path)
 
-    def test_bulk_and_per_line_reads_agree(self, rng, tmp_path):
+    def test_bulk_and_per_line_reads_agree(self, rng, tmp_path, forward_opens):
+        # both files: the written layout takes the one-pass parse, the same
+        # file with CR LF line ends the per-line read, and both read the same bits
         parts = np.concatenate([
             rng.normal(size=42) * 10.0 ** rng.integers(-300, 300, 42),
             [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, 3.0, -1.0, 1e-5],
         ])
         data = parts.view(complex).reshape(5, 5)
-        path = tmp_path / "m.csv"
-        fw.save_matrix(fw.ScatteringMatrix(data, channels=("fx",), n_points=5, omega=2.5), path)
-        bulk = fw._read_bulk(path)
-        assert bulk is not None  # the written layout takes the one-pass parse
-        header, values = fw._read_lines(path)
-        assert bulk[0] == header
-        assert bulk[1].view(np.int64).tolist() == values.view(np.int64).tolist()
-        back = fw.load_matrix(path).data
+        matrix = tmp_path / "m.csv"
+        fw.save_matrix(fw.ScatteringMatrix(data, channels=("fx",), n_points=5, omega=2.5), matrix)
+        raw = parts[:25].copy()
+        raw[[3, 7, 8]] = np.nan
+        found = np.isfinite(raw)
+        imap = inv.IndicatorMap(
+            method="glsm", omega=2.5, delta=0.05,
+            grid=build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (5, 5), 2, (0, 1)), raw=raw,
+            argmin_normal=np.where(found, 1, -1), argmin_iota=np.where(found, 0, -1),
+        )
+        map_path = tmp_path / "map.csv"
+        inv.save_indicator_map(imap, map_path)
+        for path, tag, width in [(matrix, fw._FORMAT_TAG, 2), (map_path, inv._MAP_TAG, 6)]:
+            crlf = tmp_path / f"crlf_{path.name}"
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            reads = []
+            for p in (path, crlf):
+                forward_opens.clear()
+                reads.append(
+                    fw._read_table(p, tag, width, "row", "bad", lambda r: np.ones(len(r), bool))
+                )
+                assert forward_opens == (["rb"] if p == path else ["rb", "r"])
+            (header, rows), (per_line_header, per_line_rows) = reads
+            assert header == per_line_header
+            assert rows.view(np.int64).tolist() == per_line_rows.view(np.int64).tolist()
+        back = fw.load_matrix(matrix).data
         assert back.view(np.int64).tolist() == data.view(np.int64).tolist()
+        back_raw = inv.load_indicator_map(map_path).raw
+        assert back_raw.view(np.int64).tolist() == raw.view(np.int64).tolist()
 
     @pytest.mark.parametrize(
         "body, message",
@@ -752,20 +776,39 @@ class TestExchangeFormat:
             ("1,2,3", "unparsable matrix entry '1,2,3'"),
             ("1 2,3", "unparsable matrix entry '1 2,3'"),
             ("1.0,", "unparsable matrix entry '1.0,'"),
+            ("inf,0", "non-finite matrix entry 'inf,0'"),
+            ("nana,0", "unparsable matrix entry 'nana,0'"),
+            ("1.0,\xe9", "not an ASCII text file"),
+            ("0,0,1,1,0,0,0", "unparsable map row '0,0,1,1,0,0,0'"),
+            ("0,0,1,1,0.5,0", "unparsable map row '0,0,1,1,0.5,0'"),
+            ("0,0,nan,nan,0,nan", "unparsable map row '0,0,nan,nan,0,nan'"),
+            ("0,0,nana,1,0,0", "unparsable map row '0,0,nana,1,0,0'"),
         ],
     )
-    def test_bad_entry_keeps_per_line_message(self, body, message, tmp_path):
-        # lines a one-pass parse could misread as whole entries: "1,2,3"
-        # with "4" and "1 2,3" with ",4" have four numbers on two lines,
-        # "1.0," with ",4" has two
-        path = tmp_path / "m.csv"
-        fw.save_matrix(fw.ScatteringMatrix(np.ones((2, 2), complex), ("fx",), 2, 1.0), path)
-        lines = path.read_text().splitlines()
-        lines[-2:] = [body, "4" if body == "1,2,3" else ",4"]
-        path.write_text("\n".join(lines) + "\n")
-        assert fw._read_bulk(path) is None
+    def test_bad_entry_keeps_per_line_message(self, body, message, tmp_path, forward_opens):
+        # a matrix or a map (the file the message names, a matrix for the
+        # encoding) with its second-to-last row replaced.  Lines a one-pass
+        # parse could misread as whole rows: "1,2,3" with "4" and "1 2,3" with
+        # ",4" have four numbers on two lines, "1.0," with ",4" has two, and
+        # a seven-field map row with a five-field one has twelve; the rest
+        # parse in one pass, or keep its separators, and name the row per line
+        path = tmp_path / "table.csv"
+        if "map row" in message:
+            grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
+            imap = inv.IndicatorMap("lsm", 3.91, 0.05, grid, np.linspace(0.5, 1.0, 6),
+                                    np.zeros(6, dtype=int), np.ones(6, dtype=int))
+            inv.save_indicator_map(imap, path)
+            load, follow = inv.load_indicator_map, "0,0,1,1,0" if body.count(",") == 6 else None
+        else:
+            fw.save_matrix(fw.ScatteringMatrix(np.ones((2, 2), complex), ("fx",), 2, 1.0), path)
+            load, follow = fw.load_matrix, "4" if body == "1,2,3" else ",4"
+        lines = path.read_text(encoding="latin-1").splitlines()
+        lines[-2:] = [body, follow or lines[-1]]
+        path.write_text("\n".join(lines) + "\n", encoding="latin-1")
+        forward_opens.clear()
         with pytest.raises(CompatibilityError, match=re.escape(message)):
-            fw.load_matrix(path)
+            load(path)
+        assert forward_opens == ["rb", "r"]  # the per-line read named the row
 
 
 @settings(max_examples=20, deadline=None)
