@@ -396,6 +396,11 @@ def parse_scenario(doc: dict) -> Scenario:
         ("per-candidate", "fixed"),
     )
     fixed_alpha = _optional_number(inv_doc.get("fixed_alpha"), "inversion.fixed_alpha")
+    if fixed_alpha is not None and not (fixed_alpha > 0.0 and alpha_policy == "fixed"):
+        raise ValidationError(
+            f"inversion.fixed_alpha must be positive and needs alpha_policy 'fixed', got "
+            f"{fixed_alpha!r} under {alpha_policy!r}"
+        )
     inv_delta = _optional_number(inv_doc.get("delta"), "inversion.delta")
 
     resolved = {
@@ -461,11 +466,11 @@ def run_forward(
 ) -> dict:
     """Assemble and write lambda.csv and lambda_noisy.csv plus metadata;
     the stage seconds and health facts come from the run's ledger record."""
+    seed = scenario.seed if seed is None else _integer(seed, "--seed", limit=2**64)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wave = solve_dispersion(scenario.params, scenario.omega)
     mode = mode or scenario.forward_mode
-    seed = scenario.seed if seed is None else seed
 
     with ledger.record() as rec:
         with ledger.stage("assemble"):

@@ -40,11 +40,11 @@ joint diagonalization of its normal-equation pencil (GlsmPencil), which
 serves every right-hand side and every alpha, on the pencil's numerical
 range of r directions.  There a solution is g = V_r y, with coordinates
 y = (W_r Phi) / (d_r + alpha), and the pencil's normalization makes its
-penalty energy ||y||^2: per-candidate weights read the indicator 1/||y||
-from the coordinates, and ||g|| = ||T y|| through the r x r triangular
-factor T of V_r, so no block forms its solutions g.  One fixed alpha for
-a whole map is one solution operator V_r diag(1/(d_r + alpha)) W_r,
-built once.  A map
+penalty energy ||y||^2: both alpha policies read the indicator 1/||y||,
+and ||g|| = ||T y|| through the r x r triangular factor T of V_r, so no
+block forms its solutions g.  One fixed alpha for a whole map is one
+r x n operator T diag(1/(d_r + alpha)) W_r, built once: it gives z = T y
+of every column in one product, and the winners' y = T^-1 z.  A map
 evaluates its sampling points in blocks, one block after another, and
 each block as arrays over its distinct trial columns: one pattern kernel
 evaluation, one root solve, one filtered product, then one argmin over
@@ -541,25 +541,23 @@ class GlsmPencil:
     eigenvalues only to eps s_max^2 (clean desk operator, cond L ~ 1e18:
     indicator energy 3e-5 from a 50-digit solve, against 3e-9 now).
 
-    The solves run on the pencil's numerical range: the r singular values
-    of X that SvdOperator's rule keeps (73 of 120 on the noisy desk L),
-    the last r entries d_r of d, rows W_r of W and columns V_r of V.  A
+    Only the pencil's numerical range is kept: the r singular values of X
+    that SvdOperator's rule keeps (73 of 120 on the noisy desk L), the
+    last r entries d_r of d, rows W_r of W and columns V_r of V.  A
     direction with d = 0 has L v = 0, so its row of W rhs is zero; the
     rows left out hold rounding only.  A solution is g = V_r y in the
     range's coordinates y = (W_r rhs) / (d_r + alpha) (coordinates), and
     since V_r^H (L#_psd + delta I) V_r = I its penalty energy is ||y||^2.
-    T, the R factor of the thin QR of V_r, gives its norm ||g|| = ||T y||
-    without forming g.
+    T, the R factor of the thin QR of V_r, gives its norm ||g|| = ||z||
+    with z = T y, and T_inv takes z back to y, so no solution g is formed.
     """
 
     def __init__(self, matrix, sharp, delta: float):
         L = _as_array(matrix)
-        self.sharp = clamp_psd(sharp)
-        self.delta = float(delta)
-        if self.delta < 0.0:
+        if delta < 0.0:
             raise DomainError("delta must be non-negative")
         try:
-            C = np.linalg.cholesky(self.sharp + self.delta * np.eye(L.shape[1]))
+            C = np.linalg.cholesky(clamp_psd(sharp) + float(delta) * np.eye(L.shape[1]))
             X = np.linalg.solve(C, L.conj().T)
             Q, s, Yh = np.linalg.svd(X, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -567,11 +565,12 @@ class GlsmPencil:
                 f"penalty pencil decomposition failed: {exc}"
             ) from None
         # in ascending order, as eigh would give them
-        self.d, self.W = (s * s)[::-1].copy(), np.ascontiguousarray((s[:, None] * Yh)[::-1])
-        self.V = np.linalg.solve(C.conj().T, Q[:, ::-1])
         cut = s.size - _numerical_rank(s, X.shape)
-        self.d_r, self.W_r, self.V_r = self.d[cut:], self.W[cut:], self.V[:, cut:]
+        self.d_r = (s * s)[::-1][cut:].copy()
+        self.W_r = np.ascontiguousarray((s[:, None] * Yh)[::-1])[cut:]
+        self.V_r = np.linalg.solve(C.conj().T, Q[:, ::-1])[:, cut:]
         self.T = np.linalg.qr(self.V_r, mode="r")
+        self.T_inv = np.linalg.inv(self.T)
 
     @property
     def rank(self) -> int:
@@ -588,27 +587,12 @@ class GlsmPencil:
         y /= self.d_r[:, None] + alpha if y.ndim == 2 else self.d_r + alpha
         return y
 
-    def solve(self, rhs: np.ndarray, alpha) -> np.ndarray:
-        """g = V_r coordinates(rhs, alpha)."""
-        return self.V_r @ self.coordinates(rhs, alpha)
-
     def operator(self, alpha: float) -> np.ndarray:
-        """The solution operator V_r diag(1/(d_r + alpha)) W_r of one weight
-        alpha: solve(rhs, alpha) as one product."""
+        """The r x n map T diag(1/(d_r + alpha)) W_r of one weight alpha:
+        z = T coordinates(rhs, alpha) as one product, with ||z|| = ||g||."""
         if not alpha > 0.0:
             raise DomainError(f"alpha must be strictly positive, got {alpha!r}")
-        return (self.V_r / (self.d_r + alpha)) @ self.W_r
-
-    def indicator(self, g: np.ndarray, norm_sq: np.ndarray | None = None):
-        """1/sqrt(g^H L# g + delta ||g||^2), per column of a 2-d g; NaN
-        for a vanishing energy.  ``norm_sq`` is ||g||^2 per column, if the
-        caller has it."""
-        G = np.ascontiguousarray(g, dtype=np.complex128).reshape(g.shape[0], -1)
-        if norm_sq is None:
-            norm_sq = _re_inner(G, G)
-        energy = _re_inner(G, self.sharp @ G) + self.delta * norm_sq
-        value = 1.0 / np.sqrt(np.where(energy > 0.0, energy, np.nan))
-        return value if g.ndim == 2 else float(value[0])
+        return (self.T / (self.d_r + alpha)) @ self.W_r
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +634,12 @@ def _eval_block(
     """Indicator values of a block of sampling points.
 
     Without a pencil: 1/||g||, g the Tikhonov solution at the discrepancy
-    weight.  With one: the penalized indicator, g = fixed @ Phi if the
-    fixed-alpha operator ``fixed`` (GlsmPencil.operator) is given, else
-    alpha from each candidate's discrepancy weight, with g kept in the
-    pencil's range coordinates (GlsmPencil.coordinates).  Patterns, roots
+    weight.  With one: the penalized indicator 1/||y|| of g = V_r y, y in
+    the pencil's range coordinates, with ||g|| = ||z||, z = T y
+    (GlsmPencil).  Under the fixed-alpha operator ``fixed``
+    (GlsmPencil.operator) z = fixed @ Phi and the winners' y = T^-1 z;
+    else y = GlsmPencil.coordinates at the alpha of each candidate's
+    discrepancy weight.  Patterns, roots
     and solves run on the distinct trial columns (_distinct); the norms
     and the root sides are then spread back over all (point, candidate)
     columns.  Each point takes the candidate of least ||g|| (ties go to
@@ -689,15 +675,12 @@ def _eval_block(
         if pencil is None:
             filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
             norms = np.sqrt(np.einsum("ij,ij->j", filt**2, beta_sq))
-        elif fixed is None:
-            # g = V_r y: ||g|| = ||T y|| and its penalty energy is ||y||^2
-            Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
-            TY = pencil.T @ Y
-            norms, energy = np.sqrt(_re_inner(TY, TY)), _re_inner(Y, Y)
         else:
-            G = fixed @ Phi
-            norm_sq = _re_inner(G, G)
-            norms = np.sqrt(norm_sq)
+            # g = V_r y: ||g|| = ||z|| with z = T y, and its penalty energy is ||y||^2
+            if fixed is None:
+                Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
+            Z = pencil.T @ Y if fixed is None else fixed @ Phi
+            norms = np.sqrt(_re_inner(Z, Z))
         norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
         best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
         win = spread[np.arange(live.size) * ncand + best]
@@ -706,10 +689,9 @@ def _eval_block(
         argmin[p] = best[found]
         if pencil is None:
             vals[p] = 1.0 / norms[win]
-        elif fixed is None:
-            vals[p] = 1.0 / np.sqrt(energy[win])
         else:
-            vals[p] = pencil.indicator(G[:, win], norm_sq[win])
+            Y = Y.take(win, axis=1) if fixed is None else pencil.T_inv @ Z[:, win]
+            vals[p] = 1.0 / np.sqrt(_re_inner(Y, Y))
     return _Block(vals, argmin)
 
 
@@ -793,10 +775,12 @@ def indicator_map(
         raise DomainError(f"alpha_policy must be per-candidate|fixed, got {alpha_policy!r}")
     if isinstance(matrix, ScatteringMatrix) and (
         matrix.n_points != scene.grid.count or matrix.channels != scene.channels
+        or matrix.omega != wave.omega
     ):
         raise CompatibilityError(
-            f"matrix ({matrix.n_points} points, channels {matrix.channels}) does not "
-            f"match the scene ({scene.grid.count} points, channels {scene.channels})"
+            f"matrix ({matrix.n_points} points, channels {matrix.channels}, omega "
+            f"{matrix.omega!r}) does not match the scene ({scene.grid.count} points, "
+            f"channels {scene.channels}) at omega {wave.omega!r}"
         )
     with ledger.stage("setup"):
         op = _operator(matrix)

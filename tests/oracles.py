@@ -32,11 +32,18 @@ interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
 traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
 the law's matrices.
+
+glsm_pencil_oracle is the joint diagonalization of the penalized pencil
+on all n directions, and glsm_indicator_oracle the penalized indicator in
+its L# energy form, 1/sqrt(g^H L#_psd g + delta ||g||^2).
+poroscat.inversion.GlsmPencil keeps the pencil's numerical range only,
+where the energy of g = V_r y is ||y||^2.
 """
 
 import numpy as np
 
 from poroscat.greens import _EYE3, _SCALARS, _PowR, _Table, _coeffs, _geometry, _modes, _table
+from poroscat.inversion import clamp_psd
 from poroscat.material import MaterialParams, WaveState
 from poroscat.scene import HIGH_PERMEABILITY, ContactParams
 
@@ -332,3 +339,24 @@ def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarra
     if contact.model == HIGH_PERMEABILITY:
         P[:, 3] = 0.0
     return P
+
+
+def glsm_pencil_oracle(L, sharp, delta: float):
+    """(d, W, V) of the penalized pencil on all n directions, d ascending:
+    V^H (L#_psd + delta I) V = I, V^H L^H L V = diag(d) and W = V^H L^H,
+    from the SVD of the Cholesky-reduced L^H, in the arithmetic GlsmPencil
+    runs before it cuts them to their numerical range."""
+    C = np.linalg.cholesky(clamp_psd(sharp) + delta * np.eye(L.shape[1]))
+    Q, s, Yh = np.linalg.svd(np.linalg.solve(C, L.conj().T), full_matrices=False)
+    V = np.linalg.solve(C.conj().T, Q[:, ::-1])
+    return (s * s)[::-1].copy(), np.ascontiguousarray((s[:, None] * Yh)[::-1]), V
+
+
+def glsm_indicator_oracle(g, sharp, delta: float):
+    """1/sqrt(g^H L#_psd g + delta ||g||^2) per column of a 2-d g (a float
+    for a 1-d g), L#_psd the PSD-clamped sharp."""
+    G = np.asarray(g, dtype=np.complex128).reshape(len(g), -1)
+    energy = np.real(np.einsum("ij,ij->j", G.conj(), clamp_psd(sharp) @ G))
+    energy += delta * np.linalg.norm(G, axis=0) ** 2
+    value = 1.0 / np.sqrt(energy)
+    return value if np.ndim(g) == 2 else float(value[0])

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -176,6 +177,15 @@ class TestRunForward:
         for name in ("lambda.csv", "lambda_noisy.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_seed_override_beyond_scenario_range_rejected(self, tmp_path, scenario_path, capsys):
+        # an override seed follows noise.seed's rule, so every echo reruns;
+        # a refused one writes nothing
+        out = tmp_path / "a"
+        argv = ["forward", "--scenario", str(scenario_path), "--out", str(out)]
+        assert cli.main(argv + ["--seed", str(2**64)]) == cli.EXIT_VALIDATION
+        assert f"--seed must be an integer of magnitude below {2**64}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunInvert:
     def test_maps_written_with_pgm_dimensions(self, tmp_path, scenario_path):
@@ -217,6 +227,19 @@ class TestRunInvert:
         other = cli.load_scenario(path2)
         with pytest.raises(ValidationError, match="does not"):
             cli.run_invert(other, tmp_path / "out")
+
+    def test_matrix_at_other_frequency_rejected(self, tmp_path, scenario_path, capsys):
+        # a matrix assembled at omega = 3.91 does not image a scenario at 2.0
+        out = tmp_path / "out"
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        doc = json.loads(scenario_path.read_text())
+        doc["frequency"]["omega"] = 2.0
+        (tmp_path / "other.json").write_text(json.dumps(doc))
+        rc = cli.main(["invert", "--scenario", str(tmp_path / "other.json"), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "does not match" in err and "omega 3.91" in err and "omega 2.0" in err
+        assert not (out / "map_lsm.csv").exists()
 
     def test_map_pipeline_deterministic(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
@@ -580,6 +603,23 @@ def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where,
     rc = cli.main(["forward", "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "policy, alpha", [("fixed", -3.0), ("fixed", 0.0), ("per-candidate", 1e-3)]
+)
+def test_unused_or_nonpositive_fixed_alpha_rejected(tiny_scenario_doc, policy, alpha):
+    # a fixed_alpha is a positive weight of the fixed policy, never ignored
+    doc = json.loads(json.dumps(tiny_scenario_doc))
+    doc["inversion"].update(alpha_policy=policy, fixed_alpha=alpha)
+    message = (
+        f"inversion.fixed_alpha must be positive and needs alpha_policy 'fixed', got {alpha!r} "
+        f"under {policy!r}"
+    )
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        cli.parse_scenario(doc)
+    doc["inversion"].update(alpha_policy="fixed", fixed_alpha=1e-3)
+    assert cli.parse_scenario(doc).fixed_alpha == 1e-3
 
 
 _FRAME_FRACTURE = {"center": [0.0, 0.5, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 0.0, 1.0],

@@ -25,7 +25,7 @@ from poroscat.scene import (
     resolve_channels,
 )
 
-from oracles import trace_matrix_oracle
+from oracles import glsm_indicator_oracle, glsm_pencil_oracle, trace_matrix_oracle
 
 
 @pytest.fixture(scope="module")
@@ -532,25 +532,27 @@ class TestGlsmPencil:
         return lam.data, 1e-2 * np.linalg.norm(lam.data, 2)
 
     def test_joint_diagonalization(self, case):
+        # on the kept range: the r largest eigenvalues of the pencil
         L, delta = case
-        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
-        n = L.shape[1]
-        B = pencil.sharp + delta * np.eye(n)
+        sharp = inv.lambda_sharp(L)
+        pencil = inv.GlsmPencil(L, sharp, delta)
+        r = pencil.rank
+        B = inv.clamp_psd(sharp) + delta * np.eye(L.shape[1])
         A = L.conj().T @ L
         d_ref = scipy.linalg.eigh(A, B, eigvals_only=True)
-        V = pencil.V
+        V = pencil.V_r
         scale = d_ref.max()
-        assert np.abs(V.conj().T @ B @ V - np.eye(n)).max() <= 1e-10
-        assert np.abs(V.conj().T @ A @ V - np.diag(pencil.d)).max() <= 1e-10 * scale
-        assert np.abs(pencil.d - np.maximum(d_ref, 0.0)).max() <= 1e-10 * scale
+        assert np.abs(V.conj().T @ B @ V - np.eye(r)).max() <= 1e-10
+        assert np.abs(V.conj().T @ A @ V - np.diag(pencil.d_r)).max() <= 1e-10 * scale
+        assert np.abs(pencil.d_r - np.maximum(d_ref, 0.0)[-r:]).max() <= 1e-10 * scale
         W = V.conj().T @ L.conj().T
-        assert np.abs(pencil.W - W).max() <= 1e-10 * np.abs(W).max()
+        assert np.abs(pencil.W_r - W).max() <= 1e-10 * np.abs(W).max()
 
     def test_solves_as_close_to_direct_as_scipy_pencil(self, case, rng):
         L, delta = case
-        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
-        n = L.shape[1]
-        B = pencil.sharp + delta * np.eye(n)
+        sharp = inv.lambda_sharp(L)
+        pencil = inv.GlsmPencil(L, sharp, delta)
+        B = inv.clamp_psd(sharp) + delta * np.eye(L.shape[1])
         A = L.conj().T @ L
         d_ref, V_ref = scipy.linalg.eigh(A, B)
         Phi = rng.normal(size=(L.shape[0], 40)) + 1j * rng.normal(size=(L.shape[0], 40))
@@ -567,7 +569,7 @@ class TestGlsmPencil:
             return (np.linalg.norm(G - direct, axis=0) / np.linalg.norm(direct, axis=0)).max()
 
         # both sit at the conditioning of A + alpha B; neither is the exact solution
-        assert error(pencil.solve(Phi, alphas)) <= 2.0 * error(oracle)
+        assert error(pencil.V_r @ pencil.coordinates(Phi, alphas)) <= 2.0 * error(oracle)
 
     @pytest.fixture(params=["random", "desk"])
     def ranged(self, request, rng, desk_scale):
@@ -578,12 +580,16 @@ class TestGlsmPencil:
             L, delta = (U[:, :12] * s[:12]) @ Vh[:12], 1e-3 * s[0]
         else:
             L, delta = desk_scale[2].data, desk_scale[2].delta
-        return inv.GlsmPencil(L, inv.lambda_sharp(L), delta)
+        sharp = inv.lambda_sharp(L)
+        return inv.GlsmPencil(L, sharp, delta), glsm_pencil_oracle(L, sharp, delta), sharp, delta
 
     def test_range_norm_through_triangular_factor(self, ranged, rng):
-        pencil = ranged
-        assert 0 < pencil.rank < pencil.d.size
-        np.testing.assert_array_equal(pencil.d_r, pencil.d[-pencil.rank:])
+        # the kept range is the full pencil's, cut after its last direction
+        pencil, (d, W, V), _, _ = ranged
+        assert 0 < pencil.rank < d.size
+        np.testing.assert_array_equal(pencil.d_r, d[-pencil.rank:])
+        np.testing.assert_array_equal(pencil.W_r, W[-pencil.rank:])
+        np.testing.assert_array_equal(pencil.V_r, V[:, -pencil.rank:])
         Y = rng.normal(size=(pencil.rank, 40)) + 1j * rng.normal(size=(pencil.rank, 40))
         np.testing.assert_allclose(
             np.linalg.norm(pencil.T @ Y, axis=0), np.linalg.norm(pencil.V_r @ Y, axis=0),
@@ -592,10 +598,11 @@ class TestGlsmPencil:
 
     def test_range_energy_is_coordinate_norm(self, ranged, rng):
         # V_r^H (L#_psd + delta I) V_r = I: the penalty energy of V_r y is ||y||^2
-        pencil = ranged
+        pencil, _, sharp, delta = ranged
         Y = rng.normal(size=(pencil.rank, 40)) + 1j * rng.normal(size=(pencil.rank, 40))
         np.testing.assert_allclose(
-            pencil.indicator(pencil.V_r @ Y), 1.0 / np.linalg.norm(Y, axis=0), rtol=1e-10
+            glsm_indicator_oracle(pencil.V_r @ Y, sharp, delta), 1.0 / np.linalg.norm(Y, axis=0),
+            rtol=1e-10,
         )
 
     def test_per_candidate_block_matches_full_pencil(self, desk_scale, wave, params):
@@ -604,40 +611,58 @@ class TestGlsmPencil:
         scene, _, noisy = desk_scale
         op = inv.SvdOperator(noisy)
         delta = inv._derive_delta(noisy, None, op)
-        pencil = inv.GlsmPencil(noisy.data, inv.lambda_sharp(noisy.data), delta)
+        sharp = inv.lambda_sharp(noisy.data)
+        pencil = inv.GlsmPencil(noisy.data, sharp, delta)
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
         block = inv._eval_block(pts, cands, op, delta, gpts, wave, params, scene.channels, pencil)
         Phi = inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels)
         etas, _ = inv._morozov_roots(op, *inv._projection(op, Phi), delta)
         alpha = inv.alpha_from_eta(etas, op.norm2, delta)
-        G = pencil.V @ ((pencil.W @ Phi) / (pencil.d[:, None] + alpha))
+        d, W, V = glsm_pencil_oracle(noisy.data, sharp, delta)
+        G = V @ ((W @ Phi) / (d[:, None] + alpha))
         best = np.argmin(np.linalg.norm(G, axis=0).reshape(len(pts), len(cands)), axis=1)
         win = np.arange(len(pts)) * len(cands) + best
         np.testing.assert_array_equal(block.argmin, best)
-        np.testing.assert_allclose(block.vals, pencil.indicator(G[:, win]), rtol=1e-10)
-
-    def test_indicator_takes_known_norms(self, rng):
-        L = random_operator(rng, 6)
-        pencil = inv.GlsmPencil(L, inv.lambda_sharp(L), 0.05)
-        G = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        np.testing.assert_array_equal(
-            pencil.indicator(G, inv._re_inner(G, G)), pencil.indicator(G)
+        np.testing.assert_allclose(
+            block.vals, glsm_indicator_oracle(G[:, win], sharp, delta), rtol=1e-10
         )
-        energy = np.real(np.einsum("ij,ij->j", G.conj(), pencil.sharp @ G))
-        energy += 0.05 * np.linalg.norm(G, axis=0) ** 2
-        np.testing.assert_allclose(pencil.indicator(G), 1.0 / np.sqrt(energy), rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [3e-4, 1e-8, 1e2])
+    def test_fixed_block_matches_per_candidate_formulas(self, desk_scale, wave, params, alpha):
+        # the fixed-alpha operator's block against the per-candidate path's
+        # formulas at the same alpha: y from coordinates, ||g|| = ||T y||
+        scene, _, noisy = desk_scale
+        op = inv.SvdOperator(noisy)
+        pencil = inv.GlsmPencil(noisy.data, inv.lambda_sharp(noisy.data), noisy.delta)
+        pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
+        gpts = scene.grid.points
+        block = inv._eval_block(
+            pts, cands, op, noisy.delta, gpts, wave, params, scene.channels, pencil,
+            pencil.operator(alpha),
+        )
+        Y = pencil.coordinates(
+            inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels), alpha
+        )
+        norms = np.linalg.norm(pencil.T @ Y, axis=0).reshape(len(pts), len(cands))
+        best = np.argmin(norms, axis=1)
+        np.testing.assert_array_equal(block.argmin, best)
+        win = np.arange(len(pts)) * len(cands) + best
+        np.testing.assert_allclose(block.vals, 1.0 / np.linalg.norm(Y[:, win], axis=0), rtol=1e-12)
 
 
 class TestGlsmCoincidence:
     def test_identity_penalty_reduces_to_reciprocal_norm(self, rng):
         # with delta = 0 and an identity penalty the indicator collapses
-        # to 1/||g||, the plain sampling functional
+        # to 1/||g||, the plain sampling functional, and so does the
+        # pencil's 1/||y||
         L = random_operator(rng, 5)
         phi = rng.normal(size=5) + 1j * rng.normal(size=5)
         g = inv.glsm_solve(L, np.eye(5, dtype=complex), phi, 0.7, 0.0)
-        pencil = inv.GlsmPencil(L, np.eye(5, dtype=complex), 0.0)
-        assert pencil.indicator(g) == pytest.approx(1.0 / np.linalg.norm(g), rel=1e-10)
+        value = glsm_indicator_oracle(g, np.eye(5, dtype=complex), 0.0)
+        assert value == pytest.approx(1.0 / np.linalg.norm(g), rel=1e-10)
+        y = inv.GlsmPencil(L, np.eye(5, dtype=complex), 0.0).coordinates(phi, 0.7)
+        assert 1.0 / np.linalg.norm(y) == pytest.approx(1.0 / np.linalg.norm(g), rel=1e-10)
 
 
 class TestIndicatorScaling:
@@ -793,22 +818,24 @@ class TestIndicatorMap:
         assert np.isfinite(imap.raw).all()
 
     def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params):
-        # reference: GlsmPencil.solve at the one alpha, block by block
+        # reference: the pencil's solutions g = V_r y at the one alpha, block
+        # by block, and their indicators in the L# energy form
         alpha = 3e-4
         with pytest.warns(RuntimeWarning):
             imap = inv.indicator_map(
                 scene, lam, "glsm", wave, params, alpha_policy="fixed", fixed_alpha=alpha
             )
-        pencil = inv.GlsmPencil(lam.data, inv.lambda_sharp(lam.data), imap.delta)
+        sharp = inv.lambda_sharp(lam.data)
+        pencil = inv.GlsmPencil(lam.data, sharp, imap.delta)
         pts, cands = scene.sampling.points(), scene.sampling.candidates()
         ref = []
         for s in range(0, len(pts), 16):
             Phi = inv.trial_pattern_block(
                 pts[s:s + 16], cands, scene.grid.points, wave, params, scene.channels
             )
-            G = pencil.solve(Phi, alpha).reshape(Phi.shape[0], -1, len(cands))
+            G = (pencil.V_r @ pencil.coordinates(Phi, alpha)).reshape(Phi.shape[0], -1, len(cands))
             best = np.argmin(np.linalg.norm(G, axis=0), axis=1)
-            ref.extend(pencil.indicator(G[:, np.arange(best.size), best]))
+            ref.extend(glsm_indicator_oracle(G[:, np.arange(best.size), best], sharp, imap.delta))
         np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
 
     def test_glsm_block_transients_level_with_lsm(self, desk_scale, wave, params):
