@@ -184,7 +184,7 @@ class Scenario:
     resolved: dict
 
 
-def _parse_material(doc) -> tuple:
+def _parse_material(doc) -> MaterialParams | tuple[DimensionalMaterial, ReferenceScales]:
     doc = _object(doc, "material", {"dimensionless", "dimensional", "scales"})
 
     def constants(key):
@@ -194,10 +194,9 @@ def _parse_material(doc) -> tuple:
 
     if "dimensionless" in doc:
         try:
-            params = MaterialParams(**constants("dimensionless"))
+            return MaterialParams(**constants("dimensionless"))
         except DomainError as exc:
             raise ValidationError(f"material.dimensionless: {exc}") from None
-        return params, {"dimensionless": {k: getattr(params, k) for k in sorted(_MATERIAL_KEYS)}}
     if "dimensional" not in doc or "scales" not in doc:
         raise ValidationError(
             "material: needs either 'dimensionless' or 'dimensional' + 'scales'"
@@ -358,8 +357,8 @@ def parse_scenario(doc: dict) -> Scenario:
     )
     mat = _parse_material(_need(doc, "material", "scenario"))
     freq = _object(_need(doc, "frequency", "scenario"), "frequency", {"omega", "omega_prime"})
-    if isinstance(mat[0], MaterialParams):
-        params = mat[0]
+    if isinstance(mat, MaterialParams):
+        params = mat
         if "omega" not in freq:
             raise ValidationError("frequency: dimensionless material needs 'omega'")
         omega = _number(freq["omega"], "frequency.omega")

@@ -44,8 +44,9 @@ layout, written by _write_table and read by _read_table.
 
 from __future__ import annotations
 
+import hashlib
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -373,6 +374,7 @@ class ScatteringMatrix:
     epsilon: float | None = None
     seed: int | None = None
     delta: float | None = None
+    scene: str | None = None  # _scene_digest of its scene; None: not checked
 
     def __post_init__(self) -> None:
         n = self.n_points * len(self.channels)
@@ -440,6 +442,15 @@ def _scattering_data(factors: _Factors, coupling=None) -> np.ndarray:
     return data
 
 
+def _scene_digest(scene: Scene, params: MaterialParams) -> str:
+    """The sha256 hex digest that binds a matrix to its scene: the sensing
+    points' coordinates, the nine material constants and the channels."""
+    digest = hashlib.sha256(np.ascontiguousarray(scene.grid.points, dtype="<f8").tobytes())
+    digest.update(np.array(astuple(params), dtype="<f8").tobytes())
+    digest.update(",".join(scene.channels).encode("ascii"))
+    return digest.hexdigest()
+
+
 def assemble_lambda(
     scene: Scene,
     wave: WaveState,
@@ -470,6 +481,7 @@ def assemble_lambda(
         omega=wave.omega,
         kind="clean",
         mode=mode,
+        scene=_scene_digest(scene, params),
     )
 
 
@@ -606,7 +618,7 @@ def save_matrix(matrix: ScatteringMatrix, path) -> None:
     header = {
         "kind": matrix.kind, "mode": matrix.mode, "n_points": matrix.n_points,
         "channels": matrix.channels, "omega": matrix.omega, "epsilon": matrix.epsilon,
-        "seed": matrix.seed, "delta": matrix.delta,
+        "seed": matrix.seed, "delta": matrix.delta, "scene": matrix.scene,
     }
     _write_table(path, _FORMAT_TAG, header, "%.17g,%.17g\n", parts)
 
@@ -719,4 +731,5 @@ def load_matrix(path) -> ScatteringMatrix:
         epsilon=field("epsilon", _non_negative(float), optional=True),
         seed=field("seed", int, optional=True),
         delta=field("delta", _non_negative(float), optional=True),
+        scene=field("scene", optional=True),
     )

@@ -35,12 +35,12 @@ All right-hand sides share one SVD of L, cut at its numerical rank
 deficiency, and the singular values below numpy's matrix_rank tolerance
 are rounding.  The roots, the Tikhonov norms and solves then run on the
 kept range only, and the part of a trial column outside it enters the
-gap as its floor.  The penalized variant shares one
-joint diagonalization of its normal-equation pencil (GlsmPencil), which
-serves every right-hand side and every alpha, on the pencil's numerical
-range of r directions.  There a solution is g = V_r y, with coordinates
-y = (W_r Phi) / (d_r + alpha), and the pencil's normalization makes its
-penalty energy ||y||^2: both alpha policies read the indicator 1/||y||,
+gap as its floor.  With g = B h, B = (L#_psd + delta I)^-1/2, the
+penalized variant is Tikhonov on the whitened operator L B, and one
+SvdOperator of L B serves every right-hand side and every alpha on its
+numerical range of r directions (GlsmPencil).  There a solution is
+g = V_r y, with coordinates y = (W_r Phi) / (d_r + alpha) and penalty
+energy ||y||^2: both alpha policies read the indicator 1/||y||,
 and ||g|| = ||T y|| through the r x r triangular factor T of V_r, so no
 block forms its solutions g.  One fixed alpha for a whole map is one
 r x n operator T diag(1/(d_r + alpha)) W_r, built once: it gives z = T y
@@ -66,7 +66,7 @@ import numpy as np
 
 from . import ledger
 from .errors import CompatibilityError, ConditioningError, DomainError, NumericalError
-from .forward import ScatteringMatrix, _cond, _read_table, _write_table
+from .forward import ScatteringMatrix, _cond, _read_table, _scene_digest, _write_table
 from .greens import _geometry, _pattern_kernel, _separation
 from .material import MaterialParams, WaveState
 from .scene import SamplingGrid, Scene, build_sampling_grid, channel_indices
@@ -87,7 +87,6 @@ __all__ = [
     "trial_pattern_block",
     "lambda_sharp",
     "sqrt_psd",
-    "clamp_psd",
     "tikhonov_solve",
     "morozov_eta",
     "glsm_solve",
@@ -213,6 +212,15 @@ def _as_array(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=np.complex128)
 
 
+def _eigen_function(H: np.ndarray, fn) -> np.ndarray:
+    """V fn(D) V^H over the eigenpairs (D, V) of the Hermitian matrix H."""
+    try:
+        vals, vecs = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed ({exc})") from None
+    return (vecs * fn(vals)) @ vecs.conj().T
+
+
 def lambda_sharp(matrix) -> np.ndarray:
     """Positive self-adjoint combination |(L + L*)/2| + |(L - L*)/(2i)|.
 
@@ -222,17 +230,8 @@ def lambda_sharp(matrix) -> np.ndarray:
     L = _as_array(matrix)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DomainError(f"lambda_sharp needs a square matrix, got {L.shape}")
-    H1 = 0.5 * (L + L.conj().T)
-    H2 = (L - L.conj().T) / 2j
-    out = np.zeros_like(L)
-    for H in (H1, H2):
-        try:
-            vals, vecs = np.linalg.eigh(H)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigendecomposition failed ({exc}); cond(L) = {_cond(L):.3e}"
-            ) from None
-        out += (vecs * np.abs(vals)) @ vecs.conj().T
+    out = _eigen_function(0.5 * (L + L.conj().T), np.abs)
+    out += _eigen_function((L - L.conj().T) / 2j, np.abs)
     return 0.5 * (out + out.conj().T)
 
 
@@ -241,32 +240,17 @@ def _psd_function(matrix, fn) -> np.ndarray:
     below 1e-14 * ||matrix||_2 (small negatives from roundoff too) set to
     zero."""
     H = _as_array(matrix)
-    try:
-        vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed ({exc})") from None
-    scale = float(np.abs(vals).max(initial=0.0))
-    vals = np.where(vals < 1e-14 * scale, 0.0, vals)
-    return (vecs * fn(vals)) @ vecs.conj().T
 
+    def clamped(vals):
+        scale = float(np.abs(vals).max(initial=0.0))
+        return fn(np.where(vals < 1e-14 * scale, 0.0, vals))
 
-def clamp_psd(matrix) -> np.ndarray:
-    """Project a nearly-PSD Hermitian matrix onto the PSD cone."""
-    return _psd_function(matrix, lambda vals: vals)
+    return _eigen_function(0.5 * (H + H.conj().T), clamped)
 
 
 def sqrt_psd(matrix) -> np.ndarray:
     """Hermitian square root with negative-eigenvalue clamping."""
     return _psd_function(matrix, np.sqrt)
-
-
-def _numerical_rank(s: np.ndarray, shape) -> int:
-    """Count of the descending singular values s of a matrix of the given
-    shape above numpy's matrix_rank default tolerance s_0 * max(shape) * eps."""
-    # the small factors first, so an s_0 near the double limit does not overflow
-    tol = max(shape) * np.finfo(float).eps * s[0] if s.size else 0.0
-    # an overflowed s_0 keeps the whole spectrum, for the range checks to reject
-    return int(np.count_nonzero(s > tol)) if math.isfinite(tol) else s.size
 
 
 class SvdOperator:
@@ -292,7 +276,10 @@ class SvdOperator:
             raise ConditioningError("operator has non-finite entries")
         self.matrix = L
         U, s, Vh = np.linalg.svd(L)
-        r = _numerical_rank(s, L.shape)
+        # the small factors first, so an s_0 near the double limit does not overflow
+        tol = max(L.shape) * np.finfo(float).eps * s[0] if s.size else 0.0
+        # an overflowed s_0 keeps the whole spectrum, for the range checks to reject
+        r = int(np.count_nonzero(s > tol)) if math.isfinite(tol) else s.size
         self.s, self.Vh = s[:r], Vh[:r]
         self.Uh = np.ascontiguousarray(U.conj().T)
 
@@ -524,51 +511,36 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class GlsmPencil:
-    """Joint diagonalization of the penalized normal-equation pencil.
+    """The penalized problem as Tikhonov on the whitened operator.
 
-    With V^H (L#_psd + delta I) V = I and V^H (L^H L) V = diag(d), the
-    minimizer for any penalty weight alpha is
-
-        g = V ((V^H L^H rhs) / (d + alpha)),
-
-    so one O(n^3) decomposition serves every right-hand side and every
-    alpha (the per-candidate discrepancy rule changes only the filter).
-    It is the Cholesky reduction of the Hermitian-definite pencil (Golub
-    & Van Loan, Matrix Computations, 8.7): with L#_psd + delta I = C C^H
-    and X = C^-1 L^H, the eigenpairs (d, Q) of X X^H = C^-1 L^H L C^-H
-    give V = C^-H Q and W = V^H L^H = Q^H X, here from the SVD X = Q
-    diag(s) Y^H (d = s^2, W = diag(s) Y^H): eigh of X X^H has its small
-    eigenvalues only to eps s_max^2 (clean desk operator, cond L ~ 1e18:
-    indicator energy 3e-5 from a 50-digit solve, against 3e-9 now).
-
-    Only the pencil's numerical range is kept: the r singular values of X
-    that SvdOperator's rule keeps (73 of 120 on the noisy desk L), the
-    last r entries d_r of d, rows W_r of W and columns V_r of V.  A
-    direction with d = 0 has L v = 0, so its row of W rhs is zero; the
-    rows left out hold rounding only.  A solution is g = V_r y in the
-    range's coordinates y = (W_r rhs) / (d_r + alpha) (coordinates), and
-    since V_r^H (L#_psd + delta I) V_r = I its penalty energy is ||y||^2.
-    T, the R factor of the thin QR of V_r, gives its norm ||g|| = ||z||
-    with z = T y, and T_inv takes z back to y, so no solution g is formed.
+    With g = B h and B = (L#_psd + delta I)^-1/2, Hermitian, the functional
+    ||L g - rhs||^2 + alpha (g^H L#_psd g + delta ||g||^2) is plain
+    Tikhonov, ||A h - rhs||^2 + alpha ||h||^2 on A = L B, so one SVD of A
+    (SvdOperator, on its numerical range of r directions, s descending)
+    serves every right-hand side and every alpha.  It jointly diagonalizes
+    the pencil: V_r = B V has V_r^H (L#_psd + delta I) V_r = I and
+    V_r^H L^H L V_r = diag(d_r), d_r = s^2, and W_r = V_r^H L^H = diag(s)
+    U^H.  A solution is g = V_r y, with y = (W_r rhs) / (d_r + alpha)
+    (coordinates) the Tikhonov h on A's range, so its penalty energy is
+    ||y||^2.  T, the R factor of the thin QR of V_r, gives ||g|| = ||z||
+    with z = T y, and T_inv takes z back to y, so no g is formed.
     """
 
     def __init__(self, matrix, sharp, delta: float):
         L = _as_array(matrix)
         if delta < 0.0:
             raise DomainError("delta must be non-negative")
-        try:
-            C = np.linalg.cholesky(clamp_psd(sharp) + float(delta) * np.eye(L.shape[1]))
-            X = np.linalg.solve(C, L.conj().T)
-            Q, s, Yh = np.linalg.svd(X, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"penalty pencil decomposition failed: {exc}"
-            ) from None
-        # in ascending order, as eigh would give them
-        cut = s.size - _numerical_rank(s, X.shape)
-        self.d_r = (s * s)[::-1][cut:].copy()
-        self.W_r = np.ascontiguousarray((s[:, None] * Yh)[::-1])[cut:]
-        self.V_r = np.linalg.solve(C.conj().T, Q[:, ::-1])[:, cut:]
+
+        def inverse_sqrt(vals):  # a singular L#_psd + delta I is refused before 1/0
+            if not np.all(vals + delta > 0.0):
+                raise NumericalError(f"penalty L#_psd + delta I is singular (delta = {delta!r})")
+            return 1.0 / np.sqrt(vals + delta)
+
+        B = _psd_function(sharp, inverse_sqrt)
+        op = SvdOperator(L @ B)
+        self.d_r = op.s * op.s
+        self.W_r = op.s[:, None] * op.Uh[: op.rank]
+        self.V_r = (op.Vh @ B).conj().T  # B V, B Hermitian
         self.T = np.linalg.qr(self.V_r, mode="r")
         self.T_inv = np.linalg.inv(self.T)
 
@@ -781,6 +753,12 @@ def indicator_map(
             f"matrix ({matrix.n_points} points, channels {matrix.channels}, omega "
             f"{matrix.omega!r}) does not match the scene ({scene.grid.count} points, "
             f"channels {scene.channels}) at omega {wave.omega!r}"
+        )
+    digest = _scene_digest(scene, params)
+    if isinstance(matrix, ScatteringMatrix) and matrix.scene not in (None, digest):
+        raise CompatibilityError(
+            f"matrix of scene {matrix.scene} does not match the scene {digest} "
+            "(sensing points, material constants and channels)"
         )
     with ledger.stage("setup"):
         op = _operator(matrix)

@@ -34,16 +34,18 @@ traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
 the law's matrices.
 
 glsm_pencil_oracle is the joint diagonalization of the penalized pencil
-on all n directions, and glsm_indicator_oracle the penalized indicator in
-its L# energy form, 1/sqrt(g^H L#_psd g + delta ||g||^2).
-poroscat.inversion.GlsmPencil keeps the pencil's numerical range only,
-where the energy of g = V_r y is ||y||^2.
+on all n directions, from the full SVD of the whitened operator L B with
+B = (L#_psd + delta I)^-1/2, and glsm_indicator_oracle the penalized
+indicator in its L# energy form, 1/sqrt(g^H L#_psd g + delta ||g||^2),
+with clamp_psd the PSD-clamped L#.  poroscat.inversion.GlsmPencil keeps
+the pencil's numerical range only, where the energy of g = V_r y is
+||y||^2.
 """
 
 import numpy as np
 
 from poroscat.greens import _EYE3, _SCALARS, _PowR, _Table, _coeffs, _geometry, _modes, _table
-from poroscat.inversion import clamp_psd
+from poroscat.inversion import _psd_function
 from poroscat.material import MaterialParams, WaveState
 from poroscat.scene import HIGH_PERMEABILITY, ContactParams
 
@@ -341,15 +343,26 @@ def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarra
     return P
 
 
+def clamp_psd(matrix):
+    """Projection of a nearly-PSD matrix's Hermitian part onto the PSD
+    cone: its eigenvalues below 1e-14 of the largest in magnitude (small
+    negatives from roundoff too) set to zero."""
+    H = np.asarray(matrix, dtype=np.complex128)
+    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    vals = np.where(vals < 1e-14 * np.abs(vals).max(initial=0.0), 0.0, vals)
+    return (vecs * vals) @ vecs.conj().T
+
+
 def glsm_pencil_oracle(L, sharp, delta: float):
-    """(d, W, V) of the penalized pencil on all n directions, d ascending:
+    """(d, W, V) of the penalized pencil on all n directions, d descending:
     V^H (L#_psd + delta I) V = I, V^H L^H L V = diag(d) and W = V^H L^H,
-    from the SVD of the Cholesky-reduced L^H, in the arithmetic GlsmPencil
-    runs before it cuts them to their numerical range."""
-    C = np.linalg.cholesky(clamp_psd(sharp) + delta * np.eye(L.shape[1]))
-    Q, s, Yh = np.linalg.svd(np.linalg.solve(C, L.conj().T), full_matrices=False)
-    V = np.linalg.solve(C.conj().T, Q[:, ::-1])
-    return (s * s)[::-1].copy(), np.ascontiguousarray((s[:, None] * Yh)[::-1]), V
+    from the full SVD L B = U diag(s) Y^H of the whitened operator,
+    B = (L#_psd + delta I)^-1/2: d = s^2, W = diag(s) U^H and V = B Y.
+    This is the arithmetic GlsmPencil runs before it cuts them to their
+    numerical range."""
+    B = _psd_function(sharp, lambda vals: 1.0 / np.sqrt(vals + delta))
+    U, s, Yh = np.linalg.svd(L @ B)
+    return s * s, s[:, None] * np.ascontiguousarray(U.conj().T), (Yh @ B).conj().T
 
 
 def glsm_indicator_oracle(g, sharp, delta: float):

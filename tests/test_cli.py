@@ -24,6 +24,8 @@ from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
 
+from oracles import clamp_psd
+
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -240,6 +242,31 @@ class TestRunInvert:
         err = capsys.readouterr().err
         assert "does not match" in err and "omega 3.91" in err and "omega 2.0" in err
         assert not (out / "map_lsm.csv").exists()
+
+    def test_matrix_of_other_scene_rejected(self, tmp_path, scenario_path, capsys):
+        # every well moved 0.7 in x and mu doubled keep the point count,
+        # the channels and omega; the scene digest tells the scenes apart
+        out = tmp_path / "out"
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        doc = json.loads(scenario_path.read_text())
+        for well in doc["scene"]["wells"]:
+            for point in well["points"]:
+                point[0] += 0.7
+        doc["material"]["dimensionless"]["mu"] *= 2.0
+        (tmp_path / "other.json").write_text(json.dumps(doc))
+        rc = cli.main(["invert", "--scenario", str(tmp_path / "other.json"), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        other = cli.load_scenario(tmp_path / "other.json")
+        err = capsys.readouterr().err
+        assert fw.load_matrix(out / "lambda_noisy.csv").scene in err
+        assert fw._scene_digest(other.scene, other.params) in err
+        assert not (out / "map_lsm.csv").exists()
+        # the same scene on another sampling grid images it
+        doc = json.loads(scenario_path.read_text())
+        doc["scene"]["sampling"]["resolution"] = [4, 6]
+        (tmp_path / "resampled.json").write_text(json.dumps(doc))
+        rc = cli.main(["invert", "--scenario", str(tmp_path / "resampled.json"), "--out", str(out)])
+        assert rc == 0 and (out / "map_lsm.csv").exists()
 
     def test_map_pipeline_deterministic(self, tmp_path, scenario_path):
         sc = cli.load_scenario(scenario_path)
@@ -545,7 +572,7 @@ class TestMainEntry:
         assert cli.main(argv + ["--method", "glsm"]) == 0
         gmeta = json.loads((out / "invert_meta.json").read_text())
         L, n = noisy.data, noisy.data.shape[1]
-        C = np.linalg.cholesky(inv.clamp_psd(inv.lambda_sharp(L)) + gmeta["delta"] * np.eye(n))
+        C = np.linalg.cholesky(clamp_psd(inv.lambda_sharp(L)) + gmeta["delta"] * np.eye(n))
         x = np.linalg.svd(np.linalg.solve(C, L.conj().T), compute_uv=False)
         rank = np.count_nonzero(x > x[0] * max(L.shape) * np.finfo(float).eps)
         assert gmeta["pencil_rank"] == rank < n
@@ -730,7 +757,7 @@ def forward_lines(tmp_path_factory, tiny_scenario_doc):
     return path, (out / "lambda_noisy.csv").read_text(encoding="ascii").splitlines()
 
 
-_HEADER_LINES = 9  # the format tag and eight "key = value" lines
+_HEADER_LINES = 10  # the format tag and nine "key = value" lines
 # finite values whose squares leave double range
 _EXTREME_ENTRIES = ["1e300,1e300", "1.7e308,0", "1e-310,0"]
 _MUTATIONS = st.one_of(

@@ -25,6 +25,7 @@ from poroscat.scene import (
     ContactParams,
     HIGH_PERMEABILITY,
     Scene,
+    SensingGrid,
     build_fracture_patch,
     build_sampling_grid,
     build_sensing_grid,
@@ -720,6 +721,38 @@ class TestExchangeFormat:
         path2 = tmp_path / "again.csv"
         fw.save_matrix(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_scene_digest_kept_and_round_tripped(self, small_scene, wave, params, tmp_path):
+        lam = fw.assemble_lambda(small_scene, wave, params)
+        digest = fw._scene_digest(small_scene, params)
+        assert re.fullmatch("[0-9a-f]{64}", digest) and lam.scene == digest
+        noisy = fw.inject_noise(lam, epsilon=0.01, seed=3)
+        assert noisy.scene == digest
+        path = tmp_path / "lambda.csv"
+        fw.save_matrix(noisy, path)
+        assert f"# scene = {digest}\n" in path.read_text(encoding="ascii")
+        assert fw.load_matrix(path).scene == digest
+        # a matrix built in code, or a file written without the key, records none
+        fw.save_matrix(dataclasses.replace(noisy, scene=None), path)
+        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+        assert "# scene = none\n" in lines and fw.load_matrix(path).scene is None
+        path.write_text("".join(line for line in lines if not line.startswith("# scene")))
+        assert fw.load_matrix(path).scene is None
+
+    def test_scene_digest_reads_points_material_and_channels(self, small_scene, params):
+        digest = fw._scene_digest(small_scene, params)
+        moved = SensingGrid(small_scene.grid.points + [0.7, 0.0, 0.0])
+        assert fw._scene_digest(dataclasses.replace(small_scene, grid=moved), params) != digest
+        for name in ("mu", "kappa", "alpha"):
+            other = dataclasses.replace(params, **{name: 0.5 * getattr(params, name)})
+            assert fw._scene_digest(small_scene, other) != digest
+        fluid = dataclasses.replace(small_scene, channels="fluid")
+        assert fw._scene_digest(fluid, params) != digest
+        # the sampling grid is not part of it
+        resampled = dataclasses.replace(
+            small_scene, sampling=build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (3, 4), 2, (0, 1))
+        )
+        assert fw._scene_digest(resampled, params) == digest
 
     def test_size_mismatch_detected(self, small_scene, wave, params, tmp_path):
         lam = fw.assemble_lambda(small_scene, wave, params)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from poroscat.scene import (
     resolve_channels,
 )
 
-from oracles import glsm_indicator_oracle, glsm_pencil_oracle, trace_matrix_oracle
+from oracles import clamp_psd, glsm_indicator_oracle, glsm_pencil_oracle, trace_matrix_oracle
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +221,7 @@ class TestLambdaSharp:
         L = random_operator(rng, 6)
         S = inv.lambda_sharp(L)
         H = inv.sqrt_psd(S)
-        np.testing.assert_allclose(H @ H, inv.clamp_psd(S), atol=1e-10 * np.linalg.norm(S, 2))
+        np.testing.assert_allclose(H @ H, clamp_psd(S), atol=1e-10 * np.linalg.norm(S, 2))
 
 
 class TestTikhonov:
@@ -498,7 +499,7 @@ class TestGlsm:
         gq = inv.glsm_solve(Q @ L @ Q.conj().T, Q @ sharp @ Q.conj().T, Q @ phi, alpha, delta)
 
         def indicator(gv, sh):
-            en = np.real(gv.conj() @ (inv.clamp_psd(sh) @ gv)) + delta * np.linalg.norm(gv) ** 2
+            en = np.real(gv.conj() @ (clamp_psd(sh) @ gv)) + delta * np.linalg.norm(gv) ** 2
             return 1.0 / np.sqrt(en)
 
         v1 = indicator(g, sharp)
@@ -515,7 +516,8 @@ class TestGlsm:
 
 
 class TestGlsmPencil:
-    """The numpy Cholesky reduction against scipy's generalized eigh as oracle."""
+    """The SVD of the whitened operator L (L#_psd + delta I)^-1/2 against
+    scipy's generalized eigh and sqrtm as oracles."""
 
     @pytest.mark.parametrize("where", ["L", "sharp"])
     def test_nan_input_is_numerical_error(self, rng, where):
@@ -532,19 +534,19 @@ class TestGlsmPencil:
         return lam.data, 1e-2 * np.linalg.norm(lam.data, 2)
 
     def test_joint_diagonalization(self, case):
-        # on the kept range: the r largest eigenvalues of the pencil
+        # on the kept range: the r largest eigenvalues of the pencil, descending
         L, delta = case
         sharp = inv.lambda_sharp(L)
         pencil = inv.GlsmPencil(L, sharp, delta)
         r = pencil.rank
-        B = inv.clamp_psd(sharp) + delta * np.eye(L.shape[1])
+        B = clamp_psd(sharp) + delta * np.eye(L.shape[1])
         A = L.conj().T @ L
         d_ref = scipy.linalg.eigh(A, B, eigvals_only=True)
         V = pencil.V_r
         scale = d_ref.max()
         assert np.abs(V.conj().T @ B @ V - np.eye(r)).max() <= 1e-10
         assert np.abs(V.conj().T @ A @ V - np.diag(pencil.d_r)).max() <= 1e-10 * scale
-        assert np.abs(pencil.d_r - np.maximum(d_ref, 0.0)[-r:]).max() <= 1e-10 * scale
+        assert np.abs(pencil.d_r - np.maximum(d_ref, 0.0)[::-1][:r]).max() <= 1e-10 * scale
         W = V.conj().T @ L.conj().T
         assert np.abs(pencil.W_r - W).max() <= 1e-10 * np.abs(W).max()
 
@@ -552,7 +554,7 @@ class TestGlsmPencil:
         L, delta = case
         sharp = inv.lambda_sharp(L)
         pencil = inv.GlsmPencil(L, sharp, delta)
-        B = inv.clamp_psd(sharp) + delta * np.eye(L.shape[1])
+        B = clamp_psd(sharp) + delta * np.eye(L.shape[1])
         A = L.conj().T @ L
         d_ref, V_ref = scipy.linalg.eigh(A, B)
         Phi = rng.normal(size=(L.shape[0], 40)) + 1j * rng.normal(size=(L.shape[0], 40))
@@ -572,14 +574,18 @@ class TestGlsmPencil:
         assert error(pencil.V_r @ pencil.coordinates(Phi, alphas)) <= 2.0 * error(oracle)
 
     @pytest.fixture(params=["random", "desk"])
-    def ranged(self, request, rng, desk_scale):
-        """A pencil on a rank-deficient operator: random of rank 12 of 30,
-        or the noisy desk-scale L."""
+    def deficient(self, request, rng, desk_scale):
+        """A rank-deficient operator and its delta: random of rank 12 of
+        30, or the noisy desk-scale L."""
         if request.param == "random":
             U, s, Vh = np.linalg.svd(random_operator(rng, 30))
-            L, delta = (U[:, :12] * s[:12]) @ Vh[:12], 1e-3 * s[0]
-        else:
-            L, delta = desk_scale[2].data, desk_scale[2].delta
+            return (U[:, :12] * s[:12]) @ Vh[:12], 1e-3 * s[0]
+        return desk_scale[2].data, desk_scale[2].delta
+
+    @pytest.fixture()
+    def ranged(self, deficient):
+        """A pencil on a rank-deficient operator."""
+        L, delta = deficient
         sharp = inv.lambda_sharp(L)
         return inv.GlsmPencil(L, sharp, delta), glsm_pencil_oracle(L, sharp, delta), sharp, delta
 
@@ -587,9 +593,9 @@ class TestGlsmPencil:
         # the kept range is the full pencil's, cut after its last direction
         pencil, (d, W, V), _, _ = ranged
         assert 0 < pencil.rank < d.size
-        np.testing.assert_array_equal(pencil.d_r, d[-pencil.rank:])
-        np.testing.assert_array_equal(pencil.W_r, W[-pencil.rank:])
-        np.testing.assert_array_equal(pencil.V_r, V[:, -pencil.rank:])
+        np.testing.assert_array_equal(pencil.d_r, d[: pencil.rank])
+        np.testing.assert_array_equal(pencil.W_r, W[: pencil.rank])
+        np.testing.assert_array_equal(pencil.V_r, V[:, : pencil.rank])
         Y = rng.normal(size=(pencil.rank, 40)) + 1j * rng.normal(size=(pencil.rank, 40))
         np.testing.assert_allclose(
             np.linalg.norm(pencil.T @ Y, axis=0), np.linalg.norm(pencil.V_r @ Y, axis=0),
@@ -604,6 +610,33 @@ class TestGlsmPencil:
             glsm_indicator_oracle(pencil.V_r @ Y, sharp, delta), 1.0 / np.linalg.norm(Y, axis=0),
             rtol=1e-10,
         )
+
+    def test_is_tikhonov_on_whitened_operator(self, deficient, rng):
+        # with g = B h, B = (L#_psd + delta I)^-1/2, the penalized functional
+        # is ||L B h - Phi||^2 + alpha ||h||^2: the coordinates y are h on the
+        # range, so ||y|| = ||h|| and ||T y|| = ||g|| = ||B h||
+        L, delta = deficient
+        sharp = inv.lambda_sharp(L)
+        pencil = inv.GlsmPencil(L, sharp, delta)
+        B_ref = scipy.linalg.inv(scipy.linalg.sqrtm(clamp_psd(sharp) + delta * np.eye(L.shape[1])))
+        Phi = rng.normal(size=(L.shape[0], 6)) + 1j * rng.normal(size=(L.shape[0], 6))
+        for alpha in pencil.d_r[0] * 10.0 ** np.arange(-7, 0):  # six decades
+            y = pencil.coordinates(Phi, alpha)
+            h = inv.tikhonov_solve(L @ B_ref, Phi, alpha)
+            np.testing.assert_allclose(
+                np.linalg.norm(y, axis=0), np.linalg.norm(h, axis=0), rtol=1e-8
+            )
+            np.testing.assert_allclose(
+                np.linalg.norm(pencil.T @ y, axis=0), np.linalg.norm(B_ref @ h, axis=0),
+                rtol=1e-8,
+            )
+
+    def test_singular_penalty_is_numerical_error(self, rng):
+        # delta = 0 with a zero eigenvalue of L#_psd: refused before B divides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                inv.GlsmPencil(random_operator(rng, 6), np.zeros((6, 6)), 0.0)
 
     def test_per_candidate_block_matches_full_pencil(self, desk_scale, wave, params):
         # reference: every (point, candidate) solution g on all n pencil
@@ -731,6 +764,17 @@ class TestIndicatorMap:
             assert imap.raw[b] == pytest.approx(value, rel=1e-9)
             assert imap.argmin_iota[b] == cands[best][1]
 
+    def test_matrix_of_other_scene_rejected(self, scene, lam, wave, params):
+        # the sensing-point count, channels and omega match; the material does not
+        other = dataclasses.replace(params, mu=2.0 * params.mu)
+        digest = fw._scene_digest(scene, other)
+        with pytest.raises(CompatibilityError, match=f"{lam.scene}.*{digest}"):
+            inv.indicator_map(scene, lam, "lsm", wave, other)
+        # a matrix that records no scene is not checked
+        unbound = dataclasses.replace(lam, scene=None)
+        imap = inv.indicator_map(scene, unbound, "lsm", wave, other)
+        np.testing.assert_array_equal(imap.raw, inv.indicator_map(scene, lam.data, "lsm", wave, other).raw)
+
     def test_glsm_map_matches_direct_solves(self, scene, lam, wave, params):
         with pytest.warns(RuntimeWarning, match="self-adjoint"):
             imap = inv.indicator_map(scene, lam, "glsm", wave, params)
@@ -787,7 +831,7 @@ class TestIndicatorMap:
                 imap = inv.indicator_map(scene, data, "glsm", wave, params)
             L, delta = data.data, imap.delta
             sharp = inv.lambda_sharp(L)
-            sharp_psd = inv.clamp_psd(sharp)
+            sharp_psd = clamp_psd(sharp)
             norm_l = np.linalg.norm(L, 2)
             for b in (8, 27):
                 sols = []

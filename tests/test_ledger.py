@@ -94,6 +94,7 @@ def test_library_call_outside_a_record_keeps_nothing(tmp_path):
     assert ledger._open == []
     assert [f.name for f in dataclasses.fields(lam)] == [
         "data", "channels", "n_points", "omega", "kind", "mode", "epsilon", "seed", "delta",
+        "scene",
     ]
     with ledger.record() as rec:
         pass
