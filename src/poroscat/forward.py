@@ -29,9 +29,14 @@ patch, including the singular self-cell term, are excluded) and solves
 the resulting dense linear system.  Its coupling kernel is reciprocal,
 B(z <- y) = B(y <- z)^T, so each unordered pair of cells on distinct
 patches costs one kernel evaluation, which fills both of its blocks.
+When the cells pair up under the reflection about their mid-plane
+(_mirror_pairs), as those of vertical patches centred on one plane do,
+the system splits into an even and an odd half-size block, and only a
+block with a non-zero right-hand side is factored (_parity_solve).
 An assembly notes in the run's ledger (poroscat.ledger) its near-singular
-sensing points and, if interacting, its solve's seconds and residual and
-its closure gap ||L - L_loc|| / ||L_loc|| against the local closure.
+sensing points and, if interacting, its solve's seconds, residual, block
+sizes and condition lower bound and its closure gap ||L - L_loc|| /
+||L_loc|| against the local closure.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -243,8 +248,9 @@ def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
     coupling is None for the local closure, or (wave, params, cutoff) for
     the interacting one, which reduces to the local closure when
     _patches_interact says the patches do not couple.  A coupled solve
-    records the seconds of M's fill (coupling) and LU solve (solve) and
-    its relative residual (coupled_residual) in the ledger.
+    records in the ledger the seconds of M's fill (coupling) and of its
+    solve (solve, the mirror pairing included), and _coupled_solve's
+    health facts.
     """
     if coupling is not None:
         wave, params, cutoff = coupling
@@ -252,9 +258,7 @@ def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
             with ledger.stage("coupling"):
                 M = _interaction_matrix(interface, wave, params)
             with ledger.stage("solve"):
-                jumps, residual = _coupled_solve(M, _blockwise(interface.E, psi))
-            ledger.note("coupled_residual", residual)
-            return jumps
+                return _coupled_solve(M, _blockwise(interface.E, psi), _mirror_pairs(interface))
     return _blockwise(interface.T, psi)
 
 
@@ -332,17 +336,103 @@ def _cond(A: np.ndarray) -> float:
     return float(np.linalg.cond(A)) if np.all(np.isfinite(A)) else float("inf")
 
 
-def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """LU solve of the coupled interface system (1- or 2-d rhs) and its
-    relative residual ||M a - rhs|| / ||rhs||.
+# the signs of the trace (t, q, p) and jump ([[u]], [[p]], -[[q]]) components
+# under the reflection z -> 2 z0 - z at a horizontal normal: only z flips
+_Q = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
 
-    A non-finite M or rhs, a singular M and a non-finite or large
+
+def _mirror_pairs(interface: _Interface) -> np.ndarray | None:
+    """Each cell's partner under the reflection z -> 2 z0 - z about the
+    mid-point z0 of the cells' z-range (a cell on the plane is its own),
+    or None when the cells do not pair up.
+
+    Partners lie on one patch, with centres matched to within 1e-12 of
+    the cells' extent, and the partner's D and E are Q D Q and Q E Q,
+    Q = diag(_Q) (for E, as beta_f != 0, only at a horizontal normal).
+    The trace and dislocation kernels are reflection-covariant there,
+    K(Py, Pz) = Q K(y, z) Q, so M commutes with the signed cell swap.
+    """
+    cells, D, E = interface.cells, interface.D, interface.E
+    c = cells.centers.T.copy()  # (3, nc), contiguous for the (3, nc, nc) gaps
+    lo, hi = c.min(axis=1), c.max(axis=1)
+    image = c.copy()
+    image[2] = lo[2] + hi[2] - c[2]
+    gap = np.abs(image[:, :, None] - c[:, None, :]).max(axis=0)
+    close = (gap <= 1e-12 * (hi - lo).max()) & (
+        cells.patch_index[:, None] == cells.patch_index[None, :]
+    )
+    if not (close.sum(axis=1) == 1).all():
+        return None
+    mirror = close.argmax(axis=1)
+    flip = np.outer(_Q, _Q)
+    if not (
+        (mirror[mirror] == np.arange(cells.count)).all()
+        and np.array_equal(D[mirror], D * flip)
+        and np.array_equal(E[mirror], E * flip)
+    ):
+        return None
+    return mirror
+
+
+def _parity_solve(M: np.ndarray, rhs: np.ndarray, mirror: np.ndarray):
+    """M^-1 rhs (2-d rhs) for an M that commutes with the signed swap of
+    the cells paired by mirror, and the sizes of the blocks it factored.
+
+    M's even (s = +1) and odd (s = -1) parts are independent.  With j' the
+    same component of unknown j's partner cell and w_j = s Q_j, block s
+    has the unknowns j with j' > j, and those with j' = j (cells on the
+    plane) and w_j = 1.  It is M[j, k] + M[j, k'] w_k over its unknowns
+    j, k, its right-hand side is (rhs[j] + w_j rhs[j']) / 2, and its
+    solution x_j adds x_j to a[j] and w_j x_j to a[j'].  (An unknown of a
+    cell on the plane has its column entered twice and its x added twice.)
+    A block whose right-hand side is zero has the zero solution and is
+    not factored.
+    """
+    unknown = np.arange(rhs.shape[0])
+    comp = unknown % 5
+    image = 5 * mirror[unknown // 5] + comp
+    a = np.zeros_like(rhs)
+    blocks = []
+    for s in (1.0, -1.0):
+        sign = s * _Q[comp]
+        j = np.flatnonzero((image > unknown) | ((image == unknown) & (sign > 0)))
+        jm, w = image[j], sign[j]
+        half = 0.5 * (rhs[j] + w[:, None] * rhs[jm])
+        if not half.any():
+            continue
+        A = M[np.ix_(j, jm)] * w
+        A += M[np.ix_(j, j)]
+        x = np.linalg.solve(A, half)
+        a[j] += x
+        a[jm] += w[:, None] * x
+        blocks.append(j.size)
+    return a, blocks
+
+
+def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
+    """Solve of the coupled interface system (1- or 2-d rhs).
+
+    mirror is _mirror_pairs' pairing, or None: with it, _parity_solve
+    factors M's even and odd blocks (only those whose half of rhs is
+    non-zero); without it, one LU of M.  The ledger gets the relative
+    residual ||M a - rhs|| / ||rhs|| on the full M (coupled_residual), the
+    sizes of the blocks factored (coupled_blocks) and the condition lower
+    bound ||M||_1 max_k ||a_k||_1 / ||rhs_k||_1 over the non-zero columns
+    k of rhs (coupled_condition_lower_bound; None if there is none), as
+    ||M^-1||_1 >= ||a_k||_1 / ||rhs_k||_1.
+
+    A non-finite M or rhs, a singular M (block) and a non-finite or large
     residual raise ConditioningError.
     """
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("coupled interface system has non-finite entries")
+    b = rhs.reshape(rhs.shape[0], -1)
     try:
-        a = np.linalg.solve(M, rhs)
+        if mirror is None:
+            a, blocks = np.linalg.solve(M, rhs), [M.shape[0]]
+        else:
+            a, blocks = _parity_solve(M, b, mirror)
+            a = a.reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"coupled interface system is singular: {exc}", condition_number=_cond(M)
@@ -354,7 +444,15 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
             f"coupled interface solve residual {res:.3e}",
             condition_number=_cond(M) if np.isfinite(res) else float("inf"),
         )
-    return a, res
+    b_cols = np.abs(b).sum(axis=0)
+    ratio = np.abs(a.reshape(b.shape)).sum(axis=0)[b_cols > 0.0] / b_cols[b_cols > 0.0]
+    ledger.note("coupled_residual", res)
+    ledger.note("coupled_blocks", blocks)
+    ledger.note(
+        "coupled_condition_lower_bound",
+        float(np.linalg.norm(M, 1) * ratio.max()) if ratio.size else None,
+    )
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -521,18 +521,60 @@ class TestMainEntry:
             for mode in ("local", "interacting")
         )
         gap = np.linalg.norm(inter - loc) / np.linalg.norm(loc)
+        # the reference residual is that of the jumps the assembly solves for
         f = fw._factors(sc.scene, wave, sc.params)
         S, iface = f.S, f.interface
         M = fw._interaction_matrix(iface, wave, sc.params)
         blocks = S.reshape(iface.cells.count, 5, -1)
         rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
-        res = np.linalg.norm(M @ np.linalg.solve(M, rhs) - rhs) / np.linalg.norm(rhs)
+        jumps = fw._jumps(iface, S, (wave, sc.params, sc.forward_cutoff))
+        res = np.linalg.norm(M @ jumps - rhs) / np.linalg.norm(rhs)
         meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
         assert 0.0 < meta["coupled_residual"] <= 1e-8
         assert meta["coupled_residual"] == pytest.approx(res, rel=1e-6)
         assert gap > 0.0 and abs(meta["closure_gap"] - gap) <= 1e-12 * gap
         meta = json.loads((tmp_path / "l/forward_meta.json").read_text())
         assert meta["coupled_residual"] is None and meta["closure_gap"] is None
+
+    @pytest.mark.parametrize(
+        "lift, mode, blocks",
+        [
+            (None, "interacting", [32]),  # 8 cells on the plane: the even block of 4 x 8
+            (0.3, "interacting", [40]),  # one fracture centred at z = 0.3: one LU of M
+            (None, "local", None),
+        ],
+    )
+    def test_coupled_blocks_in_meta(self, tmp_path, lift, mode, blocks):
+        # the sizes of the blocks the coupled solve factored, and its
+        # condition lower bound ||M||_1 max_k ||a_k||_1 / ||b_k||_1
+        doc = _perfbench("workloads").scenario_doc("network-forward", 1, smoke=True)
+        if lift is not None:
+            frac = doc["scene"]["fractures"][0]
+            frac["center"] = [*frac["center"], lift]
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        sc = cli.load_scenario(tmp_path / "s.json")
+        meta = cli.run_forward(sc, tmp_path / "o", mode=mode)
+        assert json.loads((tmp_path / "o/forward_meta.json").read_text()) == meta
+        assert meta["coupled_blocks"] == blocks
+        if mode == "local":
+            assert meta["coupled_condition_lower_bound"] is None
+            return
+        wave = solve_dispersion(sc.params, sc.omega)
+        f = fw._factors(sc.scene, wave, sc.params)
+        M = fw._interaction_matrix(f.interface, wave, sc.params)
+        assert 1.0 <= meta["coupled_condition_lower_bound"] <= np.linalg.cond(M, 1)
+
+    def test_log_level(self, tmp_path, scenario_path, capsys):
+        # --log-level info shows the assembly's info line once per call, as
+        # the handler is added once; the default shows warnings only
+        argv = ["forward", "--scenario", str(scenario_path), "--out", str(tmp_path),
+                "--mode", "interacting"]
+        line = "assembled 36x36 scattering matrix (interacting mode, 8 cells)\n"
+        for _ in range(2):
+            assert cli.main(argv + ["--log-level", "info"]) == 0
+            assert capsys.readouterr().err.count(line) == 1
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("mode", ["local", "interacting"])
     def test_forward_stage_timings_in_meta(self, tmp_path, mode):

@@ -18,7 +18,7 @@ from poroscat.errors import (
     DomainError,
     GeometryError,
 )
-from poroscat.greens import green_tensor, trace_kernel
+from poroscat.greens import dislocation_trace_kernel, green_tensor, trace_kernel
 from poroscat.material import MaterialParams, solve_dispersion
 from poroscat.presets import default_contact, desk_scale_scenario, desk_scale_scene
 from poroscat.scene import (
@@ -403,6 +403,106 @@ class TestInteractingJumpSolve:
         jl = jumps(tr, small_scene.patches, wave)
         ji = jumps(tr, small_scene.patches, wave, (wave, params, None))
         assert np.linalg.norm(ji - jl) / np.linalg.norm(jl) > 1e-6
+
+
+@pytest.fixture(scope="module")
+def network_smoke_scene():
+    """The network-forward benchmark scene at smoke size (material and
+    frequency those of the params and wave fixtures): the desk scene with
+    two one-row patches of four cells on the wells' plane."""
+    doc = desk_scale_scenario(target_delta=0.05, mode="interacting")
+    for well in doc["scene"]["wells"]:
+        well["samples_per_segment"] = 6
+    for frac in doc["scene"]["fractures"]:
+        frac["cells"] = [4, 1]
+    return parse_scenario(doc).scene
+
+
+@pytest.fixture(scope="module")
+def lifted_scene(small_scene):
+    """small_scene with its second patch centred at z = 0.3: no mirror pairing."""
+    first, second = small_scene.patches
+    lifted = dataclasses.replace(second, center=second.center + [0.0, 0.0, 0.3])
+    return dataclasses.replace(small_scene, patches=(first, lifted))
+
+
+# the reflection z -> 2 z0 - z on traces and jumps (Q) and on the four
+# point-source types (forces along x, y, z and fluid injection)
+Q5 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0])
+Q4 = np.diag([1.0, 1.0, -1.0, 1.0])
+
+
+class TestMirrorParity:
+    def test_kernels_are_reflection_covariant(self, wave, params, rng):
+        # K(Py, Pz) = Q K(y, z) Q at horizontal normals: the identity that
+        # makes M commute with the signed swap of mirrored cells
+        z0 = 0.3
+        for _ in range(5):
+            y, z = rng.uniform(-1.5, 1.5, (2, 3))
+            a, b = rng.uniform(0.0, 2.0 * np.pi, 2)
+            ny, nz = [np.cos(a), np.sin(a), 0.0], [np.cos(b), np.sin(b), 0.0]
+            Py, Pz = y * [1, 1, -1] + [0, 0, 2 * z0], z * [1, 1, -1] + [0, 0, 2 * z0]
+            K = dislocation_trace_kernel(y, ny, z, nz, wave, params)
+            KP = dislocation_trace_kernel(Py, ny, Pz, nz, wave, params)
+            assert np.linalg.norm(KP - Q5 @ K @ Q5) <= 1e-14 * np.linalg.norm(K)
+            K = trace_kernel(y, z, nz, wave, params)
+            KP = trace_kernel(Py, Pz, nz, wave, params)
+            assert np.linalg.norm(KP - Q5 @ K @ Q4) <= 1e-14 * np.linalg.norm(K)
+
+    @pytest.mark.parametrize(
+        "scene_name, blocks",
+        [
+            ("small_scene", [45]),  # 18 cells in 9 mirrored pairs
+            ("many_patch_scene", [160]),  # 40 cells on the plane: 4 even components each
+            ("network_smoke_scene", [32]),  # 8 cells on the plane
+            ("three_patch_scene", [60, 60]),  # "full" channels: both halves of rhs
+            ("lifted_scene", [90]),  # no pairing: one LU of M
+        ],
+    )
+    def test_split_matches_full_lu(self, scene_name, blocks, request, wave, params):
+        scene = request.getfixturevalue(scene_name)
+        f = fw._factors(scene, wave, params)
+        M = fw._interaction_matrix(f.interface, wave, params)
+        ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
+        with ledger.record() as rec:
+            L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
+        assert rec["coupled_blocks"] == blocks
+        assert (fw._mirror_pairs(f.interface) is None) == (scene_name == "lifted_scene")
+        if scene_name == "lifted_scene":
+            np.testing.assert_array_equal(L, ref)
+        else:
+            assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
+
+    def test_condition_lower_bound(self, small_scene, wave, params):
+        # ||M||_1 max_k ||a_k||_1 / ||b_k||_1 lies between 1 and cond_1(M)
+        f = fw._factors(small_scene, wave, params)
+        M = fw._interaction_matrix(f.interface, wave, params)
+        with ledger.record() as rec:
+            fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff=None)
+        assert 1.0 <= rec["coupled_condition_lower_bound"] <= np.linalg.cond(M, 1)
+
+    @pytest.fixture()
+    def paired_system(self, small_scene, wave, params, rng):
+        iface = fw._interface(small_scene.patches, wave.omega)
+        M = fw._interaction_matrix(iface, wave, params)
+        rhs = rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
+        return M, rhs, fw._mirror_pairs(iface)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_paired_system_is_conditioning_error(self, paired_system, bad):
+        M, rhs, mirror = paired_system
+        M[4, 1] = bad
+        with pytest.raises(ConditioningError) as info:
+            fw._coupled_solve(M, rhs, mirror)
+        assert info.value.condition_number == math.inf
+
+    def test_singular_paired_system_is_conditioning_error(self, paired_system):
+        # zeroing a column and its mirror keeps M symmetric and makes both blocks singular
+        M, rhs, mirror = paired_system
+        M[:, 7] = M[:, 5 * mirror[1] + 2] = 0.0
+        with pytest.raises(ConditioningError, match="singular") as info:
+            fw._coupled_solve(M, rhs, mirror)
+        assert info.value.condition_number > 1e12
 
 
 class TestRadiate:
