@@ -8,8 +8,7 @@ map       forward followed by invert
 check     run the property suite against the scenario and report pass/fail
 
 Common flags: --scenario <path>, --out <dir>, --seed <u64>,
---method lsm|glsm, --mode local|interacting, --log-level
-warning|info|debug (the poroscat log records shown on stderr).
+--method lsm|glsm, --mode local|interacting.
 
 Exit codes: 0 success; 2 validation/argument failures; 3 numerical
 failures; 4 I/O failures.  Identical scenario and seed produce
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -502,10 +500,9 @@ def run_forward(
         "achieved_delta": noisy.delta,
         "norm_lambda": norm,
         "relative_delta": noisy.delta / norm if norm > 0.0 else None,
-        "coupled_residual": None,  # these four are an interacting assembly's
+        "coupled_residual": None,  # these three are an interacting assembly's
         "closure_gap": None,
         "coupled_blocks": None,
-        "coupled_condition_lower_bound": None,
         **rec,
     }
     _dump_json(meta, out / "forward_meta.json")
@@ -720,31 +717,6 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-_LOG_LEVELS = {"warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record, as its bare message, to the sys.stderr of the
-    moment, as logging's last-resort handler does for warnings."""
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-    @stream.setter
-    def stream(self, value) -> None:
-        pass
-
-
-def _configure_logging(level: str) -> None:
-    """Show the poroscat logger's records at or above level on stderr.
-    The handler is added once per process, so repeated calls do not stack."""
-    log = logging.getLogger("poroscat")
-    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
-        log.addHandler(_StderrHandler())
-    log.setLevel(_LOG_LEVELS[level])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poroscat",
@@ -770,16 +742,11 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="forward closure override",
         )
-        p.add_argument(
-            "--log-level", choices=tuple(_LOG_LEVELS), default="warning",
-            help="least severe log record shown on stderr",
-        )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_logging(args.log_level)
     try:
         scenario = load_scenario(args.scenario)
         if args.command == "forward":

@@ -34,9 +34,9 @@ When the cells pair up under the reflection about their mid-plane
 the system splits into an even and an odd half-size block, and only a
 block with a non-zero right-hand side is factored (_parity_solve).
 An assembly notes in the run's ledger (poroscat.ledger) its near-singular
-sensing points and, if interacting, its solve's seconds, residual, block
-sizes and condition lower bound and its closure gap ||L - L_loc|| /
-||L_loc|| against the local closure.
+sensing points and, if interacting, its solve's seconds, residual and
+block sizes and its closure gap ||L - L_loc|| / ||L_loc|| against the
+local closure.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -410,29 +410,26 @@ def _parity_solve(M: np.ndarray, rhs: np.ndarray, mirror: np.ndarray):
 
 
 def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
-    """Solve of the coupled interface system (1- or 2-d rhs).
+    """Solve of the coupled interface system (2-d rhs).
 
     mirror is _mirror_pairs' pairing, or None: with it, _parity_solve
     factors M's even and odd blocks (only those whose half of rhs is
     non-zero); without it, one LU of M.  The ledger gets the relative
-    residual ||M a - rhs|| / ||rhs|| on the full M (coupled_residual), the
-    sizes of the blocks factored (coupled_blocks) and the condition lower
-    bound ||M||_1 max_k ||a_k||_1 / ||rhs_k||_1 over the non-zero columns
-    k of rhs (coupled_condition_lower_bound; None if there is none), as
-    ||M^-1||_1 >= ||a_k||_1 / ||rhs_k||_1.
+    residual ||M a - rhs|| / ||rhs|| on the full M (coupled_residual) and
+    the sizes of the blocks factored (coupled_blocks).
 
     A non-finite M or rhs, a singular M (block) and a non-finite or large
-    residual raise ConditioningError.
+    residual raise ConditioningError.  A singular block whose half of rhs
+    is zero is not factored, so it raises nothing: a is then exact in the
+    other parity, and its residual is checked as any other.
     """
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("coupled interface system has non-finite entries")
-    b = rhs.reshape(rhs.shape[0], -1)
     try:
         if mirror is None:
             a, blocks = np.linalg.solve(M, rhs), [M.shape[0]]
         else:
-            a, blocks = _parity_solve(M, b, mirror)
-            a = a.reshape(rhs.shape)
+            a, blocks = _parity_solve(M, rhs, mirror)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"coupled interface system is singular: {exc}", condition_number=_cond(M)
@@ -444,14 +441,8 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
             f"coupled interface solve residual {res:.3e}",
             condition_number=_cond(M) if np.isfinite(res) else float("inf"),
         )
-    b_cols = np.abs(b).sum(axis=0)
-    ratio = np.abs(a.reshape(b.shape)).sum(axis=0)[b_cols > 0.0] / b_cols[b_cols > 0.0]
     ledger.note("coupled_residual", res)
     ledger.note("coupled_blocks", blocks)
-    ledger.note(
-        "coupled_condition_lower_bound",
-        float(np.linalg.norm(M, 1) * ratio.max()) if ratio.size else None,
-    )
     return a
 
 

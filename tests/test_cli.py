@@ -545,8 +545,7 @@ class TestMainEntry:
         ],
     )
     def test_coupled_blocks_in_meta(self, tmp_path, lift, mode, blocks):
-        # the sizes of the blocks the coupled solve factored, and its
-        # condition lower bound ||M||_1 max_k ||a_k||_1 / ||b_k||_1
+        # the sizes of the blocks the coupled solve factored
         doc = _perfbench("workloads").scenario_doc("network-forward", 1, smoke=True)
         if lift is not None:
             frac = doc["scene"]["fractures"][0]
@@ -556,25 +555,6 @@ class TestMainEntry:
         meta = cli.run_forward(sc, tmp_path / "o", mode=mode)
         assert json.loads((tmp_path / "o/forward_meta.json").read_text()) == meta
         assert meta["coupled_blocks"] == blocks
-        if mode == "local":
-            assert meta["coupled_condition_lower_bound"] is None
-            return
-        wave = solve_dispersion(sc.params, sc.omega)
-        f = fw._factors(sc.scene, wave, sc.params)
-        M = fw._interaction_matrix(f.interface, wave, sc.params)
-        assert 1.0 <= meta["coupled_condition_lower_bound"] <= np.linalg.cond(M, 1)
-
-    def test_log_level(self, tmp_path, scenario_path, capsys):
-        # --log-level info shows the assembly's info line once per call, as
-        # the handler is added once; the default shows warnings only
-        argv = ["forward", "--scenario", str(scenario_path), "--out", str(tmp_path),
-                "--mode", "interacting"]
-        line = "assembled 36x36 scattering matrix (interacting mode, 8 cells)\n"
-        for _ in range(2):
-            assert cli.main(argv + ["--log-level", "info"]) == 0
-            assert capsys.readouterr().err.count(line) == 1
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("mode", ["local", "interacting"])
     def test_forward_stage_timings_in_meta(self, tmp_path, mode):

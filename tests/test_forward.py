@@ -473,14 +473,6 @@ class TestMirrorParity:
         else:
             assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
 
-    def test_condition_lower_bound(self, small_scene, wave, params):
-        # ||M||_1 max_k ||a_k||_1 / ||b_k||_1 lies between 1 and cond_1(M)
-        f = fw._factors(small_scene, wave, params)
-        M = fw._interaction_matrix(f.interface, wave, params)
-        with ledger.record() as rec:
-            fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff=None)
-        assert 1.0 <= rec["coupled_condition_lower_bound"] <= np.linalg.cond(M, 1)
-
     @pytest.fixture()
     def paired_system(self, small_scene, wave, params, rng):
         iface = fw._interface(small_scene.patches, wave.omega)
@@ -503,6 +495,22 @@ class TestMirrorParity:
         with pytest.raises(ConditioningError, match="singular") as info:
             fw._coupled_solve(M, rhs, mirror)
         assert info.value.condition_number > 1e12
+
+    def test_singular_block_with_zero_half_is_not_factored(self, paired_system):
+        # averaging column 0 and its mirror's keeps M symmetric and zeroes a
+        # column of the odd block only; an even rhs never factors that block
+        M, rhs, mirror = paired_system
+        k = 5 * mirror[0]
+        M[:, [0, k]] = 0.5 * (M[:, [0]] + M[:, [k]])
+        unknown = np.arange(M.shape[0])
+        image = 5 * mirror[unknown // 5] + unknown % 5
+        even = 0.5 * (rhs + Q5.diagonal()[unknown % 5, None] * rhs[image])
+        with ledger.record() as rec:
+            a = fw._coupled_solve(M, even, mirror)
+        assert rec["coupled_blocks"] == [45]
+        assert np.linalg.norm(M @ a - even) <= 1e-8 * np.linalg.norm(even)
+        with pytest.raises(ConditioningError, match="singular"):
+            fw._coupled_solve(M, rhs, mirror)
 
 
 class TestRadiate:
