@@ -500,9 +500,10 @@ def run_forward(
         "achieved_delta": noisy.delta,
         "norm_lambda": norm,
         "relative_delta": noisy.delta / norm if norm > 0.0 else None,
-        "coupled_residual": None,  # these three are an interacting assembly's
+        "coupled_residual": None,  # these four are an interacting assembly's
         "closure_gap": None,
         "coupled_blocks": None,
+        "kernel_pairs": None,
         **rec,
     }
     _dump_json(meta, out / "forward_meta.json")

@@ -26,17 +26,15 @@ diagonal and the whole operator an exact triple product R @ T @ S.  The
 interacting closure keeps the scattered traces radiated by cells of
 *other* patches (patch-exclusion collocation: couplings internal to one
 patch, including the singular self-cell term, are excluded) and solves
-the resulting dense linear system.  Its coupling kernel is reciprocal,
-B(z <- y) = B(y <- z)^T, so each unordered pair of cells on distinct
-patches costs one kernel evaluation, which fills both of its blocks.
-When the cells pair up under the reflection about their mid-plane
-(_mirror_pairs), as those of vertical patches centred on one plane do,
-the system splits into an even and an odd half-size block, and only a
-block with a non-zero right-hand side is factored (_parity_solve).
-An assembly notes in the run's ledger (poroscat.ledger) its near-singular
-sensing points and, if interacting, its solve's seconds, residual and
-block sizes and its closure gap ||L - L_loc|| / ||L_loc|| against the
-local closure.
+the resulting dense system M a = E psi.  When the cells pair up under
+the reflection about their mid-plane (_mirror_pairs), as those of
+vertical patches centred on one plane do, M splits into an even and an
+odd half-size block: only M's rows U, one cell of each pair, are filled,
+and only a block with a non-zero right-hand side is factored.  An
+assembly notes in the run's ledger (poroscat.ledger) its near-singular
+sensing points and, if interacting, the fill's kernel pairs, the solve's
+seconds, residual and block sizes, and the closure gap ||L - L_loc|| /
+||L_loc|| to the local closure L_loc.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -104,20 +102,15 @@ class _Cells:
 
 
 def _collect_cells(patches: Sequence[FracturePatch]) -> _Cells:
-    centers, areas, normals, pidx = [], [], [], []
+    # each list starts with an empty block, for a scene without patches
+    centers, areas, normals = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros((0, 3))]
+    pidx = [np.zeros(0, dtype=int)]
     for i, patch in enumerate(patches):
         c, a = patch.cells()
         centers.append(c)
         areas.append(a)
         normals.append(np.tile(patch.normal, (c.shape[0], 1)))
         pidx.append(np.full(c.shape[0], i, dtype=int))
-    if not centers:
-        return _Cells(
-            centers=np.zeros((0, 3)),
-            areas=np.zeros(0),
-            normals=np.zeros((0, 3)),
-            patch_index=np.zeros(0, dtype=int),
-        )
     return _Cells(
         centers=np.vstack(centers),
         areas=np.concatenate(areas),
@@ -248,17 +241,18 @@ def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
     coupling is None for the local closure, or (wave, params, cutoff) for
     the interacting one, which reduces to the local closure when
     _patches_interact says the patches do not couple.  A coupled solve
-    records in the ledger the seconds of M's fill (coupling) and of its
-    solve (solve, the mirror pairing included), and _coupled_solve's
-    health facts.
+    records in the ledger the seconds of the mirror pairing and the fill
+    of M's rows (coupling) and of their solve (solve).
     """
     if coupling is not None:
         wave, params, cutoff = coupling
         if _patches_interact(interface.patches, wave, cutoff):
             with ledger.stage("coupling"):
-                M = _interaction_matrix(interface, wave, params)
+                mirror = _mirror_pairs(interface, wave, params)
+                rows = None if mirror is None else mirror >= np.arange(mirror.size)
+                M = _interaction_matrix(interface, wave, params, rows)
             with ledger.stage("solve"):
-                return _coupled_solve(M, _blockwise(interface.E, psi), _mirror_pairs(interface))
+                return _coupled_solve(M, _blockwise(interface.E, psi), mirror)
     return _blockwise(interface.T, psi)
 
 
@@ -281,53 +275,62 @@ def _patches_interact(patches, wave, cutoff) -> bool:
 
 
 # cell pairs per dislocation-kernel call.  A call's temporaries peak at
-# about 2.2 KB per pair (1.1 MiB per call, by tracemalloc), far below the
-# 41 MB of the 320-cell network's M, which builds as fast with 512 to 2048
-# pairs per call and slower with 256, where per-call costs show (2 vCPU)
-_PAIR_CHUNK = 512
+# about 2.2 KB per pair (4.5 MiB per call, by tracemalloc), far below the
+# 20 MB of the 320-cell network's rows U of M; its full M fills in 78 ms
+# with 2048 or 4096 pairs per call and in 89 ms with 512 (2 vCPU)
+_PAIR_CHUNK = 2048
 
 
-def _interaction_matrix(interface: _Interface, wave, params) -> np.ndarray:
-    """Dense (5*nc, 5*nc) matrix of the coupled interface system.
+def _interaction_matrix(interface: _Interface, wave, params, rows=None) -> np.ndarray:
+    """The rows of the cells in the mask rows (None: all) of the dense
+    matrix M of the coupled interface system, against every column.
 
     Block (i, i) is D of cell i.  Block (i, j) of an off-patch pair is
     -area_j E_i B_ij, B_ij the traces at cell i of the dislocation at
     cell j; pairs on one patch, the self-cell included, are excluded.
     The kernel is reciprocal, B_ji = B_ij^T (the reciprocal theorem of
-    the Biot system), so it is evaluated once per unordered pair, with
+    the Biot system), so a pair of two rows is evaluated once, with
     patch_index[i] < patch_index[j], and fills both blocks.  Cells are
-    collected patch by patch, so the pairs whose cell i is on patch a form
-    one strip: a's rows times the columns of every later patch.  A strip
-    goes to the kernel a few whole rows at a time (about _PAIR_CHUNK
-    pairs); its blocks (i, j) take one product with E_a, and its blocks
-    (j, i) one product with the E of each later patch.
+    collected patch by patch, so the pairs whose cell i is a row of patch
+    a form one strip: a's rows times the rows of every later patch and
+    the other patches' non-rows.  A strip goes to the kernel a few whole
+    rows at a time (about _PAIR_CHUNK pairs, counted as kernel_pairs);
+    its blocks (i, j) take one product with E_a, and its blocks (j, i)
+    one batched product with the E of each row j.
     """
     cells, D, E = interface.cells, interface.D, interface.E
-    nc, w = cells.count, -cells.areas
-    M = np.zeros((nc, 5, nc, 5), dtype=np.complex128)
-    diag = np.arange(nc)
-    M[diag, :, diag, :] = D
+    nc, w, pidx = cells.count, -cells.areas, cells.patch_index
+    is_row = np.ones(nc, dtype=bool) if rows is None else rows
+    before = np.concatenate(([0], np.cumsum(is_row))).tolist()  # rows before each cell
+    rows = np.flatnonzero(is_row)
+    M = np.zeros((rows.size, 5, nc, 5), dtype=np.complex128)
+    M[np.arange(rows.size), :, rows, :] = D[rows]
     # first cell of each patch, and nc
-    bounds = np.searchsorted(cells.patch_index, np.arange(len(interface.patches) + 1)).tolist()
-    for k, (a0, a1) in enumerate(zip(bounds[:-2], bounds[1:-1])):
-        later, width = list(zip(bounds[k + 1:-1], bounds[k + 2:])), nc - a1
+    bounds = np.searchsorted(pidx, np.arange(len(interface.patches) + 1)).tolist()
+    for k, (a0, a1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        r1 = before[a1]  # the rows of later patches lead the strip's columns
+        cols = np.concatenate((rows[r1:], np.flatnonzero(~is_row & (pidx != k))))
+        width, later, Et = cols.size, rows.size - r1, E[rows[r1:]].transpose(0, 2, 1)
+        if width == 0:
+            continue
         step = max(1, _PAIR_CHUNK // width)
-        for r0 in range(a0, a1, step):
-            r1 = min(r0 + step, a1)
-            i, j = np.repeat(np.arange(r0, r1), width), np.tile(np.arange(a1, nc), r1 - r0)
+        for r0 in range(before[a0], r1, step):
+            ri = rows[r0:min(r0 + step, r1)]
+            i, j = np.repeat(ri, width), np.tile(cols, ri.size)
             B = _dislocation_trace_matrix(
                 cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
                 wave, params,
-            ).reshape(r1 - r0, width, 5, 5)
+            ).reshape(ri.size, width, 5, 5)
+            ledger.count("kernel_pairs", i.size)
             # M[i, r, j, s] = -area_j (E_a B_ij)[r, s]
-            Bj = (B * w[None, a1:, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
-            M[r0:r1, :, a1:, :] = (E[a0] @ Bj).reshape(5, r1 - r0, width, 5).transpose(1, 0, 2, 3)
-            # M[j, r, i, s] = -area_i (E_b B_ij^T)[r, s], j on a later patch b
-            Bi = B * w[r0:r1, None, None, None]
-            for b0, b1 in later:
-                eb = Bi[:, b0 - a1:b1 - a1].reshape(-1, 5) @ E[b0].T
-                M[b0:b1, :, r0:r1, :] = eb.reshape(r1 - r0, b1 - b0, 5, 5).transpose(1, 3, 0, 2)
-    return M.reshape(5 * nc, 5 * nc)
+            Bj = (B * w[None, cols, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
+            EB = (E[a0] @ Bj).reshape(5, ri.size, width, 5)
+            M[r0:r0 + ri.size, :, cols, :] = EB.transpose(1, 0, 2, 3)
+            # M[j, r, i, s] = -area_i (E_j B_ij^T)[r, s], j a row of a later patch
+            Bi = (B[:, :later] * w[ri, None, None, None]).transpose(1, 0, 2, 3)
+            eb = Bi.reshape(later, 5 * ri.size, 5) @ Et
+            M[r1:, :, ri, :] = eb.reshape(later, ri.size, 5, 5).transpose(0, 3, 1, 2)
+    return M.reshape(5 * rows.size, 5 * nc)
 
 
 def _cond(A: np.ndarray) -> float:
@@ -341,7 +344,7 @@ def _cond(A: np.ndarray) -> float:
 _Q = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
 
 
-def _mirror_pairs(interface: _Interface) -> np.ndarray | None:
+def _mirror_pairs(interface: _Interface, wave, params) -> np.ndarray | None:
     """Each cell's partner under the reflection z -> 2 z0 - z about the
     mid-point z0 of the cells' z-range (a cell on the plane is its own),
     or None when the cells do not pair up.
@@ -351,6 +354,9 @@ def _mirror_pairs(interface: _Interface) -> np.ndarray | None:
     Q = diag(_Q) (for E, as beta_f != 0, only at a horizontal normal).
     The trace and dislocation kernels are reflection-covariant there,
     K(Py, Pz) = Q K(y, z) Q, so M commutes with the signed cell swap.
+    As M's mirrored rows are never evaluated, one kernel call probes the
+    covariance: at 64 off-patch pairs spread over all and at their images,
+    each image's kernel must match to 1e-12 of its pair's.
     """
     cells, D, E = interface.cells, interface.D, interface.E
     c = cells.centers.T.copy()  # (3, nc), contiguous for the (3, nc, nc) gaps
@@ -358,9 +364,8 @@ def _mirror_pairs(interface: _Interface) -> np.ndarray | None:
     image = c.copy()
     image[2] = lo[2] + hi[2] - c[2]
     gap = np.abs(image[:, :, None] - c[:, None, :]).max(axis=0)
-    close = (gap <= 1e-12 * (hi - lo).max()) & (
-        cells.patch_index[:, None] == cells.patch_index[None, :]
-    )
+    same = cells.patch_index[:, None] == cells.patch_index[None, :]
+    close = (gap <= 1e-12 * (hi - lo).max()) & same
     if not (close.sum(axis=1) == 1).all():
         return None
     mirror = close.argmax(axis=1)
@@ -371,78 +376,72 @@ def _mirror_pairs(interface: _Interface) -> np.ndarray | None:
         and np.array_equal(E[mirror], E * flip)
     ):
         return None
-    return mirror
-
-
-def _parity_solve(M: np.ndarray, rhs: np.ndarray, mirror: np.ndarray):
-    """M^-1 rhs (2-d rhs) for an M that commutes with the signed swap of
-    the cells paired by mirror, and the sizes of the blocks it factored.
-
-    M's even (s = +1) and odd (s = -1) parts are independent.  With j' the
-    same component of unknown j's partner cell and w_j = s Q_j, block s
-    has the unknowns j with j' > j, and those with j' = j (cells on the
-    plane) and w_j = 1.  It is M[j, k] + M[j, k'] w_k over its unknowns
-    j, k, its right-hand side is (rhs[j] + w_j rhs[j']) / 2, and its
-    solution x_j adds x_j to a[j] and w_j x_j to a[j'].  (An unknown of a
-    cell on the plane has its column entered twice and its x added twice.)
-    A block whose right-hand side is zero has the zero solution and is
-    not factored.
-    """
-    unknown = np.arange(rhs.shape[0])
-    comp = unknown % 5
-    image = 5 * mirror[unknown // 5] + comp
-    a = np.zeros_like(rhs)
-    blocks = []
-    for s in (1.0, -1.0):
-        sign = s * _Q[comp]
-        j = np.flatnonzero((image > unknown) | ((image == unknown) & (sign > 0)))
-        jm, w = image[j], sign[j]
-        half = 0.5 * (rhs[j] + w[:, None] * rhs[jm])
-        if not half.any():
-            continue
-        A = M[np.ix_(j, jm)] * w
-        A += M[np.ix_(j, j)]
-        x = np.linalg.solve(A, half)
-        a[j] += x
-        a[jm] += w[:, None] * x
-        blocks.append(j.size)
-    return a, blocks
+    i, j = np.nonzero(~same)
+    pick = np.linspace(0, i.size - 1, min(i.size, 64)).astype(int)
+    i, j = np.r_[i[pick], mirror[i[pick]]], np.r_[j[pick], mirror[j[pick]]]
+    B = _dislocation_trace_matrix(
+        cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i], wave, params
+    ).reshape(2, -1, 25)
+    err = np.linalg.norm(B[1] - B[0] * flip.ravel(), axis=1)
+    return mirror if (err <= 1e-12 * np.linalg.norm(B[0], axis=1)).all() else None
 
 
 def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
-    """Solve of the coupled interface system (2-d rhs).
+    """Solve of the coupled interface system (2-d rhs) from the rows of M
+    that _interaction_matrix filled for mirror, _mirror_pairs' pairing.
 
-    mirror is _mirror_pairs' pairing, or None: with it, _parity_solve
-    factors M's even and odd blocks (only those whose half of rhs is
-    non-zero); without it, one LU of M.  The ledger gets the relative
-    residual ||M a - rhs|| / ||rhs|| on the full M (coupled_residual) and
+    For None, M is the whole matrix, factored by one LU.  Else M holds the
+    rows U, of the cells c with c' = mirror[c] >= c, and commutes with the
+    signed swap of the paired cells, so its even (w = Q) and odd (w = -Q)
+    parts are independent.  Block w has the unknowns of the cells in U,
+    all five of a paired cell and those with w = 1 of a cell on the plane;
+    it is M[c, d] + M[c, d'] w over them, its right-hand side (rhs[c] +
+    w rhs[c']) / 2, and its solution x_c adds x_c to a[c] and w x_c to
+    a[c'] (2 x_c to a cell on the plane, whose columns enter twice).  Only
+    a block with a non-zero right-hand side is factored.  The ledger gets
+    ||M a - rhs_U|| / ||rhs_U|| over the rows held (coupled_residual) and
     the sizes of the blocks factored (coupled_blocks).
 
-    A non-finite M or rhs, a singular M (block) and a non-finite or large
-    residual raise ConditioningError.  A singular block whose half of rhs
-    is zero is not factored, so it raises nothing: a is then exact in the
-    other parity, and its residual is checked as any other.
+    A non-finite M or rhs (condition number inf), a singular block (its
+    own) and a non-finite or large residual (the largest block's) raise
+    ConditioningError.  A singular block whose half of rhs is zero is not
+    factored, so it raises nothing: a is then exact in the other parity.
     """
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("coupled interface system has non-finite entries")
+    nc, k = M.shape[1] // 5, rhs.shape[1]
+    cells = np.arange(nc) if mirror is None else np.flatnonzero(mirror >= np.arange(nc))
+    rhs4, factored = rhs.reshape(nc, 5, k), [M] if mirror is None else []
     try:
         if mirror is None:
-            a, blocks = np.linalg.solve(M, rhs), [M.shape[0]]
+            a = np.linalg.solve(M, rhs)
         else:
-            a, blocks = _parity_solve(M, rhs, mirror)
+            image, M4, a = mirror[cells], M.reshape(cells.size, 5, nc, 5), np.zeros_like(rhs4)
+            for w in (_Q, -_Q):
+                keep = ((image > cells)[:, None] | (w > 0)).ravel()  # the block's unknowns
+                half = 0.5 * (rhs4[cells] + w[:, None] * rhs4[image]).reshape(-1, k)[keep]
+                if not half.any():
+                    continue
+                A = (M4.take(image, axis=2) * w).reshape(keep.size, -1)
+                A += M4.take(cells, axis=2).reshape(keep.size, -1)
+                factored.append(A if keep.all() else A[np.ix_(keep, keep)])
+                x = np.zeros((keep.size, k), dtype=rhs.dtype)
+                x[keep] = np.linalg.solve(factored[-1], half)
+                a[cells] += x.reshape(-1, 5, k)
+                a[image] += w[:, None] * x.reshape(-1, 5, k)
+            a = a.reshape(rhs.shape)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"coupled interface system is singular: {exc}", condition_number=_cond(M)
+            f"coupled interface system is singular: {exc}", condition_number=_cond(factored[-1])
         ) from None
-    rhs_norm = np.linalg.norm(rhs)
-    res = float(np.linalg.norm(M @ a - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0
+    eqs = rhs4[cells].reshape(M.shape[0], k)
+    scale = np.linalg.norm(eqs) or np.linalg.norm(rhs)  # rhs_U = 0: rhs's scale
+    res = float(np.linalg.norm(M @ a - eqs) / scale) if scale > 0.0 else 0.0
     if not res <= 1e-8:  # NaN included
-        raise ConditioningError(
-            f"coupled interface solve residual {res:.3e}",
-            condition_number=_cond(M) if np.isfinite(res) else float("inf"),
-        )
+        cond = max(map(_cond, factored), default=np.inf) if np.isfinite(res) else np.inf
+        raise ConditioningError(f"coupled interface solve residual {res:.3e}", cond)
     ledger.note("coupled_residual", res)
-    ledger.note("coupled_blocks", blocks)
+    ledger.note("coupled_blocks", [A.shape[0] for A in factored])
     return a
 
 

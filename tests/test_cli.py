@@ -555,6 +555,8 @@ class TestMainEntry:
         meta = cli.run_forward(sc, tmp_path / "o", mode=mode)
         assert json.loads((tmp_path / "o/forward_meta.json").read_text()) == meta
         assert meta["coupled_blocks"] == blocks
+        # two 4-cell patches: every cell is a row of the fill, paired or not
+        assert meta["kernel_pairs"] == (None if blocks is None else 16)
 
     @pytest.mark.parametrize("mode", ["local", "interacting"])
     def test_forward_stage_timings_in_meta(self, tmp_path, mode):

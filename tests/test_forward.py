@@ -467,50 +467,101 @@ class TestMirrorParity:
         with ledger.record() as rec:
             L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
         assert rec["coupled_blocks"] == blocks
-        assert (fw._mirror_pairs(f.interface) is None) == (scene_name == "lifted_scene")
+        paired = fw._mirror_pairs(f.interface, wave, params) is not None
+        assert paired == (scene_name != "lifted_scene")
         if scene_name == "lifted_scene":
             np.testing.assert_array_equal(L, ref)
         else:
             assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize(
+        "scene_name, pairs",
+        [
+            ("small_scene", 60),  # rows 5 + 4 of 10 + 8 cells: 5 x 8 + 4 x 5
+            ("three_patch_scene", 141),  # rows 5, 4, 3 of 10, 8, 6; both parities
+            ("many_patch_scene", 780),  # every cell on the plane: all rows
+            ("network_smoke_scene", 16),  # 8 cells on the plane: all rows
+        ],
+    )
+    def test_rows_fill_is_full_matrix_rows(self, scene_name, pairs, request, wave, params):
+        # the rows U of M, filled alone, are those of the full M, and the
+        # jumps solved from them meet the residual bound on the full M
+        f = fw._factors(request.getfixturevalue(scene_name), wave, params)
+        M = fw._interaction_matrix(f.interface, wave, params)
+        mirror = fw._mirror_pairs(f.interface, wave, params)
+        rows = mirror >= np.arange(mirror.size)
+        with ledger.record() as rec:
+            MU = fw._interaction_matrix(f.interface, wave, params, rows)
+        assert rec["kernel_pairs"] == pairs
+        full = M.reshape(mirror.size, 5, -1)[rows].reshape(MU.shape)
+        assert np.linalg.norm(MU - full) <= 1e-15 * np.linalg.norm(full)
+        rhs = fw._blockwise(f.interface.E, f.S)
+        a = fw._coupled_solve(MU, rhs, mirror)
+        assert np.linalg.norm(M @ a - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_covariance_miss_takes_full_matrix(self, small_scene, monkeypatch, wave, params):
+        # a kernel with a small part odd in z (cells at z = +-0.25 about
+        # z0 = 0) still pairs the cells, D and E, but fails the probe: the
+        # scene then solves the full M of that kernel by one LU
+        kernel = fw._dislocation_trace_matrix
+
+        def odd(y, n_src, z, n_trc, *args):
+            scale = 1.0 + 1e-8 * (y[:, 2] + z[:, 2])
+            return kernel(y, n_src, z, n_trc, *args) * scale[:, None, None]
+
+        monkeypatch.setattr(fw, "_dislocation_trace_matrix", odd)
+        f = fw._factors(small_scene, wave, params)
+        assert fw._mirror_pairs(f.interface, wave, params) is None
+        M = fw._interaction_matrix(f.interface, wave, params)
+        ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
+        with ledger.record() as rec:
+            L = fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff=None).data
+        assert rec["coupled_blocks"] == [90]
+        assert rec["kernel_pairs"] == 80
+        np.testing.assert_array_equal(L, ref)
+
     @pytest.fixture()
     def paired_system(self, small_scene, wave, params, rng):
+        # small_scene's full M (the oracle), a right-hand side, the pairing
+        # and the unknowns of the rows U, the rows the coupled solve gets
         iface = fw._interface(small_scene.patches, wave.omega)
         M = fw._interaction_matrix(iface, wave, params)
         rhs = rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
-        return M, rhs, fw._mirror_pairs(iface)
+        mirror = fw._mirror_pairs(iface, wave, params)
+        rows = mirror >= np.arange(mirror.size)
+        return M, rhs, mirror, np.repeat(rows, 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_paired_system_is_conditioning_error(self, paired_system, bad):
-        M, rhs, mirror = paired_system
-        M[4, 1] = bad
+        M, rhs, mirror, u = paired_system
+        M[4, 1] = bad  # a row of cell 0, which is in U
         with pytest.raises(ConditioningError) as info:
-            fw._coupled_solve(M, rhs, mirror)
+            fw._coupled_solve(M[u], rhs, mirror)
         assert info.value.condition_number == math.inf
 
     def test_singular_paired_system_is_conditioning_error(self, paired_system):
         # zeroing a column and its mirror keeps M symmetric and makes both blocks singular
-        M, rhs, mirror = paired_system
+        M, rhs, mirror, u = paired_system
         M[:, 7] = M[:, 5 * mirror[1] + 2] = 0.0
         with pytest.raises(ConditioningError, match="singular") as info:
-            fw._coupled_solve(M, rhs, mirror)
+            fw._coupled_solve(M[u], rhs, mirror)
         assert info.value.condition_number > 1e12
 
     def test_singular_block_with_zero_half_is_not_factored(self, paired_system):
         # averaging column 0 and its mirror's keeps M symmetric and zeroes a
         # column of the odd block only; an even rhs never factors that block
-        M, rhs, mirror = paired_system
+        M, rhs, mirror, u = paired_system
         k = 5 * mirror[0]
         M[:, [0, k]] = 0.5 * (M[:, [0]] + M[:, [k]])
         unknown = np.arange(M.shape[0])
         image = 5 * mirror[unknown // 5] + unknown % 5
         even = 0.5 * (rhs + Q5.diagonal()[unknown % 5, None] * rhs[image])
         with ledger.record() as rec:
-            a = fw._coupled_solve(M, even, mirror)
+            a = fw._coupled_solve(M[u], even, mirror)
         assert rec["coupled_blocks"] == [45]
         assert np.linalg.norm(M @ a - even) <= 1e-8 * np.linalg.norm(even)
         with pytest.raises(ConditioningError, match="singular"):
-            fw._coupled_solve(M, rhs, mirror)
+            fw._coupled_solve(M[u], rhs, mirror)
 
 
 class TestRadiate:
