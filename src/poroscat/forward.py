@@ -397,8 +397,8 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
     all five of a paired cell and those with w = 1 of a cell on the plane;
     it is M[c, d] + M[c, d'] w over them, its right-hand side (rhs[c] +
     w rhs[c']) / 2, and its solution x_c adds x_c to a[c] and w x_c to
-    a[c'] (2 x_c to a cell on the plane, whose columns enter twice).  Only
-    a block with a non-zero right-hand side is factored.  The ledger gets
+    a[c'] (2 x_c to a cell on the plane, whose columns enter twice).  A
+    block is factored only if its rhs norm exceeds 1e-14 ||rhs_U||.  The ledger gets
     ||M a - rhs_U|| / ||rhs_U|| over the rows held (coupled_residual) and
     the sizes of the blocks factored (coupled_blocks).
 
@@ -412,6 +412,7 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
     nc, k = M.shape[1] // 5, rhs.shape[1]
     cells = np.arange(nc) if mirror is None else np.flatnonzero(mirror >= np.arange(nc))
     rhs4, factored = rhs.reshape(nc, 5, k), [M] if mirror is None else []
+    eqs = rhs4[cells].reshape(M.shape[0], k)
     try:
         if mirror is None:
             a = np.linalg.solve(M, rhs)
@@ -420,7 +421,7 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
             for w in (_Q, -_Q):
                 keep = ((image > cells)[:, None] | (w > 0)).ravel()  # the block's unknowns
                 half = 0.5 * (rhs4[cells] + w[:, None] * rhs4[image]).reshape(-1, k)[keep]
-                if not half.any():
+                if np.linalg.norm(half) <= 1e-14 * np.linalg.norm(eqs):
                     continue
                 A = (M4.take(image, axis=2) * w).reshape(keep.size, -1)
                 A += M4.take(cells, axis=2).reshape(keep.size, -1)
@@ -434,7 +435,6 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
         raise ConditioningError(
             f"coupled interface system is singular: {exc}", condition_number=_cond(factored[-1])
         ) from None
-    eqs = rhs4[cells].reshape(M.shape[0], k)
     scale = np.linalg.norm(eqs) or np.linalg.norm(rhs)  # rhs_U = 0: rhs's scale
     res = float(np.linalg.norm(M @ a - eqs) / scale) if scale > 0.0 else 0.0
     if not res <= 1e-8:  # NaN included

@@ -45,13 +45,13 @@ and ||g|| = ||T y|| through the r x r triangular factor T of V_r, so no
 block forms its solutions g.  One fixed alpha for a whole map is one
 r x n operator T diag(1/(d_r + alpha)) W_r, built once: it gives z = T y
 of every column in one product, and the winners' y = T^-1 z.  A map
-evaluates its sampling points in blocks, one block after another, and
-each block as arrays over its distinct trial columns: one pattern kernel
-evaluation, one root solve, one filtered product, then one argmin over
-all (point, candidate) columns.  A map notes in the run's ledger
-(poroscat.ledger) its stage seconds, its roots and L's spectrum.  A map
-file is written and read in the matrix file's exchange layout, by
-forward's _write_table and _read_table.
+evaluates its sampling points in blocks, one after another, on one plan
+of its distinct trial columns (_Plan), and each block as arrays over
+those columns: one pattern kernel evaluation, one root solve, one
+filtered product, then one argmin over all (point, candidate) columns.
+A map notes in the run's ledger (poroscat.ledger) its stage seconds, its
+roots and L's spectrum.  A map file is written and read in the matrix
+file's exchange layout, by forward's _write_table and _read_table.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ logger = logging.getLogger(__name__)
 
 # sampling points per block in indicator_map: on the 80x80 fine-grid map
 # (40 sensing points, fixed alpha) blocks of 32, 64 and 128 points took
-# 0.39, 0.32 and 0.39 s (invert_meta.json's map stage, medians of 7, 2 vCPU)
+# 0.26, 0.21 and 0.30 s (invert_meta.json's map stage, medians of 7
+# processes of 9 maps, 2 vCPU); 64 was the fastest in each of the 7
 _BLOCK = 64
 
 __all__ = [
@@ -153,11 +154,10 @@ def trial_pattern_block(
     that off the diagonal).  A sampling point on a sensing point raises
     SingularityError.
     """
+    plan = _pattern_plan(candidates, np.arange(len(candidates)), channels)
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
-    cidx = channel_indices(channels)
-    r, d = _geometry(gpts[:, None, :], pts[None, :, :])
-    patterns = _patterns(r, d, candidates, cidx, wave, params)
+    patterns = _patterns(*_geometry(gpts[:, None, :], pts[None, :, :]), plan, wave, params)
     return patterns.expand(patterns.K)
 
 
@@ -181,26 +181,41 @@ class _Patterns(NamedTuple):
         return M @ self.expand(self.K)
 
 
-def _patterns(r, d, candidates, cidx, wave: WaveState, params: MaterialParams) -> _Patterns:
-    """trial_pattern_block from the block geometry, unexpanded: r (N, nb)
-    and d (N, nb, 3) from the N sensing points to the nb sampling points
-    (greens._geometry), on the channel columns cidx."""
-    N, nb = r.shape
-    normals = np.array([np.asarray(n, float).reshape(3) for n, _ in candidates]).reshape(-1, 3)
-    bad = [iota for _, iota in candidates if iota not in (0, 1)]
+class _Plan(NamedTuple):
+    """What every block of a map shares: coef (w, n_columns) of _Patterns,
+    its (j, k) pairs, the channel columns and each candidate's column."""
+
+    coef: np.ndarray
+    pairs: list[tuple[int, int]]
+    channels: list[int]
+    inverse: np.ndarray
+
+
+def _pattern_plan(columns, inverse, channels: Sequence[str]) -> _Plan:
+    """The _Plan of the trial columns (normal, iota) on the named channels,
+    for candidates whose columns inverse indexes."""
+    normals = np.array([np.asarray(n, float).reshape(3) for n, _ in columns]).reshape(-1, 3)
+    bad = [iota for _, iota in columns if iota not in (0, 1)]
     if bad:
         raise DomainError(f"iota must be 0 or 1, got {bad[0]!r}")
-    dip = np.array([iota == 1 for _, iota in candidates], dtype=bool)
+    dip = np.array([iota == 1 for _, iota in columns], dtype=bool)
     j, k = np.triu_indices(3)
     weight = normals[:, j] * normals[:, k] * np.where(j == k, 1.0, 2.0)
     used = np.any(weight[dip] != 0.0, axis=0)
-    # coefficient of candidate q on (pair (j, k) ..., pressure row)
-    coef = np.zeros((used.sum() + 1, len(candidates)))
+    # coefficient of column q on (pair (j, k) ..., pressure row)
+    coef = np.zeros((used.sum() + 1, len(columns)))
     coef[:-1, dip] = weight[dip][:, used].T
     coef[-1, ~dip] = 1.0  # unit -[[q]] monopole
     pairs = list(zip(j[used].tolist(), k[used].tolist()))
-    K = _pattern_kernel(r, d, cidx.tolist(), pairs, wave, params)  # (N, C, nb, pairs + 1)
-    return _Patterns(K.reshape(N * cidx.size, nb * coef.shape[0]), coef)
+    return _Plan(coef, pairs, channel_indices(channels).tolist(), inverse)
+
+
+def _patterns(r, d, plan: _Plan, wave: WaveState, params: MaterialParams) -> _Patterns:
+    """The trial columns of plan from the block geometry, unexpanded: r
+    (N, nb) and d (N, nb, 3) from the N sensing points to the nb sampling
+    points (greens._geometry)."""
+    K = _pattern_kernel(r, d, plan.channels, plan.pairs, wave, params)  # (N, C, nb, pairs + 1)
+    return _Patterns(K.reshape(len(r) * len(plan.channels), -1), plan.coef)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +519,11 @@ def alpha_from_eta(eta: float, lam_norm: float, delta: float) -> float:
     return eta / (lam_norm + delta)
 
 
-def _re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a^H b) per column of two C-contiguous complex (n, k) arrays, as
-    one sum of products over their float views: no conjugated temporary."""
-    return np.einsum("ij,ij->j", a.view(float), b.view(float)).reshape(-1, 2).sum(axis=1)
+def _norms_sq(a: np.ndarray) -> np.ndarray:
+    """||a_j||^2 per column of a C-contiguous complex (n, k) array: its
+    float view squared and summed over rows, then each real and imaginary pair."""
+    sq = np.einsum("ij,ij->j", a.view(float), a.view(float))
+    return sq[0::2] + sq[1::2]
 
 
 class GlsmPencil:
@@ -593,13 +609,12 @@ class _Block(NamedTuple):
 
 def _eval_block(
     points,
-    cands: Sequence[tuple[np.ndarray, int]],
+    plan: _Plan,
     op: SvdOperator,
     delta: float,
     grid_points,
     wave: WaveState,
     params: MaterialParams,
-    channels: Sequence[str],
     pencil: GlsmPencil | None = None,
     fixed: np.ndarray | None = None,
 ) -> _Block:
@@ -611,19 +626,18 @@ def _eval_block(
     (GlsmPencil).  Under the fixed-alpha operator ``fixed``
     (GlsmPencil.operator) z = fixed @ Phi and the winners' y = T^-1 z;
     else y = GlsmPencil.coordinates at the alpha of each candidate's
-    discrepancy weight.  Patterns, roots
-    and solves run on the distinct trial columns (_distinct); the norms
-    and the root sides are then spread back over all (point, candidate)
-    columns.  Each point takes the candidate of least ||g|| (ties go to
-    the first).  Returns (value, candidate index) per point, NaN and -1
-    where no candidate is usable or the point coincides with a sensing
-    point.  The roots of the (point, candidate) columns are
-    counted, and the seconds of patterns, roots and solve added, in the
-    ledger.
+    discrepancy weight.  Patterns, roots and solves run on the plan's
+    distinct trial columns (_distinct); the norms and the root sides are
+    then spread back over all (point, candidate) columns.  Each point
+    takes the candidate of least ||g|| (ties go to the first).  Returns
+    (value, candidate index) per point, NaN and -1 where no candidate is
+    usable or the point coincides with a sensing point.  The roots of the
+    (point, candidate) columns are counted, and the seconds of patterns,
+    roots and solve added, in the ledger.
     """
     pts = np.asarray(points, dtype=float)
     gpts = np.asarray(grid_points, dtype=float)
-    nb, ncand = pts.shape[0], len(cands)
+    nb, ncand = pts.shape[0], plan.inverse.size
     vals = np.full(nb, np.nan)
     argmin = np.full(nb, -1, dtype=int)
     # one geometry pass: the trial kernels are singular at r = 0, so the
@@ -632,12 +646,11 @@ def _eval_block(
     live = np.flatnonzero(np.all(r > 0.0, axis=0))
     if live.size == 0 or op.norm2 == 0.0:
         return _Block(vals, argmin)
-    cols, inverse = _distinct(cands)
     # the distinct column of each (point, candidate) column
-    spread = (np.arange(live.size)[:, None] * len(cols) + inverse).ravel()
+    spread = (np.arange(live.size)[:, None] * plan.coef.shape[1] + plan.inverse).ravel()
     with ledger.stage("patterns"):
-        r, cidx = r[:, live], channel_indices(channels)
-        Phi = _patterns(r, w[:, live] / r[..., None], cols, cidx, wave, params)
+        r = r[:, live]
+        Phi = _patterns(r, w[:, live] / r[..., None], plan, wave, params)
     with ledger.stage("roots"):
         if fixed is None:
             beta_sq, floors = _projection(op, Phi)
@@ -652,7 +665,7 @@ def _eval_block(
             if fixed is None:
                 Y = pencil.coordinates(Phi, alpha_from_eta(etas, op.norm2, delta))
             Z = pencil.T @ Y if fixed is None else fixed @ Phi
-            norms = np.sqrt(_re_inner(Z, Z))
+            norms = np.sqrt(_norms_sq(Z))
         norms = np.where((norms > 0.0) & (norms < math.inf), norms, math.inf)
         best = np.argmin(norms[spread].reshape(live.size, ncand), axis=1)
         win = spread[np.arange(live.size) * ncand + best]
@@ -663,7 +676,7 @@ def _eval_block(
             vals[p] = 1.0 / norms[win]
         else:
             Y = Y.take(win, axis=1) if fixed is None else pencil.T_inv @ Z[:, win]
-            vals[p] = 1.0 / np.sqrt(_re_inner(Y, Y))
+            vals[p] = 1.0 / np.sqrt(_norms_sq(Y))
     return _Block(vals, argmin)
 
 
@@ -783,7 +796,7 @@ def indicator_map(
         ledger.note("pencil_rank", pencil.rank)
     pts = scene.sampling.points()
     cands = scene.sampling.candidates()
-    gpts, channels = scene.grid.points, scene.channels
+    gpts, plan = scene.grid.points, _pattern_plan(*_distinct(cands), scene.channels)
 
     if pencil is not None and alpha_policy == "fixed":
         if fixed_alpha is None:
@@ -792,14 +805,14 @@ def indicator_map(
             k = next((k for k in order if np.all(_separation(gpts, pts[k])[0] > 0.0)), None)
             if op.norm2 == 0.0 or k is None:
                 raise NumericalError("could not derive a fixed alpha near the grid center")
-            cols, inverse = _distinct(cands)
             with ledger.stage("patterns"):
-                center = trial_pattern_block(pts[k:k + 1], cols, gpts, wave, params, channels)
+                r, d = _geometry(gpts[:, None, :], pts[None, k:k + 1])
+                center = _patterns(r, d, plan, wave, params)
             with ledger.stage("roots"):
-                etas, sides = _morozov_roots(op, *_projection(op, center), delta)
+                etas, sides = _morozov_roots(op, *_projection(op, center.expand(center.K)), delta)
                 # the median over all candidates, not over the distinct columns
-                _count_roots(sides[inverse])
-                fixed_alpha = alpha_from_eta(float(np.median(etas[inverse])), op.norm2, delta)
+                _count_roots(sides[plan.inverse])
+                fixed_alpha = alpha_from_eta(float(np.median(etas[plan.inverse])), op.norm2, delta)
             logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
         with ledger.stage("setup"):
             fixed = pencil.operator(fixed_alpha)
@@ -808,8 +821,7 @@ def indicator_map(
     argmin = np.full(len(pts), -1, dtype=int)
     for s in range(0, len(pts), _BLOCK):
         raw[s:s + _BLOCK], argmin[s:s + _BLOCK] = _eval_block(
-            pts[s:s + _BLOCK], cands, op, delta, gpts, wave, params, channels,
-            pencil, fixed,
+            pts[s:s + _BLOCK], plan, op, delta, gpts, wave, params, pencil, fixed,
         )
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0

@@ -28,6 +28,11 @@ scalars itself (radial_scalars over greens._Radial).  radial_scalars
 works over any arithmetic: with plain mpmath numbers it is the 40-digit
 reference of the radial evaluator in tests/test_greens.py.
 
+radial_table_oracle is greens._Table as first written: every mode at
+every r, each mode's product a fresh array.  The production table skips
+the r where a mode's exp(i k r) has underflowed to 0.0 and writes whole
+rows into one buffer; its values must equal the oracle's to the bit.
+
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
 traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
@@ -89,6 +94,31 @@ def radial_scalars(g, r, wave: WaveState, params: MaterialParams) -> dict:
     for name, pair in (("phi", s2(Phi)), ("psi", s2(Psi))):
         out["P_" + name], out["Q_" + name] = pair
     return out
+
+
+def radial_table_oracle(fns, r) -> np.ndarray:
+    """greens._Table of the radial functions fns at the distances r as
+    first written: one exp over the modes and every mode at every r, the
+    powers summed per mode (one product), then the modes in order."""
+    c = np.stack([f.c for f in fns], axis=1)  # (modes, F, _J)
+    used = np.flatnonzero(c.any(axis=(0, 1)))
+    j = np.arange(used[0], used[-1] + 1)
+    C = np.ascontiguousarray(c[:, :, j])
+    r = np.asarray(r, dtype=float)
+    s = r.reshape(-1)
+    inv = 1.0 / s
+    powers = np.empty((j.size, s.size), dtype=complex)
+    np.power(inv, j[0], out=powers[0])
+    for m in range(1, j.size):
+        np.multiply(powers[m - 1], inv, out=powers[m])
+    E = np.exp(np.multiply.outer(fns[0].ik, s))
+    out = C[0] @ powers
+    out *= E[0]
+    for x in range(1, E.shape[0]):
+        v = C[x] @ powers
+        v *= E[x]
+        out += v
+    return out.reshape(C.shape[1:2] + r.shape)
 
 
 def evaluated_scalars(r, wave: WaveState, params: MaterialParams) -> dict:

@@ -74,6 +74,13 @@ def three_patch_scene(small_scene):
 
 
 @pytest.fixture(scope="module")
+def three_patch_in_plane_scene(three_patch_scene):
+    """three_patch_scene on the in-plane channels: its odd half of rhs is
+    rounding (1.4e-17 against an even half of 0.48)."""
+    return dataclasses.replace(three_patch_scene, channels="in-plane")
+
+
+@pytest.fixture(scope="module")
 def many_patch_scene(small_scene):
     """40 single-cell patches on a 5 x 8 lattice, alternating contact models:
     every pair of cells is a one-pair patch rectangle."""
@@ -457,6 +464,7 @@ class TestMirrorParity:
             ("network_smoke_scene", [32]),  # 8 cells on the plane
             ("three_patch_scene", [60, 60]),  # "full" channels: both halves of rhs
             ("lifted_scene", [90]),  # no pairing: one LU of M
+            ("three_patch_in_plane_scene", [60]),  # odd half at rounding level: not factored
         ],
     )
     def test_split_matches_full_lu(self, scene_name, blocks, request, wave, params):

@@ -7,12 +7,17 @@ import pytest
 
 from poroscat.errors import DomainError, SingularityError
 from poroscat.greens import (  # biot_residual is also the acceptance suite's oracle
+    _DISLOCATION,
+    _PATTERN_FLUID,
+    _PATTERN_FORCE,
+    _SCALARS,
     _Table,
     _coeffs,
     _dislocation_trace_matrix,
     _geometry,
     _modes,
     _pattern_kernel,
+    _radial_functions,
     _trace_matrix,
     biot_residual,
     dislocation_trace_kernel,
@@ -21,7 +26,13 @@ from poroscat.greens import (  # biot_residual is also the acceptance suite's or
 )
 from poroscat.material import solve_dispersion
 
-from oracles import dislocation_trace_oracle, radial_scalars, trace_matrix_oracle, trace_rows
+from oracles import (
+    dislocation_trace_oracle,
+    radial_scalars,
+    radial_table_oracle,
+    trace_matrix_oracle,
+    trace_rows,
+)
 
 
 def radial(k, r, order=0):
@@ -30,6 +41,42 @@ def radial(k, r, order=0):
     for _ in range(order):
         f = f.d
     return _Table([f])(r)[0]
+
+
+class TestRadialTable:
+    """The table, which skips a mode where its exp(i k r) has underflowed
+    and writes whole rows into one buffer, gives the values of every mode
+    at every r (radial_table_oracle), to the bit."""
+
+    TABLES = {"pattern": _PATTERN_FORCE + _PATTERN_FLUID, "trace": _SCALARS,
+              "dislocation": _DISLOCATION}
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("kind", ["straddling", "inside", "beyond", "single", "lone"])
+    def test_table_matches_oracle(self, table, kind, wave, params, rng):
+        fns = [_radial_functions(wave, params)[name] for name in self.TABLES[table]]
+        tab = _Table(fns)
+        reach = tab.reach[2]  # the Biot slow wave's: 746 / Im k_p2
+        assert 2.2 < reach < 2.3
+        r = {
+            "straddling": rng.uniform(1.0, 4.0, (40, 64)),
+            "inside": rng.uniform(1e-3, reach, 300),
+            "beyond": rng.uniform(reach, 40.0, 300),
+            "single": np.array([1.5]),
+            "lone": np.array([3.0, 0.05, 8.0, 5.0]),  # one r where the slow wave counts
+        }[kind]
+        if kind == "straddling":
+            assert 0 < np.count_nonzero(r > reach) < r.size
+        np.testing.assert_array_equal(tab(r), radial_table_oracle(fns, r))
+
+    def test_lossless_mode_has_infinite_reach(self, rng):
+        gs, g1, g2 = _modes((5.0, 3.0 + 0.01j, 300.0 + 300.0j))
+        total = gs + g1 - 2.0 * g2
+        fns = [total, total.d, total.d.d, g1.d - gs.d.d]
+        tab = _Table(fns)
+        assert math.isinf(tab.reach[0]) and tab.reach[2] == pytest.approx(746.0 / 300.0)
+        for r in (rng.uniform(0.5, 5.0, 200), rng.uniform(1e3, 1e5, 50), np.array([1e4])):
+            np.testing.assert_array_equal(tab(r), radial_table_oracle(fns, r))
 
 
 class TestHelmholtzKernel:

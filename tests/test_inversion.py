@@ -648,7 +648,8 @@ class TestGlsmPencil:
         pencil = inv.GlsmPencil(noisy.data, sharp, delta)
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
-        block = inv._eval_block(pts, cands, op, delta, gpts, wave, params, scene.channels, pencil)
+        plan = inv._pattern_plan(*inv._distinct(cands), scene.channels)
+        block = inv._eval_block(pts, plan, op, delta, gpts, wave, params, pencil)
         Phi = inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels)
         etas, _ = inv._morozov_roots(op, *inv._projection(op, Phi), delta)
         alpha = inv.alpha_from_eta(etas, op.norm2, delta)
@@ -671,8 +672,8 @@ class TestGlsmPencil:
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
         block = inv._eval_block(
-            pts, cands, op, noisy.delta, gpts, wave, params, scene.channels, pencil,
-            pencil.operator(alpha),
+            pts, inv._pattern_plan(*inv._distinct(cands), scene.channels), op, noisy.delta,
+            gpts, wave, params, pencil, pencil.operator(alpha),
         )
         Y = pencil.coordinates(
             inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels), alpha
@@ -716,8 +717,8 @@ def indicator_at(x0, cands, L, delta, scene, wave, params, sharp=None):
     evaluator on a one-point block, penalized when the L# operator sharp is given."""
     pencil = None if sharp is None else inv.GlsmPencil(L, sharp, delta)
     (value,), (best,) = inv._eval_block(
-        np.reshape(x0, (1, 3)), cands, inv.SvdOperator(L), delta, scene.grid.points,
-        wave, params, scene.channels, pencil=pencil,
+        np.reshape(x0, (1, 3)), inv._pattern_plan(*inv._distinct(cands), scene.channels),
+        inv.SvdOperator(L), delta, scene.grid.points, wave, params, pencil=pencil,
     )
     return float(value), int(best)
 
@@ -763,6 +764,34 @@ class TestIndicatorMap:
             value, best = indicator_at(pts[b], cands, lam.data, imap.delta, scene, wave, params)
             assert imap.raw[b] == pytest.approx(value, rel=1e-9)
             assert imap.argmin_iota[b] == cands[best][1]
+
+    @pytest.mark.parametrize("policy", ["per-candidate", "fixed"])
+    def test_one_plan_per_map(self, scene, lam, wave, params, monkeypatch, policy):
+        # the distinct columns and their pattern plan are built once per
+        # map, not per block: blocks of 8 points split the 36 into 5, and
+        # the fixed policy's centre column reads the same plan
+        calls = {"_distinct": 0, "_pattern_plan": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(inv, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(inv, name, counted)
+        monkeypatch.setattr(inv, "_BLOCK", 8)
+        with pytest.warns(RuntimeWarning, match="self-adjoint"):
+            imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy=policy)
+        assert np.isfinite(imap.raw).all()
+        assert calls == {"_distinct": 1, "_pattern_plan": 1}
+
+    @pytest.mark.parametrize("shape", [(73, 576), (73, 64)], ids=["73x576", "73x64"])
+    def test_norms_sq_is_einsum_form(self, rng, shape):
+        # the squared column norms of the fixed-alpha z (73 x 576 on a
+        # 64-point block of 9 distinct columns) and of the winners' y, bit
+        # for bit as the sum of products over both float views
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a *= rng.lognormal(0.0, 3.0, size=shape)
+        ref = np.einsum("ij,ij->j", a.view(float), a.view(float)).reshape(-1, 2).sum(axis=1)
+        np.testing.assert_array_equal(inv._norms_sq(a), ref)
+        np.testing.assert_allclose(inv._norms_sq(a), np.linalg.norm(a, axis=0) ** 2, rtol=1e-13)
 
     def test_matrix_of_other_scene_rejected(self, scene, lam, wave, params):
         # the sensing-point count, channels and omega match; the material does not
@@ -892,7 +921,8 @@ class TestIndicatorMap:
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
 
         def peak(pencil):
-            args = (pts, cands, op, noisy.delta, scene.grid.points, wave, params, scene.channels)
+            plan = inv._pattern_plan(*inv._distinct(cands), scene.channels)
+            args = (pts, plan, op, noisy.delta, scene.grid.points, wave, params)
             inv._eval_block(*args, pencil)  # warm any per-(wave, params) caches
             tracemalloc.start()
             try:
