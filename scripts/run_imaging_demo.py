@@ -9,7 +9,6 @@ vs. off-fracture contrast).  Figures land as PGM heatmaps in --out.
 
 import argparse
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +63,15 @@ def main() -> None:
     noisy = fw.inject_noise(lam, target_delta=args.delta, seed=args.seed)
     print(f"noise: ||perturbation||_2 = {noisy.delta:.4g}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for method in ("lsm", "glsm"):
-            for mat, label in ((lam, "clean"), (noisy, "noisy")):
-                t0 = time.perf_counter()
-                imap = inv.indicator_map(scene, mat, method, wave, params)
-                dt = time.perf_counter() - t0
-                summarize(imap, scene, wave, f"{method}/{label}")
-                inv.save_indicator_map(imap, out / f"map_{method}_{label}.csv")
-                write_pgm(imap, out / f"map_{method}_{label}.pgm")
-                print(f"{'':<14} ({dt:.1f}s; wrote map_{method}_{label}.csv/.pgm)")
+    for method in ("lsm", "glsm"):
+        for mat, label in ((lam, "clean"), (noisy, "noisy")):
+            t0 = time.perf_counter()
+            imap = inv.indicator_map(scene, mat, method, wave, params)
+            dt = time.perf_counter() - t0
+            summarize(imap, scene, wave, f"{method}/{label}")
+            inv.save_indicator_map(imap, out / f"map_{method}_{label}.csv")
+            write_pgm(imap, out / f"map_{method}_{label}.pgm")
+            print(f"{'':<14} ({dt:.1f}s; wrote map_{method}_{label}.csv/.pgm)")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,19 +59,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# modal speeds of the reference background at omega = 3.91, used by the
-# dispersion entry of the check suite when the scenario matches it
-_REFERENCE_SPEEDS = {
-    "c_s": 0.66 + 8.8e-6j,
-    "c_p1": 1.26 + 3.0e-7j,
-    "c_p2": 5.8e-3 + 5.8e-3j,
-}
-
-
 # ---------------------------------------------------------------------------
 # scenario schema
 # ---------------------------------------------------------------------------
-_MATERIAL_KEYS = ("lam", "mu", "M", "rho", "rho_f", "rho_a", "kappa", "phi", "alpha")
+_MATERIAL_KEYS = tuple(f.name for f in fields(MaterialParams))
 
 
 def _show(value) -> str:
@@ -576,7 +567,7 @@ def _entry(name: str, ok: bool | None, detail: str) -> dict:
 
 
 def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
-    from .presets import pecos_sandstone, PECOS_OMEGA
+    from .presets import PECOS_OMEGA, PECOS_SPEEDS, pecos_sandstone
 
     ref = pecos_sandstone()
     same = all(
@@ -589,7 +580,7 @@ def _check_dispersion(params: MaterialParams, wave: WaveState) -> dict:
     ok = True
     details = []
     for c, key in ((cs, "c_s"), (cp1, "c_p1"), (cp2, "c_p2")):
-        ref_c = _REFERENCE_SPEEDS[key]
+        ref_c = PECOS_SPEEDS[key]
         rel = abs(c.real - ref_c.real) / abs(ref_c.real)
         ratio = abs(c.imag) / abs(ref_c.imag)
         good = rel <= 0.05 and 0.5 <= ratio <= 2.0

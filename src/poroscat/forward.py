@@ -398,14 +398,16 @@ def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
     it is M[c, d] + M[c, d'] w over them, its right-hand side (rhs[c] +
     w rhs[c']) / 2, and its solution x_c adds x_c to a[c] and w x_c to
     a[c'] (2 x_c to a cell on the plane, whose columns enter twice).  A
-    block is factored only if its rhs norm exceeds 1e-14 ||rhs_U||.  The ledger gets
-    ||M a - rhs_U|| / ||rhs_U|| over the rows held (coupled_residual) and
-    the sizes of the blocks factored (coupled_blocks).
+    block is factored only if its rhs norm exceeds 1e-14 ||rhs_U||.  The
+    ledger gets ||M a - rhs_U|| / ||rhs_U|| over the rows held
+    (coupled_residual) and the sizes of the blocks factored
+    (coupled_blocks).
 
     A non-finite M or rhs (condition number inf), a singular block (its
     own) and a non-finite or large residual (the largest block's) raise
-    ConditioningError.  A singular block whose half of rhs is zero is not
-    factored, so it raises nothing: a is then exact in the other parity.
+    ConditioningError.  A singular block whose half of rhs has norm at
+    most 1e-14 ||rhs_U|| is not factored, so it raises nothing: a then
+    solves the other parity, and the residual is still checked.
     """
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         raise ConditioningError("coupled interface system has non-finite entries")
@@ -544,13 +546,15 @@ def assemble_lambda(
     wave: WaveState,
     params: MaterialParams,
     mode: str = "local",
-    cutoff: float | None = 50.0,
+    cutoff: float | None = None,
 ) -> ScatteringMatrix:
     """Assemble the discrete scattering operator of a scene.
 
     Column block j holds the scattered (u, p) data at every grid point
     for a unit excitation of channel j; the operator is the composition
-    R T S of radiation, interface transfer and incident traces.
+    R T S of radiation, interface transfer and incident traces.  In
+    interacting mode the patches couple when they lie within cutoff /
+    min(Im k) of each other, or always for cutoff None.
     """
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")

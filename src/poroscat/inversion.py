@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -744,11 +743,12 @@ def indicator_map(
 
     Blocks of sampling points are evaluated one after another, all
     sharing one SVD of the data operator and, for the penalized method,
-    one GlsmPencil.  Under alpha_policy="fixed" every candidate uses one
-    alpha: fixed_alpha, or else the one from the median Morozov weight of
-    the candidates at the grid center, or at the sampling point nearest it
-    that is not a sensing point (a documented approximation of the
-    per-candidate rule).  Per-point failures, sampling points that
+    one GlsmPencil.  Under alpha_policy="fixed" every glsm candidate uses
+    one alpha: fixed_alpha, or else the one from the median Morozov weight
+    of the candidates at the grid center, or at the sampling point nearest
+    it that is not a sensing point (a documented approximation of the
+    per-candidate rule).  fixed_alpha under the per-candidate policy, or
+    lsm under the fixed one, raises DomainError.  Per-point failures, sampling points that
     coincide with sensing points included, are recorded as NaN values,
     never aborts.  The ledger gets the seconds of setup (the SVD, L#, the
     pencil and the fixed-alpha operator) and of the blocks' stages, the
@@ -758,6 +758,13 @@ def indicator_map(
         raise DomainError(f"method must be lsm|glsm, got {method!r}")
     if alpha_policy not in ("per-candidate", "fixed"):
         raise DomainError(f"alpha_policy must be per-candidate|fixed, got {alpha_policy!r}")
+    if (fixed_alpha is not None and alpha_policy != "fixed") or (
+        method == "lsm" and alpha_policy == "fixed"
+    ):
+        raise DomainError(
+            f"{method} with alpha_policy {alpha_policy!r} and fixed_alpha {fixed_alpha!r}: "
+            "fixed_alpha needs the fixed alpha policy, which applies to glsm only"
+        )
     if isinstance(matrix, ScatteringMatrix) and (
         matrix.n_points != scene.grid.count or matrix.channels != scene.channels
         or matrix.omega != wave.omega
@@ -780,14 +787,6 @@ def indicator_map(
             _bracket(op, delta)  # rejects an operator norm or delta out of range
         pencil = fixed = None
         if method == "glsm":
-            if wave.gamma.imag > 1e-6 * abs(wave.gamma):
-                warnings.warn(
-                    "penalized (glsm) imaging with significantly complex coupling "
-                    "gamma: the operator is not self-adjoint and the penalty lacks "
-                    "a range characterization; proceeding anyway",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             pencil = GlsmPencil(op.matrix, lambda_sharp(op.matrix), delta)
     ledger.note("operator_rank", op.rank)
     ledger.note("sigma_max", op.norm2)

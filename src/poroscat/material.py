@@ -84,31 +84,6 @@ class ReferenceScales:
         _require_positive("rho_r", self.rho_r)
         _require_positive("ell_r", self.ell_r)
 
-    @classmethod
-    def from_drained_shear(
-        cls,
-        mu_r: float,
-        rho_r: float,
-        mu_prime: float,
-        rho_solid_prime: float,
-        porosity: float,
-        omega_prime: float,
-    ) -> "ReferenceScales":
-        """Build scales with ell_r set to the drained shear wavelength.
-
-        ell_r = 2*pi*sqrt(mu' / ((1 - phi)*rho_s'*omega'^2)) with rho_s'
-        the solid-phase density and omega' the angular frequency [rad/s].
-        """
-        _require_positive("mu_prime", mu_prime)
-        _require_positive("rho_solid_prime", rho_solid_prime)
-        _require_positive("omega_prime", omega_prime)
-        if not 0.0 < porosity < 1.0:
-            raise DomainError(f"porosity must lie in (0, 1), got {porosity!r}")
-        ell_r = 2.0 * math.pi * math.sqrt(
-            mu_prime / ((1.0 - porosity) * rho_solid_prime * omega_prime**2)
-        )
-        return cls(mu_r=mu_r, rho_r=rho_r, ell_r=ell_r)
-
 
 @dataclass(frozen=True)
 class DimensionalMaterial:

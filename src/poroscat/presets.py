@@ -1,10 +1,9 @@
 """Reference materials and ready-made scenes for experiments and tests.
 
 The background is a Pecos-sandstone-like dimensionless parameter set; its
-permeability is fixed so that the three complex modal speeds at omega =
-3.91 come out at c_s ~ 0.66 + 8.8e-6 i, c_p1 ~ 1.26 + 3.0e-7 i and
-c_p2 ~ 5.8e-3 (1 + i), the regime the imaging experiments target (shear
-wavelength close to one).
+permeability is fixed so that the three complex modal speeds at
+PECOS_OMEGA come out at PECOS_SPEEDS, the regime the imaging experiments
+target (shear wavelength close to one).
 """
 
 from __future__ import annotations
@@ -19,11 +18,19 @@ from .scene import ContactParams, Scene
 __all__ = [
     "pecos_sandstone",
     "PECOS_OMEGA",
+    "PECOS_SPEEDS",
     "desk_scale_scene",
     "desk_scale_scenario",
 ]
 
 PECOS_OMEGA = 3.91
+# the modal speeds c_s, c_p1 and c_p2 of pecos_sandstone() at PECOS_OMEGA;
+# the check suite's dispersion entry compares a matching scenario with them
+PECOS_SPEEDS = {
+    "c_s": 0.66 + 8.8e-6j,
+    "c_p1": 1.26 + 3.0e-7j,
+    "c_p2": 5.8e-3 + 5.8e-3j,
+}
 
 
 def pecos_sandstone() -> MaterialParams:

@@ -394,7 +394,6 @@ class TestMainEntry:
         assert (tmp_path / "o" / "map_lsm.pgm").exists()
 
     @pytest.mark.parametrize("method", ["lsm", "glsm"])
-    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_sampling_point_on_sensing_point_gives_nan(
         self, tmp_path, tiny_scenario_doc, method
     ):
@@ -450,7 +449,6 @@ class TestMainEntry:
         assert rc == cli.EXIT_VALIDATION
         assert "bad header value" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_fixed_alpha_with_center_on_sensing_point(self, tmp_path, tiny_scenario_doc):
         # centre the sampling region on the third sensing point
         x, y, _ = cli.parse_scenario(tiny_scenario_doc).scene.grid.points[2]
@@ -470,9 +468,29 @@ class TestMainEntry:
         assert np.isnan(imap.raw[on_sensor]).all()
         assert np.isfinite(imap.raw[~on_sensor]).all()
 
+    @pytest.mark.parametrize("fixed_alpha", [None, 1e-3])
+    def test_lsm_refuses_fixed_alpha_policy(self, tmp_path, tiny_scenario_doc, capsys, fixed_alpha):
+        # the fixed policy is glsm's: an lsm invert under it exits 2 and
+        # names the policy, and the same scenario inverts with --method
+        # glsm without a RuntimeWarning
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["inversion"].update(method="lsm", alpha_policy="fixed")
+        if fixed_alpha is not None:
+            doc["inversion"]["fixed_alpha"] = fixed_alpha
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        argv = ["invert", "--scenario", str(path), "--out", str(out)]
+        assert cli.main(["forward", "--scenario", str(path), "--out", str(out)]) == 0
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "alpha_policy 'fixed'" in capsys.readouterr().err
+        assert not (out / "map_lsm.csv").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv + ["--method", "glsm"]) == 0
+
     @pytest.mark.parametrize("method", ["lsm", "glsm"])
     @pytest.mark.parametrize("region", [None, [-3.2, 2.8, -3.0, 3.0]])
-    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_root_counters_in_meta(self, tmp_path, tiny_scenario_doc, method, region):
         # the second region puts two sampling points on sensing points
         doc = json.loads(json.dumps(tiny_scenario_doc))
@@ -492,7 +510,6 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "method, policy", [("lsm", "per-candidate"), ("glsm", "per-candidate"), ("glsm", "fixed")]
     )
-    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_stage_timings_in_meta(self, tmp_path, tiny_scenario_doc, method, policy):
         doc = json.loads(json.dumps(tiny_scenario_doc))
         doc["inversion"]["alpha_policy"] = policy
@@ -575,7 +592,6 @@ class TestMainEntry:
         if mode == "interacting":
             assert timings["coupling"] + timings["solve"] <= timings["assemble"]
 
-    @pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
     def test_spectrum_summary_in_meta(self, tmp_path):
         # L's singular values against delta, from an SVD of the written matrix
         doc = _perfbench("workloads").scenario_doc("desk-image", 1, smoke=True)
@@ -843,7 +859,6 @@ def test_mutated_matrix_file_gives_exit_code(forward_lines, tmp_path_factory, mu
     ],
     ids=["delta-1e300", "entry-1e300", "entry-1.7e308", "all-1e-310"],
 )
-@pytest.mark.filterwarnings("ignore:penalized:RuntimeWarning")
 def test_extreme_matrix_file_gives_typed_error(
     forward_lines, tmp_path, capsys, mutation, cause, method
 ):
@@ -911,6 +926,19 @@ def test_runtime_loads_no_scipy(tmp_path, scenario_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split()[-2:] == ["0", "False"]
+
+
+def test_package_import_loads_no_module():
+    """The package re-exports nothing: each name is imported from its
+    module, so `import poroscat` loads none of them."""
+    code = "import sys, poroscat; print(sorted(m for m in sys.modules if m.startswith('poroscat.')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_tracer_wraps_and_restores():

@@ -777,8 +777,7 @@ class TestIndicatorMap:
                 return _fn(*args)
             monkeypatch.setattr(inv, name, counted)
         monkeypatch.setattr(inv, "_BLOCK", 8)
-        with pytest.warns(RuntimeWarning, match="self-adjoint"):
-            imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy=policy)
+        imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy=policy)
         assert np.isfinite(imap.raw).all()
         assert calls == {"_distinct": 1, "_pattern_plan": 1}
 
@@ -805,8 +804,7 @@ class TestIndicatorMap:
         np.testing.assert_array_equal(imap.raw, inv.indicator_map(scene, lam.data, "lsm", wave, other).raw)
 
     def test_glsm_map_matches_direct_solves(self, scene, lam, wave, params):
-        with pytest.warns(RuntimeWarning, match="self-adjoint"):
-            imap = inv.indicator_map(scene, lam, "glsm", wave, params)
+        imap = inv.indicator_map(scene, lam, "glsm", wave, params)
         pts = scene.sampling.points()
         cands = scene.sampling.candidates()
         sharp = inv.lambda_sharp(lam.data)
@@ -856,8 +854,7 @@ class TestIndicatorMap:
         pts = scene.sampling.points()
         cands = scene.sampling.candidates()
         for data in (noisy, lam):
-            with pytest.warns(RuntimeWarning, match="self-adjoint"):
-                imap = inv.indicator_map(scene, data, "glsm", wave, params)
+            imap = inv.indicator_map(scene, data, "glsm", wave, params)
             L, delta = data.data, imap.delta
             sharp = inv.lambda_sharp(L)
             sharp_psd = clamp_psd(sharp)
@@ -884,20 +881,32 @@ class TestIndicatorMap:
         assert imap.degenerate_count == sampling.point_count
 
     def test_fixed_alpha_policy_runs(self, scene, lam, wave, params):
-        with pytest.warns(RuntimeWarning):
-            imap = inv.indicator_map(
-                scene, lam, "glsm", wave, params, alpha_policy="fixed"
-            )
+        imap = inv.indicator_map(
+            scene, lam, "glsm", wave, params, alpha_policy="fixed"
+        )
         assert np.isfinite(imap.raw).all()
+
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [("lsm", {"alpha_policy": "fixed"}),
+         ("lsm", {"alpha_policy": "fixed", "fixed_alpha": 1e-3}),
+         ("lsm", {"fixed_alpha": 1e-3}),
+         ("glsm", {"fixed_alpha": 1e-3})],
+        ids=["lsm-fixed", "lsm-fixed-alpha", "lsm-alpha-only", "glsm-alpha-only"],
+    )
+    def test_fixed_alpha_refused_where_unused(self, scene, lam, wave, params, method, kwargs):
+        # lsm takes each candidate's alpha from its root, and so does the
+        # per-candidate policy: a fixed alpha there is refused, not ignored
+        with pytest.raises(DomainError, match="applies to glsm only"):
+            inv.indicator_map(scene, lam, method, wave, params, **kwargs)
 
     def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params):
         # reference: the pencil's solutions g = V_r y at the one alpha, block
         # by block, and their indicators in the L# energy form
         alpha = 3e-4
-        with pytest.warns(RuntimeWarning):
-            imap = inv.indicator_map(
-                scene, lam, "glsm", wave, params, alpha_policy="fixed", fixed_alpha=alpha
-            )
+        imap = inv.indicator_map(
+            scene, lam, "glsm", wave, params, alpha_policy="fixed", fixed_alpha=alpha
+        )
         sharp = inv.lambda_sharp(lam.data)
         pencil = inv.GlsmPencil(lam.data, sharp, imap.delta)
         pts, cands = scene.sampling.points(), scene.sampling.candidates()

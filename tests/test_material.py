@@ -64,16 +64,6 @@ class TestNondimensionalize:
                 kappa=1.0, phi=0.3, alpha=0.5,
             )
 
-    def test_drained_shear_wavelength(self):
-        scales = ReferenceScales.from_drained_shear(
-            mu_r=5.85e9, rho_r=1000.0, mu_prime=5.85e9,
-            rho_solid_prime=2577.6, porosity=0.195, omega_prime=2 * math.pi * 12e3,
-        )
-        expect = 2 * math.pi * math.sqrt(
-            5.85e9 / ((1 - 0.195) * 2577.6 * (2 * math.pi * 12e3) ** 2)
-        )
-        assert scales.ell_r == pytest.approx(expect, rel=1e-15)
-
 
 class TestGamma:
     def test_table_values(self, params):
