@@ -70,12 +70,6 @@ def _show(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ValidationError(f"{path}: unknown key {key!r}")
-
-
 def _need(d: dict, key: str, path: str):
     if key not in d:
         raise ValidationError(f"{path}: missing required key {key!r}")
@@ -87,7 +81,9 @@ def _need(d: dict, key: str, path: str):
 def _object(value, path: str, allowed) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{path} must be an object, got {_show(value)}")
-    _reject_unknown(value, allowed, path)
+    for key in value:
+        if key not in allowed:
+            raise ValidationError(f"{path}: unknown key {key!r}")
     return value
 
 
@@ -113,17 +109,22 @@ def _number(value, path: str) -> float:
     return x
 
 
-def _optional_number(value, path: str) -> float | None:
-    return None if value is None else _number(value, path)
+def _optional_number(value, path: str, low: float = -math.inf) -> float | None:
+    x = None if value is None else _number(value, path)
+    if x is not None and x < low:
+        raise ValidationError(f"{path} must be at least {low:g}, got {_show(value)}")
+    return x
 
 
-def _integer(value, path: str, limit: int = 2**31) -> int:
+def _integer(value, path: str, limit: int = 2**31, low: float = -math.inf) -> int:
     """A JSON integer of magnitude below ``limit`` (sizes and counts are
-    32-bit)."""
+    32-bit) and at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, int) or not abs(value) < limit:
         raise ValidationError(
             f"{path} must be an integer of magnitude below {limit}, got {_show(value)}"
         )
+    if value < low:
+        raise ValidationError(f"{path} must be at least {low:g}, got {value}")
     return value
 
 
@@ -320,6 +321,11 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         "iotas": _integers(s.get("iotas", [0, 1]), f"{path}.iotas"),
         "plane_z": _coordinate(s.get("plane_z", 0.0), f"{path}.plane_z"),
     }
+    xmin, xmax, ymin, ymax = sampling["region"]
+    if xmin > xmax or ymin > ymax:
+        raise ValidationError(
+            f"{path}.region [xmin, xmax, ymin, ymax] needs min <= max, got {sampling['region']}"
+        )
     channels = doc.get("channels", "in-plane")
     if not isinstance(channels, str):
         channels = _array(channels, "scene.channels")
@@ -371,11 +377,11 @@ def parse_scenario(doc: dict) -> Scenario:
     noise = _object(doc.get("noise", {}), "noise", {"epsilon", "target_delta", "seed"})
     if "epsilon" in noise and "target_delta" in noise:
         raise ValidationError("noise: give only one of epsilon or target_delta")
-    epsilon = _optional_number(noise.get("epsilon"), "noise.epsilon")
-    target_delta = _optional_number(noise.get("target_delta"), "noise.target_delta")
+    epsilon = _optional_number(noise.get("epsilon"), "noise.epsilon", low=0.0)
+    target_delta = _optional_number(noise.get("target_delta"), "noise.target_delta", low=0.0)
     if epsilon is None and target_delta is None:
         epsilon = 0.0
-    seed = _integer(noise.get("seed", 0), "noise.seed", limit=2**64)
+    seed = _integer(noise.get("seed", 0), "noise.seed", limit=2**64, low=0)
 
     inv_doc = _object(
         doc.get("inversion", {}), "inversion", {"method", "alpha_policy", "fixed_alpha", "delta"}
@@ -391,7 +397,7 @@ def parse_scenario(doc: dict) -> Scenario:
             f"inversion.fixed_alpha must be positive and needs alpha_policy 'fixed', got "
             f"{fixed_alpha!r} under {alpha_policy!r}"
         )
-    inv_delta = _optional_number(inv_doc.get("delta"), "inversion.delta")
+    inv_delta = _optional_number(inv_doc.get("delta"), "inversion.delta", low=0.0)
 
     resolved = {
         "material": {"dimensionless": {k: getattr(params, k) for k in _MATERIAL_KEYS}},
@@ -456,7 +462,7 @@ def run_forward(
 ) -> dict:
     """Assemble and write lambda.csv and lambda_noisy.csv plus metadata;
     the stage seconds and health facts come from the run's ledger record."""
-    seed = scenario.seed if seed is None else _integer(seed, "--seed", limit=2**64)
+    seed = scenario.seed if seed is None else _integer(seed, "--seed", limit=2**64, low=0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wave = solve_dispersion(scenario.params, scenario.omega)
@@ -468,10 +474,7 @@ def run_forward(
                 scenario.scene, wave, scenario.params, mode=mode, cutoff=scenario.forward_cutoff
             )
         with ledger.stage("noise"):
-            if scenario.noise_target_delta is not None:
-                noisy = fw.inject_noise(lam, target_delta=scenario.noise_target_delta, seed=seed)
-            else:
-                noisy = fw.inject_noise(lam, epsilon=scenario.noise_epsilon or 0.0, seed=seed)
+            noisy = fw.inject_noise(lam, scenario.noise_epsilon, scenario.noise_target_delta, seed)
         with ledger.stage("write"):
             fw.save_matrix(lam, out / "lambda.csv")
             fw.save_matrix(noisy, out / "lambda_noisy.csv")

@@ -29,8 +29,8 @@ patch, including the singular self-cell term, are excluded) and solves
 the resulting dense system M a = E psi.  When the cells pair up under
 the reflection about their mid-plane (_mirror_pairs), as those of
 vertical patches centred on one plane do, M splits into an even and an
-odd half-size block: only M's rows U, one cell of each pair, are filled,
-and only a block with a non-zero right-hand side is factored.  An
+odd half-size block, each one reciprocal fill over one cell of each
+pair, and only the blocks the right-hand side needs are filled.  An
 assembly notes in the run's ledger (poroscat.ledger) its near-singular
 sensing points and, if interacting, the fill's kernel pairs, the solve's
 seconds, residual and block sizes, and the closure gap ||L - L_loc|| /
@@ -242,17 +242,18 @@ def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
     the interacting one, which reduces to the local closure when
     _patches_interact says the patches do not couple.  A coupled solve
     records in the ledger the seconds of the mirror pairing and the fill
-    of M's rows (coupling) and of their solve (solve).
+    of the blocks (coupling) and of their solve (solve).
     """
     if coupling is not None:
         wave, params, cutoff = coupling
         if _patches_interact(interface.patches, wave, cutoff):
+            rhs = _blockwise(interface.E, psi)
             with ledger.stage("coupling"):
-                mirror = _mirror_pairs(interface, wave, params)
-                rows = None if mirror is None else mirror >= np.arange(mirror.size)
-                M = _interaction_matrix(interface, wave, params, rows)
+                pairs = _mirror_pairs(interface, wave, params)
+                parts = _parities(rhs, pairs)
+                blocks = _interaction_matrix(interface, wave, params, pairs, [w for w, _ in parts])
             with ledger.stage("solve"):
-                return _coupled_solve(M, _blockwise(interface.E, psi), mirror)
+                return _coupled_solve(blocks, rhs, pairs, parts)
     return _blockwise(interface.T, psi)
 
 
@@ -276,61 +277,67 @@ def _patches_interact(patches, wave, cutoff) -> bool:
 
 # cell pairs per dislocation-kernel call.  A call's temporaries peak at
 # about 2.2 KB per pair (4.5 MiB per call, by tracemalloc), far below the
-# 20 MB of the 320-cell network's rows U of M; its full M fills in 78 ms
+# 10 MB of the 320-cell network's even block; its full M fills in 78 ms
 # with 2048 or 4096 pairs per call and in 89 ms with 512 (2 vCPU)
 _PAIR_CHUNK = 2048
 
+# the signs of the trace (t, q, p) and jump ([[u]], [[p]], -[[q]]) components
+# under the reflection z -> 2 z0 - z at a horizontal normal: only z flips
+_Q = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
 
-def _interaction_matrix(interface: _Interface, wave, params, rows=None) -> np.ndarray:
-    """The rows of the cells in the mask rows (None: all) of the dense
-    matrix M of the coupled interface system, against every column.
 
-    Block (i, i) is D of cell i.  Block (i, j) of an off-patch pair is
-    -area_j E_i B_ij, B_ij the traces at cell i of the dislocation at
-    cell j; pairs on one patch, the self-cell included, are excluded.
-    The kernel is reciprocal, B_ji = B_ij^T (the reciprocal theorem of
-    the Biot system), so a pair of two rows is evaluated once, with
-    patch_index[i] < patch_index[j], and fills both blocks.  Cells are
-    collected patch by patch, so the pairs whose cell i is a row of patch
-    a form one strip: a's rows times the rows of every later patch and
-    the other patches' non-rows.  A strip goes to the kernel a few whole
-    rows at a time (about _PAIR_CHUNK pairs, counted as kernel_pairs);
-    its blocks (i, j) take one product with E_a, and its blocks (j, i)
-    one batched product with the E of each row j.
+def _interaction_matrix(
+    interface: _Interface, wave, params, pairs=None, parities=(None,)
+) -> list[np.ndarray]:
+    """The coupled interface system's blocks over the cells U of pairs
+    (_mirror_pairs), one per parity w of parities.
+
+    For pairs None, U is every cell and the one block (w None) is M:
+    block (c, d) is D_c for c = d, else -area_d E_c K(c, d) with K = B,
+    B(c, d) the traces at c of the dislocation at d, for c and d on
+    different patches.  Parity w = +-Q has K_w(c, d) = B(c, d) + B(c, d') w,
+    D_c (1 + w) for a cell on the plane (c' = c), and its _unknowns.  As
+    K_w(d, c) = K_w(c, d)^T (the Biot system's reciprocity and the
+    reflection covariance), a pair is evaluated once, c on the earlier
+    patch, for every parity: patch a's cells in U against the later ones
+    and the paired ones' images, a few whole rows (about _PAIR_CHUNK
+    pairs, counted as kernel_pairs) per kernel call.
     """
     cells, D, E = interface.cells, interface.D, interface.E
-    nc, w, pidx = cells.count, -cells.areas, cells.patch_index
-    is_row = np.ones(nc, dtype=bool) if rows is None else rows
-    before = np.concatenate(([0], np.cumsum(is_row))).tolist()  # rows before each cell
-    rows = np.flatnonzero(is_row)
-    M = np.zeros((rows.size, 5, nc, 5), dtype=np.complex128)
-    M[np.arange(rows.size), :, rows, :] = D[rows]
-    # first cell of each patch, and nc
-    bounds = np.searchsorted(pidx, np.arange(len(interface.patches) + 1)).tolist()
-    for k, (a0, a1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        r1 = before[a1]  # the rows of later patches lead the strip's columns
-        cols = np.concatenate((rows[r1:], np.flatnonzero(~is_row & (pidx != k))))
-        width, later, Et = cols.size, rows.size - r1, E[rows[r1:]].transpose(0, 2, 1)
+    U, image = pairs or (np.arange(cells.count),) * 2
+    n, w, plane, diag = U.size, -cells.areas[U], image == U, np.arange(U.size)
+    blocks = [np.zeros((n, 5, n, 5), dtype=np.complex128) for _ in parities]
+    for A, q in zip(blocks, parities):  # D_c, times 1 + w for a cell on the plane
+        A[diag, :, diag, :] = D[U] if q is None else D[U] * (1.0 + q * plane[:, None, None])
+    # first cell in U of each patch, and n
+    bounds = np.searchsorted(cells.patch_index[U], np.arange(len(interface.patches) + 1))
+    for a0, a1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        width, paired = n - a1, ~plane[a1:]
         if width == 0:
             continue
-        step = max(1, _PAIR_CHUNK // width)
-        for r0 in range(before[a0], r1, step):
-            ri = rows[r0:min(r0 + step, r1)]
-            i, j = np.repeat(ri, width), np.tile(cols, ri.size)
+        src = np.r_[U[a1:], image[a1:][paired]]  # the later cells, then the paired ones' images
+        mate = np.where(paired, width - 1 + paired.cumsum(), np.arange(width))  # d' in src
+        Et, step = E[U[a1:]].transpose(0, 2, 1), max(1, _PAIR_CHUNK // src.size)
+        for r0 in range(a0, a1, step):
+            r1 = min(r0 + step, a1)
+            i, j = np.repeat(U[r0:r1], src.size), np.tile(src, r1 - r0)
             B = _dislocation_trace_matrix(
                 cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i],
                 wave, params,
-            ).reshape(ri.size, width, 5, 5)
+            ).reshape(r1 - r0, src.size, 5, 5)
             ledger.count("kernel_pairs", i.size)
-            # M[i, r, j, s] = -area_j (E_a B_ij)[r, s]
-            Bj = (B * w[None, cols, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
-            EB = (E[a0] @ Bj).reshape(5, ri.size, width, 5)
-            M[r0:r0 + ri.size, :, cols, :] = EB.transpose(1, 0, 2, 3)
-            # M[j, r, i, s] = -area_i (E_j B_ij^T)[r, s], j a row of a later patch
-            Bi = (B[:, :later] * w[ri, None, None, None]).transpose(1, 0, 2, 3)
-            eb = Bi.reshape(later, 5 * ri.size, 5) @ Et
-            M[r1:, :, ri, :] = eb.reshape(later, ri.size, 5, 5).transpose(0, 3, 1, 2)
-    return M.reshape(5 * rows.size, 5 * nc)
+            for A, q in zip(blocks, parities):
+                K = B[:, :width] if q is None else B[:, :width] + B[:, mate] * q
+                # A[c, r, d, s] = -area_d (E_a K(c, d))[r, s]
+                Kd = (K * w[None, a1:, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
+                EK = (E[U[a0]] @ Kd).reshape(5, r1 - r0, width, 5)
+                A[r0:r1, :, a1:, :] = EK.transpose(1, 0, 2, 3)
+                # A[d, r, c, s] = -area_c (E_d K(c, d)^T)[r, s]
+                Kc = (K * w[r0:r1, None, None, None]).transpose(1, 0, 2, 3)
+                ek = Kc.reshape(width, 5 * (r1 - r0), 5) @ Et
+                A[a1:, :, r0:r1, :] = ek.reshape(width, r1 - r0, 5, 5).transpose(0, 3, 1, 2)
+    keeps = [_unknowns(pairs, q) for q in parities]
+    return [A.reshape(5 * n, 5 * n)[keep][:, keep] for A, keep in zip(blocks, keeps)]
 
 
 def _cond(A: np.ndarray) -> float:
@@ -339,24 +346,19 @@ def _cond(A: np.ndarray) -> float:
     return float(np.linalg.cond(A)) if np.all(np.isfinite(A)) else float("inf")
 
 
-# the signs of the trace (t, q, p) and jump ([[u]], [[p]], -[[q]]) components
-# under the reflection z -> 2 z0 - z at a horizontal normal: only z flips
-_Q = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
-
-
-def _mirror_pairs(interface: _Interface, wave, params) -> np.ndarray | None:
-    """Each cell's partner under the reflection z -> 2 z0 - z about the
-    mid-point z0 of the cells' z-range (a cell on the plane is its own),
-    or None when the cells do not pair up.
+def _mirror_pairs(interface: _Interface, wave, params):
+    """The cells U, one of each pair under the reflection z -> 2 z0 - z
+    about the mid-point z0 of the cells' z-range, and their images U' (a
+    cell on the plane is its own), or None when the cells do not pair up.
 
     Partners lie on one patch, with centres matched to within 1e-12 of
     the cells' extent, and the partner's D and E are Q D Q and Q E Q,
     Q = diag(_Q) (for E, as beta_f != 0, only at a horizontal normal).
-    The trace and dislocation kernels are reflection-covariant there,
-    K(Py, Pz) = Q K(y, z) Q, so M commutes with the signed cell swap.
-    As M's mirrored rows are never evaluated, one kernel call probes the
-    covariance: at 64 off-patch pairs spread over all and at their images,
-    each image's kernel must match to 1e-12 of its pair's.
+    The kernels are reflection-covariant there, K(Py, Pz) = Q K(y, z) Q,
+    so M commutes with the signed cell swap.  The reflected half of every
+    block rests on that identity and is never evaluated, so one kernel
+    call probes it: at 64 off-patch pairs spread over all and at their
+    images, each image's kernel must match to 1e-12 of its pair's.
     """
     cells, D, E = interface.cells, interface.D, interface.E
     c = cells.centers.T.copy()  # (3, nc), contiguous for the (3, nc, nc) gaps
@@ -383,68 +385,65 @@ def _mirror_pairs(interface: _Interface, wave, params) -> np.ndarray | None:
         cells.centers[j], cells.normals[j], cells.centers[i], cells.normals[i], wave, params
     ).reshape(2, -1, 25)
     err = np.linalg.norm(B[1] - B[0] * flip.ravel(), axis=1)
-    return mirror if (err <= 1e-12 * np.linalg.norm(B[0], axis=1)).all() else None
+    U = np.flatnonzero(mirror >= np.arange(cells.count))
+    return (U, mirror[U]) if (err <= 1e-12 * np.linalg.norm(B[0], axis=1)).all() else None
 
 
-def _coupled_solve(M: np.ndarray, rhs: np.ndarray, mirror=None) -> np.ndarray:
-    """Solve of the coupled interface system (2-d rhs) from the rows of M
-    that _interaction_matrix filled for mirror, _mirror_pairs' pairing.
+def _unknowns(pairs, w):
+    """Index of parity w's unknowns among the five of each cell in U: all
+    but those with w = -1 of a cell on the plane (all for w None)."""
+    keep = None if w is None else ((pairs[1] != pairs[0])[:, None] | (w > 0)).ravel()
+    return slice(None) if keep is None or keep.all() else keep
 
-    For None, M is the whole matrix, factored by one LU.  Else M holds the
-    rows U, of the cells c with c' = mirror[c] >= c, and commutes with the
-    signed swap of the paired cells, so its even (w = Q) and odd (w = -Q)
-    parts are independent.  Block w has the unknowns of the cells in U,
-    all five of a paired cell and those with w = 1 of a cell on the plane;
-    it is M[c, d] + M[c, d'] w over them, its right-hand side (rhs[c] +
-    w rhs[c']) / 2, and its solution x_c adds x_c to a[c] and w x_c to
-    a[c'] (2 x_c to a cell on the plane, whose columns enter twice).  A
-    block is factored only if its rhs norm exceeds 1e-14 ||rhs_U||.  The
-    ledger gets ||M a - rhs_U|| / ||rhs_U|| over the rows held
-    (coupled_residual) and the sizes of the blocks factored
-    (coupled_blocks).
 
-    A non-finite M or rhs (condition number inf), a singular block (its
-    own) and a non-finite or large residual (the largest block's) raise
-    ConditioningError.  A singular block whose half of rhs has norm at
-    most 1e-14 ||rhs_U|| is not factored, so it raises nothing: a then
-    solves the other parity, and the residual is still checked.
+def _parities(rhs: np.ndarray, pairs) -> list:
+    """(w, part) of each parity w = +-Q whose part of the right-hand side,
+    (rhs[c] + w rhs[c']) / 2 over the rows U, has norm above
+    1e-14 ||rhs_U||; [(None, rhs)] for pairs None."""
+    if pairs is None:
+        return [(None, rhs)]
+    (U, image), rhs4 = pairs, rhs.reshape(-1, 5, rhs.shape[1])
+    halves = [(w, 0.5 * (rhs4[U] + w[:, None] * rhs4[image])) for w in (_Q, -_Q)]
+    floor = 1e-14 * np.linalg.norm(rhs4[U])
+    return [(w, h.reshape(-1, rhs.shape[1])) for w, h in halves if np.linalg.norm(h) > floor]
+
+
+def _coupled_solve(blocks, rhs: np.ndarray, pairs=None, parts=None) -> np.ndarray:
+    """Jumps a of the coupled interface system M a = rhs (2-d rhs) from the
+    blocks _interaction_matrix filled for pairs and the parities of parts
+    (by default _parities'): block w solves for its part of rhs on its
+    _unknowns x, which add x_c to a[c] and w x_c to a[c'].  The ledger
+    gets ||M a - rhs_U|| / ||rhs_U|| over the rows U (coupled_residual)
+    and the block sizes (coupled_blocks).  A non-finite block or rhs
+    (condition number inf), a singular block (its own) and a non-finite
+    or large residual (the blocks' largest) raise ConditioningError.
     """
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+    if not (all(np.isfinite(A).all() for A in blocks) and np.isfinite(rhs).all()):
         raise ConditioningError("coupled interface system has non-finite entries")
-    nc, k = M.shape[1] // 5, rhs.shape[1]
-    cells = np.arange(nc) if mirror is None else np.flatnonzero(mirror >= np.arange(nc))
-    rhs4, factored = rhs.reshape(nc, 5, k), [M] if mirror is None else []
-    eqs = rhs4[cells].reshape(M.shape[0], k)
-    try:
-        if mirror is None:
-            a = np.linalg.solve(M, rhs)
-        else:
-            image, M4, a = mirror[cells], M.reshape(cells.size, 5, nc, 5), np.zeros_like(rhs4)
-            for w in (_Q, -_Q):
-                keep = ((image > cells)[:, None] | (w > 0)).ravel()  # the block's unknowns
-                half = 0.5 * (rhs4[cells] + w[:, None] * rhs4[image]).reshape(-1, k)[keep]
-                if np.linalg.norm(half) <= 1e-14 * np.linalg.norm(eqs):
-                    continue
-                A = (M4.take(image, axis=2) * w).reshape(keep.size, -1)
-                A += M4.take(cells, axis=2).reshape(keep.size, -1)
-                factored.append(A if keep.all() else A[np.ix_(keep, keep)])
-                x = np.zeros((keep.size, k), dtype=rhs.dtype)
-                x[keep] = np.linalg.solve(factored[-1], half)
-                a[cells] += x.reshape(-1, 5, k)
-                a[image] += w[:, None] * x.reshape(-1, 5, k)
-            a = a.reshape(rhs.shape)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"coupled interface system is singular: {exc}", condition_number=_cond(factored[-1])
-        ) from None
+    nc, k = rhs.shape[0] // 5, rhs.shape[1]
+    (U, image), rhs4 = pairs or (np.arange(nc),) * 2, rhs.reshape(nc, 5, k)
+    eqs = rhs4[U].reshape(-1, k)
+    a, res = np.zeros_like(rhs4), -eqs
+    for A, (w, part) in zip(blocks, _parities(rhs, pairs) if parts is None else parts):
+        keep, x = _unknowns(pairs, w), np.zeros_like(eqs)
+        try:
+            x[keep] = np.linalg.solve(A, part[keep])
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(
+                f"coupled interface system is singular: {exc}", condition_number=_cond(A)
+            ) from None
+        res[keep] += A @ x[keep]
+        a[U] += x.reshape(-1, 5, k)
+        if w is not None:
+            a[image] += w[:, None] * x.reshape(-1, 5, k)
     scale = np.linalg.norm(eqs) or np.linalg.norm(rhs)  # rhs_U = 0: rhs's scale
-    res = float(np.linalg.norm(M @ a - eqs) / scale) if scale > 0.0 else 0.0
+    res = float(np.linalg.norm(res) / scale) if scale > 0.0 else 0.0
     if not res <= 1e-8:  # NaN included
-        cond = max(map(_cond, factored), default=np.inf) if np.isfinite(res) else np.inf
+        cond = max(map(_cond, blocks), default=np.inf) if np.isfinite(res) else np.inf
         raise ConditioningError(f"coupled interface solve residual {res:.3e}", cond)
     ledger.note("coupled_residual", res)
-    ledger.note("coupled_blocks", [A.shape[0] for A in factored])
-    return a
+    ledger.note("coupled_blocks", [A.shape[0] for A in blocks])
+    return a.reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 _EYE3 = np.eye(3)
+_FD_STEP = 1e-3  # the step of biot_residual's central differences
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ def green_tensor(y, xi, wave: WaveState, params: MaterialParams) -> GreenTensor:
     return GreenTensor(matrix=_green_matrix(y, xi, wave, params))
 
 
-def biot_residual(y, xi, col: int, wave: WaveState, params: MaterialParams, h=1e-3) -> float:
+def biot_residual(y, xi, col: int, wave: WaveState, params: MaterialParams) -> float:
     """Relative residual of the governing system for source column ``col``
     of the point-source tensor at xi, from 5-point central differences of
     the closed-form tensor (an independent check of its derivation)."""
@@ -415,7 +416,7 @@ def biot_residual(y, xi, col: int, wave: WaveState, params: MaterialParams, h=1e
     gamma, omega = wave.gamma, wave.omega
     m = params.rho - params.rho_f**2 / gamma
     beta = params.alpha - params.rho_f / gamma
-    lam, mu = params.lam, params.mu
+    lam, mu, h = params.lam, params.mu, _FD_STEP
 
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)

@@ -305,10 +305,6 @@ class SvdOperator:
     def rank(self) -> int:
         return self.s.size
 
-    def project(self, rhs: np.ndarray) -> np.ndarray:
-        """Coefficients beta = U^H rhs on the kept range."""
-        return self.Uh[: self.rank] @ rhs
-
 
 def _operator(matrix) -> SvdOperator:
     return matrix if isinstance(matrix, SvdOperator) else SvdOperator(matrix)
@@ -324,7 +320,7 @@ def tikhonov_solve(matrix, rhs, eta: float) -> np.ndarray:
     if not eta > 0.0:
         raise DomainError(f"eta must be strictly positive, got {eta!r}")
     op = _operator(matrix)
-    beta = op.project(np.asarray(rhs, dtype=np.complex128))
+    beta = op.Uh[: op.rank] @ np.asarray(rhs, dtype=np.complex128)  # U^H rhs on the kept range
     filt = (op.s / (op.s**2 + eta))[:, None] if beta.ndim == 2 else op.s / (op.s**2 + eta)
     return op.Vh.conj().T @ (filt * beta)
 

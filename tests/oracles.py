@@ -33,6 +33,11 @@ every r, each mode's product a fresh array.  The production table skips
 the r where a mode's exp(i k r) has underflowed to 0.0 and writes whole
 rows into one buffer; its values must equal the oracle's to the bit.
 
+parity_blocks_oracle folds the full matrix M of the coupled interface
+system into its even and odd blocks, M[c, d] + M[c, d'] w over one cell
+c, d of each mirror pair.  poroscat.forward._interaction_matrix fills
+each block directly from its reciprocal kernel.
+
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
 traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
@@ -346,6 +351,23 @@ def dislocation_trace_oracle(
     out[..., 3, :] = q_row
     out[..., 4, :] = p_row
     return out
+
+
+def parity_blocks_oracle(M, pairs, parities) -> list:
+    """The blocks of the (5 nc, 5 nc) matrix M for the parities w = +-Q:
+    A_w = M[U, U] + M[U, U'] w over the cells U and their mirror images U'
+    of pairs, on the unknowns of w (all five of a paired cell, those with
+    w = 1 of a cell on the plane, whose columns enter twice)."""
+    U, image = pairs
+    nc = M.shape[0] // 5
+    M4 = M.reshape(nc, 5, nc, 5)[U]
+    blocks = []
+    for w in parities:
+        keep = ((image != U)[:, None] | (w > 0)).ravel()
+        A = (M4.take(image, axis=2) * w).reshape(keep.size, -1)
+        A += M4.take(U, axis=2).reshape(keep.size, -1)
+        blocks.append(A[np.ix_(keep, keep)])
+    return blocks
 
 
 def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarray:

@@ -186,6 +186,8 @@ class TestRunForward:
         argv = ["forward", "--scenario", str(scenario_path), "--out", str(out)]
         assert cli.main(argv + ["--seed", str(2**64)]) == cli.EXIT_VALIDATION
         assert f"--seed must be an integer of magnitude below {2**64}" in capsys.readouterr().err
+        assert cli.main(argv + ["--seed", "-5"]) == cli.EXIT_VALIDATION
+        assert "--seed must be at least 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -541,7 +543,7 @@ class TestMainEntry:
         # the reference residual is that of the jumps the assembly solves for
         f = fw._factors(sc.scene, wave, sc.params)
         S, iface = f.S, f.interface
-        M = fw._interaction_matrix(iface, wave, sc.params)
+        [M] = fw._interaction_matrix(iface, wave, sc.params)
         blocks = S.reshape(iface.cells.count, 5, -1)
         rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
         jumps = fw._jumps(iface, S, (wave, sc.params, sc.forward_cutoff))
@@ -572,7 +574,7 @@ class TestMainEntry:
         meta = cli.run_forward(sc, tmp_path / "o", mode=mode)
         assert json.loads((tmp_path / "o/forward_meta.json").read_text()) == meta
         assert meta["coupled_blocks"] == blocks
-        # two 4-cell patches: every cell is a row of the fill, paired or not
+        # two 4-cell patches: every cell is its own image, so the fill is over all of them
         assert meta["kernel_pairs"] == (None if blocks is None else 16)
 
     @pytest.mark.parametrize("mode", ["local", "interacting"])
@@ -660,9 +662,19 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("scene", "contact"), "x", "scene.contact must be an object"),
         (("frequency", "omega"), 1e300, "omega = 1e+300 is out of range"),
         (("frequency", "omega"), 1e-300, "omega = 1e-300 is out of range"),
+        (("noise", "seed"), -1, "noise.seed must be at least 0, got -1"),
+        (("noise",), {"epsilon": -0.1}, "noise.epsilon must be at least 0, got -0.1"),
+        (("noise", "target_delta"), -0.05, "noise.target_delta must be at least 0, got -0.05"),
+        (("inversion", "delta"), -1, "inversion.delta must be at least 0, got -1"),
+        (("scene", "sampling", "region"), [-2.5, 2.5, 2.5, -2.5],
+         "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
+        (("scene", "sampling", "region"), [2.5, -2.5, -2.5, 2.5],
+         "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
     ],
     ids=["omega-x", "mu-a", "wells-empty", "center-short", "fractures-null", "contact-x",
-         "omega-1e300", "omega-1e-300"],
+         "omega-1e300", "omega-1e-300", "seed-negative", "epsilon-negative",
+         "target-delta-negative", "inversion-delta-negative", "region-y-flipped",
+         "region-x-flipped"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
     path = tmp_path / "s.json"

@@ -32,7 +32,7 @@ from poroscat.scene import (
     channel_indices,
 )
 
-from oracles import dislocation_trace_oracle, interface_response_oracle
+from oracles import dislocation_trace_oracle, interface_response_oracle, parity_blocks_oracle
 
 
 def contact(k=1.0, kappa_f=1e-3, model="finite-permeability"):
@@ -331,7 +331,7 @@ class TestInteractingJumpSolve:
         nc = sum(p.cell_count for p in small_scene.patches)
         psi = rng.normal(size=5 * nc) + 1j * rng.normal(size=5 * nc)
         iface = fw._interface(small_scene.patches, wave.omega)
-        M = fw._interaction_matrix(iface, wave, params)
+        [M] = fw._interaction_matrix(iface, wave, params)
         rhs = np.einsum("cij,cj->ci", iface.E, psi.reshape(-1, 5)).ravel()
         a = jumps(psi, small_scene.patches, wave, (wave, params, None)).ravel()
         res = np.linalg.norm(M @ a - rhs) / np.linalg.norm(rhs)
@@ -350,7 +350,7 @@ class TestInteractingJumpSolve:
         if chunk is not None:
             monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
         patches = request.getfixturevalue(scene_name).patches
-        M = fw._interaction_matrix(fw._interface(patches, wave.omega), wave, params)
+        [M] = fw._interaction_matrix(fw._interface(patches, wave.omega), wave, params)
         ref = interaction_matrix_per_row(patches, wave, params)
         assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -386,7 +386,7 @@ class TestInteractingJumpSolve:
 
     @pytest.fixture()
     def system(self, small_scene, wave, params, rng):
-        M = fw._interaction_matrix(fw._interface(small_scene.patches, wave.omega), wave, params)
+        [M] = fw._interaction_matrix(fw._interface(small_scene.patches, wave.omega), wave, params)
         return M, rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
 
     @pytest.mark.parametrize("where", ["M", "rhs"])
@@ -395,14 +395,14 @@ class TestInteractingJumpSolve:
         M, rhs = system
         (M if where == "M" else rhs)[4, 1] = bad
         with pytest.raises(ConditioningError) as info:
-            fw._coupled_solve(M, rhs)
+            fw._coupled_solve([M], rhs)
         assert info.value.condition_number == math.inf
 
     def test_singular_system_is_conditioning_error(self, system):
         M, rhs = system
         M[:, 7] = 0.0
         with pytest.raises(ConditioningError, match="singular") as info:
-            fw._coupled_solve(M, rhs)
+            fw._coupled_solve([M], rhs)
         assert info.value.condition_number > 1e12
 
     def test_nearby_patches_actually_couple(self, small_scene, wave, params):
@@ -423,6 +423,16 @@ def network_smoke_scene():
     for frac in doc["scene"]["fractures"]:
         frac["cells"] = [4, 1]
     return parse_scenario(doc).scene
+
+
+@pytest.fixture(scope="module")
+def mixed_scene(small_scene):
+    """small_scene with three rows of cells across the width: the middle
+    row lies on the mirror plane, the outer rows pair up."""
+    patches = tuple(
+        dataclasses.replace(p, subdivisions=(p.subdivisions[0], 3)) for p in small_scene.patches
+    )
+    return dataclasses.replace(small_scene, patches=patches)
 
 
 @pytest.fixture(scope="module")
@@ -465,12 +475,13 @@ class TestMirrorParity:
             ("three_patch_scene", [60, 60]),  # "full" channels: both halves of rhs
             ("lifted_scene", [90]),  # no pairing: one LU of M
             ("three_patch_in_plane_scene", [60]),  # odd half at rounding level: not factored
+            ("mixed_scene", [81]),  # 9 pairs and 9 cells on the plane: 9 x 5 + 9 x 4
         ],
     )
     def test_split_matches_full_lu(self, scene_name, blocks, request, wave, params):
         scene = request.getfixturevalue(scene_name)
         f = fw._factors(scene, wave, params)
-        M = fw._interaction_matrix(f.interface, wave, params)
+        [M] = fw._interaction_matrix(f.interface, wave, params)
         ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
         with ledger.record() as rec:
             L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
@@ -485,26 +496,29 @@ class TestMirrorParity:
     @pytest.mark.parametrize(
         "scene_name, pairs",
         [
-            ("small_scene", 60),  # rows 5 + 4 of 10 + 8 cells: 5 x 8 + 4 x 5
-            ("three_patch_scene", 141),  # rows 5, 4, 3 of 10, 8, 6; both parities
-            ("many_patch_scene", 780),  # every cell on the plane: all rows
-            ("network_smoke_scene", 16),  # 8 cells on the plane: all rows
+            ("small_scene", 40),  # U: 5 + 4 paired cells, 5 x (4 + 4)
+            ("three_patch_scene", 94),  # U: 5, 4, 3 paired cells, 5 x 14 + 4 x 6
+            ("many_patch_scene", 780),  # every cell on the plane: each unordered pair
+            ("network_smoke_scene", 16),  # 8 cells on the plane: 4 x 4
+            ("mixed_scene", 120),  # U: 10 + 8 cells, 4 of the 8 paired: 10 x (8 + 4)
         ],
     )
-    def test_rows_fill_is_full_matrix_rows(self, scene_name, pairs, request, wave, params):
-        # the rows U of M, filled alone, are those of the full M, and the
-        # jumps solved from them meet the residual bound on the full M
+    def test_parity_blocks_match_fold(self, scene_name, pairs, request, wave, params):
+        # both parity blocks, from one evaluation of each kernel pair, are
+        # the fold of the full M, and the jumps solved from the blocks the
+        # right-hand side needs meet the residual bound on the full M
         f = fw._factors(request.getfixturevalue(scene_name), wave, params)
-        M = fw._interaction_matrix(f.interface, wave, params)
+        [M] = fw._interaction_matrix(f.interface, wave, params)
         mirror = fw._mirror_pairs(f.interface, wave, params)
-        rows = mirror >= np.arange(mirror.size)
         with ledger.record() as rec:
-            MU = fw._interaction_matrix(f.interface, wave, params, rows)
+            blocks = fw._interaction_matrix(f.interface, wave, params, mirror, [fw._Q, -fw._Q])
         assert rec["kernel_pairs"] == pairs
-        full = M.reshape(mirror.size, 5, -1)[rows].reshape(MU.shape)
-        assert np.linalg.norm(MU - full) <= 1e-15 * np.linalg.norm(full)
+        for A, ref in zip(blocks, parity_blocks_oracle(M, mirror, [fw._Q, -fw._Q])):
+            assert np.linalg.norm(A - ref) <= 1e-14 * np.linalg.norm(ref)
         rhs = fw._blockwise(f.interface.E, f.S)
-        a = fw._coupled_solve(MU, rhs, mirror)
+        parts = fw._parities(rhs, mirror)
+        blocks = parity_blocks_oracle(M, mirror, [w for w, _ in parts])
+        a = fw._coupled_solve(blocks, rhs, mirror, parts)
         assert np.linalg.norm(M @ a - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_covariance_miss_takes_full_matrix(self, small_scene, monkeypatch, wave, params):
@@ -520,7 +534,7 @@ class TestMirrorParity:
         monkeypatch.setattr(fw, "_dislocation_trace_matrix", odd)
         f = fw._factors(small_scene, wave, params)
         assert fw._mirror_pairs(f.interface, wave, params) is None
-        M = fw._interaction_matrix(f.interface, wave, params)
+        [M] = fw._interaction_matrix(f.interface, wave, params)
         ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
         with ledger.record() as rec:
             L = fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff=None).data
@@ -530,46 +544,54 @@ class TestMirrorParity:
 
     @pytest.fixture()
     def paired_system(self, small_scene, wave, params, rng):
-        # small_scene's full M (the oracle), a right-hand side, the pairing
-        # and the unknowns of the rows U, the rows the coupled solve gets
+        # small_scene's full M, a right-hand side, the pairing and each
+        # cell's image; the tests tamper with M and solve from its
+        # oracle blocks
         iface = fw._interface(small_scene.patches, wave.omega)
-        M = fw._interaction_matrix(iface, wave, params)
+        [M] = fw._interaction_matrix(iface, wave, params)
         rhs = rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
-        mirror = fw._mirror_pairs(iface, wave, params)
-        rows = mirror >= np.arange(mirror.size)
-        return M, rhs, mirror, np.repeat(rows, 5)
+        pairs = fw._mirror_pairs(iface, wave, params)
+        mirror = np.arange(iface.cells.count)
+        mirror[pairs[0]], mirror[pairs[1]] = pairs[1], pairs[0]
+        return M, rhs, pairs, mirror
+
+    @staticmethod
+    def solve(M, rhs, pairs):
+        parts = fw._parities(rhs, pairs)
+        blocks = parity_blocks_oracle(M, pairs, [w for w, _ in parts])
+        return fw._coupled_solve(blocks, rhs, pairs, parts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_paired_system_is_conditioning_error(self, paired_system, bad):
-        M, rhs, mirror, u = paired_system
+        M, rhs, pairs, _ = paired_system
         M[4, 1] = bad  # a row of cell 0, which is in U
         with pytest.raises(ConditioningError) as info:
-            fw._coupled_solve(M[u], rhs, mirror)
+            self.solve(M, rhs, pairs)
         assert info.value.condition_number == math.inf
 
     def test_singular_paired_system_is_conditioning_error(self, paired_system):
         # zeroing a column and its mirror keeps M symmetric and makes both blocks singular
-        M, rhs, mirror, u = paired_system
+        M, rhs, pairs, mirror = paired_system
         M[:, 7] = M[:, 5 * mirror[1] + 2] = 0.0
         with pytest.raises(ConditioningError, match="singular") as info:
-            fw._coupled_solve(M[u], rhs, mirror)
+            self.solve(M, rhs, pairs)
         assert info.value.condition_number > 1e12
 
     def test_singular_block_with_zero_half_is_not_factored(self, paired_system):
         # averaging column 0 and its mirror's keeps M symmetric and zeroes a
         # column of the odd block only; an even rhs never factors that block
-        M, rhs, mirror, u = paired_system
+        M, rhs, pairs, mirror = paired_system
         k = 5 * mirror[0]
         M[:, [0, k]] = 0.5 * (M[:, [0]] + M[:, [k]])
         unknown = np.arange(M.shape[0])
         image = 5 * mirror[unknown // 5] + unknown % 5
         even = 0.5 * (rhs + Q5.diagonal()[unknown % 5, None] * rhs[image])
         with ledger.record() as rec:
-            a = fw._coupled_solve(M[u], even, mirror)
+            a = self.solve(M, even, pairs)
         assert rec["coupled_blocks"] == [45]
         assert np.linalg.norm(M @ a - even) <= 1e-8 * np.linalg.norm(even)
         with pytest.raises(ConditioningError, match="singular"):
-            fw._coupled_solve(M[u], rhs, mirror)
+            self.solve(M, rhs, pairs)
 
 
 class TestRadiate:
