@@ -30,11 +30,15 @@ the resulting dense system M a = E psi.  When the cells pair up under
 the reflection about their mid-plane (_mirror_pairs), as those of
 vertical patches centred on one plane do, M splits into an even and an
 odd half-size block, each one reciprocal fill over one cell of each
-pair, and only the blocks the right-hand side needs are filled.  An
-assembly notes in the run's ledger (poroscat.ledger) its near-singular
-sensing points and, if interacting, the fill's kernel pairs, the solve's
-seconds, residual and block sizes, and the closure gap ||L - L_loc|| /
-||L_loc|| to the local closure L_loc.
+pair, and only the blocks the right-hand side needs are filled.  When
+the sensing points lie on that plane too (_coupled), S, R, the right-hand
+side and L are built over that one cell of each pair alone, and each
+block solves the columns of its own parity (network-forward: the trace
+kernel at 160 of 320 cells, the assembly 0.103 -> 0.090 s on a 2-vCPU
+host).  An assembly notes in the run's ledger (poroscat.ledger) its
+near-singular sensing points and, if interacting, the fill's kernel
+pairs, the solve's seconds, residual and block sizes, and the closure
+gap ||L - L_loc|| / ||L_loc|| to the local closure L_loc.
 
 Matrix rows and columns are indexed point-major: index = point*C + c
 where c runs over the scene's channels, pairing excitation type with its
@@ -139,9 +143,10 @@ def _radiation_block(patches, points, kernel: np.ndarray, areas: np.ndarray):
     channels at the N points, with the points' near-singular flags.
 
     ``kernel`` is the (5*nc, C*N) _kernel_block of the same points and
-    channels, ``areas`` the cell areas: entry [(p, c), cell] of R is the
+    channels, ``areas`` the cell weights: entry [(p, c), cell] of R is the
     reciprocal evaluation of the trace kernel (source at point p, trace
-    and normal at the cell), kernel[cell, (p, c)], times the cell area.
+    and normal at the cell), kernel[cell, (p, c)], times the cell's weight
+    (its area; twice it for a cell standing for its mirror pair too).
     Points closer to a patch than half its cell diagonal are flagged
     near-singular.
     """
@@ -235,26 +240,64 @@ def _blockwise(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("cij,cjk->cik", blocks, cells).reshape(psi.shape)
 
 
-def _jumps(interface: _Interface, psi: np.ndarray, coupling=None) -> np.ndarray:
-    """Interface transfer T: a (5*nc, k) trace block to its jump block.
+def _jumps(interface: _Interface, psi: np.ndarray, coupled=None) -> np.ndarray:
+    """Interface transfer T: a (5*n, k) trace block over the cells
+    _rows(coupled) to its jump block, for the local closure (coupled None)
+    or the interacting one's _Coupling.  A coupled solve records in the
+    ledger the seconds of its fill (coupling) and of its solve (solve)."""
+    if coupled is None:
+        return _blockwise(interface.T, psi)
+    wave, params, pairs, signs = coupled
+    rhs = _blockwise(interface.E[_rows(coupled)], psi)
+    with ledger.stage("coupling"):
+        parts = _parities(rhs, pairs, signs)
+        blocks = _interaction_matrix(interface, wave, params, pairs, [w for w, *_ in parts])
+    with ledger.stage("solve"):
+        return _coupled_solve(blocks, rhs, pairs, parts)
 
-    coupling is None for the local closure, or (wave, params, cutoff) for
-    the interacting one, which reduces to the local closure when
-    _patches_interact says the patches do not couple.  A coupled solve
-    records in the ledger the seconds of the mirror pairing and the fill
-    of the blocks (coupling) and of their solve (solve).
-    """
-    if coupling is not None:
-        wave, params, cutoff = coupling
-        if _patches_interact(interface.patches, wave, cutoff):
-            rhs = _blockwise(interface.E, psi)
-            with ledger.stage("coupling"):
-                pairs = _mirror_pairs(interface, wave, params)
-                parts = _parities(rhs, pairs)
-                blocks = _interaction_matrix(interface, wave, params, pairs, [w for w, _ in parts])
-            with ledger.stage("solve"):
-                return _coupled_solve(blocks, rhs, pairs, parts)
-    return _blockwise(interface.T, psi)
+
+class _Coupling(NamedTuple):
+    """An interacting closure whose patches interact, as _coupled finds it."""
+
+    wave: WaveState
+    params: MaterialParams
+    pairs: tuple | None
+    signs: np.ndarray | None
+
+
+def _coupled(interface: _Interface, coupling, points=None, cidx=None) -> _Coupling | None:
+    """The interacting closure coupling = (wave, params, cutoff) on an
+    interface: None when its patches do not interact, else the wave, the
+    material, the cells' _mirror_pairs and, when the sensing points given
+    all lie on the mirror plane, the signs Q_src of S's columns (point,
+    channel cidx) under the reflection, -1 on fz.  S at a cell's image is
+    then Q S[c] Q_src and never evaluated, so one trace-kernel call probes
+    it, as _mirror_pairs does M: at 16 (cell of U, point) pairs and their
+    images, each image's kernel must match its pair's, reflected, to 1e-12,
+    else signs is None.  The pairing and its probes are coupling seconds."""
+    wave, params, cutoff = coupling
+    if not _patches_interact(interface.patches, wave, cutoff):
+        return None
+    with ledger.stage("coupling"):
+        pairs = _mirror_pairs(interface, wave, params)
+        centers, normals = interface.cells.centers, interface.cells.normals
+        z = centers[:, 2].min() + centers[:, 2].max()
+        if pairs is None or points is None or not (
+            np.abs(z - 2.0 * points[:, 2]).max() <= 1e-12 * np.ptp(centers, axis=0).max()
+        ):
+            return _Coupling(wave, params, pairs, None)
+        (U, image), N = pairs, points.shape[0]
+        pick = np.linspace(0, U.size * N - 1, min(U.size * N, 16)).astype(int)
+        c, y = np.r_[U[pick // N], image[pick // N]], np.tile(points[pick % N], (2, 1))
+        K = _trace_matrix(y, centers[c], normals[c], wave, params).reshape(2, -1, 20)
+        err = np.linalg.norm(K[1] - K[0] * np.outer(_Q, _Q_SRC).ravel(), axis=1)
+        ok = (err <= 1e-12 * np.linalg.norm(K[0], axis=1)).all()
+    return _Coupling(wave, params, pairs, np.tile(_Q_SRC[cidx], N) if ok else None)
+
+
+def _rows(coupled) -> slice | np.ndarray:
+    """The cells S and R hold: U for a coupling with signs, else all."""
+    return slice(None) if coupled is None or coupled.signs is None else coupled.pairs[0]
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -282,8 +325,10 @@ def _patches_interact(patches, wave, cutoff) -> bool:
 _PAIR_CHUNK = 2048
 
 # the signs of the trace (t, q, p) and jump ([[u]], [[p]], -[[q]]) components
-# under the reflection z -> 2 z0 - z at a horizontal normal: only z flips
+# under the reflection z -> 2 z0 - z at a horizontal normal, and of the four
+# point sources (forces along x, y, z and fluid injection): only z flips
 _Q = np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+_Q_SRC = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 def _interaction_matrix(
@@ -396,46 +441,61 @@ def _unknowns(pairs, w):
     return slice(None) if keep is None or keep.all() else keep
 
 
-def _parities(rhs: np.ndarray, pairs) -> list:
-    """(w, part) of each parity w = +-Q whose part of the right-hand side,
-    (rhs[c] + w rhs[c']) / 2 over the rows U, has norm above
-    1e-14 ||rhs_U||; [(None, rhs)] for pairs None."""
+def _parities(rhs: np.ndarray, pairs, signs=None) -> list:
+    """(w, cols, part) of each parity w = +-Q whose part of the right-hand
+    side has norm above 1e-14 ||rhs_U||; [(None, all, rhs)] for pairs None.
+    The part is (rhs[c] + w rhs[c']) / 2 over the rows U on every column,
+    or, for rhs over the rows U alone with signs the Q_src of its columns,
+    rhs on the columns cols of w's sign."""
+    every, k = slice(None), rhs.shape[1]
     if pairs is None:
-        return [(None, rhs)]
-    (U, image), rhs4 = pairs, rhs.reshape(-1, 5, rhs.shape[1])
-    halves = [(w, 0.5 * (rhs4[U] + w[:, None] * rhs4[image])) for w in (_Q, -_Q)]
-    floor = 1e-14 * np.linalg.norm(rhs4[U])
-    return [(w, h.reshape(-1, rhs.shape[1])) for w, h in halves if np.linalg.norm(h) > floor]
+        return [(None, every, rhs)]
+    if signs is None:
+        (U, image), rhs4 = pairs, rhs.reshape(-1, 5, k)
+        halves = [(w, every, 0.5 * (rhs4[U] + w[:, None] * rhs4[image])) for w in (_Q, -_Q)]
+        rhs = rhs4[U]
+    else:  # a parity's columns, as a slice when it has them all
+        cols = [(w, every if m.all() else m) for w, m in ((_Q, signs > 0), (-_Q, signs < 0))]
+        halves = [(w, c, rhs[:, c]) for w, c in cols]
+    floor = 1e-14 * np.linalg.norm(rhs)
+    return [(w, c, h.reshape(-1, h.shape[-1])) for w, c, h in halves if np.linalg.norm(h) > floor]
 
 
 def _coupled_solve(blocks, rhs: np.ndarray, pairs=None, parts=None) -> np.ndarray:
     """Jumps a of the coupled interface system M a = rhs (2-d rhs) from the
     blocks _interaction_matrix filled for pairs and the parities of parts
     (by default _parities'): block w solves for its part of rhs on its
-    _unknowns x, which add x_c to a[c] and w x_c to a[c'].  The ledger
-    gets ||M a - rhs_U|| / ||rhs_U|| over the rows U (coupled_residual)
-    and the block sizes (coupled_blocks).  A non-finite block or rhs
-    (condition number inf), a singular block (its own) and a non-finite
-    or large residual (the blocks' largest) raise ConditioningError.
+    _unknowns x and columns, which add x_c to a[c] and w x_c to a[c'] (a
+    paired cell's c' is not written when rhs and a hold the rows U alone).
+    The ledger gets ||M a - rhs_U|| / ||rhs_U|| over the rows U
+    (coupled_residual) and the block sizes (coupled_blocks).  A non-finite
+    block or rhs (condition number inf), a singular block (its own) and a
+    non-finite or large residual (the blocks' largest) raise
+    ConditioningError.
     """
     if not (all(np.isfinite(A).all() for A in blocks) and np.isfinite(rhs).all()):
         raise ConditioningError("coupled interface system has non-finite entries")
-    nc, k = rhs.shape[0] // 5, rhs.shape[1]
-    (U, image), rhs4 = pairs or (np.arange(nc),) * 2, rhs.reshape(nc, 5, k)
-    eqs = rhs4[U].reshape(-1, k)
+    n, k = rhs.shape[0] // 5, rhs.shape[1]
+    (U, image), rhs4 = pairs or (np.arange(n),) * 2, rhs.reshape(n, 5, k)
+    folded = U.size == n  # rhs over the rows U: only a cell on the plane has its image
+    eqs = rhs if folded else rhs4[U].reshape(-1, k)
     a, res = np.zeros_like(rhs4), -eqs
-    for A, (w, part) in zip(blocks, _parities(rhs, pairs) if parts is None else parts):
-        keep, x = _unknowns(pairs, w), np.zeros_like(eqs)
+    for A, (w, cols, part) in zip(blocks, _parities(rhs, pairs) if parts is None else parts):
+        keep, x, fit = _unknowns(pairs, w), np.zeros_like(part), np.zeros_like(part)
         try:
             x[keep] = np.linalg.solve(A, part[keep])
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(
                 f"coupled interface system is singular: {exc}", condition_number=_cond(A)
             ) from None
-        res[keep] += A @ x[keep]
-        a[U] += x.reshape(-1, 5, k)
-        if w is not None:
-            a[image] += w[:, None] * x.reshape(-1, 5, k)
+        fit[keep] = A @ x[keep]
+        res[:, cols] += fit
+        x = x.reshape(-1, 5, x.shape[1])
+        if folded:
+            a[..., cols] += x if w is None else x * (1.0 + w * (image == U)[:, None])[..., None]
+        else:
+            a[U] += x
+            a[image] += w[:, None] * x
     scale = np.linalg.norm(eqs) or np.linalg.norm(rhs)  # rhs_U = 0: rhs's scale
     res = float(np.linalg.norm(res) / scale) if scale > 0.0 else 0.0
     if not res <= 1e-8:  # NaN included
@@ -482,22 +542,32 @@ class ScatteringMatrix:
 
 class _Factors(NamedTuple):
     """One scene's factors of L = R T S: the interface (cells, D, E and T),
-    S (5*nc, C*N), R (C*N, 5*nc) and the sensing points' near-singular
-    flags."""
+    S (5*n, C*N), R (C*N, 5*n) over the cells _rows(coupled), the sensing
+    points' near-singular flags, and the _Coupling they were built for."""
 
     interface: _Interface
     S: np.ndarray
     R: np.ndarray
     near: np.ndarray
+    coupled: _Coupling | None = None
 
 
-def _factors(scene: Scene, wave, params) -> _Factors:
-    """The factors of a scene, each built once."""
+def _factors(scene: Scene, wave, params, coupling=None) -> _Factors:
+    """The factors of a scene, each built once.  For the interacting closure
+    (coupling as in _coupled) whose S at a cell's image is Q S[c] Q_src
+    (its signs set), S and R hold the cells U alone, and R weights a paired
+    cell by twice its area, for its image's half of L."""
     interface = _interface(scene.patches, wave.omega)
-    cells, points = interface.cells, scene.grid.points
-    S = _kernel_block(cells, points, channel_indices(scene.channels), wave, params)
-    R, near = _radiation_block(scene.patches, points, S, cells.areas)
-    return _Factors(interface, S, R, near)
+    cells, points, cidx = interface.cells, scene.grid.points, channel_indices(scene.channels)
+    coupled = coupling and _coupled(interface, coupling, points, cidx)
+    weights = cells.areas
+    if coupled and coupled.signs is not None:
+        U, image = coupled.pairs
+        cells = _Cells(cells.centers[U], cells.areas[U], cells.normals[U], cells.patch_index[U])
+        weights = cells.areas * np.where(image == U, 1.0, 2.0)
+    S = _kernel_block(cells, points, cidx, wave, params)
+    R, near = _radiation_block(scene.patches, points, S, weights)
+    return _Factors(interface, S, R, near, coupled)
 
 
 def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
@@ -513,18 +583,28 @@ def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
 def _scattering_data(factors: _Factors, coupling=None) -> np.ndarray:
     """L = R T S from a scene's factors.
 
-    For the interacting closure (coupling as in _jumps) the ledger gets
-    the closure gap ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from the
-    same factors (0 when the patches do not interact).
+    For the interacting closure (coupling as in _coupled; its _Coupling is
+    the factors' or, for factors built without it, found here) the ledger
+    gets the closure gap ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from
+    the same factors (0 when the patches do not interact).  Over the cells
+    U, R a holds a paired cell's half of L twice (its R weight), and the
+    entries that pair columns of opposite signs Q_src, which its image
+    cancels, are zero.
     """
-    data = factors.R @ _jumps(factors.interface, factors.S, coupling)
+    interface, S, R, coupled = factors.interface, factors.S, factors.R, factors.coupled
+    data = local = R @ _blockwise(interface.T[_rows(coupled)], S)
+    if coupling is not None and (coupled := coupled or _coupled(interface, coupling)):
+        data = R @ _jumps(interface, S, coupled)
+    signs = factors.coupled and factors.coupled.signs
+    if signs is not None and (signs < 0).any():
+        odd = signs[:, None] != signs
+        data[odd] = local[odd] = 0.0
     if not np.isfinite(data).all():
         raise NumericalError(
             "the scattering matrix has non-finite entries: the kernels left double "
             "range for this scene, material and frequency"
         )
     if coupling is not None:
-        local = factors.R @ _jumps(factors.interface, factors.S)
         scale = np.linalg.norm(local)
         gap = float(np.linalg.norm(data - local) / scale) if scale > 0.0 else 0.0
         ledger.note("closure_gap", gap)
@@ -557,9 +637,9 @@ def assemble_lambda(
     """
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
-    factors = _factors(scene, wave, params)
-    ledger.note("near_singular_points", int(factors.near.sum()))
     coupling = (wave, params, cutoff) if mode == "interacting" else None
+    factors = _factors(scene, wave, params, coupling)
+    ledger.note("near_singular_points", int(factors.near.sum()))
     data = _scattering_data(factors, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",

@@ -867,7 +867,8 @@ def _whole_indices(rows: np.ndarray) -> np.ndarray:
 
 def load_indicator_map(path) -> IndicatorMap:
     """Read a map file in the layout save_indicator_map writes.  A missing
-    or unparsable header field, a row that is not six numbers with integer
+    or unparsable header field, a grid header the sampling grid refuses (a
+    flipped region, say), a row that is not six numbers with integer
     indices, and a row count other than the grid's point count raise
     CompatibilityError."""
     header, rows = _read_table(path, _MAP_TAG, 6, "map row", "unparsable", _whole_indices)
@@ -884,6 +885,8 @@ def load_indicator_map(path) -> IndicatorMap:
         raise CompatibilityError(f"{path}: missing header field {exc.args[0]!r}") from None
     except (ValueError, IndexError) as exc:
         raise CompatibilityError(f"{path}: unparsable header value ({exc})") from None
+    except DomainError as exc:
+        raise CompatibilityError(f"{path}: bad grid header ({exc})") from None
     if len(rows) != grid.point_count:
         raise CompatibilityError(
             f"{path}: {len(rows)} rows for a grid of {grid.point_count} points"

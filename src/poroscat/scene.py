@@ -309,6 +309,8 @@ class SamplingGrid:
     plane_z: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (self.region[0] <= self.region[1] and self.region[2] <= self.region[3]):
+            raise DomainError(f"sampling region needs xmin <= xmax, ymin <= ymax: {self.region}")
         if self.resolution[0] < 1 or self.resolution[1] < 1:
             raise DomainError("sampling resolution must be >= 1 on each axis")
         if len(self.iotas) == 0:

@@ -38,6 +38,14 @@ system into its even and odd blocks, M[c, d] + M[c, d'] w over one cell
 c, d of each mirror pair.  poroscat.forward._interaction_matrix fills
 each block directly from its reciprocal kernel.
 
+interacting_lambda_oracle is the interacting closure's L assembled over
+every cell: S, R and the right-hand side over all cells, each parity's
+half of the right-hand side on every column, its jumps unfolded onto the
+cells and their images, and L = R a.  When the sensing points lie on the
+cells' mirror plane, poroscat.forward assembles S, R, the right-hand
+side and L over one cell of each mirror pair and splits the parities by
+column.
+
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
 traces; poroscat.forward.interface_response_matrix takes it as E^-1 D of
@@ -54,6 +62,7 @@ the pencil's numerical range only, where the energy of g = V_r y is
 
 import numpy as np
 
+from poroscat import forward as fw
 from poroscat.greens import _EYE3, _SCALARS, _PowR, _Table, _coeffs, _geometry, _modes, _table
 from poroscat.inversion import _psd_function
 from poroscat.material import MaterialParams, WaveState
@@ -368,6 +377,34 @@ def parity_blocks_oracle(M, pairs, parities) -> list:
         A += M4.take(U, axis=2).reshape(keep.size, -1)
         blocks.append(A[np.ix_(keep, keep)])
     return blocks
+
+
+def interacting_lambda_oracle(scene, wave: WaveState, params: MaterialParams) -> np.ndarray:
+    """The interacting closure's L of a scene over every cell: rhs = E S;
+    for an unpaired scene one LU of M, else each parity w = +-Q whose half
+    (rhs[c] + w rhs[c']) / 2 over the cells U has norm above 1e-14 ||rhs_U||
+    solved on its block, x_c added to a[c] and w x_c to a[c'] (the
+    unknowns with w = -1 of a cell on the plane dropped); L = R a."""
+    f = fw._factors(scene, wave, params)
+    iface = f.interface
+    rhs = fw._blockwise(iface.E, f.S)
+    pairs = fw._mirror_pairs(iface, wave, params)
+    if pairs is None:
+        [M] = fw._interaction_matrix(iface, wave, params)
+        return f.R @ np.linalg.solve(M, rhs)
+    (U, image), k = pairs, rhs.shape[1]
+    rhs4 = rhs.reshape(-1, 5, k)
+    a, floor = np.zeros_like(rhs4), 1e-14 * np.linalg.norm(rhs4[U])
+    halves = [(w, 0.5 * (rhs4[U] + w[:, None] * rhs4[image])) for w in (fw._Q, -fw._Q)]
+    halves = [(w, h.reshape(-1, k)) for w, h in halves if np.linalg.norm(h) > floor]
+    blocks = fw._interaction_matrix(iface, wave, params, pairs, [w for w, _ in halves])
+    for A, (w, half) in zip(blocks, halves):
+        keep = ((image != U)[:, None] | (w > 0)).ravel()
+        x = np.zeros_like(half)
+        x[keep] = np.linalg.solve(A, half[keep])
+        a[U] += x.reshape(-1, 5, k)
+        a[image] += w[:, None] * x.reshape(-1, 5, k)
+    return f.R @ a.reshape(rhs.shape)
 
 
 def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarray:

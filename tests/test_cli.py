@@ -546,7 +546,7 @@ class TestMainEntry:
         [M] = fw._interaction_matrix(iface, wave, sc.params)
         blocks = S.reshape(iface.cells.count, 5, -1)
         rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
-        jumps = fw._jumps(iface, S, (wave, sc.params, sc.forward_cutoff))
+        jumps = fw._jumps(iface, S, fw._coupled(iface, (wave, sc.params, sc.forward_cutoff)))
         res = np.linalg.norm(M @ jumps - rhs) / np.linalg.norm(rhs)
         meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
         assert 0.0 < meta["coupled_residual"] <= 1e-8

@@ -32,7 +32,12 @@ from poroscat.scene import (
     channel_indices,
 )
 
-from oracles import dislocation_trace_oracle, interface_response_oracle, parity_blocks_oracle
+from oracles import (
+    dislocation_trace_oracle,
+    interacting_lambda_oracle,
+    interface_response_oracle,
+    parity_blocks_oracle,
+)
 
 
 def contact(k=1.0, kappa_f=1e-3, model="finite-permeability"):
@@ -130,7 +135,8 @@ def traces(y, channel, patches, wave, params):
 def jumps(psi, patches, wave, coupling=None):
     """(nc, 5) jump densities ([[u]], [[p]], -[[q]]) of the traces psi."""
     iface = fw._interface(patches, wave.omega)
-    return fw._jumps(iface, np.reshape(psi, (-1, 1)), coupling).reshape(-1, 5)
+    coupled = None if coupling is None else fw._coupled(iface, coupling)
+    return fw._jumps(iface, np.reshape(psi, (-1, 1)), coupled).reshape(-1, 5)
 
 
 def radiated(a, patches, points, wave, params):
@@ -443,6 +449,22 @@ def lifted_scene(small_scene):
     return dataclasses.replace(small_scene, patches=(first, lifted))
 
 
+@pytest.fixture(scope="module")
+def mixed_full_scene(mixed_scene):
+    """mixed_scene on the "full" channels: odd fz columns beside a row of
+    cells on the plane."""
+    return dataclasses.replace(mixed_scene, channels="full")
+
+
+@pytest.fixture(scope="module")
+def point_lifted_scene(small_scene):
+    """small_scene with its first sensing point lifted to z = 0.1: the cells
+    still pair up, but a point lies off their mirror plane."""
+    points = small_scene.grid.points.copy()
+    points[0, 2] = 0.1
+    return dataclasses.replace(small_scene, grid=SensingGrid(points))
+
+
 # the reflection z -> 2 z0 - z on traces and jumps (Q) and on the four
 # point-source types (forces along x, y, z and fluid injection)
 Q5 = np.diag([1.0, 1.0, -1.0, 1.0, 1.0])
@@ -517,9 +539,79 @@ class TestMirrorParity:
             assert np.linalg.norm(A - ref) <= 1e-14 * np.linalg.norm(ref)
         rhs = fw._blockwise(f.interface.E, f.S)
         parts = fw._parities(rhs, mirror)
-        blocks = parity_blocks_oracle(M, mirror, [w for w, _ in parts])
+        blocks = parity_blocks_oracle(M, mirror, [w for w, *_ in parts])
         a = fw._coupled_solve(blocks, rhs, mirror, parts)
         assert np.linalg.norm(M @ a - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    @staticmethod
+    def assemble(scene, monkeypatch, wave, params):
+        """L of the interacting closure, the ledger record and the numbers of
+        cells the trace kernel's S blocks ran on."""
+        block, cells = fw._kernel_block, []
+
+        def counted(c, *args):
+            cells.append(c.count)
+            return block(c, *args)
+
+        monkeypatch.setattr(fw, "_kernel_block", counted)
+        with ledger.record() as rec:
+            L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
+        return L, rec, cells
+
+    @pytest.mark.parametrize(
+        "scene_name, cells, blocks",
+        [
+            ("network_smoke_scene", 8, [32]),  # every cell on the plane
+            ("small_scene", 9, [45]),  # 9 pairs
+            ("mixed_scene", 18, [81]),  # a row of 9 cells on the plane beside 9 pairs
+            ("three_patch_scene", 12, [60, 60]),  # "full": the fz columns are odd
+            ("three_patch_in_plane_scene", 12, [60]),  # no fz column: no odd block
+            ("mixed_full_scene", 18, [81, 54]),  # odd block: 9 x 5 + the z of 9 on the plane
+        ],
+    )
+    def test_rows_u_assembly_matches_every_cell(
+        self, scene_name, cells, blocks, request, monkeypatch, wave, params
+    ):
+        # with the sensing points on the mirror plane, S, R, the right-hand
+        # side and L are built over the cells U alone and each parity
+        # solves its own columns: L is the every-cell assembly's
+        scene = request.getfixturevalue(scene_name)
+        ref = interacting_lambda_oracle(scene, wave, params)
+        L, rec, kernel_cells = self.assemble(scene, monkeypatch, wave, params)
+        assert kernel_cells == [cells]
+        assert rec["coupled_blocks"] == blocks and rec["coupled_residual"] <= 1e-8
+        assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "scene_name", ["lifted_scene", "many_patch_scene", "point_lifted_scene"]
+    )
+    def test_every_cell_assembly_kept_to_the_bit(
+        self, scene_name, request, monkeypatch, wave, params
+    ):
+        # an unpaired scene and a point off the plane keep the every-cell
+        # assembly, and with every cell on the plane U is every cell
+        scene = request.getfixturevalue(scene_name)
+        ref = interacting_lambda_oracle(scene, wave, params)
+        L, _, kernel_cells = self.assemble(scene, monkeypatch, wave, params)
+        assert kernel_cells == [sum(p.cell_count for p in scene.patches)]
+        np.testing.assert_array_equal(L, ref)
+
+    def test_trace_covariance_miss_takes_every_cell(
+        self, small_scene, monkeypatch, wave, params
+    ):
+        # a trace kernel with a small part odd in z fails the probe of S's
+        # reflection: S, R and L are then built over every cell, and the
+        # odd part of the right-hand side factors the odd block too
+        kernel = fw._trace_matrix
+
+        def odd(y, xi, *args):
+            return kernel(y, xi, *args) * (1.0 + 1e-8 * xi[..., 2])[..., None, None]
+
+        monkeypatch.setattr(fw, "_trace_matrix", odd)
+        ref = interacting_lambda_oracle(small_scene, wave, params)
+        L, rec, kernel_cells = self.assemble(small_scene, monkeypatch, wave, params)
+        assert kernel_cells == [18] and rec["coupled_blocks"] == [45, 45]
+        np.testing.assert_array_equal(L, ref)
 
     def test_covariance_miss_takes_full_matrix(self, small_scene, monkeypatch, wave, params):
         # a kernel with a small part odd in z (cells at z = +-0.25 about
@@ -558,7 +650,7 @@ class TestMirrorParity:
     @staticmethod
     def solve(M, rhs, pairs):
         parts = fw._parities(rhs, pairs)
-        blocks = parity_blocks_oracle(M, pairs, [w for w, _ in parts])
+        blocks = parity_blocks_oracle(M, pairs, [w for w, *_ in parts])
         return fw._coupled_solve(blocks, rhs, pairs, parts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -682,10 +774,11 @@ class TestAssembleLambda:
             return
         # one source at a time: S column, coupled transfer, then R
         f = fw._factors(scene, wave, params)
+        coupled = fw._coupled(f.interface, (wave, params, None))
         for j, y in enumerate(pts):
             for c, src in enumerate(cidx):
                 psi = fw._kernel_block(f.interface.cells, y[None, :], [src], wave, params)
-                col = f.R @ fw._jumps(f.interface, psi, (wave, params, None))
+                col = f.R @ fw._jumps(f.interface, psi, coupled)
                 ref = lam.data[:, j * C + c]
                 assert np.linalg.norm(col[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
 

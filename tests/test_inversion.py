@@ -920,6 +920,19 @@ class TestIndicatorMap:
             ref.extend(glsm_indicator_oracle(G[:, np.arange(best.size), best], sharp, imap.delta))
         np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
 
+    def test_acceptance_maps_raise_no_floating_point_warning(self, desk_scale, wave, params):
+        # the six maps of the acceptance fixture (desk clean and noisy, and
+        # the fluid-channel scene, each by LSM and GLSM) with no warning
+        # filter: the pytest config turns a numpy overflow, invalid value or
+        # division by zero on this path into a failure
+        scene, lam, noisy = desk_scale
+        fluid = desk_scale_scene(channels="fluid")
+        fluid_lam = fw.assemble_lambda(fluid, wave, params, mode="local")
+        for sc, mat in ((scene, lam), (scene, noisy), (fluid, fluid_lam)):
+            for method in ("lsm", "glsm"):
+                imap = inv.indicator_map(sc, mat, method, wave, params)
+                assert np.isfinite(imap.raw).all()
+
     def test_glsm_block_transients_level_with_lsm(self, desk_scale, wave, params):
         # a per-candidate GLSM block works in the pencil's r coordinates and
         # forms no full-size solution block: its tracemalloc peak on 64
@@ -974,9 +987,11 @@ class TestIndicatorMap:
             (lambda lines: lines[:-1], "5 rows for a grid of 6 points"),
             (lambda lines: lines + lines[-1:], "7 rows for a grid of 6 points"),
             (lambda lines: [x.replace("lsm", "l\xe9m") for x in lines], "not an ASCII text file"),
+            (lambda lines: [x.replace("region = -1,1,-1,1", "region = -1,1,1,-1") for x in lines],
+             "bad grid header (sampling region"),
         ],
         ids=["no-region", "bad-n_dir", "short-row", "long-row", "bad-raw", "rows-5", "rows-7",
-             "non-ascii"],
+             "non-ascii", "flipped-region"],
     )
     def test_malformed_map_file_is_compatibility_error(self, tmp_path, edit, cause):
         grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))

@@ -171,6 +171,12 @@ class TestSamplingGrid:
         assert pts[1] == pytest.approx([1, 0, 0])
         assert pts[2] == pytest.approx([0, 1, 0])
 
+    @pytest.mark.parametrize("region", [(-2, 2, 2, -2), (2, -2, -2, 2)], ids=["y", "x"])
+    def test_flipped_region_rejected(self, region):
+        # a flipped region would run axes() backwards and flip the map and its PGM
+        with pytest.raises(DomainError, match="needs xmin <= xmax, ymin <= ymax"):
+            build_sampling_grid(region, (3, 3), 1, (0,))
+
     def test_empty_iotas_rejected(self):
         with pytest.raises(DomainError):
             build_sampling_grid((-1, 1, -1, 1), (2, 2), 2, ())
