@@ -372,7 +372,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     fwd = _object(doc.get("forward", {}), "forward", {"mode", "cutoff"})
     mode = _choice(fwd.get("mode", "local"), "forward.mode", ("local", "interacting"))
-    cutoff = _optional_number(fwd.get("cutoff"), "forward.cutoff")
+    cutoff = _optional_number(fwd.get("cutoff"), "forward.cutoff", low=0.0)
 
     noise = _object(doc.get("noise", {}), "noise", {"epsilon", "target_delta", "seed"})
     if "epsilon" in noise and "target_delta" in noise:
@@ -624,7 +624,8 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
 
     # one set of factors for every check below
     factors = fw._factors(scene, wave, params)
-    S, R, cells = factors.S, factors.R, factors.interface.cells
+    S, cells = factors.S, factors.interface.cells
+    R = fw._radiation(S, cells.areas)
     if S.shape[0] > 0:
         w = np.repeat(cells.areas, 5)
         gv = rng.normal(size=S.shape[1]) + 1j * rng.normal(size=S.shape[1])

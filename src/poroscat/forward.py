@@ -11,14 +11,14 @@ the composition of three discrete operators:
     radiation operator R  : jump densities -> (u, p) data on the grid,
                             midpoint quadrature with cell areas.
 
-_factors builds a scene's factors once: the collocation cells, S, R with
-the sensing points' near-singular flags, and the per-cell contact blocks
-(D, E) with the local transfer T = D^-1 E.  R is S's trace kernel read
-transposed and weighted by the cell areas.  Both closures, the closure
-gap and the check suite read that one set.  The contact law is stated
-once (_contact_law): the transfer is D^-1 E, and the interface response
-whose admissibility check_admissibility decides is E^-1 D.  A source on a
-patch cannot occur, as Scene keeps every sensing point off the patches.
+_factors builds a scene's factors once: the collocation cells, S, and the
+per-cell contact blocks (D, E) with the local transfer T = D^-1 E.  R is
+S's trace kernel read transposed and weighted by the cell areas.  Both
+closures, the closure gap and the check suite read that one set.  The
+contact law is stated once (_contact_law): the transfer is D^-1 E, and
+the interface response whose admissibility check_admissibility decides
+is E^-1 D.  A source on a patch cannot occur, as Scene keeps every
+sensing point off the patches.
 
 Two interface closures are provided.  The local (Born-type) closure
 zeroes the scattered traces in the contact conditions, making T block
@@ -28,14 +28,13 @@ interacting closure keeps the scattered traces radiated by cells of
 patch, including the singular self-cell term, are excluded) and solves
 the resulting dense system M a = E psi.  When the cells pair up under
 the reflection about their mid-plane (_mirror_pairs), as those of
-vertical patches centred on one plane do, M splits into an even and an
-odd half-size block, each one reciprocal fill over one cell of each
-pair, and only the blocks the right-hand side needs are filled.  When
-the sensing points lie on that plane too (_coupled), S, R, the right-hand
-side and L are built over that one cell of each pair alone, and each
-block solves the columns of its own parity (network-forward: the trace
-kernel at 160 of 320 cells, the assembly 0.103 -> 0.090 s on a 2-vCPU
-host).  An assembly notes in the run's ledger (poroscat.ledger) its
+vertical patches centred on one plane do, S folds once into an even and
+an odd half over one cell of each pair (_fold), reflected from S over
+those cells alone when the sensing points lie on the plane too (the
+network-forward trace kernel runs at 160 of 320 cells).  Each half
+solves its own half-size block of M, one reciprocal fill, on its own
+columns and radiates through its own R; a rounding-level half is not
+filled.  An assembly notes in the run's ledger (poroscat.ledger) its
 near-singular sensing points and, if interacting, the fill's kernel
 pairs, the solve's seconds, residual and block sizes, and the closure
 gap ||L - L_loc|| / ||L_loc|| to the local closure L_loc.
@@ -138,18 +137,17 @@ def _kernel_block(cells: _Cells, points, cidx, wave, params) -> np.ndarray:
     return K[..., cidx].transpose(0, 2, 1, 3).reshape(5 * nc, C * N)
 
 
-def _radiation_block(patches, points, kernel: np.ndarray, areas: np.ndarray):
-    """(C*N, 5*nc) operator R: cell jump densities to the data of some
-    channels at the N points, with the points' near-singular flags.
+def _radiation(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(C*N, 5*n) operator R of a (5*n, C*N) _kernel_block over n cells:
+    entry [(p, c), cell] is the reciprocal evaluation of the trace kernel
+    (source at point p, trace and normal at the cell), kernel[cell, (p, c)],
+    times the cell's weight (its area; see _fold for a parity half's)."""
+    return np.ascontiguousarray((np.repeat(weights, 5)[:, None] * kernel).T)
 
-    ``kernel`` is the (5*nc, C*N) _kernel_block of the same points and
-    channels, ``areas`` the cell weights: entry [(p, c), cell] of R is the
-    reciprocal evaluation of the trace kernel (source at point p, trace
-    and normal at the cell), kernel[cell, (p, c)], times the cell's weight
-    (its area; twice it for a cell standing for its mirror pair too).
-    Points closer to a patch than half its cell diagonal are flagged
-    near-singular.
-    """
+
+def _near_singular(patches, points) -> np.ndarray:
+    """The flags of the sensing points closer to a patch than half its cell
+    diagonal (near-singular), with a warning when there are any."""
     near = np.zeros(points.shape[0], dtype=bool)
     for patch in patches:
         n1, n2 = patch.subdivisions
@@ -160,7 +158,7 @@ def _radiation_block(patches, points, kernel: np.ndarray, areas: np.ndarray):
         logger.warning(
             "%d observation point(s) within the near-singular zone", int(near.sum())
         )
-    return np.ascontiguousarray((np.repeat(areas, 5)[:, None] * kernel).T), near
+    return near
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +238,6 @@ def _blockwise(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("cij,cjk->cik", blocks, cells).reshape(psi.shape)
 
 
-def _jumps(interface: _Interface, psi: np.ndarray, coupled=None) -> np.ndarray:
-    """Interface transfer T: a (5*n, k) trace block over the cells
-    _rows(coupled) to its jump block, for the local closure (coupled None)
-    or the interacting one's _Coupling.  A coupled solve records in the
-    ledger the seconds of its fill (coupling) and of its solve (solve)."""
-    if coupled is None:
-        return _blockwise(interface.T, psi)
-    wave, params, pairs, signs = coupled
-    rhs = _blockwise(interface.E[_rows(coupled)], psi)
-    with ledger.stage("coupling"):
-        parts = _parities(rhs, pairs, signs)
-        blocks = _interaction_matrix(interface, wave, params, pairs, [w for w, *_ in parts])
-    with ledger.stage("solve"):
-        return _coupled_solve(blocks, rhs, pairs, parts)
-
-
 class _Coupling(NamedTuple):
     """An interacting closure whose patches interact, as _coupled finds it."""
 
@@ -293,11 +275,6 @@ def _coupled(interface: _Interface, coupling, points=None, cidx=None) -> _Coupli
         err = np.linalg.norm(K[1] - K[0] * np.outer(_Q, _Q_SRC).ravel(), axis=1)
         ok = (err <= 1e-12 * np.linalg.norm(K[0], axis=1)).all()
     return _Coupling(wave, params, pairs, np.tile(_Q_SRC[cidx], N) if ok else None)
-
-
-def _rows(coupled) -> slice | np.ndarray:
-    """The cells S and R hold: U for a coupling with signs, else all."""
-    return slice(None) if coupled is None or coupled.signs is None else coupled.pairs[0]
 
 
 def _patches_interact(patches, wave, cutoff) -> bool:
@@ -441,69 +418,52 @@ def _unknowns(pairs, w):
     return slice(None) if keep is None or keep.all() else keep
 
 
-def _parities(rhs: np.ndarray, pairs, signs=None) -> list:
-    """(w, cols, part) of each parity w = +-Q whose part of the right-hand
-    side has norm above 1e-14 ||rhs_U||; [(None, all, rhs)] for pairs None.
-    The part is (rhs[c] + w rhs[c']) / 2 over the rows U on every column,
-    or, for rhs over the rows U alone with signs the Q_src of its columns,
-    rhs on the columns cols of w's sign."""
-    every, k = slice(None), rhs.shape[1]
-    if pairs is None:
-        return [(None, every, rhs)]
-    if signs is None:
-        (U, image), rhs4 = pairs, rhs.reshape(-1, 5, k)
-        halves = [(w, every, 0.5 * (rhs4[U] + w[:, None] * rhs4[image])) for w in (_Q, -_Q)]
-        rhs = rhs4[U]
-    else:  # a parity's columns, as a slice when it has them all
-        cols = [(w, every if m.all() else m) for w, m in ((_Q, signs > 0), (-_Q, signs < 0))]
-        halves = [(w, c, rhs[:, c]) for w, c in cols]
-    floor = 1e-14 * np.linalg.norm(rhs)
-    return [(w, c, h.reshape(-1, h.shape[-1])) for w, c, h in halves if np.linalg.norm(h) > floor]
+def _parities(E: np.ndarray, halves, k: int) -> tuple[np.ndarray, list]:
+    """rhs_U = E S over the rows U (E = E_U, k columns) from the halves
+    (w, cols, S_w, R_w) of _fold, and the part (w, cols, E S_w, R_w) of
+    each half whose E S_w has norm above 1e-14 ||rhs_U||."""
+    parts = [(w, cols, _blockwise(E, S), R) for w, cols, S, R in halves]
+    eqs = np.zeros((5 * E.shape[0], k), dtype=np.complex128)
+    for _, cols, rhs, _ in parts:
+        eqs[:, cols] += rhs
+    floor = 1e-14 * np.linalg.norm(eqs)
+    return eqs, [part for part in parts if np.linalg.norm(part[2]) > floor]
 
 
-def _coupled_solve(blocks, rhs: np.ndarray, pairs=None, parts=None) -> np.ndarray:
-    """Jumps a of the coupled interface system M a = rhs (2-d rhs) from the
-    blocks _interaction_matrix filled for pairs and the parities of parts
-    (by default _parities'): block w solves for its part of rhs on its
-    _unknowns x and columns, which add x_c to a[c] and w x_c to a[c'] (a
-    paired cell's c' is not written when rhs and a hold the rows U alone).
-    The ledger gets ||M a - rhs_U|| / ||rhs_U|| over the rows U
-    (coupled_residual) and the block sizes (coupled_blocks).  A non-finite
-    block or rhs (condition number inf), a singular block (its own) and a
-    non-finite or large residual (the blocks' largest) raise
-    ConditioningError.
+def _coupled_solve(blocks, eqs: np.ndarray, parts, pairs=None) -> list[np.ndarray]:
+    """Jumps x_w of the coupled interface system M a = rhs, one per part
+    (w, cols, rhs_w, _) of _parities: block w (_interaction_matrix, over
+    the cells U of pairs) solves rhs_w for its _unknowns on the columns
+    cols, zero elsewhere.  The ledger gets ||M a - rhs_U|| / ||rhs_U||
+    over the rows U, rhs_U = eqs (coupled_residual), and the block sizes
+    (coupled_blocks).  A non-finite block or rhs (condition number inf), a
+    singular block (its own) and a non-finite or large residual (the
+    blocks' largest) raise ConditioningError.
     """
-    if not (all(np.isfinite(A).all() for A in blocks) and np.isfinite(rhs).all()):
+    if not (all(np.isfinite(A).all() for A in blocks) and np.isfinite(eqs).all()):
         raise ConditioningError("coupled interface system has non-finite entries")
-    n, k = rhs.shape[0] // 5, rhs.shape[1]
-    (U, image), rhs4 = pairs or (np.arange(n),) * 2, rhs.reshape(n, 5, k)
-    folded = U.size == n  # rhs over the rows U: only a cell on the plane has its image
-    eqs = rhs if folded else rhs4[U].reshape(-1, k)
-    a, res = np.zeros_like(rhs4), -eqs
-    for A, (w, cols, part) in zip(blocks, _parities(rhs, pairs) if parts is None else parts):
-        keep, x, fit = _unknowns(pairs, w), np.zeros_like(part), np.zeros_like(part)
+    res, xs = -eqs, []
+    for A, (w, cols, rhs, _) in zip(blocks, parts):
+        keep, x = _unknowns(pairs, w), np.zeros_like(rhs)
         try:
-            x[keep] = np.linalg.solve(A, part[keep])
+            x[keep] = np.linalg.solve(A, rhs[keep])
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(
                 f"coupled interface system is singular: {exc}", condition_number=_cond(A)
             ) from None
+        fit = np.zeros_like(rhs)  # after the LU, whose copy of A is the run's peak
         fit[keep] = A @ x[keep]
         res[:, cols] += fit
-        x = x.reshape(-1, 5, x.shape[1])
-        if folded:
-            a[..., cols] += x if w is None else x * (1.0 + w * (image == U)[:, None])[..., None]
-        else:
-            a[U] += x
-            a[image] += w[:, None] * x
-    scale = np.linalg.norm(eqs) or np.linalg.norm(rhs)  # rhs_U = 0: rhs's scale
+        xs.append(x)
+    # rhs_U = 0 with a non-zero image half: the parts' scale
+    scale = np.linalg.norm(eqs) or np.linalg.norm([np.linalg.norm(p[2]) for p in parts])
     res = float(np.linalg.norm(res) / scale) if scale > 0.0 else 0.0
     if not res <= 1e-8:  # NaN included
         cond = max(map(_cond, blocks), default=np.inf) if np.isfinite(res) else np.inf
         raise ConditioningError(f"coupled interface solve residual {res:.3e}", cond)
     ledger.note("coupled_residual", res)
     ledger.note("coupled_blocks", [A.shape[0] for A in blocks])
-    return a.reshape(rhs.shape)
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -542,32 +502,25 @@ class ScatteringMatrix:
 
 class _Factors(NamedTuple):
     """One scene's factors of L = R T S: the interface (cells, D, E and T),
-    S (5*n, C*N), R (C*N, 5*n) over the cells _rows(coupled), the sensing
-    points' near-singular flags, and the _Coupling they were built for."""
+    S (5*n, C*N) over every cell or, as _factors says, the cells U alone,
+    and the _Coupling they were built for.  R is each parity half's (_fold)."""
 
     interface: _Interface
     S: np.ndarray
-    R: np.ndarray
-    near: np.ndarray
     coupled: _Coupling | None = None
 
 
 def _factors(scene: Scene, wave, params, coupling=None) -> _Factors:
     """The factors of a scene, each built once.  For the interacting closure
     (coupling as in _coupled) whose S at a cell's image is Q S[c] Q_src
-    (its signs set), S and R hold the cells U alone, and R weights a paired
-    cell by twice its area, for its image's half of L."""
+    (its signs set), S holds the cells U alone."""
     interface = _interface(scene.patches, wave.omega)
     cells, points, cidx = interface.cells, scene.grid.points, channel_indices(scene.channels)
     coupled = coupling and _coupled(interface, coupling, points, cidx)
-    weights = cells.areas
     if coupled and coupled.signs is not None:
-        U, image = coupled.pairs
+        U = coupled.pairs[0]
         cells = _Cells(cells.centers[U], cells.areas[U], cells.normals[U], cells.patch_index[U])
-        weights = cells.areas * np.where(image == U, 1.0, 2.0)
-    S = _kernel_block(cells, points, cidx, wave, params)
-    R, near = _radiation_block(scene.patches, points, S, weights)
-    return _Factors(interface, S, R, near, coupled)
+    return _Factors(interface, _kernel_block(cells, points, cidx, wave, params), coupled)
 
 
 def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
@@ -577,28 +530,80 @@ def _trace_operator(scene: Scene, wave, params) -> np.ndarray:
 
 def _radiation_operator(scene: Scene, wave, params) -> np.ndarray:
     """(C*N, 5*nc) operator R: cell jump densities to grid data."""
-    return _factors(scene, wave, params).R
+    factors = _factors(scene, wave, params)
+    return _radiation(factors.S, factors.interface.cells.areas)
+
+
+def _fold(factors: _Factors, coupled) -> list[tuple]:
+    """The parity halves (w, cols, S_w, R_w) of a scene's traces, each held
+    on its columns cols, those where it is not all zero (a slice when all;
+    a zero half is left out).  An unpaired scene is the one half
+    (None, cols, S, (W S)^T), W the cell areas.  A paired one has
+    S_w = (S[U] + w S[U']) / 2 over the cells U, w = +-Q, where w S[U'] is
+    +-S[U] Q_src for S over U alone (signs set: a half is S on the columns
+    of its sign, zero on the rest) and +-Q S[U'] otherwise.  As
+    a[c'] = w a[c], and a cell on the plane (c' = c) holds half its jump
+    in x (its diagonal in block w is D_c (1 + w)), L = sum_w R_w x_w with
+    R_w = (2 W_U S_w)^T.
+    """
+    S, areas, k = factors.S, factors.interface.cells.areas, factors.S.shape[1]
+    halves = [(None, S, None)]
+    if coupled and coupled.pairs:
+        (U, image), signs = coupled.pairs, coupled.signs
+        areas = 2.0 * areas[U]
+        if signs is None:
+            S4 = S.reshape(-1, 5, k)
+            SU, QS = S4[U], _Q[:, None] * S4[image]
+            halves = [(_Q, 0.5 * (SU + QS), None), (-_Q, 0.5 * (SU - QS), None)]
+        else:
+            halves = [(_Q, S, signs > 0), (-_Q, S, signs < 0)]
+    folded = []
+    for w, S_w, on in halves:
+        S_w = S_w.reshape(-1, k)
+        on = S_w.any(axis=0) if on is None else on
+        if on.any():
+            cols = slice(None) if on.all() else np.flatnonzero(on)
+            S_w = S_w[:, cols]
+            folded.append((w, cols, S_w, _radiation(S_w, areas)))
+    return folded
+
+
+def _radiate(k: int, halves, jumps) -> np.ndarray:
+    """The (k, k) data sum_w R_w y_w of the halves (w, cols, _, R_w) of
+    _fold, each on the rows and columns cols (a slice when all)."""
+    data = np.zeros((k, k), dtype=np.complex128)
+    for (_, cols, _, R), y in zip(halves, jumps):
+        data[(cols, cols) if isinstance(cols, slice) else np.ix_(cols, cols)] += R @ y
+    return data
 
 
 def _scattering_data(factors: _Factors, coupling=None) -> np.ndarray:
-    """L = R T S from a scene's factors.
-
-    For the interacting closure (coupling as in _coupled; its _Coupling is
-    the factors' or, for factors built without it, found here) the ledger
-    gets the closure gap ||L - L_loc|| / ||L_loc||, L_loc = R T_loc S from
-    the same factors (0 when the patches do not interact).  Over the cells
-    U, R a holds a paired cell's half of L twice (its R weight), and the
-    entries that pair columns of opposite signs Q_src, which its image
-    cancels, are zero.
+    """L = R T S from a scene's factors: sum_w R_w y_w over the halves of
+    _fold, with y_w = T_U S_w (halved on a cell on the plane) for the local
+    closure.  For the interacting one (coupling as in _coupled; its
+    _Coupling is the factors' or, for factors built without it, found
+    here) y_w is _coupled_solve's x_w; the ledger gets the seconds of the
+    parts and fill (coupling) and of the solve (solve), and the closure
+    gap ||L - L_loc|| / ||L_loc|| to the local closure of the same halves
+    (0 when the patches do not interact).
     """
-    interface, S, R, coupled = factors.interface, factors.S, factors.R, factors.coupled
-    data = local = R @ _blockwise(interface.T[_rows(coupled)], S)
-    if coupling is not None and (coupled := coupled or _coupled(interface, coupling)):
-        data = R @ _jumps(interface, S, coupled)
-    signs = factors.coupled and factors.coupled.signs
-    if signs is not None and (signs < 0).any():
-        odd = signs[:, None] != signs
-        data[odd] = local[odd] = 0.0
+    interface, coupled, k = factors.interface, factors.coupled, factors.S.shape[1]
+    if coupling is not None and coupled is None:
+        coupled = _coupled(interface, coupling)
+    halves, pairs = _fold(factors, coupled), coupled and coupled.pairs
+    U, T = slice(None), interface.T
+    if pairs:
+        U = pairs[0]
+        T = T[U] / (1.0 + (pairs[1] == U))[:, None, None]
+    data = local = _radiate(k, halves, [_blockwise(T, S) for _, _, S, _ in halves])
+    if coupled:
+        with ledger.stage("coupling"):
+            eqs, parts = _parities(interface.E[U], halves, k)
+            parities = [w for w, *_ in parts]
+            blocks = _interaction_matrix(interface, coupled.wave, coupled.params, pairs, parities)
+        with ledger.stage("solve"):
+            jumps = _coupled_solve(blocks, eqs, parts, pairs)
+        data = _radiate(k, parts, jumps)
     if not np.isfinite(data).all():
         raise NumericalError(
             "the scattering matrix has non-finite entries: the kernels left double "
@@ -637,9 +642,12 @@ def assemble_lambda(
     """
     if mode not in ("local", "interacting"):
         raise DomainError(f"mode must be local|interacting, got {mode!r}")
+    if cutoff is not None and not cutoff >= 0.0:  # NaN included
+        raise DomainError(f"cutoff must be >= 0, got {cutoff!r}")
     coupling = (wave, params, cutoff) if mode == "interacting" else None
     factors = _factors(scene, wave, params, coupling)
-    ledger.note("near_singular_points", int(factors.near.sum()))
+    near = _near_singular(scene.patches, scene.grid.points)
+    ledger.note("near_singular_points", int(near.sum()))
     data = _scattering_data(factors, coupling)
     logger.info(
         "assembled %dx%d scattering matrix (%s mode, %d cells)",
@@ -667,8 +675,8 @@ def inject_noise(
     N has real and imaginary parts i.i.d. uniform on [-eps, eps], drawn
     row-major from a generator seeded with ``seed`` (real parts first).
     When target_delta is given, N is rescaled once so that the spectral
-    norm ||N L||_2 hits the target (to rounding).  The achieved value is
-    recorded as ``delta``.
+    norm ||N L||_2 hits the target (to rounding).  The achieved value,
+    ||N L||_2 times that scale, is recorded as ``delta``.
     """
     if (epsilon is None) == (target_delta is None):
         raise DomainError("give exactly one of epsilon or target_delta")
@@ -688,17 +696,16 @@ def inject_noise(
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-eps, eps, (n, n)) + 1j * rng.uniform(-eps, eps, (n, n))
     NL = noise @ matrix.data
+    delta = float(np.linalg.norm(NL, 2))
     if target_delta is not None:
-        norm = np.linalg.norm(NL, 2)
-        if norm == 0.0:
+        if delta == 0.0:
             raise DomainError(
                 f"target_delta = {target_delta!r} is unreachable: the operator is zero"
             )
-        scale = target_delta / norm
-        noise *= scale
+        scale = target_delta / delta
         NL *= scale
         eps *= scale
-    delta = float(np.linalg.norm(NL, 2))
+        delta *= scale
     return replace(
         matrix,
         data=matrix.data + NL,

@@ -41,10 +41,15 @@ each block directly from its reciprocal kernel.
 interacting_lambda_oracle is the interacting closure's L assembled over
 every cell: S, R and the right-hand side over all cells, each parity's
 half of the right-hand side on every column, its jumps unfolded onto the
-cells and their images, and L = R a.  When the sensing points lie on the
-cells' mirror plane, poroscat.forward assembles S, R, the right-hand
-side and L over one cell of each mirror pair and splits the parities by
-column.
+cells and their images, and L = R a.  poroscat.forward instead folds S
+into its parity halves over one cell of each mirror pair (reflecting
+S[U] when the sensing points lie on the mirror plane) and sums the
+halves' radiation, L = sum_w R_w x_w.
+
+coupled_jumps is no oracle: it composes poroscat.forward's fold, parity
+right-hand sides, blocks and coupled solve for traces over every cell,
+and unfolds each half's jumps onto the cells and their images, for the
+tests that check those jumps against M or the contact conditions.
 
 interface_response_oracle is the interface response of a contact law
 built column by column from the contact conditions solved for the total
@@ -387,11 +392,11 @@ def interacting_lambda_oracle(scene, wave: WaveState, params: MaterialParams) ->
     unknowns with w = -1 of a cell on the plane dropped); L = R a."""
     f = fw._factors(scene, wave, params)
     iface = f.interface
-    rhs = fw._blockwise(iface.E, f.S)
+    R, rhs = fw._radiation(f.S, iface.cells.areas), fw._blockwise(iface.E, f.S)
     pairs = fw._mirror_pairs(iface, wave, params)
     if pairs is None:
         [M] = fw._interaction_matrix(iface, wave, params)
-        return f.R @ np.linalg.solve(M, rhs)
+        return R @ np.linalg.solve(M, rhs)
     (U, image), k = pairs, rhs.shape[1]
     rhs4 = rhs.reshape(-1, 5, k)
     a, floor = np.zeros_like(rhs4), 1e-14 * np.linalg.norm(rhs4[U])
@@ -404,7 +409,32 @@ def interacting_lambda_oracle(scene, wave: WaveState, params: MaterialParams) ->
         x[keep] = np.linalg.solve(A, half[keep])
         a[U] += x.reshape(-1, 5, k)
         a[image] += w[:, None] * x.reshape(-1, 5, k)
-    return f.R @ a.reshape(rhs.shape)
+    return R @ a.reshape(rhs.shape)
+
+
+def coupled_jumps(iface, S: np.ndarray, coupled, blocks_of=None) -> np.ndarray:
+    """Jumps a over every cell of the interacting closure for traces S over
+    every cell, from poroscat.forward's pieces: S folded into its parity
+    halves (_fold), their right-hand sides E_U S_w (_parities) solved on
+    the blocks of _interaction_matrix, or of blocks_of(parities), by
+    _coupled_solve, and each half's x unfolded: a[c] += x_c, a[c'] += w x_c."""
+    pairs, k = coupled.pairs, S.shape[1]
+    U, image = pairs or (np.arange(iface.cells.count),) * 2
+    halves = fw._fold(fw._Factors(iface, S), coupled)
+    eqs, parts = fw._parities(iface.E[U], halves, k)
+    parities = [w for w, *_ in parts]
+    if blocks_of is None:
+        blocks = fw._interaction_matrix(iface, coupled.wave, coupled.params, pairs, parities)
+    else:
+        blocks = blocks_of(parities)
+    a = np.zeros((iface.cells.count, 5, k), dtype=np.complex128)
+    for (w, cols, *_), x in zip(parts, fw._coupled_solve(blocks, eqs, parts, pairs)):
+        full = np.zeros((U.size, 5, k), dtype=np.complex128)
+        full[..., cols] = x.reshape(U.size, 5, -1)
+        a[U] += full
+        if w is not None:
+            a[image] += w[:, None] * full
+    return a.reshape(S.shape)
 
 
 def interface_response_oracle(contact: ContactParams, omega: float) -> np.ndarray:

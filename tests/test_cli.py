@@ -24,7 +24,7 @@ from poroscat.errors import CompatibilityError, ValidationError
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
 
-from oracles import clamp_psd
+from oracles import clamp_psd, coupled_jumps
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -546,7 +546,7 @@ class TestMainEntry:
         [M] = fw._interaction_matrix(iface, wave, sc.params)
         blocks = S.reshape(iface.cells.count, 5, -1)
         rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
-        jumps = fw._jumps(iface, S, fw._coupled(iface, (wave, sc.params, sc.forward_cutoff)))
+        jumps = coupled_jumps(iface, S, fw._coupled(iface, (wave, sc.params, sc.forward_cutoff)))
         res = np.linalg.norm(M @ jumps - rhs) / np.linalg.norm(rhs)
         meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
         assert 0.0 < meta["coupled_residual"] <= 1e-8
@@ -666,6 +666,7 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("noise",), {"epsilon": -0.1}, "noise.epsilon must be at least 0, got -0.1"),
         (("noise", "target_delta"), -0.05, "noise.target_delta must be at least 0, got -0.05"),
         (("inversion", "delta"), -1, "inversion.delta must be at least 0, got -1"),
+        (("forward", "cutoff"), -1, "forward.cutoff must be at least 0, got -1"),
         (("scene", "sampling", "region"), [-2.5, 2.5, 2.5, -2.5],
          "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
         (("scene", "sampling", "region"), [2.5, -2.5, -2.5, 2.5],
@@ -673,7 +674,7 @@ def _mutated_doc(doc: dict, mutation) -> dict:
     ],
     ids=["omega-x", "mu-a", "wells-empty", "center-short", "fractures-null", "contact-x",
          "omega-1e300", "omega-1e-300", "seed-negative", "epsilon-negative",
-         "target-delta-negative", "inversion-delta-negative", "region-y-flipped",
+         "target-delta-negative", "inversion-delta-negative", "cutoff-negative", "region-y-flipped",
          "region-x-flipped"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):

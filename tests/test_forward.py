@@ -33,6 +33,7 @@ from poroscat.scene import (
 )
 
 from oracles import (
+    coupled_jumps,
     dislocation_trace_oracle,
     interacting_lambda_oracle,
     interface_response_oracle,
@@ -133,10 +134,13 @@ def traces(y, channel, patches, wave, params):
 
 
 def jumps(psi, patches, wave, coupling=None):
-    """(nc, 5) jump densities ([[u]], [[p]], -[[q]]) of the traces psi."""
-    iface = fw._interface(patches, wave.omega)
+    """(nc, 5) jump densities ([[u]], [[p]], -[[q]]) of the traces psi: the
+    local transfer, or the interacting closure's when its patches interact."""
+    iface, psi = fw._interface(patches, wave.omega), np.reshape(psi, (-1, 1))
     coupled = None if coupling is None else fw._coupled(iface, coupling)
-    return fw._jumps(iface, np.reshape(psi, (-1, 1)), coupled).reshape(-1, 5)
+    if coupled is None:
+        return fw._blockwise(iface.T, psi).reshape(-1, 5)
+    return coupled_jumps(iface, psi, coupled).reshape(-1, 5)
 
 
 def radiated(a, patches, points, wave, params):
@@ -144,9 +148,8 @@ def radiated(a, patches, points, wave, params):
     points' near-singular flags."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cells = fw._collect_cells(patches)
-    K = fw._kernel_block(cells, points, [0, 1, 2, 3], wave, params)
-    R, near = fw._radiation_block(patches, points, K, cells.areas)
-    return (R @ np.ravel(a)).reshape(-1, 4), near
+    R = fw._radiation(fw._kernel_block(cells, points, [0, 1, 2, 3], wave, params), cells.areas)
+    return (R @ np.ravel(a)).reshape(-1, 4), fw._near_singular(patches, points)
 
 
 def local_transfer_oracle(patch, omega):
@@ -369,7 +372,8 @@ class TestInteractingJumpSolve:
         f = fw._factors(scene, wave, params)
         S, nc = f.S, f.interface.cells.count
         rhs = np.einsum("cij,cjk->cik", f.interface.E, S.reshape(nc, 5, -1)).reshape(S.shape)
-        ref = f.R @ np.linalg.solve(interaction_matrix_per_row(scene.patches, wave, params), rhs)
+        M = interaction_matrix_per_row(scene.patches, wave, params)
+        ref = fw._radiation(S, f.interface.cells.areas) @ np.linalg.solve(M, rhs)
         L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
         assert np.linalg.norm(L - ref) <= 1e-11 * np.linalg.norm(ref)
 
@@ -401,14 +405,14 @@ class TestInteractingJumpSolve:
         M, rhs = system
         (M if where == "M" else rhs)[4, 1] = bad
         with pytest.raises(ConditioningError) as info:
-            fw._coupled_solve([M], rhs)
+            fw._coupled_solve([M], rhs, [(None, slice(None), rhs, None)])
         assert info.value.condition_number == math.inf
 
     def test_singular_system_is_conditioning_error(self, system):
         M, rhs = system
         M[:, 7] = 0.0
         with pytest.raises(ConditioningError, match="singular") as info:
-            fw._coupled_solve([M], rhs)
+            fw._coupled_solve([M], rhs, [(None, slice(None), rhs, None)])
         assert info.value.condition_number > 1e12
 
     def test_nearby_patches_actually_couple(self, small_scene, wave, params):
@@ -504,7 +508,8 @@ class TestMirrorParity:
         scene = request.getfixturevalue(scene_name)
         f = fw._factors(scene, wave, params)
         [M] = fw._interaction_matrix(f.interface, wave, params)
-        ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
+        R = fw._radiation(f.S, f.interface.cells.areas)
+        ref = R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
         with ledger.record() as rec:
             L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
         assert rec["coupled_blocks"] == blocks
@@ -538,9 +543,10 @@ class TestMirrorParity:
         for A, ref in zip(blocks, parity_blocks_oracle(M, mirror, [fw._Q, -fw._Q])):
             assert np.linalg.norm(A - ref) <= 1e-14 * np.linalg.norm(ref)
         rhs = fw._blockwise(f.interface.E, f.S)
-        parts = fw._parities(rhs, mirror)
-        blocks = parity_blocks_oracle(M, mirror, [w for w, *_ in parts])
-        a = fw._coupled_solve(blocks, rhs, mirror, parts)
+        coupled = fw._Coupling(wave, params, mirror, None)
+        a = coupled_jumps(
+            f.interface, f.S, coupled, lambda ws: parity_blocks_oracle(M, mirror, ws)
+        )
         assert np.linalg.norm(M @ a - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     @staticmethod
@@ -567,14 +573,16 @@ class TestMirrorParity:
             ("three_patch_scene", 12, [60, 60]),  # "full": the fz columns are odd
             ("three_patch_in_plane_scene", 12, [60]),  # no fz column: no odd block
             ("mixed_full_scene", 18, [81, 54]),  # odd block: 9 x 5 + the z of 9 on the plane
+            ("point_lifted_scene", 18, [45, 45]),  # a point off the plane: S over every cell
         ],
     )
     def test_rows_u_assembly_matches_every_cell(
         self, scene_name, cells, blocks, request, monkeypatch, wave, params
     ):
-        # with the sensing points on the mirror plane, S, R, the right-hand
-        # side and L are built over the cells U alone and each parity
-        # solves its own columns: L is the every-cell assembly's
+        # a paired scene folds S into its parity halves over the cells U,
+        # from S over U alone when the sensing points lie on the mirror
+        # plane, and each half solves its own columns and radiates through
+        # its own R: L is the every-cell assembly's
         scene = request.getfixturevalue(scene_name)
         ref = interacting_lambda_oracle(scene, wave, params)
         L, rec, kernel_cells = self.assemble(scene, monkeypatch, wave, params)
@@ -583,13 +591,44 @@ class TestMirrorParity:
         assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize(
-        "scene_name", ["lifted_scene", "many_patch_scene", "point_lifted_scene"]
+        "scene_name", ["network_smoke_scene", "mixed_full_scene", "three_patch_scene"]
     )
+    def test_reflected_fold_matches_evaluated(self, scene_name, request, wave, params):
+        # S over U alone, reflected by its columns' signs Q_src, folds into
+        # the halves S_w = (S[U] + w S[U']) / 2 of the every-cell S, and a
+        # half is exactly zero on the columns of the other sign
+        scene = request.getfixturevalue(scene_name)
+        folded = fw._factors(scene, wave, params, (wave, params, None))
+        every = fw._factors(scene, wave, params)
+        coupled, k = folded.coupled, every.S.shape[1]
+        assert coupled.signs is not None
+        (U, image), S4 = coupled.pairs, every.S.reshape(-1, 5, k)
+        scale = np.linalg.norm(S4[U])
+
+        def halves(f, coupled):
+            # each half of _fold on every column: zero off its own
+            out = {}
+            for w, cols, S, _ in fw._fold(f, coupled):
+                out[w[0]] = np.zeros((S.shape[0], k), dtype=complex)
+                out[w[0]][:, cols] = S
+            return out
+
+        reflected = halves(folded, coupled)
+        evaluated = halves(every, coupled._replace(signs=None))
+        for sign in (1.0, -1.0):
+            ref = 0.5 * (S4[U] + sign * Q5.diagonal()[:, None] * S4[image])
+            ref = ref.reshape(-1, k)
+            assert np.linalg.norm(evaluated.get(sign, 0.0) - ref) <= 1e-15 * scale
+            half = reflected.get(sign, np.zeros_like(ref))
+            assert np.linalg.norm(half - ref) <= 1e-12 * scale
+            assert not half[:, coupled.signs != sign].any()
+
+    @pytest.mark.parametrize("scene_name", ["lifted_scene", "many_patch_scene"])
     def test_every_cell_assembly_kept_to_the_bit(
         self, scene_name, request, monkeypatch, wave, params
     ):
-        # an unpaired scene and a point off the plane keep the every-cell
-        # assembly, and with every cell on the plane U is every cell
+        # an unpaired scene is the single half over every cell, and with
+        # every cell on the plane U is every cell
         scene = request.getfixturevalue(scene_name)
         ref = interacting_lambda_oracle(scene, wave, params)
         L, _, kernel_cells = self.assemble(scene, monkeypatch, wave, params)
@@ -600,8 +639,8 @@ class TestMirrorParity:
         self, small_scene, monkeypatch, wave, params
     ):
         # a trace kernel with a small part odd in z fails the probe of S's
-        # reflection: S, R and L are then built over every cell, and the
-        # odd part of the right-hand side factors the odd block too
+        # reflection: S is then evaluated over every cell and folded, and
+        # its odd half factors the odd block too
         kernel = fw._trace_matrix
 
         def odd(y, xi, *args):
@@ -611,7 +650,7 @@ class TestMirrorParity:
         ref = interacting_lambda_oracle(small_scene, wave, params)
         L, rec, kernel_cells = self.assemble(small_scene, monkeypatch, wave, params)
         assert kernel_cells == [18] and rec["coupled_blocks"] == [45, 45]
-        np.testing.assert_array_equal(L, ref)
+        assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_covariance_miss_takes_full_matrix(self, small_scene, monkeypatch, wave, params):
         # a kernel with a small part odd in z (cells at z = +-0.25 about
@@ -627,7 +666,8 @@ class TestMirrorParity:
         f = fw._factors(small_scene, wave, params)
         assert fw._mirror_pairs(f.interface, wave, params) is None
         [M] = fw._interaction_matrix(f.interface, wave, params)
-        ref = f.R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
+        R = fw._radiation(f.S, f.interface.cells.areas)
+        ref = R @ np.linalg.solve(M, fw._blockwise(f.interface.E, f.S))
         with ledger.record() as rec:
             L = fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff=None).data
         assert rec["coupled_blocks"] == [90]
@@ -636,54 +676,57 @@ class TestMirrorParity:
 
     @pytest.fixture()
     def paired_system(self, small_scene, wave, params, rng):
-        # small_scene's full M, a right-hand side, the pairing and each
-        # cell's image; the tests tamper with M and solve from its
-        # oracle blocks
+        # small_scene's full M, a right-hand side, the interface with E = I
+        # (so that rhs folds as the traces do), the coupling of the
+        # pairing and each cell's image; the tests tamper with M and solve
+        # from its oracle blocks
         iface = fw._interface(small_scene.patches, wave.omega)
         [M] = fw._interaction_matrix(iface, wave, params)
         rhs = rng.normal(size=(M.shape[0], 3)) + 1j * rng.normal(size=(M.shape[0], 3))
         pairs = fw._mirror_pairs(iface, wave, params)
         mirror = np.arange(iface.cells.count)
         mirror[pairs[0]], mirror[pairs[1]] = pairs[1], pairs[0]
-        return M, rhs, pairs, mirror
+        unit = iface._replace(E=np.broadcast_to(np.eye(5), iface.E.shape))
+        return M, rhs, (unit, fw._Coupling(wave, params, pairs, None)), mirror
 
     @staticmethod
-    def solve(M, rhs, pairs):
-        parts = fw._parities(rhs, pairs)
-        blocks = parity_blocks_oracle(M, pairs, [w for w, *_ in parts])
-        return fw._coupled_solve(blocks, rhs, pairs, parts)
+    def solve(M, rhs, system):
+        iface, coupled = system
+        return coupled_jumps(
+            iface, rhs, coupled, lambda ws: parity_blocks_oracle(M, coupled.pairs, ws)
+        )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_paired_system_is_conditioning_error(self, paired_system, bad):
-        M, rhs, pairs, _ = paired_system
+        M, rhs, system, _ = paired_system
         M[4, 1] = bad  # a row of cell 0, which is in U
         with pytest.raises(ConditioningError) as info:
-            self.solve(M, rhs, pairs)
+            self.solve(M, rhs, system)
         assert info.value.condition_number == math.inf
 
     def test_singular_paired_system_is_conditioning_error(self, paired_system):
         # zeroing a column and its mirror keeps M symmetric and makes both blocks singular
-        M, rhs, pairs, mirror = paired_system
+        M, rhs, system, mirror = paired_system
         M[:, 7] = M[:, 5 * mirror[1] + 2] = 0.0
         with pytest.raises(ConditioningError, match="singular") as info:
-            self.solve(M, rhs, pairs)
+            self.solve(M, rhs, system)
         assert info.value.condition_number > 1e12
 
     def test_singular_block_with_zero_half_is_not_factored(self, paired_system):
         # averaging column 0 and its mirror's keeps M symmetric and zeroes a
         # column of the odd block only; an even rhs never factors that block
-        M, rhs, pairs, mirror = paired_system
+        M, rhs, system, mirror = paired_system
         k = 5 * mirror[0]
         M[:, [0, k]] = 0.5 * (M[:, [0]] + M[:, [k]])
         unknown = np.arange(M.shape[0])
         image = 5 * mirror[unknown // 5] + unknown % 5
         even = 0.5 * (rhs + Q5.diagonal()[unknown % 5, None] * rhs[image])
         with ledger.record() as rec:
-            a = self.solve(M, even, pairs)
+            a = self.solve(M, even, system)
         assert rec["coupled_blocks"] == [45]
         assert np.linalg.norm(M @ a - even) <= 1e-8 * np.linalg.norm(even)
         with pytest.raises(ConditioningError, match="singular"):
-            self.solve(M, rhs, pairs)
+            self.solve(M, rhs, system)
 
 
 class TestRadiate:
@@ -775,10 +818,11 @@ class TestAssembleLambda:
         # one source at a time: S column, coupled transfer, then R
         f = fw._factors(scene, wave, params)
         coupled = fw._coupled(f.interface, (wave, params, None))
+        R = fw._radiation(f.S, f.interface.cells.areas)
         for j, y in enumerate(pts):
             for c, src in enumerate(cidx):
                 psi = fw._kernel_block(f.interface.cells, y[None, :], [src], wave, params)
-                col = f.R @ fw._jumps(f.interface, psi, coupled)
+                col = R @ coupled_jumps(f.interface, psi, coupled)
                 ref = lam.data[:, j * C + c]
                 assert np.linalg.norm(col[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -810,6 +854,13 @@ class TestAssembleLambda:
             fw.assemble_lambda(small_scene, wave, params, mode, cutoff=None)
         assert sorted(calls) == ["_collect_cells", "_contact_blocks"]
         assert ("closure_gap" in rec) == (mode == "interacting")
+
+    @pytest.mark.parametrize("cutoff", [-1.0, math.nan])
+    def test_negative_cutoff_is_domain_error(self, cutoff, small_scene, wave, params):
+        # a negative reach would declare every pair of patches decoupled
+        # and run the local closure in interacting mode
+        with pytest.raises(DomainError, match="cutoff must be >= 0"):
+            fw.assemble_lambda(small_scene, wave, params, "interacting", cutoff)
 
     def test_near_singular_points_counted(self, small_scene, wave, params):
         # a sensing point within half a cell diagonal of a patch is counted
