@@ -171,8 +171,6 @@ class Scenario:
     seed: int
     method: str
     alpha_policy: str
-    fixed_alpha: float | None
-    inversion_delta: float | None
     resolved: dict
 
 
@@ -383,21 +381,12 @@ def parse_scenario(doc: dict) -> Scenario:
         epsilon = 0.0
     seed = _integer(noise.get("seed", 0), "noise.seed", limit=2**64, low=0)
 
-    inv_doc = _object(
-        doc.get("inversion", {}), "inversion", {"method", "alpha_policy", "fixed_alpha", "delta"}
-    )
+    inv_doc = _object(doc.get("inversion", {}), "inversion", {"method", "alpha_policy"})
     method = _choice(inv_doc.get("method", "lsm"), "inversion.method", ("lsm", "glsm"))
     alpha_policy = _choice(
         inv_doc.get("alpha_policy", "per-candidate"), "inversion.alpha_policy",
         ("per-candidate", "fixed"),
     )
-    fixed_alpha = _optional_number(inv_doc.get("fixed_alpha"), "inversion.fixed_alpha")
-    if fixed_alpha is not None and not (fixed_alpha > 0.0 and alpha_policy == "fixed"):
-        raise ValidationError(
-            f"inversion.fixed_alpha must be positive and needs alpha_policy 'fixed', got "
-            f"{fixed_alpha!r} under {alpha_policy!r}"
-        )
-    inv_delta = _optional_number(inv_doc.get("delta"), "inversion.delta", low=0.0)
 
     resolved = {
         "material": {"dimensionless": {k: getattr(params, k) for k in _MATERIAL_KEYS}},
@@ -408,12 +397,7 @@ def parse_scenario(doc: dict) -> Scenario:
             {"epsilon": epsilon, "seed": seed} if target_delta is None
             else {"target_delta": target_delta, "seed": seed}
         ),
-        "inversion": {
-            "method": method,
-            "alpha_policy": alpha_policy,
-            "fixed_alpha": fixed_alpha,
-            "delta": inv_delta,
-        },
+        "inversion": {"method": method, "alpha_policy": alpha_policy},
     }
     return Scenario(
         params=params,
@@ -426,8 +410,6 @@ def parse_scenario(doc: dict) -> Scenario:
         seed=seed,
         method=method,
         alpha_policy=alpha_policy,
-        fixed_alpha=fixed_alpha,
-        inversion_delta=inv_delta,
         resolved=resolved,
     )
 
@@ -535,8 +517,7 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
             noisy = fw.load_matrix(noisy_path)
         with ledger.stage("map"):
             imap = inv.indicator_map(
-                scene, noisy, method, wave, scenario.params, delta=scenario.inversion_delta,
-                alpha_policy=scenario.alpha_policy, fixed_alpha=scenario.fixed_alpha,
+                scene, noisy, method, wave, scenario.params, alpha_policy=scenario.alpha_policy
             )
         with ledger.stage("write"):
             inv.save_indicator_map(imap, out / f"map_{method}.csv")

@@ -392,14 +392,6 @@ def _morozov_roots(op: SvdOperator, beta_sq, floor_sq, delta):
     return eta, side
 
 
-def _count_roots(sides: np.ndarray) -> None:
-    """Count roots of _morozov_roots and those not bracketed at the low
-    (side -1) and high (+1) end in the ledger."""
-    ledger.count("morozov_roots", sides.size)
-    ledger.count("morozov_unbracketed_low", np.count_nonzero(sides < 0))
-    ledger.count("morozov_unbracketed_high", np.count_nonzero(sides > 0))
-
-
 def _newton_log_eta(s2, d2, beta_sq, floor_sq, x_nodes, table) -> np.ndarray:
     """Roots in x = log(eta) of columns whose gap table changes sign.
 
@@ -602,6 +594,40 @@ class _Block(NamedTuple):
     argmin: np.ndarray
 
 
+def _columns(
+    points, plan: _Plan, op: SvdOperator, delta: float, grid_points, wave: WaveState,
+    params: MaterialParams, roots: bool = True,
+):
+    """The trial columns of a block: its points off the sensing points
+    (live; none for a zero operator), the distinct column of each (live
+    point, candidate) column (spread), their patterns Phi and, if
+    ``roots``, the kept-range projection |beta|^2 and the discrepancy
+    weights etas of the distinct columns (else None).  The roots of the
+    (point, candidate) columns, and those not bracketed at the low (side
+    -1) and high (+1) end, are counted in the ledger."""
+    pts = np.asarray(points, dtype=float)
+    gpts = np.asarray(grid_points, dtype=float)
+    # one geometry pass: the trial kernels are singular at r = 0, so the
+    # points that coincide with a sensing point are left out
+    r, w = _separation(gpts[:, None, :], pts[None, :, :])
+    live = np.flatnonzero(np.all(r > 0.0, axis=0) & (op.norm2 > 0.0))
+    spread = (np.arange(live.size)[:, None] * plan.coef.shape[1] + plan.inverse).ravel()
+    if live.size == 0:
+        return live, spread, None, None, None
+    with ledger.stage("patterns"):
+        r = r[:, live]
+        Phi = _patterns(r, w[:, live] / r[..., None], plan, wave, params)
+    if not roots:
+        return live, spread, Phi, None, None
+    with ledger.stage("roots"):
+        beta_sq, floors = _projection(op, Phi)
+        etas, sides = _morozov_roots(op, beta_sq, floors, delta)
+        ledger.count("morozov_roots", spread.size)
+        ledger.count("morozov_unbracketed_low", np.count_nonzero(sides[spread] < 0))
+        ledger.count("morozov_unbracketed_high", np.count_nonzero(sides[spread] > 0))
+    return live, spread, Phi, beta_sq, etas
+
+
 def _eval_block(
     points,
     plan: _Plan,
@@ -622,35 +648,21 @@ def _eval_block(
     (GlsmPencil.operator) z = fixed @ Phi and the winners' y = T^-1 z;
     else y = GlsmPencil.coordinates at the alpha of each candidate's
     discrepancy weight.  Patterns, roots and solves run on the plan's
-    distinct trial columns (_distinct); the norms and the root sides are
-    then spread back over all (point, candidate) columns.  Each point
-    takes the candidate of least ||g|| (ties go to the first).  Returns
-    (value, candidate index) per point, NaN and -1 where no candidate is
-    usable or the point coincides with a sensing point.  The roots of the
-    (point, candidate) columns are counted, and the seconds of patterns,
-    roots and solve added, in the ledger.
+    distinct trial columns (_columns); the norms are then spread back over
+    all (point, candidate) columns.  Each point takes the candidate of
+    least ||g|| (ties go to the first).  Returns (value, candidate index)
+    per point, NaN and -1 where no candidate is usable or the point
+    coincides with a sensing point.  The seconds of the solve are added
+    in the ledger.
     """
-    pts = np.asarray(points, dtype=float)
-    gpts = np.asarray(grid_points, dtype=float)
-    nb, ncand = pts.shape[0], plan.inverse.size
+    nb, ncand = len(points), plan.inverse.size
     vals = np.full(nb, np.nan)
     argmin = np.full(nb, -1, dtype=int)
-    # one geometry pass: the trial kernels are singular at r = 0, so the
-    # points that coincide with a sensing point are left out
-    r, w = _separation(gpts[:, None, :], pts[None, :, :])
-    live = np.flatnonzero(np.all(r > 0.0, axis=0))
-    if live.size == 0 or op.norm2 == 0.0:
+    live, spread, Phi, beta_sq, etas = _columns(
+        points, plan, op, delta, grid_points, wave, params, roots=fixed is None
+    )
+    if live.size == 0:
         return _Block(vals, argmin)
-    # the distinct column of each (point, candidate) column
-    spread = (np.arange(live.size)[:, None] * plan.coef.shape[1] + plan.inverse).ravel()
-    with ledger.stage("patterns"):
-        r = r[:, live]
-        Phi = _patterns(r, w[:, live] / r[..., None], plan, wave, params)
-    with ledger.stage("roots"):
-        if fixed is None:
-            beta_sq, floors = _projection(op, Phi)
-            etas, sides = _morozov_roots(op, beta_sq, floors, delta)
-            _count_roots(sides[spread])
     with ledger.stage("solve"):
         if pencil is None:
             filt = op.s[:, None] / (op.s[:, None] ** 2 + etas)
@@ -713,11 +725,7 @@ class IndicatorMap:
         return self.degenerate_count > 0
 
 
-def _derive_delta(matrix, delta: float | None, op: SvdOperator) -> float:
-    if delta is not None:
-        if delta <= 0.0:
-            raise DomainError("delta must be positive")
-        return float(delta)
+def _derive_delta(matrix, op: SvdOperator) -> float:
     if isinstance(matrix, ScatteringMatrix) and matrix.delta and matrix.delta > 0.0:
         return float(matrix.delta)
     # noiseless data: floor the discrepancy level at a fixed fraction of
@@ -731,36 +739,31 @@ def indicator_map(
     method: str,
     wave: WaveState,
     params: MaterialParams,
-    delta: float | None = None,
     alpha_policy: str = "per-candidate",
-    fixed_alpha: float | None = None,
 ) -> IndicatorMap:
     """Evaluate an indicator over the scene's sampling grid.
 
-    Blocks of sampling points are evaluated one after another, all
-    sharing one SVD of the data operator and, for the penalized method,
-    one GlsmPencil.  Under alpha_policy="fixed" every glsm candidate uses
-    one alpha: fixed_alpha, or else the one from the median Morozov weight
-    of the candidates at the grid center, or at the sampling point nearest
-    it that is not a sensing point (a documented approximation of the
-    per-candidate rule).  fixed_alpha under the per-candidate policy, or
-    lsm under the fixed one, raises DomainError.  Per-point failures, sampling points that
-    coincide with sensing points included, are recorded as NaN values,
-    never aborts.  The ledger gets the seconds of setup (the SVD, L#, the
-    pencil and the fixed-alpha operator) and of the blocks' stages, the
-    roots solved (_count_roots) and L's spectrum against delta.
+    The noise level delta is the matrix's (ScatteringMatrix.delta), or
+    for noiseless data 1e-6 ||L||.  Blocks of sampling points are
+    evaluated one after another, all sharing one SVD of the data operator
+    and, for the penalized method, one GlsmPencil.  Under
+    alpha_policy="fixed" every glsm candidate uses one alpha, from the
+    median Morozov weight of the candidates at the grid center, or at the
+    sampling point nearest it that is not a sensing point (a documented
+    approximation of the per-candidate rule); lsm under that policy raises
+    DomainError.  Per-point failures, sampling points that coincide with
+    sensing points included, are recorded as NaN values, never aborts; a
+    zero operator gives an all-NaN map.  The ledger gets the seconds of
+    setup (the SVD, L#, the pencil and the fixed-alpha operator) and of
+    the blocks' stages, the roots solved (_columns), the fixed alpha
+    and L's spectrum against delta.
     """
     if method not in ("lsm", "glsm"):
         raise DomainError(f"method must be lsm|glsm, got {method!r}")
     if alpha_policy not in ("per-candidate", "fixed"):
         raise DomainError(f"alpha_policy must be per-candidate|fixed, got {alpha_policy!r}")
-    if (fixed_alpha is not None and alpha_policy != "fixed") or (
-        method == "lsm" and alpha_policy == "fixed"
-    ):
-        raise DomainError(
-            f"{method} with alpha_policy {alpha_policy!r} and fixed_alpha {fixed_alpha!r}: "
-            "fixed_alpha needs the fixed alpha policy, which applies to glsm only"
-        )
+    if method == "lsm" and alpha_policy == "fixed":
+        raise DomainError("lsm with alpha_policy 'fixed': that policy applies to glsm only")
     if isinstance(matrix, ScatteringMatrix) and (
         matrix.n_points != scene.grid.count or matrix.channels != scene.channels
         or matrix.omega != wave.omega
@@ -778,7 +781,7 @@ def indicator_map(
         )
     with ledger.stage("setup"):
         op = _operator(matrix)
-        delta = _derive_delta(matrix, delta, op)
+        delta = _derive_delta(matrix, op)
         if op.norm2 > 0.0:
             _bracket(op, delta)  # rejects an operator norm or delta out of range
         pencil = fixed = None
@@ -793,24 +796,18 @@ def indicator_map(
     cands = scene.sampling.candidates()
     gpts, plan = scene.grid.points, _pattern_plan(*_distinct(cands), scene.channels)
 
-    if pencil is not None and alpha_policy == "fixed":
-        if fixed_alpha is None:
-            # the sampling point nearest the grid center that is not a sensing point
-            order = np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable")
-            k = next((k for k in order if np.all(_separation(gpts, pts[k])[0] > 0.0)), None)
-            if op.norm2 == 0.0 or k is None:
-                raise NumericalError("could not derive a fixed alpha near the grid center")
-            with ledger.stage("patterns"):
-                r, d = _geometry(gpts[:, None, :], pts[None, k:k + 1])
-                center = _patterns(r, d, plan, wave, params)
-            with ledger.stage("roots"):
-                etas, sides = _morozov_roots(op, *_projection(op, center.expand(center.K)), delta)
+    if alpha_policy == "fixed":
+        # the sampling point nearest the grid center that is not a sensing
+        # point; with none, or a zero operator, no block has a live point
+        for k in np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable"):
+            live, _, _, _, etas = _columns(pts[k:k + 1], plan, op, delta, gpts, wave, params)
+            if live.size:
                 # the median over all candidates, not over the distinct columns
-                _count_roots(sides[plan.inverse])
-                fixed_alpha = alpha_from_eta(float(np.median(etas[plan.inverse])), op.norm2, delta)
-            logger.info("fixed alpha policy: alpha = %.6e", fixed_alpha)
-        with ledger.stage("setup"):
-            fixed = pencil.operator(fixed_alpha)
+                alpha = alpha_from_eta(float(np.median(etas[plan.inverse])), op.norm2, delta)
+                logger.info("fixed alpha policy: alpha = %.6e", alpha)
+                with ledger.stage("setup"):
+                    fixed = pencil.operator(alpha)
+                break
 
     raw = np.full(len(pts), np.nan)
     argmin = np.full(len(pts), -1, dtype=int)

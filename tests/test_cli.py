@@ -1,10 +1,10 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
 import math
 import os
 import pkgutil
-import re
 import subprocess
 import sys
 import warnings
@@ -178,6 +178,22 @@ class TestRunForward:
         assert cli.main(["forward", "--scenario", str(echo), "--out", str(tmp_path / "b")]) == 0
         for name in ("lambda.csv", "lambda_noisy.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("delta", 0.05), ("fixed_alpha", 1e-3)])
+    def test_removed_inversion_key_refused(self, tmp_path, scenario_path, capsys, key, value):
+        # delta comes from the matrix file and the fixed alpha from the roots
+        # at the grid centre: the echo holds neither key and reloads, and a
+        # scenario that holds one (an older echo, say) exits 2 naming it
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "resolved_scenario.json").read_text())
+        assert echo["inversion"] == {"method": "lsm", "alpha_policy": "per-candidate"}
+        assert cli.parse_scenario(echo).resolved == echo
+        echo["inversion"].update({"alpha_policy": "fixed", key: value})
+        (tmp_path / "old.json").write_text(json.dumps(echo))
+        out = tmp_path / "b"
+        assert cli.main(["forward", "--scenario", str(tmp_path / "old.json"), "--out", str(out)]) == 2
+        assert f"inversion: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_beyond_scenario_range_rejected(self, tmp_path, scenario_path, capsys):
         # an override seed follows noise.seed's rule, so every echo reruns;
@@ -470,26 +486,47 @@ class TestMainEntry:
         assert np.isnan(imap.raw[on_sensor]).all()
         assert np.isfinite(imap.raw[~on_sensor]).all()
 
-    @pytest.mark.parametrize("fixed_alpha", [None, 1e-3])
-    def test_lsm_refuses_fixed_alpha_policy(self, tmp_path, tiny_scenario_doc, capsys, fixed_alpha):
-        # the fixed policy is glsm's: an lsm invert under it exits 2 and
-        # names the policy, and the same scenario inverts with --method
-        # glsm without a RuntimeWarning
+    @pytest.mark.parametrize("override", [None, "lsm"])
+    def test_lsm_refuses_fixed_alpha_policy(self, tmp_path, tiny_scenario_doc, capsys, override):
+        # the fixed policy is glsm's: an lsm invert under it, by the
+        # scenario's method or by --method lsm, exits 2 and names the
+        # policy, and the same scenario inverts with --method glsm without
+        # a RuntimeWarning
         doc = json.loads(json.dumps(tiny_scenario_doc))
-        doc["inversion"].update(method="lsm", alpha_policy="fixed")
-        if fixed_alpha is not None:
-            doc["inversion"]["fixed_alpha"] = fixed_alpha
+        doc["inversion"].update(method="glsm" if override else "lsm", alpha_policy="fixed")
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
         argv = ["invert", "--scenario", str(path), "--out", str(out)]
         assert cli.main(["forward", "--scenario", str(path), "--out", str(out)]) == 0
-        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert cli.main(argv + (["--method", override] if override else [])) == cli.EXIT_VALIDATION
         assert "alpha_policy 'fixed'" in capsys.readouterr().err
         assert not (out / "map_lsm.csv").exists()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(argv + ["--method", "glsm"]) == 0
+
+    @pytest.mark.parametrize(
+        "method, policy", [("lsm", "per-candidate"), ("glsm", "per-candidate"), ("glsm", "fixed")]
+    )
+    def test_zero_matrix_gives_nan_map(self, tmp_path, tiny_scenario_doc, method, policy):
+        # a zero operator leaves no candidate usable anywhere: under every
+        # method and alpha policy the map is all NaN and invert exits 0
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["inversion"].update(method=method, alpha_policy=policy)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["forward", "--scenario", str(path), "--out", str(out)]) == 0
+        noisy = fw.load_matrix(out / "lambda_noisy.csv")
+        zero = dataclasses.replace(noisy, data=np.zeros_like(noisy.data))
+        fw.save_matrix(zero, out / "lambda_noisy.csv")
+        assert cli.main(["invert", "--scenario", str(path), "--out", str(out)]) == 0
+        imap = inv.load_indicator_map(out / f"map_{method}.csv")
+        assert np.isnan(imap.raw).all()
+        meta = json.loads((out / "invert_meta.json").read_text())
+        assert meta["degenerate_points"] == imap.grid.point_count
+        assert meta["morozov_roots"] == 0 and meta["sigma_max"] == 0.0
 
     @pytest.mark.parametrize("method", ["lsm", "glsm"])
     @pytest.mark.parametrize("region", [None, [-3.2, 2.8, -3.0, 3.0]])
@@ -665,7 +702,7 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("noise", "seed"), -1, "noise.seed must be at least 0, got -1"),
         (("noise",), {"epsilon": -0.1}, "noise.epsilon must be at least 0, got -0.1"),
         (("noise", "target_delta"), -0.05, "noise.target_delta must be at least 0, got -0.05"),
-        (("inversion", "delta"), -1, "inversion.delta must be at least 0, got -1"),
+        (("inversion", "delta"), -1, "inversion: unknown key 'delta'"),
         (("forward", "cutoff"), -1, "forward.cutoff must be at least 0, got -1"),
         (("scene", "sampling", "region"), [-2.5, 2.5, 2.5, -2.5],
          "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
@@ -689,17 +726,14 @@ def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where,
     "policy, alpha", [("fixed", -3.0), ("fixed", 0.0), ("per-candidate", 1e-3)]
 )
 def test_unused_or_nonpositive_fixed_alpha_rejected(tiny_scenario_doc, policy, alpha):
-    # a fixed_alpha is a positive weight of the fixed policy, never ignored
+    # the fixed policy takes its alpha from the roots at the grid centre, so
+    # inversion.fixed_alpha is no key: refused, never ignored, whatever its
+    # value and policy, a positive one under the fixed policy too
     doc = json.loads(json.dumps(tiny_scenario_doc))
-    doc["inversion"].update(alpha_policy=policy, fixed_alpha=alpha)
-    message = (
-        f"inversion.fixed_alpha must be positive and needs alpha_policy 'fixed', got {alpha!r} "
-        f"under {policy!r}"
-    )
-    with pytest.raises(ValidationError, match=re.escape(message)):
-        cli.parse_scenario(doc)
-    doc["inversion"].update(alpha_policy="fixed", fixed_alpha=1e-3)
-    assert cli.parse_scenario(doc).fixed_alpha == 1e-3
+    for policy, alpha in ((policy, alpha), ("fixed", 1e-3)):
+        doc["inversion"].update(alpha_policy=policy, fixed_alpha=alpha)
+        with pytest.raises(ValidationError, match="inversion: unknown key 'fixed_alpha'"):
+            cli.parse_scenario(doc)
 
 
 _FRAME_FRACTURE = {"center": [0.0, 0.5, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 0.0, 1.0],

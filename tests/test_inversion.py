@@ -343,7 +343,7 @@ def desk_columns(desk_scale, params, wave):
     out = {"Phi": Phi}
     for name, mat in (("clean", lam), ("noisy", noisy)):
         op = inv.SvdOperator(mat)
-        out[name] = (op, inv._derive_delta(mat, None, op), *inv._projection(op, Phi))
+        out[name] = (op, inv._derive_delta(mat, op), *inv._projection(op, Phi))
     return out
 
 
@@ -643,7 +643,7 @@ class TestGlsmPencil:
         # directions, its norm and its indicator from L#
         scene, _, noisy = desk_scale
         op = inv.SvdOperator(noisy)
-        delta = inv._derive_delta(noisy, None, op)
+        delta = inv._derive_delta(noisy, op)
         sharp = inv.lambda_sharp(noisy.data)
         pencil = inv.GlsmPencil(noisy.data, sharp, delta)
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
@@ -876,7 +876,7 @@ class TestIndicatorMap:
         sampling = build_sampling_grid((-1, 1, 0, 1), (3, 2), 2, (0, 1))
         scene0 = Scene(grid=grid, patches=(), sampling=sampling, channels="in-plane")
         lam0 = fw.assemble_lambda(scene0, wave, params)
-        imap = inv.indicator_map(scene0, lam0, "lsm", wave, params, delta=1e-3)
+        imap = inv.indicator_map(scene0, lam0, "lsm", wave, params)
         assert imap.degenerate
         assert imap.degenerate_count == sampling.point_count
 
@@ -887,26 +887,32 @@ class TestIndicatorMap:
         assert np.isfinite(imap.raw).all()
 
     @pytest.mark.parametrize(
-        "method, kwargs",
-        [("lsm", {"alpha_policy": "fixed"}),
-         ("lsm", {"alpha_policy": "fixed", "fixed_alpha": 1e-3}),
-         ("lsm", {"fixed_alpha": 1e-3}),
-         ("glsm", {"fixed_alpha": 1e-3})],
+        "method, kwargs, error, message",
+        [("lsm", {"alpha_policy": "fixed"}, DomainError, "applies to glsm only"),
+         ("lsm", {"alpha_policy": "fixed", "fixed_alpha": 1e-3}, TypeError, "'fixed_alpha'"),
+         ("lsm", {"fixed_alpha": 1e-3}, TypeError, "'fixed_alpha'"),
+         ("glsm", {"fixed_alpha": 1e-3}, TypeError, "'fixed_alpha'")],
         ids=["lsm-fixed", "lsm-fixed-alpha", "lsm-alpha-only", "glsm-alpha-only"],
     )
-    def test_fixed_alpha_refused_where_unused(self, scene, lam, wave, params, method, kwargs):
-        # lsm takes each candidate's alpha from its root, and so does the
-        # per-candidate policy: a fixed alpha there is refused, not ignored
-        with pytest.raises(DomainError, match="applies to glsm only"):
+    def test_fixed_alpha_refused_where_unused(
+        self, scene, lam, wave, params, method, kwargs, error, message
+    ):
+        # lsm takes each candidate's alpha from its root, so the fixed policy
+        # is refused there; that policy's one alpha comes from the roots at
+        # the grid centre, so no alpha is taken in, under either method
+        with pytest.raises(error, match=message):
             inv.indicator_map(scene, lam, method, wave, params, **kwargs)
 
-    def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params):
-        # reference: the pencil's solutions g = V_r y at the one alpha, block
-        # by block, and their indicators in the L# energy form
-        alpha = 3e-4
-        imap = inv.indicator_map(
-            scene, lam, "glsm", wave, params, alpha_policy="fixed", fixed_alpha=alpha
+    def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params, monkeypatch):
+        # reference: the pencil's solutions g = V_r y at the map's one alpha,
+        # block by block, and their indicators in the L# energy form
+        alphas = []
+        operator = inv.GlsmPencil.operator
+        monkeypatch.setattr(
+            inv.GlsmPencil, "operator", lambda self, a: alphas.append(a) or operator(self, a)
         )
+        imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
+        (alpha,) = alphas
         sharp = inv.lambda_sharp(lam.data)
         pencil = inv.GlsmPencil(lam.data, sharp, imap.delta)
         pts, cands = scene.sampling.points(), scene.sampling.candidates()
