@@ -605,11 +605,9 @@ def _columns(
     weights etas of the distinct columns (else None).  The roots of the
     (point, candidate) columns, and those not bracketed at the low (side
     -1) and high (+1) end, are counted in the ledger."""
-    pts = np.asarray(points, dtype=float)
-    gpts = np.asarray(grid_points, dtype=float)
     # one geometry pass: the trial kernels are singular at r = 0, so the
     # points that coincide with a sensing point are left out
-    r, w = _separation(gpts[:, None, :], pts[None, :, :])
+    r, w = _separation(grid_points[:, None, :], points[None, :, :])
     live = np.flatnonzero(np.all(r > 0.0, axis=0) & (op.norm2 > 0.0))
     spread = (np.arange(live.size)[:, None] * plan.coef.shape[1] + plan.inverse).ravel()
     if live.size == 0:
@@ -799,7 +797,9 @@ def indicator_map(
     if alpha_policy == "fixed":
         # the sampling point nearest the grid center that is not a sensing
         # point; with none, or a zero operator, no block has a live point
-        for k in np.argsort(np.linalg.norm(pts - pts[len(pts) // 2], axis=1), kind="stable"):
+        xmin, xmax, ymin, ymax = scene.sampling.region
+        center = ((xmin + xmax) / 2.0, (ymin + ymax) / 2.0, scene.sampling.plane_z)
+        for k in np.argsort(np.linalg.norm(pts - center, axis=1), kind="stable"):
             live, _, _, _, etas = _columns(pts[k:k + 1], plan, op, delta, gpts, wave, params)
             if live.size:
                 # the median over all candidates, not over the distinct columns

@@ -926,6 +926,34 @@ class TestIndicatorMap:
             ref.extend(glsm_indicator_oracle(G[:, np.arange(best.size), best], sharp, imap.delta))
         np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
 
+    def test_fixed_alpha_from_grid_centre(self, scene, lam, wave, params, monkeypatch):
+        # the fixed policy's alpha is the median-root alpha at a sampling
+        # point nearest the region's centre: on this 6 x 6 grid one of the
+        # four around it, not the middle entry of the point list (the left edge)
+        alphas = []
+        operator = inv.GlsmPencil.operator
+        monkeypatch.setattr(
+            inv.GlsmPencil, "operator", lambda self, a: alphas.append(a) or operator(self, a)
+        )
+        imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
+        pts, cands = scene.sampling.points(), scene.sampling.candidates()
+        xmin, xmax, ymin, ymax = scene.sampling.region
+        dist = np.hypot(pts[:, 0] - (xmin + xmax) / 2, pts[:, 1] - (ymin + ymax) / 2)
+        nearest = np.flatnonzero(np.isclose(dist, dist.min()))
+        assert nearest.size == 4 and len(pts) // 2 not in nearest
+
+        def alpha_at(k):
+            etas = [
+                inv.morozov_eta(lam.data, inv.trial_pattern(
+                    pts[k], n, iota, scene.grid.points, wave, params, scene.channels
+                ).vector, imap.delta).eta
+                for n, iota in cands
+            ]
+            return inv.alpha_from_eta(np.median(etas), np.linalg.norm(lam.data, 2), imap.delta)
+
+        assert any(alphas[0] == pytest.approx(alpha_at(k), rel=1e-9) for k in nearest)
+        assert alphas[0] != pytest.approx(alpha_at(len(pts) // 2), rel=1e-2)
+
     def test_acceptance_maps_raise_no_floating_point_warning(self, desk_scale, wave, params):
         # the six maps of the acceptance fixture (desk clean and noisy, and
         # the fluid-channel scene, each by LSM and GLSM) with no warning
