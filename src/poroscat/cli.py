@@ -534,6 +534,7 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
         "morozov_unbracketed_low": 0,
         "morozov_unbracketed_high": 0,
         "pencil_rank": None,  # GLSM's
+        "fixed_alpha": None,  # the fixed alpha policy's
         **rec,
         "relative_delta": imap.delta / rec["sigma_max"] if rec["sigma_max"] > 0.0 else None,
     }

@@ -804,7 +804,7 @@ def indicator_map(
             if live.size:
                 # the median over all candidates, not over the distinct columns
                 alpha = alpha_from_eta(float(np.median(etas[plan.inverse])), op.norm2, delta)
-                logger.info("fixed alpha policy: alpha = %.6e", alpha)
+                ledger.note("fixed_alpha", alpha)
                 with ledger.stage("setup"):
                     fixed = pencil.operator(alpha)
                 break

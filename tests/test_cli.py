@@ -558,7 +558,10 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
         assert cli.main(["map", "--scenario", str(path), "--out", str(out), "--method", method]) == 0
-        timings = json.loads((out / "invert_meta.json").read_text())["timings_s"]
+        meta = json.loads((out / "invert_meta.json").read_text())
+        # the one alpha of the fixed policy, null where each candidate has its own
+        assert (meta["fixed_alpha"] > 0.0) if policy == "fixed" else meta["fixed_alpha"] is None
+        timings = meta["timings_s"]
         keys = ("load", "map", "patterns", "roots", "solve", "setup", "write")
         assert sorted(timings) == sorted(keys)
         assert all(timings[k] >= 0.0 for k in keys)

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from poroscat import forward as fw
 from poroscat import inversion as inv
+from poroscat import ledger
 from poroscat.errors import CompatibilityError, ConditioningError, DomainError, NumericalError
 from poroscat.greens import green_tensor
 from poroscat.material import solve_dispersion
@@ -903,16 +904,12 @@ class TestIndicatorMap:
         with pytest.raises(error, match=message):
             inv.indicator_map(scene, lam, method, wave, params, **kwargs)
 
-    def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params, monkeypatch):
+    def test_fixed_alpha_map_matches_pencil_solves(self, scene, lam, wave, params):
         # reference: the pencil's solutions g = V_r y at the map's one alpha,
         # block by block, and their indicators in the L# energy form
-        alphas = []
-        operator = inv.GlsmPencil.operator
-        monkeypatch.setattr(
-            inv.GlsmPencil, "operator", lambda self, a: alphas.append(a) or operator(self, a)
-        )
-        imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
-        (alpha,) = alphas
+        with ledger.record() as rec:
+            imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
+        alpha = rec["fixed_alpha"]
         sharp = inv.lambda_sharp(lam.data)
         pencil = inv.GlsmPencil(lam.data, sharp, imap.delta)
         pts, cands = scene.sampling.points(), scene.sampling.candidates()
@@ -926,16 +923,13 @@ class TestIndicatorMap:
             ref.extend(glsm_indicator_oracle(G[:, np.arange(best.size), best], sharp, imap.delta))
         np.testing.assert_allclose(imap.raw, ref, rtol=1e-10)
 
-    def test_fixed_alpha_from_grid_centre(self, scene, lam, wave, params, monkeypatch):
+    def test_fixed_alpha_from_grid_centre(self, scene, lam, wave, params):
         # the fixed policy's alpha is the median-root alpha at a sampling
         # point nearest the region's centre: on this 6 x 6 grid one of the
         # four around it, not the middle entry of the point list (the left edge)
-        alphas = []
-        operator = inv.GlsmPencil.operator
-        monkeypatch.setattr(
-            inv.GlsmPencil, "operator", lambda self, a: alphas.append(a) or operator(self, a)
-        )
-        imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
+        with ledger.record() as rec:
+            imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy="fixed")
+        alpha = rec["fixed_alpha"]
         pts, cands = scene.sampling.points(), scene.sampling.candidates()
         xmin, xmax, ymin, ymax = scene.sampling.region
         dist = np.hypot(pts[:, 0] - (xmin + xmax) / 2, pts[:, 1] - (ymin + ymax) / 2)
@@ -951,8 +945,8 @@ class TestIndicatorMap:
             ]
             return inv.alpha_from_eta(np.median(etas), np.linalg.norm(lam.data, 2), imap.delta)
 
-        assert any(alphas[0] == pytest.approx(alpha_at(k), rel=1e-9) for k in nearest)
-        assert alphas[0] != pytest.approx(alpha_at(len(pts) // 2), rel=1e-2)
+        assert any(alpha == pytest.approx(alpha_at(k), rel=1e-9) for k in nearest)
+        assert alpha != pytest.approx(alpha_at(len(pts) // 2), rel=1e-2)
 
     def test_acceptance_maps_raise_no_floating_point_warning(self, desk_scale, wave, params):
         # the six maps of the acceptance fixture (desk clean and noisy, and
