@@ -322,10 +322,14 @@ class SamplingGrid:
             raise DomainError("normals must be (n_dir >= 1, 3)")
         if np.abs(np.linalg.norm(nrm, axis=1) - 1.0).max() > 1e-12:
             raise DomainError("trial normals must be unit length")
-        for i in range(nrm.shape[0]):
-            for j in range(i + 1, nrm.shape[0]):
-                if np.allclose(nrm[i], nrm[j], atol=1e-12):
-                    raise DomainError(f"trial normals {i} and {j} coincide")
+        # pairs i < j that np.allclose(nrm[i], nrm[j], atol=1e-12) joins, in
+        # chunks of rows i so that each comparison holds at most 2**16 pairs
+        step = max(1, 2**16 // nrm.shape[0])
+        for s in range(0, nrm.shape[0], step):
+            close = np.abs(nrm[s:s + step, None] - nrm) <= 1e-12 + 1e-5 * np.abs(nrm)
+            i, j = np.nonzero(np.triu(close.all(axis=2), s + 1))
+            if i.size:
+                raise DomainError(f"trial normals {s + i[0]} and {j[0]} coincide")
         object.__setattr__(self, "normals", nrm)
 
     @property

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from poroscat import cli
 from poroscat.errors import DegenerateContactError, DomainError, GeometryError
 from poroscat.scene import (
     ContactParams,
+    SamplingGrid,
     Scene,
     build_fracture_patch,
     build_sampling_grid,
@@ -180,6 +182,32 @@ class TestSamplingGrid:
     def test_empty_iotas_rejected(self):
         with pytest.raises(DomainError):
             build_sampling_grid((-1, 1, -1, 1), (2, 2), 2, ())
+
+    def test_many_normals_build_within_a_second(self):
+        # the coincident-normal check compares all 499,500 pairs of 1000
+        # normals as arrays, in chunks, not pair by pair
+        t0 = time.perf_counter()
+        g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 1000, (0, 1))
+        assert time.perf_counter() - t0 < 1.0
+        assert g.normals.shape == (1000, 3)
+
+    def test_coincident_normals_rejected(self):
+        # np.allclose's rule (atol 1e-12, rtol 1e-5) on 300 normals, whose
+        # check runs in two chunks of rows; the message names the first pair
+        # i < j in row order, the second chunk's too
+        normals = build_sampling_grid((0, 1, 0, 1), (1, 1), 300, (0,)).normals.copy()
+        normals[[280, 250, 290]] = normals[[5, 70, 230]]
+        for first, later in ((5, 280), (70, 250), (230, 290)):
+            with pytest.raises(DomainError, match=f"trial normals {first} and {later} coincide"):
+                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
+            # a copy turned by 1e-7 rad still coincides, one turned by 1e-3 not
+            turn = np.array([[1.0, -1e-7, 0.0], [1e-7, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            normals[later] = turn @ normals[first] / np.linalg.norm(turn @ normals[first])
+            with pytest.raises(DomainError, match=f"trial normals {first} and {later} coincide"):
+                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
+            c, s = math.cos(1e-3), math.sin(1e-3)
+            normals[later] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ normals[first]
+        assert SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,)).normals.shape == (300, 3)
 
     def test_candidate_order_deterministic(self):
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 3, (1, 0))
