@@ -718,10 +718,6 @@ class IndicatorMap:
     def degenerate_count(self) -> int:
         return int((~np.isfinite(self.raw)).sum())
 
-    @property
-    def degenerate(self) -> bool:
-        return self.degenerate_count > 0
-
 
 def _derive_delta(matrix, op: SvdOperator) -> float:
     if isinstance(matrix, ScatteringMatrix) and matrix.delta and matrix.delta > 0.0:
@@ -809,12 +805,11 @@ def indicator_map(
                     fixed = pencil.operator(alpha)
                 break
 
-    raw = np.full(len(pts), np.nan)
-    argmin = np.full(len(pts), -1, dtype=int)
-    for s in range(0, len(pts), _BLOCK):
-        raw[s:s + _BLOCK], argmin[s:s + _BLOCK] = _eval_block(
-            pts[s:s + _BLOCK], plan, op, delta, gpts, wave, params, pencil, fixed,
-        )
+    blocks = [
+        _eval_block(pts[s:s + _BLOCK], plan, op, delta, gpts, wave, params, pencil, fixed)
+        for s in range(0, len(pts), _BLOCK)
+    ]
+    raw, argmin = (np.concatenate(part) for part in zip(*blocks))
     iotas = np.array([iota for _, iota in cands])
     found = argmin >= 0
     arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
@@ -829,7 +824,7 @@ def indicator_map(
         argmin_normal=arg_n,
         argmin_iota=arg_i,
     )
-    if imap.degenerate:
+    if imap.degenerate_count:
         logger.warning("indicator map has %d degenerate point(s)", imap.degenerate_count)
     return imap
 

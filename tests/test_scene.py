@@ -209,6 +209,31 @@ class TestSamplingGrid:
             normals[later] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ normals[first]
         assert SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,)).normals.shape == (300, 3)
 
+    def test_coincidence_check_matches_pairwise_allclose(self, rng):
+        # reference: np.allclose(atol=1e-12) on each pair i < j in row order,
+        # on unit normals where some rows copy another, exactly or to within
+        # 1e-13, 1e-6 or 2e-5 relative
+        def first_pair(normals):
+            for i in range(len(normals)):
+                for j in range(i + 1, len(normals)):
+                    if np.allclose(normals[i], normals[j], atol=1e-12):
+                        return f"trial normals {i} and {j} coincide"
+            return None
+
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            normals = rng.normal(size=(n, 3))
+            for _ in range(int(rng.integers(0, 3))):
+                i, j = rng.integers(0, n, 2)
+                normals[j] = normals[i] * (1.0 + rng.choice([0.0, 1e-13, 1e-6, 2e-5], size=3))
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+            try:
+                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
+                message = None
+            except DomainError as exc:
+                message = str(exc)
+            assert message == first_pair(normals)
+
     def test_candidate_order_deterministic(self):
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 3, (1, 0))
         cands = g.candidates()
