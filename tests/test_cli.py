@@ -191,7 +191,8 @@ class TestRunForward:
         echo["inversion"].update({"alpha_policy": "fixed", key: value})
         (tmp_path / "old.json").write_text(json.dumps(echo))
         out = tmp_path / "b"
-        assert cli.main(["forward", "--scenario", str(tmp_path / "old.json"), "--out", str(out)]) == 2
+        argv = ["forward", "--scenario", str(tmp_path / "old.json"), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
         assert f"inversion: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 

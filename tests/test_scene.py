@@ -192,21 +192,17 @@ class TestSamplingGrid:
         assert g.normals.shape == (1000, 3)
 
     def test_coincident_normals_rejected(self):
-        # np.allclose's rule (atol 1e-12, rtol 1e-5) on 300 normals, whose
-        # check runs in two chunks of rows; the message names the first pair
-        # i < j in row order, the second chunk's too
+        # 300 normals, whose check runs in two chunks of rows: the message
+        # names the first coinciding pair i < j in row order, the second
+        # chunk's too, and a copy turned by 1e-3 rad is distinct
         normals = build_sampling_grid((0, 1, 0, 1), (1, 1), 300, (0,)).normals.copy()
         normals[[280, 250, 290]] = normals[[5, 70, 230]]
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         for first, later in ((5, 280), (70, 250), (230, 290)):
             with pytest.raises(DomainError, match=f"trial normals {first} and {later} coincide"):
                 SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
-            # a copy turned by 1e-7 rad still coincides, one turned by 1e-3 not
-            turn = np.array([[1.0, -1e-7, 0.0], [1e-7, 1.0, 0.0], [0.0, 0.0, 1.0]])
-            normals[later] = turn @ normals[first] / np.linalg.norm(turn @ normals[first])
-            with pytest.raises(DomainError, match=f"trial normals {first} and {later} coincide"):
-                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
-            c, s = math.cos(1e-3), math.sin(1e-3)
-            normals[later] = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ normals[first]
+            normals[later] = turn @ normals[first]
         assert SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,)).normals.shape == (300, 3)
 
     def test_coincidence_check_matches_pairwise_allclose(self, rng):
