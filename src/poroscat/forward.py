@@ -45,7 +45,9 @@ reciprocal data component (force e_i with u_i, fluid injection with p).
 
 The matrix file (save_matrix, load_matrix) and the indicator map file
 (inversion.save_indicator_map, load_indicator_map) share one exchange
-layout, written by _write_table and read by _read_table.
+layout, written by _write_table.  _read_table reads it in one pass over
+the file's bytes, in the written layout only, and gives both loaders one
+accessor of the header values.
 """
 
 from __future__ import annotations
@@ -817,68 +819,55 @@ def _non_negative(cast):
 _NUMBER_BYTES = b"0123456789.eE+-naninf"
 
 
-def _header(lines) -> dict[str, str]:
-    """The '# key = value' lines of a header as a dict."""
-    pairs = (line[1:].partition("=") for line in lines)
-    return {key.strip(): val.strip() for key, _, val in pairs}
+def _rows(body: bytes, width: int) -> np.ndarray | None:
+    """The (n, width) rows of a body in the written layout, else None."""
+    seps = body.translate(None, _NUMBER_BYTES)
+    n = len(seps) // width
+    if seps != (b"," * (width - 1) + b"\n") * n:
+        return None
+    try:
+        return np.array(body.replace(b",", b"\n").split(), dtype=np.float64).reshape(n, width)
+    except ValueError:
+        return None
 
 
 def _read_table(path, tag: str, width: int, what: str, fault: str, ok):
-    """(header, rows) of a file in the exchange layout: the header as a
-    dict and the body as an (n, width) float array.
+    """(field, rows) of a file in the exchange layout, read once as bytes:
+    the accessor of its header values and its body as an (n, width) array.
 
-    ok(rows) is a mask of the rows a caller accepts.  The written layout
-    is parsed in one pass.  A file in another layout (blank lines, comments
-    between rows, CR LF line ends), or one with a row that does not parse
-    or that ok refuses, is read line by line, which names the first such
-    row: 'unparsable <what>' or '<fault> <what>'.
+    The body is parsed in one pass, and only in the layout _write_table
+    writes, its final newline optional.  ok(rows) masks the rows a caller
+    accepts.  Any other body (CR LF line ends, blank or comment lines
+    between rows, a row that does not parse or that ok refuses) raises
+    CompatibilityError naming its first such line: 'unparsable <what>' or
+    '<fault> <what>'.  field(key, cast=str, optional=False) reads header
+    value key by cast, None for an optional key absent or 'none'; a missing
+    key, or a value cast refuses with ValueError, raises CompatibilityError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if not raw.isascii():
+        raise CompatibilityError(f"{path}: not an ASCII text file")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
     first = f"# {tag}\n".encode("ascii")
-    pos = len(first) if raw.startswith(first) else 0
-    while pos and raw.startswith(b"#", pos):
+    if not raw.startswith(first):
+        raise CompatibilityError(f"{path}: not a {tag} file: {raw[:len(first)].decode()!r}")
+    pos = len(first)
+    while raw.startswith(b"#", pos):
         pos = raw.find(b"\n", pos) + 1
     body = raw[pos:]
-    seps = body.translate(None, _NUMBER_BYTES)
-    n = len(seps) // width
-    if pos and seps == (b"," * (width - 1) + b"\n") * n:
-        try:
-            head = raw[len(first):pos].decode("ascii").splitlines()
-            rows = np.array(body.replace(b",", b"\n").split(), dtype=np.float64)
-        except (UnicodeDecodeError, ValueError):
-            rows = None
-        if rows is not None and rows.size == n * width and ok(rows.reshape(n, width)).all():
-            return _header(head), rows.reshape(n, width)
-    head, values = [], []
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            if fh.readline().strip() != f"# {tag}":
-                raise CompatibilityError(f"{path}: not a {tag} file")
-            for line in map(str.strip, fh):
-                if line.startswith("#"):
-                    head.append(line)
-                elif line:
-                    try:
-                        row = np.array([float(v) for v in line.split(",")])
-                        if row.size != width:
-                            raise ValueError(line)
-                    except ValueError:
-                        raise CompatibilityError(f"{path}: unparsable {what} {line!r}") from None
-                    if not ok(row[None])[0]:
-                        raise CompatibilityError(f"{path}: {fault} {what} {line!r}")
-                    values.append(row)
-    except UnicodeDecodeError:
-        raise CompatibilityError(f"{path}: not an ASCII text file") from None
-    return _header(head), np.array(values).reshape(-1, width)
-
-
-def load_matrix(path) -> ScatteringMatrix:
-    header, rows = _read_table(
-        path, _FORMAT_TAG, 2, "matrix entry", "non-finite",
-        lambda rows: np.isfinite(rows).all(axis=1),
-    )
-    values = rows.view(np.complex128).ravel()
+    rows = _rows(body, width)
+    if rows is None or not ok(rows).all():
+        # the first line that is not a row ok accepts: the empty piece after
+        # the final newline never parses, so the scan always names one
+        for line in body.split(b"\n"):
+            row = _rows(line + b"\n", width)
+            if row is None or not ok(row)[0]:
+                kind = "unparsable" if row is None else fault
+                raise CompatibilityError(f"{path}: {kind} {what} {line.decode()!r}")
+    pairs = (line[1:].partition("=") for line in raw[len(first):pos].decode().splitlines())
+    header = {key.strip(): value.strip() for key, _, value in pairs}
 
     def field(key, cast=str, optional=False):
         if optional and header.get(key, "none") == "none":
@@ -892,6 +881,15 @@ def load_matrix(path) -> ScatteringMatrix:
                 f"{path}: bad header value {key} = {header[key]!r}"
             ) from None
 
+    return field, rows
+
+
+def load_matrix(path) -> ScatteringMatrix:
+    field, rows = _read_table(
+        path, _FORMAT_TAG, 2, "matrix entry", "non-finite",
+        lambda rows: np.isfinite(rows).all(axis=1),
+    )
+    values = rows.view(np.complex128).ravel()
     n_points = field("n_points", _non_negative(int))
     channels = tuple(field("channels").split(","))
     n = n_points * len(channels)

@@ -858,35 +858,29 @@ def _whole_indices(rows: np.ndarray) -> np.ndarray:
 
 
 def load_indicator_map(path) -> IndicatorMap:
-    """Read a map file in the layout save_indicator_map writes.  A missing
-    or unparsable header field, a grid header the sampling grid refuses (a
-    flipped region, say), a row that is not six numbers with integer
-    indices, and a row count other than the grid's point count raise
-    CompatibilityError."""
-    header, rows = _read_table(path, _MAP_TAG, 6, "map row", "unparsable", _whole_indices)
+    """Read a map file in the layout save_indicator_map writes (without
+    plane_z, at plane 0).  A missing or unparsable header field, a grid
+    header the sampling grid refuses (a flipped region, say), a row that is
+    not six numbers with integer indices, or a row count other than the
+    grid's point count raises CompatibilityError."""
+    field, rows = _read_table(path, _MAP_TAG, 6, "map row", "unparsable", _whole_indices)
+    plane_z = field("plane_z", float, optional=True)
     try:
         grid = build_sampling_grid(
-            tuple(float(v) for v in header["region"].split(",")),
-            tuple(int(v) for v in header["resolution"].split(",")),
-            int(header["n_dir"]),
-            tuple(int(i) for i in header["iotas"].split(",")),
-            plane_z=float(header.get("plane_z", "0")),
+            field("region").split(","), field("resolution").split(","),
+            field("n_dir", int), field("iotas").split(","),
+            plane_z=0.0 if plane_z is None else plane_z,
         )
-        method, omega, delta = header["method"], float(header["omega"]), float(header["delta"])
-    except KeyError as exc:
-        raise CompatibilityError(f"{path}: missing header field {exc.args[0]!r}") from None
-    except (ValueError, IndexError) as exc:
-        raise CompatibilityError(f"{path}: unparsable header value ({exc})") from None
-    except DomainError as exc:
+    except (ValueError, IndexError, DomainError) as exc:
         raise CompatibilityError(f"{path}: bad grid header ({exc})") from None
     if len(rows) != grid.point_count:
         raise CompatibilityError(
             f"{path}: {len(rows)} rows for a grid of {grid.point_count} points"
         )
     return IndicatorMap(
-        method=method,
-        omega=omega,
-        delta=delta,
+        method=field("method"),
+        omega=field("omega", float),
+        delta=field("delta", float),
         grid=grid,
         raw=rows[:, 2].copy(),
         argmin_normal=rows[:, 4].astype(int),

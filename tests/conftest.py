@@ -37,8 +37,8 @@ def rng():
 @pytest.fixture()
 def forward_opens(monkeypatch):
     """The modes of the files poroscat.forward opens during the test: its
-    exchange-format reader opens a file once, as bytes, when the one-pass
-    parse takes it, and again as text when it reads line by line."""
+    exchange-format reader opens a file once, as bytes, whether it reads
+    the file or refuses it."""
     opened = []
 
     def spy(file, mode="r", *args, **kwargs):

@@ -436,8 +436,10 @@ class TestMainEntry:
         assert np.isfinite(imap.raw[~on_sensor]).all()
         assert imap.degenerate_count == 2
 
-    @pytest.mark.parametrize("entry", ["nan,0", "1.0,abc"])
+    @pytest.mark.parametrize("entry", ["nan,0", "1.0,abc", "", "# note"])
     def test_bad_matrix_entry_rejected(self, tmp_path, scenario_path, entry, capsys):
+        # a bad row, a blank line or a comment between rows: the message
+        # names the line
         out = tmp_path / "o"
         assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
         path = out / "lambda_noisy.csv"
@@ -449,7 +451,22 @@ class TestMainEntry:
             fw.load_matrix(path)
         rc = cli.main(["invert", "--scenario", str(scenario_path), "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
-        assert "matrix entry" in capsys.readouterr().err
+        assert f"matrix entry {entry!r}" in capsys.readouterr().err
+
+    def test_matrix_line_ends(self, tmp_path, scenario_path, capsys):
+        # the written matrix reads without its final newline, to the same
+        # map; with CR LF line ends it is refused at its first line
+        out = tmp_path / "o"
+        argv = ["--scenario", str(scenario_path), "--out", str(out)]
+        assert cli.main(["map", *argv]) == 0
+        path, written = out / "lambda_noisy.csv", (out / "map_lsm.csv").read_bytes()
+        text = path.read_bytes()
+        path.write_bytes(text[:-1])
+        assert cli.main(["invert", *argv]) == 0
+        assert (out / "map_lsm.csv").read_bytes() == written
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        assert cli.main(["invert", *argv]) == cli.EXIT_VALIDATION
+        assert "not a poroscat-matrix v1 file: '# poroscat-matrix v1\\r'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value", [("n_points", "twelve"), ("omega", "x"), ("seed", "1.5")]

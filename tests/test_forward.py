@@ -1096,9 +1096,10 @@ class TestExchangeFormat:
         with pytest.raises(CompatibilityError):
             fw.load_matrix(path)
 
-    def test_bulk_and_per_line_reads_agree(self, rng, tmp_path, forward_opens):
-        # both files: the written layout takes the one-pass parse, the same
-        # file with CR LF line ends the per-line read, and both read the same bits
+    def test_written_layout_reads_bit_exactly(self, rng, tmp_path, forward_opens):
+        # both files, extreme values and nan map rows included, read to the
+        # bit from one binary open, with or without their final newline; a
+        # CR LF copy is refused at its first line
         parts = np.concatenate([
             rng.normal(size=42) * 10.0 ** rng.integers(-300, 300, 42),
             [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, 3.0, -1.0, 1e-5],
@@ -1116,23 +1117,26 @@ class TestExchangeFormat:
         )
         map_path = tmp_path / "map.csv"
         inv.save_indicator_map(imap, map_path)
-        for path, tag, width in [(matrix, fw._FORMAT_TAG, 2), (map_path, inv._MAP_TAG, 6)]:
-            crlf = tmp_path / f"crlf_{path.name}"
-            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-            reads = []
-            for p in (path, crlf):
+        for path, load, bits in [
+            (matrix, lambda p: fw.load_matrix(p).data, data),
+            (map_path, lambda p: inv.load_indicator_map(p).raw, raw),
+        ]:
+            written = path.read_bytes()
+            for text in (written, written[:-1]):
+                path.write_bytes(text)
                 forward_opens.clear()
-                reads.append(
-                    fw._read_table(p, tag, width, "row", "bad", lambda r: np.ones(len(r), bool))
-                )
-                assert forward_opens == (["rb"] if p == path else ["rb", "r"])
-            (header, rows), (per_line_header, per_line_rows) = reads
-            assert header == per_line_header
-            assert rows.view(np.int64).tolist() == per_line_rows.view(np.int64).tolist()
-        back = fw.load_matrix(matrix).data
-        assert back.view(np.int64).tolist() == data.view(np.int64).tolist()
-        back_raw = inv.load_indicator_map(map_path).raw
-        assert back_raw.view(np.int64).tolist() == raw.view(np.int64).tolist()
+                assert load(path).view(np.int64).tolist() == bits.view(np.int64).tolist()
+                assert forward_opens == ["rb"]
+            path.write_bytes(written.replace(b"\n", b"\r\n"))
+            forward_opens.clear()
+            with pytest.raises(CompatibilityError, match=re.escape(r"v1\r'")):
+                load(path)
+            assert forward_opens == ["rb"]
+        # a header-only file (no rows) reads too
+        fw.save_matrix(fw.ScatteringMatrix(np.zeros((0, 0)), ("fx",), 0, 2.5), matrix)
+        for text in (matrix.read_bytes(), matrix.read_bytes()[:-1]):
+            matrix.write_bytes(text)
+            assert fw.load_matrix(matrix).data.shape == (0, 0)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -1149,15 +1153,19 @@ class TestExchangeFormat:
             ("0,0,1,1,0.5,0", "unparsable map row '0,0,1,1,0.5,0'"),
             ("0,0,nan,nan,0,nan", "unparsable map row '0,0,nan,nan,0,nan'"),
             ("0,0,nana,1,0,0", "unparsable map row '0,0,nana,1,0,0'"),
+            ("", "unparsable matrix entry ''"),
+            ("# note", "unparsable matrix entry '# note'"),
+            ("1,0\r", "unparsable matrix entry '1,0\\r'"),
         ],
     )
     def test_bad_entry_keeps_per_line_message(self, body, message, tmp_path, forward_opens):
         # a matrix or a map (the file the message names, a matrix for the
-        # encoding) with its second-to-last row replaced.  Lines a one-pass
-        # parse could misread as whole rows: "1,2,3" with "4" and "1 2,3" with
-        # ",4" have four numbers on two lines, "1.0," with ",4" has two, and
-        # a seven-field map row with a five-field one has twelve; the rest
-        # parse in one pass, or keep its separators, and name the row per line
+        # encoding) with its second-to-last row replaced, and the message
+        # names that line, the first bad one, though the last row is bad
+        # too for most matrices.  Lines a whole-body parse could misread as
+        # whole rows: "1,2,3" with "4" and "1 2,3" with ",4" have four numbers
+        # on two lines, "1.0," with ",4" has two, and a seven-field map row
+        # with a five-field one has twelve
         path = tmp_path / "table.csv"
         if "map row" in message:
             grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
@@ -1174,7 +1182,51 @@ class TestExchangeFormat:
         forward_opens.clear()
         with pytest.raises(CompatibilityError, match=re.escape(message)):
             load(path)
-        assert forward_opens == ["rb", "r"]  # the per-line read named the row
+        assert forward_opens == ["rb"]
+
+
+# lines of both files and lines of neither: a header line moved into the
+# body or a row into the header, a CR LF line end, a blank or comment line
+_LINES = [
+    "", "# note", "# poroscat-matrix v1", "# poroscat-map v1", "# n_points = 2",
+    "# channels = fx,fy", "# n_dir = 3", "# plane_z = none", "# resolution = 2",
+    "1,0", "1,0\r", "nan,0", "0,0,1,1,0,0", "0,0,nan,nan,-1,-1", "1,2,3", "-", "e",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["matrix", "map"]),
+    cut=st.one_of(st.none(), st.integers(0, 2**12)),
+    where=st.integers(0, 2**12),
+    line=st.one_of(st.sampled_from(_LINES), st.text(alphabet="0123456789.,e+-#nai \r", max_size=8)),
+)
+def test_edited_file_reads_or_is_compatibility_error(tmp_path_factory, kind, cut, where, line):
+    # a file cut short at any byte, or with any one line replaced, is read
+    # or refused with CompatibilityError, never with another exception
+    path = tmp_path_factory.mktemp("edit") / "table.csv"
+    if kind == "map":
+        grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
+        raw = np.array([0.5, np.nan, 1.0, 0.25, 0.75, 1e-300])
+        found = np.isfinite(raw)
+        imap = inv.IndicatorMap("glsm", 3.91, 0.05, grid, raw, np.where(found, 1, -1),
+                                np.where(found, 0, -1))
+        inv.save_indicator_map(imap, path)
+        load = inv.load_indicator_map
+    else:
+        data = np.arange(9.0).reshape(3, 3) * (1.0 - 0.5j)
+        fw.save_matrix(fw.ScatteringMatrix(data, ("fx", "fy", "fluid"), 1, 3.91), path)
+        load = fw.load_matrix
+    text = path.read_bytes()
+    if cut is None:
+        lines = text.split(b"\n")[:-1]
+        lines[where % len(lines)] = line.encode("ascii")
+        text = b"\n".join(lines) + b"\n"
+    path.write_bytes(text if cut is None else text[:cut % (len(text) + 1)])
+    try:
+        load(path)
+    except CompatibilityError:
+        pass
 
 
 @settings(max_examples=20, deadline=None)

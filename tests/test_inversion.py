@@ -1000,6 +1000,12 @@ class TestIndicatorMap:
         np.testing.assert_array_equal(back.argmin_normal, imap.argmin_normal)
         assert back.method == imap.method
         assert back.delta == imap.delta
+        # a map written without plane_z reads at plane 0
+        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+        path.write_text("".join(x for x in lines if not x.startswith("# plane_z")))
+        flat = inv.load_indicator_map(path)
+        assert flat.grid.plane_z == 0.0
+        np.testing.assert_array_equal(flat.raw, imap.raw)
 
     @pytest.mark.parametrize(
         "edit, cause",
@@ -1007,7 +1013,7 @@ class TestIndicatorMap:
             (lambda lines: [x for x in lines if not x.startswith("# region")],
              "missing header field 'region'"),
             (lambda lines: [x.replace("n_dir = 2", "n_dir = two") for x in lines],
-             "unparsable header value"),
+             "bad header value n_dir = 'two'"),
             (lambda lines: lines[:-1] + ["0.5,1,0.25"], "unparsable map row '0.5,1,0.25'"),
             (lambda lines: lines[:-1] + ["0.5,1,0.25,1,0,1,7"], "unparsable map row"),
             (lambda lines: lines[:-1] + ["0.5,1,x,1,0,1"], "unparsable map row"),
@@ -1036,8 +1042,8 @@ class TestIndicatorMap:
             inv.load_indicator_map(path)
 
     def test_map_with_nan_rows_roundtrips_in_one_pass(self, tmp_path, forward_opens):
-        # degenerate points write 'nan' rows; the written layout still takes
-        # the one-pass parse (forward opens the file once, as bytes)
+        # degenerate points write 'nan' rows, which the one-pass parse reads
+        # (forward opens the file once, as bytes)
         grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
         raw = np.array([0.5, np.nan, 1.0 / 3.0, np.nan, 1.0, 7e-300])
         found = np.isfinite(raw)
