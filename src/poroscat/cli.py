@@ -183,6 +183,8 @@ def _parse_material(doc) -> MaterialParams | tuple[DimensionalMaterial, Referenc
         return {k: _number(_need(block, k, path), f"{path}.{k}") for k in _MATERIAL_KEYS}
 
     if "dimensionless" in doc:
+        if doc.keys() & {"dimensional", "scales"}:
+            raise ValidationError("material: give dimensionless or dimensional + scales, not both")
         try:
             return MaterialParams(**constants("dimensionless"))
         except DomainError as exc:
@@ -352,6 +354,8 @@ def parse_scenario(doc: dict) -> Scenario:
     )
     mat = _parse_material(_need(doc, "material", "scenario"))
     freq = _object(_need(doc, "frequency", "scenario"), "frequency", {"omega", "omega_prime"})
+    if "omega" in freq and "omega_prime" in freq:
+        raise ValidationError("frequency: give only one of omega or omega_prime")
     if isinstance(mat, MaterialParams):
         params = mat
         if "omega" not in freq:
@@ -745,18 +749,15 @@ def main(argv=None) -> int:
                 print(f"CHECK {entry['name']}: {entry['status'].upper()} ({entry['detail']})")
             # failures are report entries; the command itself succeeded
         return 0
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except PoroscatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from poroscat import cli
 from poroscat import forward as fw
 from poroscat import greens
 from poroscat import inversion as inv
-from poroscat.errors import CompatibilityError, ValidationError
+from poroscat.errors import CompatibilityError, ConditioningError, ValidationError
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
 
@@ -48,6 +48,17 @@ def _tiny_doc() -> dict:
     for frac in doc["scene"]["fractures"]:
         frac["cells"] = [4, 1]
     return doc
+
+
+# Pecos sandstone in SI units, with its reference scales
+_DIMENSIONAL = {
+    "dimensional": {
+        "lam": 2.74e9, "mu": 5.85e9, "M": 9.71e9, "rho": 2270.0,
+        "rho_f": 1000.0, "rho_a": 117.0, "kappa": 0.8e-12,
+        "phi": 0.195, "alpha": 0.83,
+    },
+    "scales": {"mu_r": 5.85e9, "rho_r": 1000.0, "ell_r": 0.14},
+}
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +110,7 @@ class TestLoadScenario:
 
     def test_dimensional_material_block(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
-        doc["material"] = {
-            "dimensional": {
-                "lam": 2.74e9, "mu": 5.85e9, "M": 9.71e9, "rho": 2270.0,
-                "rho_f": 1000.0, "rho_a": 117.0, "kappa": 0.8e-12,
-                "phi": 0.195, "alpha": 0.83,
-            },
-            "scales": {"mu_r": 5.85e9, "rho_r": 1000.0, "ell_r": 0.14},
-        }
+        doc["material"] = _DIMENSIONAL
         doc["frequency"] = {"omega_prime": 2 * math.pi * 12e3}
         path = tmp_path / "dim.json"
         path.write_text(json.dumps(doc))
@@ -400,6 +404,23 @@ class TestMainEntry:
             ["forward", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
         )
         assert rc == cli.EXIT_VALIDATION
+
+    def test_io_exit_code(self, tmp_path, scenario_path, capsys):
+        # --out names an existing regular file, so no output directory is made
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)])
+        assert rc == cli.EXIT_IO
+        assert "i/o error: [Errno 17] File exists" in capsys.readouterr().err
+
+    def test_numerical_exit_code(self, tmp_path, scenario_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise ConditioningError("coupled system is singular")
+
+        monkeypatch.setattr(fw, "assemble_lambda", singular)
+        rc = cli.main(["forward", "--scenario", str(scenario_path), "--out", str(tmp_path)])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "numerical error: coupled system is singular" in capsys.readouterr().err
 
     def test_map_command(self, tmp_path, scenario_path, capsys):
         rc = cli.main(
@@ -731,16 +752,40 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
         (("scene", "sampling", "region"), [2.5, -2.5, -2.5, 2.5],
          "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
+        (("material", "scales"), {"mu_r": -1},
+         "material: give dimensionless or dimensional + scales, not both"),
+        (("material", "dimensional"), _DIMENSIONAL["dimensional"],
+         "material: give dimensionless or dimensional + scales, not both"),
+        (("frequency", "omega_prime"), 12345, "frequency: give only one of omega or omega_prime"),
+        (("noise", "epsilon"), 0.01, "noise: give only one of epsilon or target_delta"),
+        (("scene", "wells", 1, "samples_per_segment"), 7,
+         "scene.wells: samples_per_segment must agree across wells"),
+        (("scene", "channels"), ["fx", 1], "scene.channels must name channels, got"),
+        (("frequency",), {"omega_prime": 1.0}, "frequency: dimensionless material needs 'omega'"),
+        (("material",), _DIMENSIONAL, "frequency: dimensional material needs 'omega_prime'"),
+        ("text", "{", "not valid JSON"),
+        ("invert", None, "lambda_noisy.csv (run forward first)"),
     ],
     ids=["omega-x", "mu-a", "wells-empty", "center-short", "fractures-null", "contact-x",
          "omega-1e300", "omega-1e-300", "seed-negative", "epsilon-negative",
          "target-delta-negative", "inversion-delta-negative", "cutoff-negative", "region-y-flipped",
-         "region-x-flipped"],
+         "region-x-flipped", "dimensionless-and-scales", "dimensionless-and-dimensional",
+         "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
+         "channel-not-string", "omega-missing", "omega-prime-missing", "not-json",
+         "invert-before-forward"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
+    # where is the path of the entry set to value; "text" makes value the
+    # whole file, and "invert" runs invert on the scenario before forward
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(_mutated_doc(tiny_scenario_doc, (where, "set", value))))
-    rc = cli.main(["forward", "--scenario", str(path), "--out", str(tmp_path)])
+    if where == "text":
+        path.write_text(value)
+    elif where != "invert":
+        path.write_text(json.dumps(_mutated_doc(tiny_scenario_doc, (where, "set", value))))
+    else:
+        path.write_text(json.dumps(tiny_scenario_doc))
+    command = "invert" if where == "invert" else "forward"
+    rc = cli.main([command, "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
 

@@ -674,6 +674,35 @@ class TestMirrorParity:
         assert rec["kernel_pairs"] == 80
         np.testing.assert_array_equal(L, ref)
 
+    def test_unreflected_contact_refuses_pairing(
+        self, network_smoke_scene, small_scene, wave, params
+    ):
+        # a horizontal patch on the mirror plane beside the desk scene's
+        # cells: every cell is its own partner, but the patch's E row
+        # alpha_f_tilde n is not Q E Q (nor are its kernels covariant), so
+        # the pairing is refused and the scene solves its full M by one LU
+        flat = build_fracture_patch(
+            center=[0.5, 1.8, 0.0], frame=([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+            half_lengths=(0.4, 0.3), subdivisions=(2, 2), contact=default_contact(),
+        )
+        scene = dataclasses.replace(
+            network_smoke_scene, patches=network_smoke_scene.patches + (flat,)
+        )
+        f = fw._factors(scene, wave, params)
+        assert fw._mirror_pairs(f.interface, wave, params) is None
+        ref = interacting_lambda_oracle(scene, wave, params)
+        with ledger.record() as rec:
+            L = fw.assemble_lambda(scene, wave, params, "interacting", cutoff=None).data
+        assert rec["coupled_blocks"] == [60]  # 8 + 4 cells, five unknowns each
+        assert np.linalg.norm(L - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the E comparison alone refuses a pairing that the kernel probe
+        # passes: small_scene with one cell's E off its partner's reflection
+        iface = fw._interface(small_scene.patches, wave.omega)
+        E = iface.E.copy()
+        E[0] *= 1.0 + 1e-9
+        assert fw._mirror_pairs(iface, wave, params) is not None
+        assert fw._mirror_pairs(iface._replace(E=E), wave, params) is None
+
     @pytest.fixture()
     def paired_system(self, small_scene, wave, params, rng):
         # small_scene's full M, a right-hand side, the interface with E = I
