@@ -159,18 +159,13 @@ def _choice(value, path: str, choices) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated experiment description with defaults resolved."""
+    """Validated experiment description: the material, frequency and scene
+    built from it, and the document with every default filled in, whose
+    forward, noise and inversion sections are the runs' arguments."""
 
     params: MaterialParams
     omega: float
     scene: Scene
-    forward_mode: str
-    forward_cutoff: float | None
-    noise_epsilon: float | None
-    noise_target_delta: float | None
-    seed: int
-    method: str
-    alpha_policy: str
     resolved: dict
 
 
@@ -215,18 +210,15 @@ def _parse_contact(doc, path: str) -> ContactParams:
             return complex(*_numbers(value, f"{path}.{key}", (2,)))
         return complex(_number(value, f"{path}.{key}"))
 
-    return ContactParams(
-        k_t=stiffness("k_t"),
-        k_n=stiffness("k_n"),
-        kappa_f=_number(doc.get("kappa_f", 1.0), f"{path}.kappa_f"),
-        alpha_f=_number(doc.get("alpha_f", 0.85), f"{path}.alpha_f"),
-        beta_f=_number(doc.get("beta_f", 0.3), f"{path}.beta_f"),
-        Pi=_number(doc.get("Pi", 1.0), f"{path}.Pi"),
-        model=_choice(
-            doc.get("model", FINITE_PERMEABILITY), f"{path}.model",
-            (FINITE_PERMEABILITY, HIGH_PERMEABILITY),
-        ),
-    )
+    given = {key: stiffness(key) for key in ("k_t", "k_n")}
+    for key in ("kappa_f", "alpha_f", "beta_f", "Pi"):
+        if key in doc:
+            given[key] = _number(doc[key], f"{path}.{key}")
+    if "model" in doc:
+        given["model"] = _choice(
+            doc["model"], f"{path}.model", (FINITE_PERMEABILITY, HIGH_PERMEABILITY)
+        )
+    return ContactParams(**given)
 
 
 def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
@@ -373,8 +365,10 @@ def parse_scenario(doc: dict) -> Scenario:
     scene, scene_doc = _parse_scene(_need(doc, "scene", "scenario"))
 
     fwd = _object(doc.get("forward", {}), "forward", {"mode", "cutoff"})
-    mode = _choice(fwd.get("mode", "local"), "forward.mode", ("local", "interacting"))
-    cutoff = _optional_number(fwd.get("cutoff"), "forward.cutoff", low=0.0)
+    forward = {
+        "mode": _choice(fwd.get("mode", "local"), "forward.mode", ("local", "interacting")),
+        "cutoff": _optional_number(fwd.get("cutoff"), "forward.cutoff", low=0.0),
+    }
 
     noise = _object(doc.get("noise", {}), "noise", {"epsilon", "target_delta", "seed"})
     if "epsilon" in noise and "target_delta" in noise:
@@ -383,39 +377,26 @@ def parse_scenario(doc: dict) -> Scenario:
     target_delta = _optional_number(noise.get("target_delta"), "noise.target_delta", low=0.0)
     if epsilon is None and target_delta is None:
         epsilon = 0.0
-    seed = _integer(noise.get("seed", 0), "noise.seed", limit=2**64, low=0)
+    level = {"epsilon": epsilon} if target_delta is None else {"target_delta": target_delta}
+    noise = {**level, "seed": _integer(noise.get("seed", 0), "noise.seed", limit=2**64, low=0)}
 
     inv_doc = _object(doc.get("inversion", {}), "inversion", {"method", "alpha_policy"})
-    method = _choice(inv_doc.get("method", "lsm"), "inversion.method", ("lsm", "glsm"))
-    alpha_policy = _choice(
-        inv_doc.get("alpha_policy", "per-candidate"), "inversion.alpha_policy",
-        ("per-candidate", "fixed"),
-    )
-
+    inversion = {
+        "method": _choice(inv_doc.get("method", "lsm"), "inversion.method", ("lsm", "glsm")),
+        "alpha_policy": _choice(
+            inv_doc.get("alpha_policy", "per-candidate"), "inversion.alpha_policy",
+            ("per-candidate", "fixed"),
+        ),
+    }
     resolved = {
         "material": {"dimensionless": {k: getattr(params, k) for k in _MATERIAL_KEYS}},
         "frequency": {"omega": omega},
         "scene": scene_doc,
-        "forward": {"mode": mode, "cutoff": cutoff},
-        "noise": (
-            {"epsilon": epsilon, "seed": seed} if target_delta is None
-            else {"target_delta": target_delta, "seed": seed}
-        ),
-        "inversion": {"method": method, "alpha_policy": alpha_policy},
+        "forward": forward,
+        "noise": noise,
+        "inversion": inversion,
     }
-    return Scenario(
-        params=params,
-        omega=omega,
-        scene=scene,
-        forward_mode=mode,
-        forward_cutoff=cutoff,
-        noise_epsilon=epsilon,
-        noise_target_delta=target_delta,
-        seed=seed,
-        method=method,
-        alpha_policy=alpha_policy,
-        resolved=resolved,
-    )
+    return Scenario(params=params, omega=omega, scene=scene, resolved=resolved)
 
 
 def load_scenario(path) -> Scenario:
@@ -447,26 +428,26 @@ def run_forward(
     mode: str | None = None,
 ) -> dict:
     """Assemble and write lambda.csv and lambda_noisy.csv plus metadata;
-    the stage seconds and health facts come from the run's ledger record."""
-    seed = scenario.seed if seed is None else _integer(seed, "--seed", limit=2**64, low=0)
+    the stage seconds and health facts come from the run's ledger record.
+    The echo, with the overrides applied, holds the calls' arguments."""
+    resolved = dict(scenario.resolved)
+    if seed is not None:
+        seed = _integer(seed, "--seed", limit=2**64, low=0)
+        resolved["noise"] = dict(resolved["noise"], seed=seed)
+    if mode is not None:
+        resolved["forward"] = dict(resolved["forward"], mode=mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wave = solve_dispersion(scenario.params, scenario.omega)
-    mode = mode or scenario.forward_mode
 
     with ledger.record() as rec:
         with ledger.stage("assemble"):
-            lam = fw.assemble_lambda(
-                scenario.scene, wave, scenario.params, mode=mode, cutoff=scenario.forward_cutoff
-            )
+            lam = fw.assemble_lambda(scenario.scene, wave, scenario.params, **resolved["forward"])
         with ledger.stage("noise"):
-            noisy = fw.inject_noise(lam, scenario.noise_epsilon, scenario.noise_target_delta, seed)
+            noisy = fw.inject_noise(lam, **resolved["noise"])
         with ledger.stage("write"):
             fw.save_matrix(lam, out / "lambda.csv")
             fw.save_matrix(noisy, out / "lambda_noisy.csv")
-            resolved = dict(scenario.resolved)
-            resolved["noise"] = dict(resolved["noise"], seed=seed)
-            resolved["forward"] = dict(resolved["forward"], mode=mode)
             _dump_json(resolved, out / "resolved_scenario.json")
     norm = float(np.linalg.norm(lam.data, 2))
     meta = {
@@ -474,8 +455,8 @@ def run_forward(
         "channels": list(lam.channels),
         "matrix_size": lam.size,
         "omega": wave.omega,
-        "mode": mode,
-        "seed": seed,
+        "mode": lam.mode,
+        "seed": noisy.seed,
         "epsilon": noisy.epsilon,
         "achieved_delta": noisy.delta,
         "norm_lambda": norm,
@@ -513,7 +494,8 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
     if not noisy_path.exists():
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")
     scene = scenario.scene
-    method = method or scenario.method
+    inversion = scenario.resolved["inversion"]
+    method = method or inversion["method"]
     wave = solve_dispersion(scenario.params, scenario.omega)
 
     with ledger.record() as rec:
@@ -521,7 +503,7 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
             noisy = fw.load_matrix(noisy_path)
         with ledger.stage("map"):
             imap = inv.indicator_map(
-                scene, noisy, method, wave, scenario.params, alpha_policy=scenario.alpha_policy
+                scene, noisy, method, wave, scenario.params, alpha_policy=inversion["alpha_policy"]
             )
         with ledger.stage("write"):
             inv.save_indicator_map(imap, out / f"map_{method}.csv")
@@ -638,7 +620,7 @@ def run_check(scenario: Scenario, out_dir=None) -> list[dict]:
                           f"relative deviation {fac:.3e}"))
 
     # L is complex symmetric under both closures (reciprocity of the Biot system)
-    coupling = (wave, params, scenario.forward_cutoff)
+    coupling = (wave, params, scenario.resolved["forward"]["cutoff"])
     inter = fw._scattering_data(factors, coupling)
     asym = {}
     for mode, L in (("local", lam), ("interacting", inter)):

@@ -78,7 +78,7 @@ class TestLoadScenario:
         sc = cli.load_scenario(scenario_path)
         assert sc.scene.grid.count == 12
         assert sc.omega == pytest.approx(3.91)
-        assert sc.method == "lsm"
+        assert sc.resolved["inversion"]["method"] == "lsm"
 
     def test_h_shaped_well_count(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
@@ -612,12 +612,13 @@ class TestMainEntry:
         doc = _perfbench("workloads").scenario_doc("network-forward", 1, smoke=True)
         (tmp_path / "s.json").write_text(json.dumps(doc))
         sc = cli.load_scenario(tmp_path / "s.json")
-        assert sc.forward_mode == "interacting"
+        assert sc.resolved["forward"]["mode"] == "interacting"
         cli.run_forward(sc, tmp_path / "i")
         cli.run_forward(sc, tmp_path / "l", mode="local")
         wave = solve_dispersion(sc.params, sc.omega)
+        cutoff = sc.resolved["forward"]["cutoff"]
         loc, inter = (
-            fw.assemble_lambda(sc.scene, wave, sc.params, mode, sc.forward_cutoff).data
+            fw.assemble_lambda(sc.scene, wave, sc.params, mode, cutoff).data
             for mode in ("local", "interacting")
         )
         gap = np.linalg.norm(inter - loc) / np.linalg.norm(loc)
@@ -627,7 +628,7 @@ class TestMainEntry:
         [M] = fw._interaction_matrix(iface, wave, sc.params)
         blocks = S.reshape(iface.cells.count, 5, -1)
         rhs = np.einsum("cij,cjk->cik", iface.E, blocks).reshape(S.shape)
-        jumps = coupled_jumps(iface, S, fw._coupled(iface, (wave, sc.params, sc.forward_cutoff)))
+        jumps = coupled_jumps(iface, S, fw._coupled(iface, (wave, sc.params, cutoff)))
         res = np.linalg.norm(M @ jumps - rhs) / np.linalg.norm(rhs)
         meta = json.loads((tmp_path / "i/forward_meta.json").read_text())
         assert 0.0 < meta["coupled_residual"] <= 1e-8

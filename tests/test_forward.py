@@ -333,7 +333,7 @@ class TestInteractingJumpSolve:
         sc = parse_scenario(doc)
         wave = solve_dispersion(sc.params, sc.omega)
         with ledger.record() as rec:
-            fw.assemble_lambda(sc.scene, wave, sc.params, "interacting", sc.forward_cutoff)
+            fw.assemble_lambda(sc.scene, wave, sc.params, **sc.resolved["forward"])
         assert 0.0 < rec["coupled_residual"] <= 1e-9
 
     def test_system_residual(self, small_scene, wave, params, rng):
