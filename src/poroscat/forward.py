@@ -352,10 +352,9 @@ def _interaction_matrix(
             ledger.count("kernel_pairs", i.size)
             for A, q in zip(blocks, parities):
                 K = B[:, :width] if q is None else B[:, :width] + B[:, mate] * q
-                # A[c, r, d, s] = -area_d (E_a K(c, d))[r, s]
-                Kd = (K * w[None, a1:, None, None]).transpose(2, 0, 1, 3).reshape(5, -1)
-                EK = (E[U[a0]] @ Kd).reshape(5, r1 - r0, width, 5)
-                A[r0:r1, :, a1:, :] = EK.transpose(1, 0, 2, 3)
+                # A[c, r, d, s] = -area_d (E_c K(c, d))[r, s]
+                Kd = (K * w[None, a1:, None, None]).transpose(0, 2, 1, 3).reshape(r1 - r0, 5, -1)
+                A[r0:r1, :, a1:, :] = (E[U[r0:r1]] @ Kd).reshape(r1 - r0, 5, width, 5)
                 # A[d, r, c, s] = -area_c (E_d K(c, d)^T)[r, s]
                 Kc = (K * w[r0:r1, None, None, None]).transpose(1, 0, 2, 3)
                 ek = Kc.reshape(width, 5 * (r1 - r0), 5) @ Et

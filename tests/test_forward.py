@@ -106,11 +106,12 @@ def fluid_scene(small_scene):
     return dataclasses.replace(small_scene, channels="fluid")
 
 
-def interaction_matrix_per_row(patches, wave, params):
+def interaction_matrix_per_row(patches, wave, params, E=None):
     """Reference: the coupled-system matrix built one collocation cell at a
-    time, from the tensor-built oracle kernel."""
+    time, from the tensor-built oracle kernel, with the cells' E blocks
+    (the patches' contact laws by default)."""
     iface = fw._interface(patches, wave.omega)
-    cells, D, E = iface.cells, iface.D, iface.E
+    cells, D, E = iface.cells, iface.D, iface.E if E is None else E
     nc = cells.count
     M = np.zeros((5 * nc, 5 * nc), dtype=complex)
     for i in range(nc):
@@ -361,6 +362,19 @@ class TestInteractingJumpSolve:
         patches = request.getfixturevalue(scene_name).patches
         [M] = fw._interaction_matrix(fw._interface(patches, wave.omega), wave, params)
         ref = interaction_matrix_per_row(patches, wave, params)
+        assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_rows_take_their_cells_contact(self, chunk, small_scene, monkeypatch, wave, params):
+        # a contact that varies along a patch: cell c's rows are E_c K(c, d),
+        # so with E scaled from 1 to 1.7 over the cells each row block
+        # follows its own cell, not its patch's first
+        if chunk is not None:
+            monkeypatch.setattr(fw, "_PAIR_CHUNK", chunk)
+        iface = fw._interface(small_scene.patches, wave.omega)
+        E = iface.E * np.linspace(1.0, 1.7, iface.cells.count)[:, None, None]
+        [M] = fw._interaction_matrix(iface._replace(E=E), wave, params)
+        ref = interaction_matrix_per_row(small_scene.patches, wave, params, E)
         assert np.linalg.norm(M - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("scene_name", ["small_scene", "three_patch_scene", "fluid_scene"])
