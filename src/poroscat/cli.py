@@ -318,6 +318,10 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         raise ValidationError(
             f"{path}.region [xmin, xmax, ymin, ymax] needs min <= max, got {sampling['region']}"
         )
+    try:
+        trials = build_sampling_grid(**sampling)
+    except DomainError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     channels = doc.get("channels", "in-plane")
     if not isinstance(channels, str):
         channels = _array(channels, "scene.channels")
@@ -326,7 +330,7 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
     scene = Scene(
         grid=grid,
         patches=tuple(patch for patch, _ in fractures),
-        sampling=build_sampling_grid(**sampling),
+        sampling=trials,
         channels=resolve_channels(channels),
     )
     echo = {

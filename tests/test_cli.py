@@ -23,6 +23,7 @@ from poroscat import inversion as inv
 from poroscat.errors import CompatibilityError, ConditioningError, ValidationError
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
+from poroscat.scene import ContactParams
 
 from oracles import clamp_psd, coupled_jumps
 
@@ -59,6 +60,18 @@ _DIMENSIONAL = {
     },
     "scales": {"mu_r": 5.85e9, "rho_r": 1000.0, "ell_r": 0.14},
 }
+
+
+def _recorded(monkeypatch, module, *names) -> dict:
+    """Wrap functions of a module so that each name maps to the (args,
+    kwargs) of its last call."""
+    calls = {}
+    for name in names:
+        def wrapped(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] = (args, kwargs)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +120,13 @@ class TestLoadScenario:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="n_directions"):
             cli.load_scenario(path)
+
+    def test_contact_defaults_are_contact_params(self, tiny_scenario_doc):
+        # a contact that gives only its stiffnesses echoes ContactParams' defaults
+        doc = json.loads(json.dumps(tiny_scenario_doc))
+        doc["scene"]["contact"] = {"k_t": [0.02, 0.0], "k_n": 0.03}
+        echo = cli.parse_scenario(doc).resolved["scene"]["fractures"]
+        assert [f["contact"] for f in echo] == [ContactParams(k_t=0.02, k_n=0.03).to_dict()] * 2
 
     def test_dimensional_material_block(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
@@ -200,6 +220,19 @@ class TestRunForward:
         assert f"inversion: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [[], ["--seed", "7", "--mode", "interacting"]])
+    def test_calls_take_the_echo(self, tmp_path, scenario_path, monkeypatch, overrides):
+        # the written echo's forward and noise sections, overrides applied,
+        # are the keyword arguments the assembly and the noise ran with
+        calls = _recorded(monkeypatch, fw, "assemble_lambda", "inject_noise")
+        out = tmp_path / "a"
+        argv = ["forward", "--scenario", str(scenario_path), "--out", str(out), *overrides]
+        assert cli.main(argv) == 0
+        echo = json.loads((out / "resolved_scenario.json").read_text())
+        assert calls["assemble_lambda"][1] == echo["forward"]
+        assert calls["inject_noise"][1] == echo["noise"]
+        assert echo["noise"]["seed"] == (7 if overrides else 20240613)
+
     def test_seed_override_beyond_scenario_range_rejected(self, tmp_path, scenario_path, capsys):
         # an override seed follows noise.seed's rule, so every echo reruns;
         # a refused one writes nothing
@@ -225,6 +258,18 @@ class TestRunInvert:
         assert len(pgm) == 3 + 5
         imap = inv.load_indicator_map(tmp_path / "out/map_lsm.csv")
         assert imap.raw.shape == (25,)
+
+    def test_method_override_reaches_the_map(self, tmp_path, scenario_path, monkeypatch):
+        # --method glsm on an lsm scenario; the call keeps the shape
+        # (scene, matrix, method, wave, params, alpha_policy=...)
+        out = tmp_path / "out"
+        assert cli.main(["forward", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        calls = _recorded(monkeypatch, inv, "indicator_map")
+        argv = ["invert", "--scenario", str(scenario_path), "--out", str(out), "--method", "glsm"]
+        assert cli.main(argv) == 0
+        args, kwargs = calls["indicator_map"]
+        assert len(args) == 5 and args[2] == "glsm"
+        assert kwargs == {"alpha_policy": "per-candidate"}
 
     def test_single_point_grid_single_row(self, tmp_path, tiny_scenario_doc):
         doc = json.loads(json.dumps(tiny_scenario_doc))
@@ -762,6 +807,10 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("scene", "wells", 1, "samples_per_segment"), 7,
          "scene.wells: samples_per_segment must agree across wells"),
         (("scene", "channels"), ["fx", 1], "scene.channels must name channels, got"),
+        (("scene", "sampling", "n_dir"), 1025,
+         "scene.sampling: n_dir must be between 1 and 1024, got 1025"),
+        (("scene", "sampling", "n_dir"), 0, "scene.sampling: n_dir must be between 1 and 1024"),
+        (("scene", "sampling", "iotas"), [2], "scene.sampling: iotas entries must be 0 or 1"),
         (("frequency",), {"omega_prime": 1.0}, "frequency: dimensionless material needs 'omega'"),
         (("material",), _DIMENSIONAL, "frequency: dimensional material needs 'omega_prime'"),
         ("text", "{", "not valid JSON"),
@@ -772,7 +821,7 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "target-delta-negative", "inversion-delta-negative", "cutoff-negative", "region-y-flipped",
          "region-x-flipped", "dimensionless-and-scales", "dimensionless-and-dimensional",
          "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
-         "channel-not-string", "omega-missing", "omega-prime-missing", "not-json",
+         "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing", "omega-prime-missing", "not-json",
          "invert-before-forward"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):

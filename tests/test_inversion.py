@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -1022,9 +1023,11 @@ class TestIndicatorMap:
             (lambda lines: [x.replace("lsm", "l\xe9m") for x in lines], "not an ASCII text file"),
             (lambda lines: [x.replace("region = -1,1,-1,1", "region = -1,1,1,-1") for x in lines],
              "bad grid header (sampling region"),
+            (lambda lines: [x.replace("n_dir = 2", "n_dir = 20000") for x in lines],
+             "bad grid header (n_dir must be between 1 and 1024, got 20000)"),
         ],
         ids=["no-region", "bad-n_dir", "short-row", "long-row", "bad-raw", "rows-5", "rows-7",
-             "non-ascii", "flipped-region"],
+             "non-ascii", "flipped-region", "n_dir-20000"],
     )
     def test_malformed_map_file_is_compatibility_error(self, tmp_path, edit, cause):
         grid = build_sampling_grid((-1.0, 1.0, -1.0, 1.0), (2, 3), 2, (0, 1))
@@ -1038,8 +1041,10 @@ class TestIndicatorMap:
         lines = path.read_text(encoding="ascii").splitlines()
         np.testing.assert_array_equal(inv.load_indicator_map(path).raw, imap.raw)
         path.write_text("\n".join(edit(lines)) + "\n", encoding="latin-1")
+        t0 = time.perf_counter()
         with pytest.raises(CompatibilityError, match=re.escape(cause)):
             inv.load_indicator_map(path)
+        assert time.perf_counter() - t0 < 0.1  # 14.8 s at n_dir 20000 without a bound
 
     def test_map_with_nan_rows_roundtrips_in_one_pass(self, tmp_path, forward_opens):
         # degenerate points write 'nan' rows, which the one-pass parse reads

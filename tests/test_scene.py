@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from poroscat import cli
 from poroscat.errors import DegenerateContactError, DomainError, GeometryError
 from poroscat.scene import (
+    N_DIR_LIMIT,
     ContactParams,
     SamplingGrid,
     Scene,
@@ -190,6 +191,14 @@ class TestSamplingGrid:
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 1000, (0, 1))
         assert time.perf_counter() - t0 < 1.0
         assert g.normals.shape == (1000, 3)
+
+    @pytest.mark.parametrize("n_dir", [0, N_DIR_LIMIT + 1, 20000])
+    def test_n_dir_out_of_range_rejected(self, n_dir):
+        # refused before any normal is built
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=f"between 1 and {N_DIR_LIMIT}, got {n_dir}$"):
+            build_sampling_grid((-1, 1, -1, 1), (2, 2), n_dir, (0, 1))
+        assert time.perf_counter() - t0 < 0.1
 
     def test_coincident_normals_rejected(self):
         # 300 normals, whose check runs in two chunks of rows: the message
