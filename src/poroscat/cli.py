@@ -12,7 +12,8 @@ Common flags: --scenario <path>, --out <dir>, --seed <u64>,
 
 Exit codes: 0 success; 2 validation/argument failures; 3 numerical
 failures; 4 I/O failures.  Identical scenario and seed produce
-byte-identical output files.
+byte-identical output files.  The resolved scenario's forward, noise
+and inversion sections, with the flags applied, are the runs' arguments.
 """
 
 from __future__ import annotations
