@@ -375,15 +375,15 @@ def parse_scenario(doc: dict) -> Scenario:
         "cutoff": _optional_number(fwd.get("cutoff"), "forward.cutoff", low=0.0),
     }
 
-    noise = _object(doc.get("noise", {}), "noise", {"epsilon", "target_delta", "seed"})
-    if "epsilon" in noise and "target_delta" in noise:
+    noise_doc = _object(doc.get("noise", {}), "noise", {"epsilon", "target_delta", "seed"})
+    if "epsilon" in noise_doc and "target_delta" in noise_doc:
         raise ValidationError("noise: give only one of epsilon or target_delta")
-    epsilon = _optional_number(noise.get("epsilon"), "noise.epsilon", low=0.0)
-    target_delta = _optional_number(noise.get("target_delta"), "noise.target_delta", low=0.0)
+    epsilon = _optional_number(noise_doc.get("epsilon"), "noise.epsilon", low=0.0)
+    target_delta = _optional_number(noise_doc.get("target_delta"), "noise.target_delta", low=0.0)
     if epsilon is None and target_delta is None:
         epsilon = 0.0
     level = {"epsilon": epsilon} if target_delta is None else {"target_delta": target_delta}
-    noise = {**level, "seed": _integer(noise.get("seed", 0), "noise.seed", limit=2**64, low=0)}
+    noise = {**level, "seed": _integer(noise_doc.get("seed", 0), "noise.seed", limit=2**64, low=0)}
 
     inv_doc = _object(doc.get("inversion", {}), "inversion", {"method", "alpha_policy"})
     inversion = {
