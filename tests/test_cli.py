@@ -821,8 +821,8 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "target-delta-negative", "inversion-delta-negative", "cutoff-negative", "region-y-flipped",
          "region-x-flipped", "dimensionless-and-scales", "dimensionless-and-dimensional",
          "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
-         "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing", "omega-prime-missing", "not-json",
-         "invert-before-forward"],
+         "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing",
+         "omega-prime-missing", "not-json", "invert-before-forward"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
     # where is the path of the entry set to value; "text" makes value the
