@@ -7,9 +7,6 @@ invert    compute an indicator map from previously written matrices
 map       forward followed by invert
 check     run the property suite against the scenario and report pass/fail
 
-Common flags: --scenario <path>, --out <dir>, --seed <u64>,
---method lsm|glsm, --mode local|interacting.
-
 Exit codes: 0 success; 2 validation/argument failures; 3 numerical
 failures; 4 I/O failures.  Identical scenario and seed produce
 byte-identical output files.  The resolved scenario's forward, noise
@@ -22,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -69,6 +67,16 @@ _MATERIAL_KEYS = tuple(f.name for f in fields(MaterialParams))
 def _show(value) -> str:
     text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+@contextmanager
+def _at(path: str):
+    """Turn a DomainError raised while the object at ``path`` is built into
+    a ValidationError that names the path."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _need(d: dict, key: str, path: str):
@@ -181,24 +189,20 @@ def _parse_material(doc) -> MaterialParams | tuple[DimensionalMaterial, Referenc
     if "dimensionless" in doc:
         if doc.keys() & {"dimensional", "scales"}:
             raise ValidationError("material: give dimensionless or dimensional + scales, not both")
-        try:
+        with _at("material.dimensionless"):
             return MaterialParams(**constants("dimensionless"))
-        except DomainError as exc:
-            raise ValidationError(f"material.dimensionless: {exc}") from None
     if "dimensional" not in doc or "scales" not in doc:
         raise ValidationError(
             "material: needs either 'dimensionless' or 'dimensional' + 'scales'"
         )
-    dim = constants("dimensional")
+    with _at("material.dimensional"):
+        dimat = DimensionalMaterial(**constants("dimensional"))
     sc = _object(doc["scales"], "material.scales", {"mu_r", "rho_r", "ell_r"})
-    try:
-        dimat = DimensionalMaterial(**dim)
+    with _at("material.scales"):
         scales = ReferenceScales(
             **{k: _number(_need(sc, k, "material.scales"), f"material.scales.{k}")
                for k in ("mu_r", "rho_r", "ell_r")}
         )
-    except DomainError as exc:
-        raise ValidationError(f"material: {exc}") from None
     return dimat, scales  # resolved later with the frequency
 
 
@@ -219,7 +223,8 @@ def _parse_contact(doc, path: str) -> ContactParams:
         given["model"] = _choice(
             doc["model"], f"{path}.model", (FINITE_PERMEABILITY, HIGH_PERMEABILITY)
         )
-    return ContactParams(**given)
+    with _at(path):
+        return ContactParams(**given)
 
 
 def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
@@ -254,24 +259,19 @@ def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
             "angle_rad": _number(_need(doc, "angle_rad", path), f"{path}.angle_rad"),
             "width": _coordinate(doc.get("width", 1.0), f"{path}.width"),
         }
-        patch = build_fracture_patch(
-            center=center,
-            strike_rad=echo["angle_rad"],
-            half_lengths=(echo["length"] / 2.0, echo["width"] / 2.0),
-            subdivisions=cells,
-            contact=contact,
-        )
+        geometry = {
+            "strike_rad": echo["angle_rad"],
+            "half_lengths": (echo["length"] / 2.0, echo["width"] / 2.0),
+        }
     else:
         echo = {"center": center}
         for key, size in (("e1", 3), ("e2", 3), ("half_lengths", 2)):
             echo[key] = _numbers(_need(doc, key, path), f"{path}.{key}", (size,), _coordinate)
-        patch = build_fracture_patch(
-            center=center,
-            frame=(echo["e1"], echo["e2"]),
-            half_lengths=tuple(echo["half_lengths"]),
-            subdivisions=cells,
-            contact=contact,
-        )
+        geometry = {
+            "frame": (echo["e1"], echo["e2"]), "half_lengths": tuple(echo["half_lengths"])
+        }
+    with _at(path):
+        patch = build_fracture_patch(center=center, subdivisions=cells, contact=contact, **geometry)
     return patch, dict(echo, cells=cells, contact=contact.to_dict())
 
 
@@ -293,7 +293,8 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         })
     if len({w["samples_per_segment"] for w in wells}) > 1:
         raise ValidationError("scene.wells: samples_per_segment must agree across wells")
-    grid = build_sensing_grid([w["points"] for w in wells], wells[0]["samples_per_segment"])
+    with _at("scene.wells"):
+        grid = build_sensing_grid([w["points"] for w in wells], wells[0]["samples_per_segment"])
 
     default_contact = None
     if "contact" in doc:
@@ -314,26 +315,22 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
         "iotas": _integers(s.get("iotas", [0, 1]), f"{path}.iotas"),
         "plane_z": _coordinate(s.get("plane_z", 0.0), f"{path}.plane_z"),
     }
-    xmin, xmax, ymin, ymax = sampling["region"]
-    if xmin > xmax or ymin > ymax:
-        raise ValidationError(
-            f"{path}.region [xmin, xmax, ymin, ymax] needs min <= max, got {sampling['region']}"
-        )
-    try:
+    with _at(path):
         trials = build_sampling_grid(**sampling)
-    except DomainError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     channels = doc.get("channels", "in-plane")
     if not isinstance(channels, str):
         channels = _array(channels, "scene.channels")
         if not all(isinstance(c, str) for c in channels):
             raise ValidationError(f"scene.channels must name channels, got {_show(channels)}")
-    scene = Scene(
-        grid=grid,
-        patches=tuple(patch for patch, _ in fractures),
-        sampling=trials,
-        channels=resolve_channels(channels),
-    )
+    with _at("scene.channels"):
+        channels = resolve_channels(channels)
+    with _at("scene"):
+        scene = Scene(
+            grid=grid,
+            patches=tuple(patch for patch, _ in fractures),
+            sampling=trials,
+            channels=channels,
+        )
     echo = {
         "wells": wells,
         "fractures": [f for _, f in fractures],
@@ -363,7 +360,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if "omega_prime" not in freq:
             raise ValidationError("frequency: dimensional material needs 'omega_prime'")
         omega_prime = _number(freq["omega_prime"], "frequency.omega_prime")
-        params, omega = nondimensionalize(dimat, scales, omega_prime)
+        with _at("frequency"):
+            params, omega = nondimensionalize(dimat, scales, omega_prime)
     if not omega > 0:
         raise ValidationError(f"frequency: omega must be positive, got {omega}")
 
@@ -691,26 +689,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="poroscat",
         description="Poroelastic scattering synthesis and fracture imaging",
     )
+    overrides = {
+        "--seed": {"type": int, "help": "noise seed override"},
+        "--method": {"choices": ("lsm", "glsm"), "help": "indicator override"},
+        "--mode": {"choices": ("local", "interacting"), "help": "forward closure override"},
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("forward", "assemble clean and noisy scattering matrices"),
-        ("invert", "compute an indicator map from written matrices"),
-        ("map", "forward followed by invert"),
-        ("check", "run the scenario property suite"),
+    for name, flags, helptext in (
+        ("forward", ("--seed", "--mode"), "assemble clean and noisy scattering matrices"),
+        ("invert", ("--method",), "compute an indicator map from written matrices"),
+        ("map", ("--seed", "--method", "--mode"), "forward followed by invert"),
+        ("check", (), "run the scenario property suite"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="noise seed override")
-        p.add_argument(
-            "--method", choices=("lsm", "glsm"), default=None, help="indicator override"
-        )
-        p.add_argument(
-            "--mode",
-            choices=("local", "interacting"),
-            default=None,
-            help="forward closure override",
-        )
+        for flag in flags:
+            p.add_argument(flag, **overrides[flag])
     return parser
 
 

@@ -177,8 +177,6 @@ def _contact_law(contact: ContactParams, omega: float, e1, e2, n):
     condition is replaced by [[p]] = 0, and E has no flow row.
     """
     c = contact
-    if c.beta_f == 0:
-        raise DegenerateContactError("beta_f is zero")
     D = np.zeros((5, 5), dtype=np.complex128)
     E = np.zeros_like(D)
     D[0:3, 0:3] = c.stiffness_matrix(e1, e2, n)
@@ -190,8 +188,6 @@ def _contact_law(contact: ContactParams, omega: float, e1, e2, n):
     if c.model == HIGH_PERMEABILITY:
         D[4, 3] = 1.0  # [[p]] = 0
     else:
-        if c.kappa_f == 0:
-            raise DegenerateContactError("kappa_f is zero")
         D[4, 3] = c.kappa_f / (1j * omega * c.Pi)
         E[4, 3] = 1.0
     return D, E

@@ -33,6 +33,19 @@ __all__ = [
 FINITE_PERMEABILITY = "finite-permeability"
 HIGH_PERMEABILITY = "high-permeability"
 
+# size bounds, each checked before the array it sizes is allocated:
+# most cells of one patch (FracturePatch.cells, 5 rows of S each), which
+# admits a refined(32) desk patch of 20,480 cells
+PATCH_CELL_LIMIT = 2**16
+# most points of a sensing grid (build_sensing_grid): L is (C N) x (C N),
+# 2**28 complex entries at this bound with all four channels
+SENSING_POINT_LIMIT = 2**12
+# most points of a sampling grid (SamplingGrid.points, one map row each)
+SAMPLING_POINT_LIMIT = 2**20
+# most trial normals a grid builds: SamplingGrid's coincidence check is
+# quadratic in their count (0.82 s at 5000, 2 vCPU)
+N_DIR_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class ContactParams:
@@ -42,7 +55,9 @@ class ContactParams:
     interface permeability, alpha_f and beta_f the effective-stress and
     Skempton coefficients, Pi the pressure dissipation factor.  The
     high-permeability model forces Pi = 1 and a vanishing pressure jump
-    (kappa_f is then unused).
+    (kappa_f is then unused).  A zero k_n, alpha_f, beta_f, Pi or, under
+    the finite-permeability model, kappa_f makes the contact conditions
+    singular and is refused here.
     """
 
     k_t: complex
@@ -64,6 +79,12 @@ class ContactParams:
             raise DegenerateContactError("alpha_f must be nonzero")
         if self.Pi == 0.0:
             raise DegenerateContactError("Pi must be nonzero")
+        if self.beta_f == 0.0:
+            raise DegenerateContactError("beta_f must be nonzero")
+        if self.model == FINITE_PERMEABILITY and self.kappa_f == 0.0:
+            raise DegenerateContactError(
+                "kappa_f must be nonzero for a finite-permeability contact"
+            )
         denom = 1.0 - self.alpha_f * self.beta_f * (1.0 - self.Pi)
         if abs(denom) < 1e-12:
             raise DegenerateContactError(
@@ -128,6 +149,10 @@ class FracturePatch:
             raise GeometryError("patch half-lengths must be positive")
         if not (self.subdivisions[0] >= 1 and self.subdivisions[1] >= 1):
             raise GeometryError("subdivision counts must be >= 1")
+        if self.cell_count > PATCH_CELL_LIMIT:
+            raise GeometryError(
+                f"a patch holds at most {PATCH_CELL_LIMIT} cells, got {self.subdivisions}"
+            )
 
     @property
     def area(self) -> float:
@@ -182,7 +207,8 @@ def build_fracture_patch(
     frame=None,
     half_lengths=(1.0, 1.0),
     subdivisions=(1, 1),
-    contact: ContactParams | None = None,
+    *,
+    contact: ContactParams,
     strike_rad: float | None = None,
 ) -> FracturePatch:
     """Construct a patch from a frame or from in-plane strike geometry.
@@ -198,8 +224,6 @@ def build_fracture_patch(
     half_lengths axes into equal cells.
     """
     center = np.asarray(center, dtype=float).reshape(3)
-    if contact is None:
-        raise DomainError("contact parameters are required")
     if strike_rad is not None:
         e1 = np.array([math.cos(strike_rad), math.sin(strike_rad), 0.0])
         e2 = np.array([0.0, 0.0, 1.0])
@@ -268,13 +292,19 @@ def build_sensing_grid(
     """
     if samples_per_segment < 1:
         raise DomainError("samples_per_segment must be >= 1")
-    pts: list[np.ndarray] = []
-    for pl_idx, pl in enumerate(polylines):
-        verts = np.asarray(pl, dtype=float)
+    lines = [np.asarray(pl, dtype=float) for pl in polylines]
+    for pl_idx, verts in enumerate(lines):
         if verts.ndim != 2 or verts.shape[0] < 2 or verts.shape[1] != 3:
             raise GeometryError(
                 f"polyline {pl_idx} must be a (>=2, 3) vertex array, got {verts.shape}"
             )
+    segments = sum(verts.shape[0] - 1 for verts in lines)
+    count = (segments if samples_per_segment == 1
+             else len(lines) + segments * (samples_per_segment - 1))
+    if count > SENSING_POINT_LIMIT:
+        raise DomainError(f"a sensing grid holds at most {SENSING_POINT_LIMIT} points, got {count}")
+    pts: list[np.ndarray] = []
+    for pl_idx, verts in enumerate(lines):
         for s in range(verts.shape[0] - 1):
             a, b = verts[s], verts[s + 1]
             if np.linalg.norm(b - a) == 0.0:
@@ -313,6 +343,11 @@ class SamplingGrid:
             raise DomainError(f"sampling region needs xmin <= xmax, ymin <= ymax: {self.region}")
         if self.resolution[0] < 1 or self.resolution[1] < 1:
             raise DomainError("sampling resolution must be >= 1 on each axis")
+        if self.point_count > SAMPLING_POINT_LIMIT:
+            raise DomainError(
+                f"a sampling grid holds at most {SAMPLING_POINT_LIMIT} points, "
+                f"got {self.resolution}"
+            )
         if len(self.iotas) == 0:
             raise DomainError("excitation-type set iotas must be non-empty")
         if any(i not in (0, 1) for i in self.iotas):
@@ -364,11 +399,6 @@ class SamplingGrid:
             for i in sorted(self.iotas)
             for k in range(self.normals.shape[0])
         ]
-
-
-# most trial normals a grid builds: SamplingGrid's coincidence check is
-# quadratic in their count (0.82 s at 5000, 2 vCPU)
-N_DIR_LIMIT = 1024
 
 
 def build_sampling_grid(

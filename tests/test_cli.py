@@ -5,8 +5,10 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from poroscat import inversion as inv
 from poroscat.errors import CompatibilityError, ConditioningError, ValidationError
 from poroscat.material import solve_dispersion
 from poroscat.presets import desk_scale_scenario
-from poroscat.scene import ContactParams
+from poroscat.scene import SENSING_POINT_LIMIT, ContactParams
 
 from oracles import clamp_psd, coupled_jumps
 
@@ -761,6 +763,10 @@ class TestMainEntry:
         assert not np.array_equal(a.data, b.data)
 
 
+_FRAME_FRACTURE = {"center": [0.0, 0.5, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 0.0, 1.0],
+                   "half_lengths": [1.0, 0.5]}
+
+
 def _mutated_doc(doc: dict, mutation) -> dict:
     """A copy of doc with the entry at path ``where`` set to value, deleted,
     or (an object) given an unknown key."""
@@ -795,9 +801,9 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("inversion", "delta"), -1, "inversion: unknown key 'delta'"),
         (("forward", "cutoff"), -1, "forward.cutoff must be at least 0, got -1"),
         (("scene", "sampling", "region"), [-2.5, 2.5, 2.5, -2.5],
-         "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
+         "scene.sampling: sampling region needs xmin <= xmax, ymin <= ymax"),
         (("scene", "sampling", "region"), [2.5, -2.5, -2.5, 2.5],
-         "scene.sampling.region [xmin, xmax, ymin, ymax] needs min <= max"),
+         "scene.sampling: sampling region needs xmin <= xmax, ymin <= ymax"),
         (("material", "scales"), {"mu_r": -1},
          "material: give dimensionless or dimensional + scales, not both"),
         (("material", "dimensional"), _DIMENSIONAL["dimensional"],
@@ -815,6 +821,25 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         (("material",), _DIMENSIONAL, "frequency: dimensional material needs 'omega_prime'"),
         ("text", "{", "not valid JSON"),
         ("invert", None, "lambda_noisy.csv (run forward first)"),
+        (("scene", "contact", "k_n"), [0, 0], "scene.contact: k_n must be nonzero"),
+        (("scene", "contact"), {"k_t": 0.02, "k_n": 0.02, "Pi": 0.5, "model": "high-permeability"},
+         "scene.contact: high-permeability contact requires Pi = 1"),
+        (("scene", "contact", "beta_f"), 0, "scene.contact: beta_f must be nonzero"),
+        (("scene", "contact", "kappa_f"), 0, "scene.contact: kappa_f must be nonzero"),
+        (("scene", "wells"), [{"points": [[-3.2, -3.0, 0.0], [-3.2, 3.0, 0.0]],
+                               "samples_per_segment": 0}],
+         "scene.wells: samples_per_segment must be >= 1"),
+        (("scene", "wells", 0, "points"), [[-3.2, -3.0, 0.0], [-3.2, -3.0, 0.0]],
+         "scene.wells: zero-length segment 0 in polyline 0"),
+        (("scene", "fractures", 0, "cells"), [0, 2],
+         "scene.fractures[0]: subdivision counts must be >= 1"),
+        (("scene", "fractures", 0, "length"), 0,
+         "scene.fractures[0]: patch half-lengths must be positive"),
+        (("scene", "fractures", 0), dict(_FRAME_FRACTURE, e2=[2.0, 0.0, 0.0]),
+         "scene.fractures[0]: frame axes are collinear"),
+        (("scene", "wells", 0, "points"), [[-0.9, 0.55, 0.0], [-0.9, 3.0, 0.0]],
+         "scene: sensing point 0 lies on or too close to patch 0"),
+        (("scene", "channels"), ["fq"], "scene.channels: unknown channel 'fq'"),
     ],
     ids=["omega-x", "mu-a", "wells-empty", "center-short", "fractures-null", "contact-x",
          "omega-1e300", "omega-1e-300", "seed-negative", "epsilon-negative",
@@ -822,7 +847,10 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "region-x-flipped", "dimensionless-and-scales", "dimensionless-and-dimensional",
          "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
          "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing",
-         "omega-prime-missing", "not-json", "invert-before-forward"],
+         "omega-prime-missing", "not-json", "invert-before-forward", "k_n-zero",
+         "high-permeability-Pi", "beta_f-zero", "kappa_f-zero", "samples-zero",
+         "well-segment-zero", "cells-zero", "length-zero", "frame-collinear",
+         "well-through-fracture", "channel-unknown"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
     # where is the path of the entry set to value; "text" makes value the
@@ -841,6 +869,43 @@ def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where,
 
 
 @pytest.mark.parametrize(
+    "where, value, path",
+    [
+        (("scene", "sampling", "resolution"), [2**30, 2**30], "scene.sampling"),
+        (("scene", "fractures", 0, "cells"), [2**30, 2**30], "scene.fractures[0]"),
+        (("scene", "wells"), [{"points": [[-3.2, -3.0, 0.0], [-3.2, 3.0, 0.0]],
+                               "samples_per_segment": SENSING_POINT_LIMIT + 1}], "scene.wells"),
+    ],
+    ids=["resolution", "cells", "samples"],
+)
+def test_oversized_scene_refused(tiny_scenario_doc, where, value, path):
+    # a count product past its bound is refused before the array it sizes
+    # is allocated, so the parse stays quick
+    doc = _mutated_doc(tiny_scenario_doc, (where, "set", value))
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: a .* holds at most \d+ "):
+        cli.parse_scenario(doc)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("forward", "--method", "glsm"), ("invert", "--seed", "1"), ("invert", "--mode", "local"),
+     ("check", "--seed", "1"), ("check", "--method", "lsm"), ("check", "--mode", "interacting")],
+)
+def test_unread_flag_refused(tmp_path, scenario_path, capsys, command, flag, value):
+    # each command takes only the overrides it reads; map takes all three
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--scenario", str(scenario_path), "--out", str(out), flag, value])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+    args = cli._build_parser().parse_args(["map", "--scenario", "s.json", flag, value])
+    assert getattr(args, flag[2:]) == (int(value) if flag == "--seed" else value)
+
+
+@pytest.mark.parametrize(
     "policy, alpha", [("fixed", -3.0), ("fixed", 0.0), ("per-candidate", 1e-3)]
 )
 def test_unused_or_nonpositive_fixed_alpha_rejected(tiny_scenario_doc, policy, alpha):
@@ -852,10 +917,6 @@ def test_unused_or_nonpositive_fixed_alpha_rejected(tiny_scenario_doc, policy, a
         doc["inversion"].update(alpha_policy=policy, fixed_alpha=alpha)
         with pytest.raises(ValidationError, match="inversion: unknown key 'fixed_alpha'"):
             cli.parse_scenario(doc)
-
-
-_FRAME_FRACTURE = {"center": [0.0, 0.5, 0.0], "e1": [1.0, 0.0, 0.0], "e2": [0.0, 0.0, 1.0],
-                   "half_lengths": [1.0, 0.5]}
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from poroscat import cli
 from poroscat.errors import DegenerateContactError, DomainError, GeometryError
 from poroscat.scene import (
+    HIGH_PERMEABILITY,
     N_DIR_LIMIT,
+    PATCH_CELL_LIMIT,
+    SAMPLING_POINT_LIMIT,
+    SENSING_POINT_LIMIT,
     ContactParams,
     SamplingGrid,
     Scene,
@@ -56,6 +60,17 @@ class TestSensingGrid:
     def test_polyline_junction_emitted_once(self):
         g = build_sensing_grid([[[0, 0, 0], [1, 0, 0], [1, 1, 0]]], 3)
         assert g.count == 5  # 3 + 3 - shared corner
+
+    @pytest.mark.parametrize("samples, count", [(1, 2), (2048, 4095), (2049, 4097)])
+    def test_point_bound_counts_junctions_once(self, samples, count):
+        # the bound reads the count the grid would hold, before sampling
+        corner = [[[0, 0, 0], [1, 0, 0], [1, 1, 0]]]
+        if count <= SENSING_POINT_LIMIT:
+            assert build_sensing_grid(corner, samples).count == count
+        else:
+            bound = f"at most {SENSING_POINT_LIMIT} points, got {count}$"
+            with pytest.raises(DomainError, match=bound):
+                build_sensing_grid(corner, samples)
 
 
 class TestFracturePatch:
@@ -105,6 +120,15 @@ class TestFracturePatch:
             nearest = c1[np.argsort(np.linalg.norm(c1 - cc, axis=1))[:4]]
             assert nearest.mean(axis=0) == pytest.approx(cc, abs=1e-12)
 
+    def test_cell_bound(self):
+        # a refined(32) desk patch is admitted; twice as fine is refused,
+        # before any cell is built
+        desk = cli.parse_scenario(desk_scale_scenario()).scene.patches[0]
+        assert desk.refined(32).cell_count == 20480 <= PATCH_CELL_LIMIT
+        bound = rf"at most {PATCH_CELL_LIMIT} cells, got \(640, 128\)"
+        with pytest.raises(GeometryError, match=bound):
+            desk.refined(64)
+
     def test_collinear_frame_rejected(self):
         with pytest.raises(GeometryError, match="collinear"):
             build_fracture_patch(
@@ -145,6 +169,21 @@ class TestContactParams:
     def test_singular_factor_rejected(self):
         with pytest.raises(DegenerateContactError):
             ContactParams(k_t=1.0, k_n=1.0, kappa_f=0.1, alpha_f=1.0, beta_f=1.0, Pi=0.0)
+
+    @pytest.mark.parametrize(
+        "given",
+        [{"k_n": 0.0}, {"alpha_f": 0.0}, {"Pi": 0.0}, {"beta_f": 0.0}, {"kappa_f": 0.0},
+         {"beta_f": 0.0, "model": HIGH_PERMEABILITY}],
+    )
+    def test_degenerate_contact_rejected(self, given):
+        # every degenerate contact is refused where it is built, before any
+        # closure reads it
+        key = next(iter(given))
+        with pytest.raises(DegenerateContactError, match=f"^{key} must be nonzero"):
+            ContactParams(**{"k_t": 1.0, "k_n": 1.0, **given})
+
+    def test_high_permeability_reads_no_kappa_f(self):
+        assert ContactParams(k_t=1.0, k_n=1.0, kappa_f=0.0, model=HIGH_PERMEABILITY).kappa_f == 0.0
 
     def test_roundtrip(self):
         c = ContactParams(k_t=1 + 2j, k_n=3.0, kappa_f=0.2, alpha_f=0.7, beta_f=0.2, Pi=0.9)
@@ -191,6 +230,18 @@ class TestSamplingGrid:
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 1000, (0, 1))
         assert time.perf_counter() - t0 < 1.0
         assert g.normals.shape == (1000, 3)
+
+    @pytest.mark.parametrize("resolution", [(80, 80), (1024, 1024), (1025, 1024), (2**30, 2**30)])
+    def test_point_bound(self, resolution):
+        # an 80x80 map is admitted; past the bound the grid is refused at
+        # once, though its points are built only when a map asks for them
+        t0 = time.perf_counter()
+        if resolution[0] * resolution[1] <= SAMPLING_POINT_LIMIT:
+            assert build_sampling_grid((-1, 1, -1, 1), resolution, 8, (0, 1)).point_count > 0
+        else:
+            with pytest.raises(DomainError, match=f"at most {SAMPLING_POINT_LIMIT} points"):
+                build_sampling_grid((-1, 1, -1, 1), resolution, 8, (0, 1))
+        assert time.perf_counter() - t0 < 0.1
 
     @pytest.mark.parametrize("n_dir", [0, N_DIR_LIMIT + 1, 20000])
     def test_n_dir_out_of_range_rejected(self, n_dir):
