@@ -573,20 +573,16 @@ class GlsmPencil:
 # ---------------------------------------------------------------------------
 # block evaluator
 # ---------------------------------------------------------------------------
-def _distinct(cands) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
-    """The distinct trial columns of a candidate list, and the index of
-    each candidate's column.  Every monopole has the same pattern, and so
-    has any repeated dipole normal: columns are keyed on (iota, n if
-    iota == 1)."""
-    index: dict[tuple, int] = {}
-    cols, inverse = [], []
-    for normal, iota in cands:
-        key = (iota, *normal) if iota == 1 else (iota,)
-        if key not in index:
-            index[key] = len(cols)
-            cols.append((normal, iota))
-        inverse.append(index[key])
-    return cols, np.array(inverse, dtype=int)
+def _grid_plan(grid: SamplingGrid, channels: Sequence[str]) -> _Plan:
+    """The _Plan of a map's candidates (grid.candidates()): one monopole
+    column when 0 is in the grid's iotas, as every monopole has the same
+    pattern, then one dipole column per fan normal."""
+    normals, k = grid.normals, np.arange(grid.n_dir)
+    mono = [(normals[0], 0)] if 0 in grid.iotas else []
+    dip = [(n, 1) for n in normals] if 1 in grid.iotas else []
+    # a monopole candidate's column is 0, that of dipole k is len(mono) + k
+    inverse = np.concatenate([iota * (len(mono) + k) for iota in sorted(grid.iotas)])
+    return _pattern_plan(mono + dip, inverse, channels)
 
 
 class _Block(NamedTuple):
@@ -787,8 +783,7 @@ def indicator_map(
     if pencil is not None:
         ledger.note("pencil_rank", pencil.rank)
     pts = scene.sampling.points()
-    cands = scene.sampling.candidates()
-    gpts, plan = scene.grid.points, _pattern_plan(*_distinct(cands), scene.channels)
+    gpts, plan = scene.grid.points, _grid_plan(scene.sampling, scene.channels)
 
     if alpha_policy == "fixed":
         # the sampling point nearest the grid center that is not a sensing
@@ -810,9 +805,9 @@ def indicator_map(
         for s in range(0, len(pts), _BLOCK)
     ]
     raw, argmin = (np.concatenate(part) for part in zip(*blocks))
-    iotas = np.array([iota for _, iota in cands])
+    iotas = np.repeat(sorted(scene.sampling.iotas), scene.sampling.n_dir)
     found = argmin >= 0
-    arg_n = np.where(found, argmin % scene.sampling.normals.shape[0], -1)
+    arg_n = np.where(found, argmin % scene.sampling.n_dir, -1)
     arg_i = np.where(found, iotas[argmin], -1)
 
     imap = IndicatorMap(
@@ -841,7 +836,7 @@ def save_indicator_map(imap: IndicatorMap, path) -> None:
     g = imap.grid
     header = {
         "method": imap.method, "omega": imap.omega, "delta": imap.delta,
-        "region": g.region, "resolution": g.resolution, "n_dir": g.normals.shape[0],
+        "region": g.region, "resolution": g.resolution, "n_dir": g.n_dir,
         "iotas": g.iotas, "plane_z": g.plane_z,
     }
     pts = g.points()

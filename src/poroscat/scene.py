@@ -42,8 +42,8 @@ PATCH_CELL_LIMIT = 2**16
 SENSING_POINT_LIMIT = 2**12
 # most points of a sampling grid (SamplingGrid.points, one map row each)
 SAMPLING_POINT_LIMIT = 2**20
-# most trial normals a grid builds: SamplingGrid's coincidence check is
-# quadratic in their count (0.82 s at 5000, 2 vCPU)
+# most trial normals of a grid (SamplingGrid.n_dir): a map block's projection holds
+# (C N) x 64 (n_dir + 1) complex entries, 126 MB at this bound on the desk scene (C N = 120)
 N_DIR_LIMIT = 1024
 
 
@@ -334,7 +334,7 @@ class SamplingGrid:
 
     region: tuple[float, float, float, float]
     resolution: tuple[int, int]
-    normals: np.ndarray
+    n_dir: int
     iotas: tuple[int, ...]
     plane_z: float = 0.0
 
@@ -348,24 +348,20 @@ class SamplingGrid:
                 f"a sampling grid holds at most {SAMPLING_POINT_LIMIT} points, "
                 f"got {self.resolution}"
             )
+        if not 1 <= self.n_dir <= N_DIR_LIMIT:
+            raise DomainError(f"n_dir must be between 1 and {N_DIR_LIMIT}, got {self.n_dir}")
         if len(self.iotas) == 0:
             raise DomainError("excitation-type set iotas must be non-empty")
         if any(i not in (0, 1) for i in self.iotas):
             raise DomainError("iotas entries must be 0 or 1")
-        nrm = np.asarray(self.normals, dtype=float)
-        if nrm.ndim != 2 or nrm.shape[1] != 3 or nrm.shape[0] < 1:
-            raise DomainError("normals must be (n_dir >= 1, 3)")
-        if np.abs(np.linalg.norm(nrm, axis=1) - 1.0).max() > 1e-12:
-            raise DomainError("trial normals must be unit length")
-        # pairs i < j that np.allclose(nrm[i], nrm[j], atol=1e-12) joins, in
-        # chunks of rows i so that each comparison holds at most 2**16 pairs
-        step = max(1, 2**16 // nrm.shape[0])
-        for s in range(0, nrm.shape[0], step):
-            close = np.abs(nrm[s:s + step, None] - nrm) <= 1e-12 + 1e-5 * np.abs(nrm)
-            i, j = np.nonzero(np.triu(close.all(axis=2), s + 1))
-            if i.size:
-                raise DomainError(f"trial normals {s + i[0]} and {j[0]} coincide")
-        object.__setattr__(self, "normals", nrm)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """(n_dir, 3) trial normals, row k at angle pi*k/n_dir."""
+        angles = np.pi * np.arange(self.n_dir) / self.n_dir
+        return np.column_stack(
+            [np.cos(angles), np.sin(angles), np.zeros(self.n_dir)]
+        )
 
     @property
     def point_count(self) -> int:
@@ -374,7 +370,7 @@ class SamplingGrid:
     @property
     def trial_count(self) -> int:
         """Number of trial triplets (point, normal, iota)."""
-        return self.point_count * self.normals.shape[0] * len(self.iotas)
+        return self.point_count * self.n_dir * len(self.iotas)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         xmin, xmax, ymin, ymax = self.region
@@ -395,9 +391,9 @@ class SamplingGrid:
     def candidates(self) -> list[tuple[np.ndarray, int]]:
         """Deterministic candidate order: iota ascending, then normal index."""
         return [
-            (self.normals[k], i)
+            (normal, i)
             for i in sorted(self.iotas)
-            for k in range(self.normals.shape[0])
+            for normal in self.normals
         ]
 
 
@@ -409,16 +405,10 @@ def build_sampling_grid(
     n_dir counts undirected directions: flipping a trial normal leaves
     the induced pattern unchanged, so only half the circle is spanned.
     """
-    if not 1 <= n_dir <= N_DIR_LIMIT:
-        raise DomainError(f"n_dir must be between 1 and {N_DIR_LIMIT}, got {n_dir}")
-    angles = np.pi * np.arange(n_dir) / n_dir
-    normals = np.column_stack(
-        [np.cos(angles), np.sin(angles), np.zeros(n_dir)]
-    )
     return SamplingGrid(
         region=tuple(float(v) for v in region),
         resolution=(int(resolution[0]), int(resolution[1])),
-        normals=normals,
+        n_dir=n_dir,
         iotas=tuple(int(i) for i in iotas),
         plane_z=plane_z,
     )

@@ -63,6 +63,11 @@ indicator in its L# energy form, 1/sqrt(g^H L#_psd g + delta ||g||^2),
 with clamp_psd the PSD-clamped L#.  poroscat.inversion.GlsmPencil keeps
 the pencil's numerical range only, where the energy of g = V_r y is
 ||y||^2.
+
+distinct_columns_oracle finds the distinct trial columns of any
+candidate list by keying each candidate on (iota, n if iota == 1).
+poroscat.inversion._grid_plan builds a map's columns from the sampling
+grid's structure instead: one monopole, then one dipole per fan normal.
 """
 
 import numpy as np
@@ -492,3 +497,18 @@ def glsm_indicator_oracle(g, sharp, delta: float):
     energy += delta * np.linalg.norm(G, axis=0) ** 2
     value = 1.0 / np.sqrt(energy)
     return value if np.ndim(g) == 2 else float(value[0])
+
+
+def distinct_columns_oracle(cands) -> tuple[list, np.ndarray]:
+    """The distinct trial columns (normal, iota) of a candidate list, and
+    the index of each candidate's column.  Every monopole has the same
+    pattern, and so has any repeated dipole normal."""
+    index: dict[tuple, int] = {}
+    cols, inverse = [], []
+    for normal, iota in cands:
+        key = (iota, *normal) if iota == 1 else (iota,)
+        if key not in index:
+            index[key] = len(cols)
+            cols.append((normal, iota))
+        inverse.append(index[key])
+    return cols, np.array(inverse, dtype=int)

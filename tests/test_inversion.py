@@ -28,7 +28,13 @@ from poroscat.scene import (
     resolve_channels,
 )
 
-from oracles import clamp_psd, glsm_indicator_oracle, glsm_pencil_oracle, trace_matrix_oracle
+from oracles import (
+    clamp_psd,
+    distinct_columns_oracle,
+    glsm_indicator_oracle,
+    glsm_pencil_oracle,
+    trace_matrix_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -650,7 +656,7 @@ class TestGlsmPencil:
         pencil = inv.GlsmPencil(noisy.data, sharp, delta)
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
-        plan = inv._pattern_plan(*inv._distinct(cands), scene.channels)
+        plan = inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels)
         block = inv._eval_block(pts, plan, op, delta, gpts, wave, params, pencil)
         Phi = inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels)
         etas, _ = inv._morozov_roots(op, *inv._projection(op, Phi), delta)
@@ -674,7 +680,7 @@ class TestGlsmPencil:
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
         block = inv._eval_block(
-            pts, inv._pattern_plan(*inv._distinct(cands), scene.channels), op, noisy.delta,
+            pts, inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels), op, noisy.delta,
             gpts, wave, params, pencil, pencil.operator(alpha),
         )
         Y = pencil.coordinates(
@@ -719,7 +725,7 @@ def indicator_at(x0, cands, L, delta, scene, wave, params, sharp=None):
     evaluator on a one-point block, penalized when the L# operator sharp is given."""
     pencil = None if sharp is None else inv.GlsmPencil(L, sharp, delta)
     (value,), (best,) = inv._eval_block(
-        np.reshape(x0, (1, 3)), inv._pattern_plan(*inv._distinct(cands), scene.channels),
+        np.reshape(x0, (1, 3)), inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels),
         inv.SvdOperator(L), delta, scene.grid.points, wave, params, pencil=pencil,
     )
     return float(value), int(best)
@@ -769,10 +775,10 @@ class TestIndicatorMap:
 
     @pytest.mark.parametrize("policy", ["per-candidate", "fixed"])
     def test_one_plan_per_map(self, scene, lam, wave, params, monkeypatch, policy):
-        # the distinct columns and their pattern plan are built once per
-        # map, not per block: blocks of 8 points split the 36 into 5, and
-        # the fixed policy's centre column reads the same plan
-        calls = {"_distinct": 0, "_pattern_plan": 0}
+        # the grid's pattern plan is built once per map, not per block:
+        # blocks of 8 points split the 36 into 5, and the fixed policy's
+        # centre column reads the same plan
+        calls = {"_grid_plan": 0, "_pattern_plan": 0}
         for name in calls:
             def counted(*args, _fn=getattr(inv, name), _name=name):
                 calls[_name] += 1
@@ -781,7 +787,36 @@ class TestIndicatorMap:
         monkeypatch.setattr(inv, "_BLOCK", 8)
         imap = inv.indicator_map(scene, lam, "glsm", wave, params, alpha_policy=policy)
         assert np.isfinite(imap.raw).all()
-        assert calls == {"_distinct": 1, "_pattern_plan": 1}
+        assert calls == {"_grid_plan": 1, "_pattern_plan": 1}
+
+    @pytest.mark.parametrize("n_dir", [1, 8])
+    @pytest.mark.parametrize("iotas", [(0, 1), (0,), (1,), (1, 0)])
+    @pytest.mark.parametrize("channels", ["in-plane", "full"])
+    def test_grid_plan_matches_distinct_columns(self, n_dir, iotas, channels):
+        # the plan built from the grid's structure against the columns that
+        # keying every candidate finds: same columns, order and inverse
+        grid = build_sampling_grid((-1, 1, -1, 1), (2, 2), n_dir, iotas)
+        channels = resolve_channels(channels)
+        plan = inv._grid_plan(grid, channels)
+        ref = inv._pattern_plan(*distinct_columns_oracle(grid.candidates()), channels)
+        np.testing.assert_array_equal(plan.coef, ref.coef)
+        assert (plan.pairs, plan.channels) == (ref.pairs, ref.channels)
+        np.testing.assert_array_equal(plan.inverse, ref.inverse)
+        assert plan.inverse.dtype == ref.inverse.dtype
+
+    @pytest.mark.parametrize("fine", [False, True], ids=["desk", "fine-grid"])
+    def test_saved_grid_equals_loaded(self, desk_scale, wave, params, tmp_path, fine):
+        # the header holds the grid's five numbers, so a map reloads to an
+        # equal grid: the desk LSM map, and the 80x80 fixed-alpha GLSM map
+        scene, _, noisy = desk_scale
+        method, policy = ("glsm", "fixed") if fine else ("lsm", "per-candidate")
+        if fine:
+            sampling = dataclasses.replace(scene.sampling, resolution=(80, 80))
+            scene = dataclasses.replace(scene, sampling=sampling)
+        imap = inv.indicator_map(scene, noisy, method, wave, params, alpha_policy=policy)
+        path = tmp_path / "map.csv"
+        inv.save_indicator_map(imap, path)
+        assert inv.load_indicator_map(path).grid == imap.grid
 
     @pytest.mark.parametrize("shape", [(73, 576), (73, 64)], ids=["73x576", "73x64"])
     def test_norms_sq_is_einsum_form(self, rng, shape):
@@ -971,7 +1006,7 @@ class TestIndicatorMap:
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
 
         def peak(pencil):
-            plan = inv._pattern_plan(*inv._distinct(cands), scene.channels)
+            plan = inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels)
             args = (pts, plan, op, noisy.delta, scene.grid.points, wave, params)
             inv._eval_block(*args, pencil)  # warm any per-(wave, params) caches
             tracemalloc.start()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -224,8 +225,8 @@ class TestSamplingGrid:
             build_sampling_grid((-1, 1, -1, 1), (2, 2), 2, ())
 
     def test_many_normals_build_within_a_second(self):
-        # the coincident-normal check compares all 499,500 pairs of 1000
-        # normals as arrays, in chunks, not pair by pair
+        # a grid of 1000 normals holds their count; the fan is built when
+        # its normals are read
         t0 = time.perf_counter()
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 1000, (0, 1))
         assert time.perf_counter() - t0 < 1.0
@@ -251,44 +252,27 @@ class TestSamplingGrid:
             build_sampling_grid((-1, 1, -1, 1), (2, 2), n_dir, (0, 1))
         assert time.perf_counter() - t0 < 0.1
 
-    def test_coincident_normals_rejected(self):
-        # 300 normals, whose check runs in two chunks of rows: the message
-        # names the first coinciding pair i < j in row order, the second
-        # chunk's too, and a copy turned by 1e-3 rad is distinct
-        normals = build_sampling_grid((0, 1, 0, 1), (1, 1), 300, (0,)).normals.copy()
-        normals[[280, 250, 290]] = normals[[5, 70, 230]]
-        c, s = math.cos(1e-3), math.sin(1e-3)
-        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        for first, later in ((5, 280), (70, 250), (230, 290)):
-            with pytest.raises(DomainError, match=f"trial normals {first} and {later} coincide"):
-                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
-            normals[later] = turn @ normals[first]
-        assert SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,)).normals.shape == (300, 3)
+    def test_grid_is_its_five_numbers(self):
+        # the grid holds the map header's values, no array, and refuses an
+        # n_dir out of range itself
+        names = [f.name for f in dataclasses.fields(SamplingGrid)]
+        assert names == ["region", "resolution", "n_dir", "iotas", "plane_z"]
+        g = SamplingGrid((0.0, 1.0, 0.0, 1.0), (2, 2), 3, (0, 1))
+        assert g == build_sampling_grid((0, 1, 0, 1), (2, 2), 3, (0, 1))
+        with pytest.raises(DomainError, match=f"between 1 and {N_DIR_LIMIT}, got 0$"):
+            SamplingGrid((0.0, 1.0, 0.0, 1.0), (2, 2), 0, (0, 1))
 
-    def test_coincidence_check_matches_pairwise_allclose(self, rng):
-        # reference: np.allclose(atol=1e-12) on each pair i < j in row order,
-        # on unit normals where some rows copy another, exactly or to within
-        # 1e-13, 1e-6 or 2e-5 relative
-        def first_pair(normals):
-            for i in range(len(normals)):
-                for j in range(i + 1, len(normals)):
-                    if np.allclose(normals[i], normals[j], atol=1e-12):
-                        return f"trial normals {i} and {j} coincide"
-            return None
-
-        for _ in range(40):
-            n = int(rng.integers(2, 40))
-            normals = rng.normal(size=(n, 3))
-            for _ in range(int(rng.integers(0, 3))):
-                i, j = rng.integers(0, n, 2)
-                normals[j] = normals[i] * (1.0 + rng.choice([0.0, 1e-13, 1e-6, 2e-5], size=3))
-            normals /= np.linalg.norm(normals, axis=1)[:, None]
-            try:
-                SamplingGrid((0, 1, 0, 1), (1, 1), normals, (0,))
-                message = None
-            except DomainError as exc:
-                message = str(exc)
-            assert message == first_pair(normals)
+    def test_fan_normals_lie_pi_over_n_dir_apart(self):
+        # for every admitted n_dir, each normal is an in-plane unit vector
+        # and neighbouring normals, the last and the first's reverse too,
+        # lie pi/n_dir apart: no two coincide as undirected directions
+        for n_dir in range(1, N_DIR_LIMIT + 1):
+            normals = build_sampling_grid((0, 1, 0, 1), (1, 1), n_dir, (1,)).normals
+            assert normals.shape == (n_dir, 3) and not normals[:, 2].any()
+            np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=1e-15)
+            angles = np.arctan2(normals[:, 1], normals[:, 0])
+            gaps = np.diff(np.append(angles, angles[0] + np.pi))
+            np.testing.assert_allclose(gaps, np.pi / n_dir, rtol=1e-12)
 
     def test_candidate_order_deterministic(self):
         g = build_sampling_grid((-1, 1, -1, 1), (2, 2), 3, (1, 0))
