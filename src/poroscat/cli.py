@@ -137,7 +137,7 @@ def _integer(value, path: str, limit: int = 2**31, low: float = -math.inf) -> in
     return value
 
 
-def _numbers(value, path: str, sizes, read=_number) -> list[float]:
+def _numbers(value, path: str, sizes, read=_number) -> list:
     return [read(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path, sizes))]
 
 
@@ -154,10 +154,6 @@ def _coordinate(value, path: str) -> float:
             f"{path} must be of magnitude below {_COORDINATE_LIMIT:g}, got {_show(value)}"
         )
     return x
-
-
-def _integers(value, path: str, sizes=None) -> list[int]:
-    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path, sizes))]
 
 
 def _choice(value, path: str, choices) -> str:
@@ -241,7 +237,7 @@ def _parse_fracture(doc, default_contact: ContactParams | None, path: str):
         contact = default_contact
     else:
         raise ValidationError(f"{path}: no contact given and no scene default")
-    cells = _integers(doc.get("cells", [8, 2]), f"{path}.cells", (2,))
+    cells = _numbers(doc.get("cells", [8, 2]), f"{path}.cells", (2,), _integer)
     strike = "angle_rad" in doc or "length" in doc
     for key in ("e1", "e2", "half_lengths") if strike else ("width",):
         if key in doc:
@@ -310,9 +306,9 @@ def _parse_scene(doc) -> tuple[Scene, dict]:
     )
     sampling = {
         "region": _numbers(_need(s, "region", path), f"{path}.region", (4,), _coordinate),
-        "resolution": _integers(_need(s, "resolution", path), f"{path}.resolution", (2,)),
+        "resolution": _numbers(_need(s, "resolution", path), f"{path}.resolution", (2,), _integer),
         "n_dir": _integer(s.get("n_dir", 8), f"{path}.n_dir"),
-        "iotas": _integers(s.get("iotas", [0, 1]), f"{path}.iotas"),
+        "iotas": _numbers(s.get("iotas", [0, 1]), f"{path}.iotas", None, _integer),
         "plane_z": _coordinate(s.get("plane_z", 0.0), f"{path}.plane_z"),
     }
     with _at(path):
@@ -439,9 +435,9 @@ def run_forward(
         resolved["noise"] = dict(resolved["noise"], seed=seed)
     if mode is not None:
         resolved["forward"] = dict(resolved["forward"], mode=mode)
+    wave = solve_dispersion(scenario.params, scenario.omega)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wave = solve_dispersion(scenario.params, scenario.omega)
 
     with ledger.record() as rec:
         with ledger.stage("assemble"):
@@ -492,7 +488,6 @@ def run_invert(scenario: Scenario, out_dir, method: str | None = None) -> dict:
     write CSV and PGM.  The stage seconds, root counts and spectrum
     summary come from the run's ledger record."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     noisy_path = out / "lambda_noisy.csv"
     if not noisy_path.exists():
         raise ValidationError(f"matrix file not found: {noisy_path} (run forward first)")

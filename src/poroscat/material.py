@@ -61,6 +61,19 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be strictly positive, got {value!r}")
 
 
+def _check_biot(m) -> None:
+    """The rules DimensionalMaterial and MaterialParams share: lam, mu, M,
+    kappa and rho_f positive, rho >= rho_f, phi in (0, 1), alpha in [0, 1]."""
+    for name in ("lam", "mu", "M", "kappa", "rho_f"):
+        _require_positive(name, getattr(m, name))
+    if not m.rho >= m.rho_f:
+        raise DomainError(f"rho must dominate rho_f, got rho={m.rho!r} < rho_f={m.rho_f!r}")
+    if not 0.0 < m.phi < 1.0:
+        raise DomainError(f"phi must lie in (0, 1), got {m.phi!r}")
+    if not 0.0 <= m.alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [0, 1], got {m.alpha!r}")
+
+
 @dataclass(frozen=True)
 class ReferenceScales:
     """Stress, mass-density and length scales used for nondimensionalization.
@@ -100,12 +113,8 @@ class DimensionalMaterial:
     alpha: float    # Biot effective stress coefficient
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "M", "rho", "rho_f", "rho_a", "kappa"):
-            _require_positive(name, getattr(self, name))
-        if not 0.0 < self.phi < 1.0:
-            raise DomainError(f"phi must lie in (0, 1), got {self.phi!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        _check_biot(self)
+        _require_positive("rho_a", self.rho_a)
 
 
 @dataclass(frozen=True)
@@ -123,20 +132,9 @@ class MaterialParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "M", "kappa"):
-            _require_positive(name, getattr(self, name))
-        if not self.rho_f > 0.0:
-            raise DomainError(f"rho_f must be strictly positive, got {self.rho_f!r}")
-        if not self.rho >= self.rho_f:
-            raise DomainError(
-                f"rho must dominate rho_f, got rho={self.rho!r} < rho_f={self.rho_f!r}"
-            )
+        _check_biot(self)
         if not self.rho_a >= 0.0:
             raise DomainError(f"rho_a must be non-negative, got {self.rho_a!r}")
-        if not 0.0 < self.phi < 1.0:
-            raise DomainError(f"phi must lie in (0, 1), got {self.phi!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha!r}")
 
     @property
     def pwave_modulus(self) -> float:

@@ -55,7 +55,7 @@ class ContactParams:
     interface permeability, alpha_f and beta_f the effective-stress and
     Skempton coefficients, Pi the pressure dissipation factor.  The
     high-permeability model forces Pi = 1 and a vanishing pressure jump
-    (kappa_f is then unused).  A zero k_n, alpha_f, beta_f, Pi or, under
+    (kappa_f is then unused).  A zero k_t, k_n, alpha_f, beta_f, Pi or, under
     the finite-permeability model, kappa_f makes the contact conditions
     singular and is refused here.
     """
@@ -73,6 +73,8 @@ class ContactParams:
             raise DomainError(f"unknown contact model {self.model!r}")
         if self.model == HIGH_PERMEABILITY and self.Pi != 1.0:
             raise DomainError("high-permeability contact requires Pi = 1")
+        if self.k_t == 0:
+            raise DegenerateContactError("k_t must be nonzero")
         if self.k_n == 0:
             raise DegenerateContactError("k_n must be nonzero")
         if self.alpha_f == 0.0:

@@ -822,6 +822,10 @@ def _mutated_doc(doc: dict, mutation) -> dict:
         ("text", "{", "not valid JSON"),
         ("invert", None, "lambda_noisy.csv (run forward first)"),
         (("scene", "contact", "k_n"), [0, 0], "scene.contact: k_n must be nonzero"),
+        (("scene", "contact", "k_t"), [0, 0], "scene.contact: k_t must be nonzero"),
+        (("material",), dict(_DIMENSIONAL, dimensional=dict(_DIMENSIONAL["dimensional"],
+                                                            rho_f=3000.0)),
+         "material.dimensional: rho must dominate rho_f, got rho=2270.0 < rho_f=3000.0"),
         (("scene", "contact"), {"k_t": 0.02, "k_n": 0.02, "Pi": 0.5, "model": "high-permeability"},
          "scene.contact: high-permeability contact requires Pi = 1"),
         (("scene", "contact", "beta_f"), 0, "scene.contact: beta_f must be nonzero"),
@@ -847,14 +851,15 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "region-x-flipped", "dimensionless-and-scales", "dimensionless-and-dimensional",
          "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
          "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing",
-         "omega-prime-missing", "not-json", "invert-before-forward", "k_n-zero",
-         "high-permeability-Pi", "beta_f-zero", "kappa_f-zero", "samples-zero",
+         "omega-prime-missing", "not-json", "invert-before-forward", "k_n-zero", "k_t-zero",
+         "dimensional-rho-below-rho_f", "high-permeability-Pi", "beta_f-zero", "kappa_f-zero", "samples-zero",
          "well-segment-zero", "cells-zero", "length-zero", "frame-collinear",
          "well-through-fracture", "channel-unknown"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):
     # where is the path of the entry set to value; "text" makes value the
-    # whole file, and "invert" runs invert on the scenario before forward
+    # whole file, and "invert" runs invert on the scenario before forward.
+    # A refused scenario makes no output directory
     path = tmp_path / "s.json"
     if where == "text":
         path.write_text(value)
@@ -863,9 +868,11 @@ def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where,
     else:
         path.write_text(json.dumps(tiny_scenario_doc))
     command = "invert" if where == "invert" else "forward"
-    rc = cli.main([command, "--scenario", str(path), "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = cli.main([command, "--scenario", str(path), "--out", str(out)])
     assert rc == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

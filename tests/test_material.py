@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,32 @@ class TestNondimensionalize:
                 lam=1.0, mu=-2.0, M=1.0, rho=1.0, rho_f=0.5, rho_a=0.1,
                 kappa=1.0, phi=0.3, alpha=0.5,
             )
+
+
+_CONSTANTS = dict(lam=0.47, mu=1.0, M=1.66, rho=2.27, rho_f=1.0, rho_a=0.117, kappa=1.0,
+                  phi=0.195, alpha=0.83)
+
+
+class TestMaterialRules:
+    @pytest.mark.parametrize("cls", [DimensionalMaterial, MaterialParams])
+    @pytest.mark.parametrize(
+        "given, message",
+        [({"lam": 0.0}, "lam must be strictly positive"),
+         ({"kappa": -1.0}, "kappa must be strictly positive"),
+         ({"rho_f": 0.0}, "rho_f must be strictly positive"),
+         ({"rho_f": 3.0}, "rho must dominate rho_f, got rho=2.27 < rho_f=3.0"),
+         ({"phi": 1.0}, "phi must lie in (0, 1)"),
+         ({"alpha": 1.5}, "alpha must lie in [0, 1]")],
+    )
+    def test_shared_rule_refused_by_both(self, cls, given, message):
+        # the dimensional and the dimensionless constants hold one set of rules
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            cls(**{**_CONSTANTS, **given})
+
+    def test_rho_a_zero_refused_only_dimensional(self):
+        with pytest.raises(DomainError, match="^rho_a must be strictly positive"):
+            DimensionalMaterial(**{**_CONSTANTS, "rho_a": 0.0})
+        assert MaterialParams(**{**_CONSTANTS, "rho_a": 0.0}).rho_a == 0.0
 
 
 class TestGamma:

@@ -173,8 +173,8 @@ class TestContactParams:
 
     @pytest.mark.parametrize(
         "given",
-        [{"k_n": 0.0}, {"alpha_f": 0.0}, {"Pi": 0.0}, {"beta_f": 0.0}, {"kappa_f": 0.0},
-         {"beta_f": 0.0, "model": HIGH_PERMEABILITY}],
+        [{"k_t": 0.0}, {"k_n": 0.0}, {"alpha_f": 0.0}, {"Pi": 0.0}, {"beta_f": 0.0},
+         {"kappa_f": 0.0}, {"beta_f": 0.0, "model": HIGH_PERMEABILITY}],
     )
     def test_degenerate_contact_rejected(self, given):
         # every degenerate contact is refused where it is built, before any
