@@ -852,8 +852,8 @@ def _mutated_doc(doc: dict, mutation) -> dict:
          "omega-and-omega-prime", "epsilon-and-target-delta", "samples-differ",
          "channel-not-string", "n_dir-1025", "n_dir-0", "iotas-2", "omega-missing",
          "omega-prime-missing", "not-json", "invert-before-forward", "k_n-zero", "k_t-zero",
-         "dimensional-rho-below-rho_f", "high-permeability-Pi", "beta_f-zero", "kappa_f-zero", "samples-zero",
-         "well-segment-zero", "cells-zero", "length-zero", "frame-collinear",
+         "dimensional-rho-below-rho_f", "high-permeability-Pi", "beta_f-zero", "kappa_f-zero",
+         "samples-zero", "well-segment-zero", "cells-zero", "length-zero", "frame-collinear",
          "well-through-fracture", "channel-unknown"],
 )
 def test_bad_scenario_value_rejected(tmp_path, tiny_scenario_doc, capsys, where, value, message):

@@ -679,9 +679,9 @@ class TestGlsmPencil:
         pencil = inv.GlsmPencil(noisy.data, inv.lambda_sharp(noisy.data), noisy.delta)
         pts, cands = scene.sampling.points()[:64], scene.sampling.candidates()
         gpts = scene.grid.points
+        plan = inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels)
         block = inv._eval_block(
-            pts, inv._pattern_plan(*distinct_columns_oracle(cands), scene.channels), op, noisy.delta,
-            gpts, wave, params, pencil, pencil.operator(alpha),
+            pts, plan, op, noisy.delta, gpts, wave, params, pencil, pencil.operator(alpha),
         )
         Y = pencil.coordinates(
             inv.trial_pattern_block(pts, cands, gpts, wave, params, scene.channels), alpha
